@@ -29,6 +29,11 @@ class Kernel:
         self._seq = 0
         self._executed = 0
 
+    @property
+    def executed(self):
+        """Events run so far, over every run_until() call."""
+        return self._executed
+
     def schedule(self, fire_time, action):
         if fire_time < self.now:
             raise ValueError(

@@ -25,8 +25,16 @@ Techniques, named by what the client/server pair actually does on the wire:
 Every session starts with a fast start: unlimited-rate delivery until a
 configured amount of media is buffered, at which point playback begins.
 
+Time moves in fixed ticks (10 ms by default).  A tick that moves no byte,
+leaves the connection alone and crosses no policy threshold only advances
+the playhead and perhaps takes a buffer sample.  Such quiet ticks are played
+inside the kernel event of the full tick before them, with the same float
+additions, so the outputs are those of a session that runs every tick as
+its own event.
+
 Byte accounting is exact: every received byte is classified as consumed,
-still buffered, or wasted, and the identity is asserted each tick.
+still buffered, or wasted, and the identity is asserted after every full
+tick and at the end of every quiet span.
 """
 
 import math
@@ -55,7 +63,16 @@ _BIG = 1 << 62
 
 
 class DeadlockError(RuntimeError):
-    """Raised when a session stops making progress (diagnostic, not a crash)."""
+    """Raised when playback does not finish by the horizon (diagnostic, not a crash)."""
+
+
+def _runs_dry(avail_media, step):
+    """Playback stalls when the delivered media cannot cover a whole step."""
+    return avail_media + 1e-9 < step
+
+
+def _never(playhead):
+    return False
 
 
 @dataclass(frozen=True)
@@ -112,6 +129,12 @@ class VideoSpec:
             for i in range(duration_s)
         ]
         schedule[-1] += total - sum(schedule)  # keep the total exact
+        if schedule[-1] < 0:
+            raise ValueError(
+                "vbr: the last-second correction that keeps the total at %d B came out "
+                "negative by %d B; use a longer clip, whole periods or a smaller amplitude"
+                % (total, -schedule[-1])
+            )
         return cls(schedule, **kw)
 
     def cum_bytes(self, t):
@@ -239,7 +262,7 @@ class SessionMetrics:
 
 
 class StreamingSession:
-    """Drives one playback session tick by tick on a discrete-event kernel."""
+    """Drives one playback session on a discrete-event kernel, one event per full tick."""
 
     def __init__(
         self,
@@ -271,6 +294,8 @@ class StreamingSession:
         self.recv_capacity = recv_capacity
         self.probe_interval = probe_interval
         self.sample_interval = sample_interval
+        # buffer samples fall on every n-th tick, counted, not on float time
+        self._sample_every = max(1, round(sample_interval / tick_s))
         self.strict = strict_accounting
         self.watched_end = watched_fraction * video.duration_s
         self.max_sim_time = max_sim_time or (3.0 * video.duration_s + 900.0)
@@ -288,7 +313,8 @@ class StreamingSession:
         self._dup_remaining = 0
         self._burst_next = None
         self._server_left = 0       # undelivered bytes for the bursty server
-        self._next_sample = 0.0
+        self._ticks = 0             # ticks played, quiet ones included
+        self._next_sample = 1       # the tick that takes the next buffer sample
         self._last_data_t = 0.0
         self.metrics = SessionMetrics(kind=technique.kind)
 
@@ -302,21 +328,30 @@ class StreamingSession:
     def run(self):
         self._start()
         self.kernel.schedule_in(self.tick_s, self._tick)
-        # run_until in slabs so a runaway session trips the deadlock guard
-        while self.phase != DRAINED:
-            if self.kernel.now >= self.max_sim_time:
-                raise DeadlockError(
-                    "no progress by t=%.1f: phase=%s playhead=%.2f buffered=%.0fB "
-                    "conn=%s" % (
-                        self.kernel.now, self.phase, self.playhead,
-                        self.media_pos - self.consumed,
-                        "open" if self._conn_open() else "closed",
-                    )
-                )
-            if self.kernel.pending() == 0:
-                raise DeadlockError("event queue drained before playback finished")
-            self.kernel.run_until(self.kernel.now + 60.0)
+        self.kernel.run_until(self.max_sim_time)
+        if self.phase != DRAINED:
+            raise DeadlockError(self._unfinished_cause())
         return self.metrics
+
+    def _unfinished_cause(self):
+        """Why playback did not finish by the horizon: too slow, or stuck."""
+        now = self.kernel.now
+        if not self.playing:
+            played_t = 0.0
+        elif self.stalled:
+            played_t = self.metrics.stalls[-1].start
+        else:
+            played_t = now  # the playhead moved on the last tick
+        moved_t = max(self._last_data_t, played_t)
+        if now - moved_t <= max(1.0, 4.0 * self.path.rtt_s):
+            cause = "too slow for the horizon, still progressing at t=%.2f" % moved_t
+        else:
+            cause = "stuck, no media byte or playhead movement since t=%.2f" % moved_t
+        delivered = self.received if self.technique.kind == DASH else self.media_pos
+        return "%s: delivered %d of %d B by t=%.1f (phase=%s playhead=%.2f conn=%s)" % (
+            cause, delivered, self.video.total_bytes, now, self.phase, self.playhead,
+            "open" if self._conn_open() else "closed",
+        )
 
     def _start(self):
         t = self.technique
@@ -357,12 +392,97 @@ class StreamingSession:
             return
         self._client_step(dt)
         self._server_step()
-        if now >= self._next_sample:
+        self._ticks += 1
+        if self._ticks >= self._next_sample:
             self._sample(now)
-            self._next_sample = now + self.sample_interval
         if self.strict:
             self._check_accounting()
-        self.kernel.schedule(now + dt, self._tick)
+        self.kernel.schedule(self._play_quiet(now), self._tick)
+
+    def _play_quiet(self, now):
+        """Play the quiet ticks after the full tick at `now`; return the next full tick's time.
+
+        A quiet tick only advances the playhead and perhaps takes a buffer
+        sample: no byte moves, the connection is idle and no policy threshold
+        is crossed.  It is played here with the same float additions a full
+        tick makes, so every value comes out bit-identical, and the first tick
+        that can do more is left to the kernel.  So is the tick at the horizon:
+        the kernel runs it and never runs the ones after it.
+        """
+        dt = self.tick_s
+        t_next = now + dt
+        if not self.playing or self.stalled:
+            return t_next
+        wake_t = self._next_burst()
+        if self.conn is not None:
+            wake_t = min(wake_t, self.conn.next_action(dt))
+        if t_next >= wake_t:
+            return t_next
+        wakes = self._client_wake()
+        if wakes is None:
+            return t_next
+        wake_t = min(wake_t, self.max_sim_time)
+        delivered = self._delivered_media()
+        watched_end = self.watched_end
+        playhead = self.playhead
+        ticks = self._ticks
+        t = now
+        while t_next < wake_t:
+            step = min(dt, watched_end - playhead)
+            if _runs_dry(delivered - playhead, step):
+                break
+            ahead = playhead + step
+            if self._watch_done(ahead) or (wakes is not _never and wakes(ahead)):
+                break
+            playhead = ahead
+            t = t_next
+            ticks += 1
+            if ticks >= self._next_sample:
+                self._ticks, self.playhead = ticks, playhead
+                self._sync_consumed()
+                self._sample(t)
+            t_next = t + dt
+        if t != now:
+            self._ticks, self.playhead = ticks, playhead
+            self._sync_consumed()
+            if self.strict:
+                # The byte books are constant over a quiet span and buffered
+                # bytes only fall as the playhead advances, so the check at
+                # its end implies the check on every tick inside it.
+                self._check_accounting()
+        return t_next
+
+    def _client_wake(self):
+        """Rule for the first tick at which the client step does more than nothing.
+
+        Returns a predicate on the playhead after that tick's playback, or
+        None when the client may act on the next tick whatever the playhead.
+        """
+        t, conn = self.technique, self.conn
+        unread = conn is not None and conn.recv_occupancy > 0
+        if t.kind == DASH:
+            if unread and self._conn_open():
+                return None
+            if self._outstanding is not None or self._seg_requested >= self._n_segments:
+                return _never
+            delivered = self._dash_delivered_media()
+            return lambda playhead: self._dash_buffer_short(delivered - playhead)
+        if t.kind == ON_OFF:
+            if self.reading:
+                return None
+            delivered = self.video.media_time(self.media_pos)
+            return lambda playhead: self._below_low_watermark(delivered - playhead)
+        if t.kind == ENCODING_RATE:
+            return None if unread else _never
+        # THROTTLE and FAST_CACHING read whatever arrives while connected; a
+        # connected capped store is left to full ticks
+        if self._conn_open() and (unread or t.buffer_cap is not None):
+            return None
+        if t.buffer_cap is None:
+            return _never
+        return lambda playhead: self._store_reopens(
+            self.media_pos - self._consumed_at(playhead)
+        )
 
     def _delivery_limit(self):
         cap = self.technique.buffer_cap
@@ -416,17 +536,14 @@ class StreamingSession:
         if not self.playing:
             return
         now = self.kernel.now
-        if self.technique.kind == DASH:
-            avail_media = self._dash_delivered_media() - self.playhead
-        else:
-            avail_media = self.video.media_time(self.media_pos) - self.playhead
+        avail_media = self._delivered_media() - self.playhead
         step = min(dt, self.watched_end - self.playhead)
         if self.stalled:
             if avail_media <= 1e-9:
                 return
             self.stalled = False
             self.metrics.stalls[-1].end = now
-        if avail_media + 1e-9 < step:
+        if _runs_dry(avail_media, step):
             # ran dry mid-tick: advance what we can, then freeze
             self.playhead += max(0.0, avail_media)
             self._sync_consumed()
@@ -435,14 +552,25 @@ class StreamingSession:
             return
         self.playhead += step
         self._sync_consumed()
-        if self.playhead >= self.watched_end - 1e-12:
+        if self._watch_done(self.playhead):
             self._finalize()
 
-    def _sync_consumed(self):
+    def _watch_done(self, playhead):
+        return playhead >= self.watched_end - 1e-12
+
+    def _delivered_media(self):
+        """Media seconds from the start of the clip that have arrived."""
         if self.technique.kind == DASH:
-            self.consumed = self._dash_consumed_bytes()
-        else:
-            self.consumed = min(float(self.media_pos), self.video.cum_bytes(self.playhead))
+            return self._dash_delivered_media()
+        return self.video.media_time(self.media_pos)
+
+    def _sync_consumed(self):
+        self.consumed = self._consumed_at(self.playhead)
+
+    def _consumed_at(self, playhead):
+        if self.technique.kind == DASH:
+            return self._dash_consumed_bytes(playhead)
+        return min(float(self.media_pos), self.video.cum_bytes(playhead))
 
     def _client_step(self, dt):
         t = self.technique
@@ -475,10 +603,14 @@ class StreamingSession:
             slack = int(max(self.video.schedule) * self.tick_s) + 2
             if done or buffered >= t.buffer_cap - slack:
                 self.conn.close("RST")
-        elif not done:
-            headroom = t.reopen_headroom or max(1, t.buffer_cap // 32)
-            if buffered <= t.buffer_cap - headroom:
-                self._reconnect_range()
+        elif self._store_reopens(buffered):
+            self._reconnect_range()
+
+    def _store_reopens(self, buffered):
+        """Capped store: the closed connection reopens once this much has drained."""
+        t = self.technique
+        headroom = t.reopen_headroom or max(1, t.buffer_cap // 32)
+        return self.media_pos < self.video.total_bytes and buffered <= t.buffer_cap - headroom
 
     def _reconnect_range(self):
         """New connection re-requesting from the start of the current key frame."""
@@ -502,16 +634,23 @@ class StreamingSession:
                     self.conn.close("RST")
             else:
                 self.conn.read(_BIG)
-        else:
-            if not done and buffered_media <= t.low_watermark_s:
-                self.reading = True
-                if not self._conn_open():
-                    self.conn = self.transport.open(self.recv_capacity, self.probe_interval)
-                    self._register_conn(self.conn)
-                    self.conn.enqueue(self.video.total_bytes - self.media_pos)
-                self.conn.read(_BIG)
+        elif self._below_low_watermark(buffered_media):
+            self.reading = True
+            if not self._conn_open():
+                self.conn = self.transport.open(self.recv_capacity, self.probe_interval)
+                self._register_conn(self.conn)
+                self.conn.enqueue(self.video.total_bytes - self.media_pos)
+            self.conn.read(_BIG)
 
-    def _server_step(self):
+    def _below_low_watermark(self, buffered_media):
+        """ON_OFF: the client resumes reading once buffered media falls this low."""
+        return (
+            self.media_pos < self.video.total_bytes
+            and buffered_media <= self.technique.low_watermark_s
+        )
+
+    def _next_burst(self):
+        """Time the bursty server writes its next burst; inf when it writes no more."""
         t = self.technique
         if (
             t.kind == THROTTLE
@@ -520,6 +659,12 @@ class StreamingSession:
             and self._server_left > 0
             and self._conn_open()
         ):
+            return self._burst_next
+        return math.inf
+
+    def _server_step(self):
+        t = self.technique
+        if self._next_burst() <= self.kernel.now:
             interval = t.burst_size * 8.0 / (t.throttle_factor * self.video.avg_rate_bps)
             while self._burst_next <= self.kernel.now and self._server_left > 0:
                 n = min(t.burst_size, self._server_left)
@@ -547,13 +692,13 @@ class StreamingSession:
     def _dash_delivered_media(self):
         return sum(s[1] for s in self._segments)
 
-    def _dash_consumed_bytes(self):
+    def _dash_consumed_bytes(self, playhead):
         total = 0.0
         for start, length, nbytes in self._segments:
-            if self.playhead >= start + length:
+            if playhead >= start + length:
                 total += nbytes
-            elif self.playhead > start:
-                total += nbytes * (self.playhead - start) / length
+            elif playhead > start:
+                total += nbytes * (playhead - start) / length
             else:
                 break
         return total
@@ -579,9 +724,7 @@ class StreamingSession:
             self.conn.read(_BIG)
         if self._outstanding is not None or self._seg_requested >= self._n_segments:
             return
-        buffered = self._dash_delivered_media() - self.playhead
-        target = self.technique.dash_target_s
-        if self.phase == STEADY and buffered >= target:
+        if not self._dash_buffer_short(self._dash_delivered_media() - self.playhead):
             return
         if self._tputs:
             est = len(self._tputs) / sum(1.0 / x for x in self._tputs)
@@ -603,6 +746,10 @@ class StreamingSession:
         ):
             self._dash_refetch(level)
         self._last_level = level
+
+    def _dash_buffer_short(self, buffered_media):
+        """DASH: the client requests the next segment while this holds."""
+        return self.phase != STEADY or buffered_media < self.technique.dash_target_s
 
     def _dash_refetch(self, level):
         """Re-download recent unplayed segments after an upward quality switch."""
@@ -656,14 +803,14 @@ class StreamingSession:
     def _sample(self, t, final=False):
         if self.technique.kind == DASH:
             buf_bytes = self.received - self.consumed - self.wasted
-            buf_media = self._dash_delivered_media() - self.playhead
         else:
             buf_bytes = self.media_pos - self.consumed
-            buf_media = self.video.media_time(self.media_pos) - self.playhead
+        buf_media = self._delivered_media() - self.playhead
         if final:
             buf_bytes = 0.0
             buf_media = 0.0
         self.metrics.buffer_series.append((t, buf_bytes, buf_media))
+        self._next_sample = self._ticks + self._sample_every
 
     def _check_accounting(self):
         if self.technique.kind == DASH:

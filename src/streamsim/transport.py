@@ -13,6 +13,7 @@ gap used later for burst grouping.
 """
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 
@@ -183,10 +184,7 @@ class Connection:
         t0 = now - dt
         eligible = now - max(t0, self._resume_at)
         if eligible > 0 and self.send_queue > 0:
-            rate = self.transport.path.bandwidth_bps
-            if self.send_rate_cap is not None:
-                rate = min(rate, self.send_rate_cap)
-            allowance = rate / 8.0 * eligible + self._rate_frac
+            allowance = self._rate_bps() / 8.0 * eligible + self._rate_frac
             n_rate = int(allowance)
             free = self.recv_capacity - self.recv_occupancy
             n = min(n_rate, self.send_queue, free)
@@ -220,6 +218,40 @@ class Connection:
                 )
                 self._next_probe += self.probe_interval
         return out
+
+    def next_action(self, dt):
+        """Earliest tick end at which advance(dt) may change this connection.
+
+        Until then advance() is a no-op for as long as nobody reads, enqueues
+        or requests, so a caller may play the ticks in between without it.
+        With bytes queued and room to receive them the sender moves data from
+        the first tick ending after the resume time; blocked on a zero window
+        it only probes.  Returns inf when it cannot act on its own.
+        """
+        if self.state != STATE_OPEN or self.send_queue == 0:
+            return math.inf
+        # advance() sends from the first tick ending after _resume_at; waking
+        # on a tick ending exactly at it costs one needless full tick, no more
+        if self.recv_occupancy < self.recv_capacity:
+            return self._resume_at
+        # blocked on a zero window: a tick zeroes the pacing credit, and is a
+        # no-op only once the credit is zero and every tick's allowance is at
+        # least one byte (a first tick after the resume time may be partial,
+        # and two bytes a tick leave room for float error in its length)
+        credit_moves = (
+            self._rate_frac != 0.0
+            or self._resume_at >= self.transport.kernel.now
+            or self._rate_bps() / 8.0 * dt < 2.0
+        )
+        if credit_moves:
+            return min(self._next_probe, self._resume_at)
+        return self._next_probe
+
+    def _rate_bps(self):
+        rate = self.transport.path.bandwidth_bps
+        if self.send_rate_cap is not None:
+            rate = min(rate, self.send_rate_cap)
+        return rate
 
     def close(self, mode="RST"):
         """Tear down; undelivered server bytes are dropped.  Idempotent it is not."""

@@ -89,3 +89,14 @@ def test_randomized_schedule_always_fires_in_order():
             k.schedule(t, lambda t=t: fired.append(t))
         k.run_until(10.0)
         assert fired == sorted(times), f"trial {trial}"
+
+
+def test_executed_counts_events_over_every_run():
+    k = Kernel()
+    for t in (0.5, 1.5, 2.5):
+        k.schedule(t, lambda: None)
+    k.cancel(k.schedule(1.0, lambda: None))
+    k.run_until(1.0)
+    assert k.executed == 1
+    k.run_until(3.0)
+    assert k.executed == 3

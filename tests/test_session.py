@@ -4,6 +4,8 @@ import statistics
 import pytest
 
 from streamsim.analysis import group_bursts
+from streamsim.harness import build_session
+from streamsim.scenario import load_builtin
 from streamsim.session import (
     DASH,
     ENCODING_RATE,
@@ -284,6 +286,64 @@ def test_dash_pick_quality_takes_highest_affordable_level():
         dash_pick_quality([], 1e6, 1.0)
 
 
+# -- quiet spans and sampling ----------------------------------------------
+
+
+def test_quiet_ticks_run_inside_one_kernel_event():
+    # fast caching has the file after 30 s of a 360 s watch; the rest is quiet
+    session = build_session(load_builtin("compare_fast_caching_3g"))
+    session.run()
+    assert session.kernel.executed <= len(session.transport.records) + 10
+
+
+def test_quiet_spans_change_no_output(monkeypatch):
+    # reference: every tick its own kernel event, no quiet span played
+    specs = [
+        TechniqueSpec(ENCODING_RATE, fast_start_s=5.0),
+        TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25),
+        TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25, burst_size=65_536),
+        TechniqueSpec(THROTTLE, fast_start_s=2.0, throttle_factor=1.5, buffer_cap=300_000,
+                      keyframe_waste=True),
+        TechniqueSpec(ON_OFF, fast_start_s=10.0, low_watermark_s=2.0, high_watermark_s=10.0),
+        TechniqueSpec(ON_OFF, fast_start_s=10.0, low_watermark_s=0.0, high_watermark_s=10.0,
+                      connection_mode=PER_BURST),
+        TechniqueSpec(FAST_CACHING, fast_start_s=2.0),
+        TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0),
+    ]
+    configs = [
+        (PATH, {}),
+        (PathSpec(6_000_000, rtt_s=0.3, jitter=0.1),
+         dict(watched_fraction=0.4, recv_capacity=4_000, probe_interval=1.0, seed=7)),
+        (PathSpec(400_000, rtt_s=0.05), {}),  # slower than the clip: stalls
+    ]
+    video = VideoSpec.constant(45, 500_000, keyframe_spacing=40_000, ladder=LADDER)
+    cases = [(video, spec, path, kw) for spec in specs for path, kw in configs]
+
+    def outputs():
+        out = []
+        for video, spec, path, kw in cases:
+            session, m = run(video, spec, path=path, **kw)
+            out.append((m, [(r.time, r.direction, r.payload, r.kind, r.conn_id)
+                            for r in session.transport.records]))
+        return out
+
+    skipped = outputs()
+    monkeypatch.setattr(StreamingSession, "_play_quiet", lambda self, now: now + self.tick_s)
+    assert outputs() == skipped
+
+
+@pytest.mark.parametrize("technique, interval", [
+    (TechniqueSpec(FAST_CACHING, fast_start_s=2.0), 0.1),
+    (TechniqueSpec(ON_OFF, fast_start_s=10.0, low_watermark_s=2.0, high_watermark_s=10.0), 0.1),
+    (TechniqueSpec(ENCODING_RATE, fast_start_s=5.0), 0.25),
+])
+def test_buffer_samples_are_a_whole_number_of_ticks_apart(technique, interval):
+    session, m = run(VideoSpec.constant(60, 500_000), technique, sample_interval=interval)
+    times = [t for t, _, _ in m.buffer_series]
+    gaps = {round((b - a) / session.tick_s) for a, b in zip(times, times[1:-1])}
+    assert gaps == {round(interval / session.tick_s)}
+
+
 # -- degradation and guards ------------------------------------------------
 
 
@@ -299,6 +359,36 @@ def test_underprovisioned_path_stalls_but_finishes():
     assert m.watched_s == pytest.approx(60.0)
     assert m.duration_s > 70.0
     assert_conserved(session, m)
+
+
+def test_horizon_reports_a_slow_session_as_still_progressing():
+    # a 1500 B receive window over a 0.6 s rtt moves ~2.5 kB/s: too slow, not stuck
+    with pytest.raises(DeadlockError, match=(
+        r"too slow for the horizon, still progressing at t=1079\.\d\d: "
+        r"delivered 2655000 of 3750000 B by t=1080\.0"
+    )):
+        run(
+            VideoSpec.constant(60, 500_000),
+            TechniqueSpec(ENCODING_RATE, fast_start_s=5.0),
+            path=PathSpec(2_000_000, rtt_s=0.6),
+            recv_capacity=1500,
+        )
+
+
+def test_horizon_reports_a_stuck_session_with_the_time_it_stopped():
+    # the store never drains 300 kB below its 200 kB cap, so it never reopens
+    with pytest.raises(DeadlockError, match=(
+        r"stuck, no media byte or playhead movement since t=4\.58: "
+        r"delivered 272500 of 3750000 B by t=120\.0"
+    )):
+        run(
+            VideoSpec.constant(60, 500_000),
+            TechniqueSpec(
+                THROTTLE, fast_start_s=2.0, throttle_factor=2.0,
+                buffer_cap=200_000, reopen_headroom=300_000,
+            ),
+            max_sim_time=120.0,
+        )
 
 
 def test_deadlock_guard_trips_when_nothing_moves():
@@ -375,6 +465,12 @@ def test_video_spec_schedule_arithmetic():
         VideoSpec([-1, 5])
     with pytest.raises(ValueError):
         VideoSpec.vbr(60, 500_000, amplitude=1.5)
+
+
+def test_vbr_names_a_negative_last_second_correction():
+    # five seconds of a rising 30 s sine overshoot the total by 5137 B
+    with pytest.raises(ValueError, match="last-second correction .* negative by 5137 B"):
+        VideoSpec.vbr(5, 500_000, 0.9)
 
 
 def test_randomized_sessions_always_balance_the_books():

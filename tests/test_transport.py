@@ -276,3 +276,49 @@ def test_random_workloads_conserve_bytes():
             r.payload for r in transport.records if r.kind == DATA
         )
         assert conn.delivered_total <= total
+
+
+def _conn_state(conn):
+    return (
+        conn.state, conn.send_queue, conn.recv_occupancy, conn.window_state,
+        conn.delivered_total, conn._rate_frac, conn._next_probe, conn._resume_at,
+    )
+
+
+def test_blocked_connection_next_acts_at_its_probe():
+    kernel, transport, conn = make_conn(recv_capacity=10_000)
+    conn.enqueue(50_000)
+    drive(kernel, conn, 100)  # full since t = 0.07
+    assert conn.next_action(TICK) == pytest.approx(5.07)
+    conn.close("RST")
+    assert conn.next_action(TICK) == float("inf")
+
+
+def test_advance_is_a_no_op_before_next_action():
+    rng = random.Random(5)
+    quiet = 0
+    for trial in range(30):
+        kernel, transport, conn = make_conn(
+            bandwidth_bps=rng.choice([6_000_000, 600_000, 1_000]),
+            rtt_s=rng.choice([0.0, 0.05, 0.3]),
+            recv_capacity=rng.choice([100, 10_000, 65_536]),
+            probe_interval=rng.choice([0.5, 5.0]),
+        )
+        conn.enqueue(rng.choice([0, 30_000, 500_000]), rate_cap=rng.choice([None, 0, 600, 400_000]))
+        wake = conn.next_action(TICK)
+        for i in range(800):
+            now = (i + 1) * TICK
+            kernel.run_until(now)
+            before = _conn_state(conn)
+            out = conn.advance(TICK)
+            if now < wake:
+                assert out == [] and _conn_state(conn) == before, f"trial {trial} t={now}"
+                quiet += 1
+            if rng.random() < 0.02:
+                conn.read(rng.choice([1_000, 1 << 30]))
+            if rng.random() < 0.005:
+                conn.enqueue(rng.choice([1_000, 100_000]))
+            if rng.random() < 0.005:
+                conn.request()
+            wake = conn.next_action(TICK)
+    assert quiet > 5_000
