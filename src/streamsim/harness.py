@@ -185,10 +185,8 @@ def write_artifacts(report, out_dir):
     write_timeline_csv(report.records, base + ".timeline.csv")
     write_radio_csv(report.radio_segments, base + ".radio.csv")
     with open(base + ".buffer.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "buffer_bytes", "buffer_media_s"])
-        for t, nbytes, media in report.metrics.buffer_series:
-            w.writerow([f"{t:.3f}", f"{nbytes:.0f}", f"{media:.3f}"])
+        fh.write("time_s,buffer_bytes,buffer_media_s\r\n")
+        fh.writelines("%.3f,%.0f,%.3f\r\n" % row for row in report.metrics.buffer_series)
     with open(base + ".summary.csv", "w", newline="") as fh:
         fh.write(emit_report([report], fmt="csv"))
 

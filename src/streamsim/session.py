@@ -25,16 +25,27 @@ Techniques, named by what the client/server pair actually does on the wire:
 Every session starts with a fast start: unlimited-rate delivery until a
 configured amount of media is buffered, at which point playback begins.
 
-Time moves in fixed ticks (10 ms by default).  A tick that moves no byte,
-leaves the connection alone and crosses no policy threshold only advances
-the playhead and perhaps takes a buffer sample.  Such quiet ticks are played
-inside the kernel event of the full tick before them, with the same float
-additions, so the outputs are those of a session that runs every tick as
-its own event.
+Time moves in fixed ticks (10 ms by default).  Most ticks are played inside
+the kernel event of the full tick before them, with the same float
+operations and the same Connection code, so the outputs are those of a
+session that runs every tick as its own event.  Such a span plays:
+
+  quiet ticks   no byte moves; the playhead advances (ON_OFF pauses, the
+                rest of a watch once the file is in, DASH above its target);
+  flow ticks    the sender moves its whole pacing allowance with queue,
+                window and store room to spare, and the client reads it
+                (throttled delivery, fast starts, ON_OFF bursts, DASH
+                segments);
+  read ticks    ENCODING_RATE reads one tick of media from the socket while
+                the sender waits out the rtt after the window reopened;
+
+and, while no byte arrives, ticks before playback begins and ticks of a
+stall.  A span ends before the first tick that would do more, and each rule
+that ends one is the rule the full tick applies.
 
 Byte accounting is exact: every received byte is classified as consumed,
 still buffered, or wasted, and the identity is asserted after every full
-tick and at the end of every quiet span.
+tick and at the end of every span.
 """
 
 import math
@@ -71,8 +82,8 @@ def _runs_dry(avail_media, step):
     return avail_media + 1e-9 < step
 
 
-def _never(playhead):
-    return False
+def _drain(playhead):
+    return _BIG
 
 
 @dataclass(frozen=True)
@@ -322,6 +333,17 @@ class StreamingSession:
             self._dash_init()
         else:
             self.fast_start_target = int(round(video.cum_bytes(technique.fast_start_s)))
+        cap = technique.buffer_cap
+        if cap is not None:
+            # the store is full once free space is under one tick of playback:
+            # capped delivery refills what playback drains and never gets closer
+            self._store_slack = int(max(video.schedule) * tick_s) + 2
+            if technique.kind != DASH and min(self.fast_start_target, video.total_bytes) > cap:
+                raise ValueError(
+                    "fast start needs %d B buffered before playback begins, but "
+                    "buffer_cap holds at most %d B"
+                    % (min(self.fast_start_target, video.total_bytes), cap)
+                )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -384,7 +406,7 @@ class StreamingSession:
             limit = self._delivery_limit()
             for rec in self.conn.advance(dt, limit=limit):
                 if rec.kind == DATA:
-                    self._on_data(rec.payload, rec.conn_id)
+                    self._on_data(rec.payload, rec.conn_id, now)
         if self.phase == FAST_START:
             self._maybe_finish_fast_start()
         self._playback(dt)
@@ -400,89 +422,138 @@ class StreamingSession:
         self.kernel.schedule(self._play_quiet(now), self._tick)
 
     def _play_quiet(self, now):
-        """Play the quiet ticks after the full tick at `now`; return the next full tick's time.
+        """Play the ticks after the full tick at `now` that change little.
 
-        A quiet tick only advances the playhead and perhaps takes a buffer
-        sample: no byte moves, the connection is idle and no policy threshold
-        is crossed.  It is played here with the same float additions a full
-        tick makes, so every value comes out bit-identical, and the first tick
-        that can do more is left to the kernel.  So is the tick at the horizon:
-        the kernel runs it and never runs the ones after it.
+        Returns the time of the next full tick.  A tick played here moves
+        either no byte or the sender's whole pacing allowance, reads what the
+        client reads every tick, advances the playhead unless playback is
+        stalled or has not begun, and perhaps takes a buffer sample.  It is
+        played with the same float operations and the same Connection code a
+        full tick uses, and its records go through Transport.emit in the same
+        order.  The first tick that could do more is left to the kernel: one
+        whose delivery is cut by the queue, the window or the store limit,
+        that finishes a DASH segment or the fast start, runs playback dry or
+        ends a stall or the watch, on which the client acts, or the bursty
+        server's next burst.  So is the tick at the horizon: the kernel runs
+        it and never runs the ones after it.
         """
         dt = self.tick_s
         t_next = now + dt
-        if not self.playing or self.stalled:
+        stop_t = min(self._next_burst(), self.max_sim_time)
+        if t_next >= stop_t:
             return t_next
-        wake_t = self._next_burst()
-        if self.conn is not None:
-            wake_t = min(wake_t, self.conn.next_action(dt))
-        if t_next >= wake_t:
-            return t_next
-        wakes = self._client_wake()
-        if wakes is None:
-            return t_next
-        wake_t = min(wake_t, self.max_sim_time)
-        delivered = self._delivered_media()
+        moving = self.playing and not self.stalled
+        conn = self.conn
+        conn_t = conn.next_action(dt, now)
+        reads, acts = self._client_rule()
+        # Bytes may arrive only while the client reads them and playback is
+        # not stalled: a full tick leaves a stall in place only with under
+        # 1e-9 s of media to play, and no tick ends it unless bytes arrive.
+        flows = reads is not None and not self.stalled
+        # DASH books media per finished segment, and its send queue is the
+        # outstanding segment, so a tick that sends the whole allowance with
+        # queue to spare finishes no segment and the fast start neither
+        dash = self.technique.kind == DASH
+        starting = self.phase == FAST_START and not dash
+        # only a capped store reads the consumed bytes inside a span (its
+        # delivery limit and its rules); for the rest they are synced lazily
+        capped = self.technique.buffer_cap is not None
+        consumed = self.consumed
+        pace, send, on_data = conn.pace, conn.send, self._on_data
+        media_time, runs_dry, watch_done = self.video.media_time, _runs_dry, self._watch_done
         watched_end = self.watched_end
+        media_pos = self.media_pos
+        delivered = self._delivered_media()
         playhead = self.playhead
         ticks = self._ticks
         t = now
-        while t_next < wake_t:
-            step = min(dt, watched_end - playhead)
-            if _runs_dry(delivered - playhead, step):
+        while t_next < stop_t:
+            n = 0
+            if t_next >= conn_t:
+                if not flows:
+                    break
+                limit = self._delivery_limit() if capped else None
+                n, credit, whole = pace(t_next, dt, limit)
+                if not whole:
+                    break
+                if not dash:
+                    media_pos = self._media_after(n)
+                    if starting and self._fast_start_done(media_pos):
+                        break
+                    delivered = media_time(media_pos)
+            ahead = playhead
+            if moving:
+                step = min(dt, watched_end - playhead)
+                if runs_dry(delivered - playhead, step):
+                    break
+                ahead = playhead + step
+                if watch_done(ahead):
+                    break
+                if capped:
+                    consumed = self._consumed_at(ahead, media_pos)
+            if acts is not None and acts(media_pos, delivered, ahead, consumed):
                 break
-            ahead = playhead + step
-            if self._watch_done(ahead) or (wakes is not _never and wakes(ahead)):
-                break
+            if n:
+                send(t_next, n, credit)
+                on_data(n, conn.id, t_next)
             playhead = ahead
+            if capped:
+                self.consumed = consumed
+            if reads is not None and conn.recv_occupancy:
+                if conn.read(reads(playhead), t_next) and not n:
+                    # the read may reopen a zero window
+                    conn_t = conn.next_action(dt, t_next)
             t = t_next
             ticks += 1
             if ticks >= self._next_sample:
                 self._ticks, self.playhead = ticks, playhead
-                self._sync_consumed()
+                if moving:
+                    self._sync_consumed()
                 self._sample(t)
             t_next = t + dt
         if t != now:
             self._ticks, self.playhead = ticks, playhead
-            self._sync_consumed()
+            if moving:
+                self._sync_consumed()
             if self.strict:
-                # The byte books are constant over a quiet span and buffered
-                # bytes only fall as the playhead advances, so the check at
-                # its end implies the check on every tick inside it.
+                # Inside a span the drift term gains nothing (received and
+                # media_pos plus wasted grow by the same bytes), consumed never
+                # exceeds media_pos, and every delivery stays under the store
+                # limit, so the check at its end implies the check on every
+                # tick inside it.
                 self._check_accounting()
         return t_next
 
-    def _client_wake(self):
-        """Rule for the first tick at which the client step does more than nothing.
+    def _client_rule(self):
+        """What the client does on a tick played inside a span.
 
-        Returns a predicate on the playhead after that tick's playback, or
-        None when the client may act on the next tick whatever the playhead.
+        Returns (reads, acts).  reads(playhead) is the most the client reads
+        from the socket once that tick's playback is done, or reads is None
+        when it reads nothing.  acts(pos, got, ph, used) says that the client
+        does more than that read on a tick that ends with media_pos `pos`,
+        `got` media seconds delivered, the playhead at `ph` and `used`
+        consumed bytes; acts is None when the client never does more.
         """
-        t, conn = self.technique, self.conn
-        unread = conn is not None and conn.recv_occupancy > 0
+        t = self.technique
+        drain = _drain if self._conn_open() else None
         if t.kind == DASH:
-            if unread and self._conn_open():
-                return None
             if self._outstanding is not None or self._seg_requested >= self._n_segments:
-                return _never
-            delivered = self._dash_delivered_media()
-            return lambda playhead: self._dash_buffer_short(delivered - playhead)
+                return drain, None
+            return drain, lambda pos, got, ph, used: self._dash_buffer_short(got - ph)
+        if self.phase == FAST_START:
+            return drain, None
+        if t.kind == ENCODING_RATE:
+            return self._encoding_read, None
         if t.kind == ON_OFF:
             if self.reading:
-                return None
-            delivered = self.video.media_time(self.media_pos)
-            return lambda playhead: self._below_low_watermark(delivered - playhead)
-        if t.kind == ENCODING_RATE:
-            return None if unread else _never
-        # THROTTLE and FAST_CACHING read whatever arrives while connected; a
-        # connected capped store is left to full ticks
-        if self._conn_open() and (unread or t.buffer_cap is not None):
-            return None
+                return _drain, lambda pos, got, ph, used: self._burst_ends(pos, got - ph)
+            return None, lambda pos, got, ph, used: self._below_low_watermark(got - ph)
+        # THROTTLE and FAST_CACHING read whatever arrives while connected
         if t.buffer_cap is None:
-            return _never
-        return lambda playhead: self._store_reopens(
-            self.media_pos - self._consumed_at(playhead)
-        )
+            return drain, None
+        if drain is not None:
+            return drain, lambda pos, got, ph, used: self._store_full(pos, pos - used)
+        return None, lambda pos, got, ph, used: self._store_reopens(pos - used)
 
     def _delivery_limit(self):
         cap = self.technique.buffer_cap
@@ -491,30 +562,36 @@ class StreamingSession:
         free = cap - (self.media_pos - self.consumed)
         return self._dup_remaining + max(0, int(free))
 
-    def _on_data(self, nbytes, conn_id):
+    def _on_data(self, nbytes, conn_id, now):
         self.received += nbytes
         self.metrics.connection_bytes[conn_id] = (
             self.metrics.connection_bytes.get(conn_id, 0) + nbytes
         )
-        self._last_data_t = self.kernel.now
+        self._last_data_t = now
         if self.technique.kind == DASH:
-            self._dash_on_data(nbytes)
+            self._dash_on_data(nbytes, now)
             return
         dup = min(self._dup_remaining, nbytes)
+        self.media_pos = self._media_after(nbytes)
         if dup:
             self._dup_remaining -= dup
             self.wasted += dup
-        self.media_pos += nbytes - dup
+
+    def _media_after(self, nbytes):
+        """media_pos once nbytes arrive; the first _dup_remaining repeat held media."""
+        return self.media_pos + nbytes - min(self._dup_remaining, nbytes)
 
     def _maybe_finish_fast_start(self):
-        if self.technique.kind == DASH:
-            if self._dash_delivered_media() >= min(
-                self.technique.fast_start_s, self.video.duration_s
-            ):
-                self._steady()
-            return
-        if self.media_pos >= min(self.fast_start_target, self.video.total_bytes):
+        if self._fast_start_done(self.media_pos):
             self._steady()
+
+    def _fast_start_done(self, media_pos):
+        """Playback begins once this much media has arrived."""
+        if self.technique.kind == DASH:
+            return self._dash_delivered_media() >= min(
+                self.technique.fast_start_s, self.video.duration_s
+            )
+        return media_pos >= min(self.fast_start_target, self.video.total_bytes)
 
     def _steady(self):
         t = self.technique
@@ -565,12 +642,12 @@ class StreamingSession:
         return self.video.media_time(self.media_pos)
 
     def _sync_consumed(self):
-        self.consumed = self._consumed_at(self.playhead)
+        self.consumed = self._consumed_at(self.playhead, self.media_pos)
 
-    def _consumed_at(self, playhead):
+    def _consumed_at(self, playhead, media_pos):
         if self.technique.kind == DASH:
             return self._dash_consumed_bytes(playhead)
-        return min(float(self.media_pos), self.video.cum_bytes(playhead))
+        return min(float(media_pos), self.video.cum_bytes(playhead))
 
     def _client_step(self, dt):
         t = self.technique
@@ -588,23 +665,28 @@ class StreamingSession:
                 self.conn.read(_BIG)
         elif t.kind == ENCODING_RATE:
             if self._conn_open() or (self.conn and self.conn.recv_occupancy):
-                want = self.video.bytes_between(self.playhead, self.playhead + dt)
-                self.conn.read(int(math.ceil(want)))
+                self.conn.read(self._encoding_read(self.playhead))
         elif t.kind == ON_OFF:
             self._on_off_client()
 
+    def _encoding_read(self, playhead):
+        """ENCODING_RATE: the client reads the bytes of the next tick of media."""
+        return int(math.ceil(self.video.bytes_between(playhead, playhead + self.tick_s)))
+
     def _capped_client(self):
-        t = self.technique
         buffered = self.media_pos - self.consumed
-        done = self.media_pos >= self.video.total_bytes
         if self._conn_open():
-            # the store is full once free space is under one tick of playback:
-            # capped delivery refills what playback drains and never gets closer
-            slack = int(max(self.video.schedule) * self.tick_s) + 2
-            if done or buffered >= t.buffer_cap - slack:
+            if self._store_full(self.media_pos, buffered):
                 self.conn.close("RST")
         elif self._store_reopens(buffered):
             self._reconnect_range()
+
+    def _store_full(self, media_pos, buffered):
+        """Capped store: the client resets the connection once this holds."""
+        return (
+            media_pos >= self.video.total_bytes
+            or buffered >= self.technique.buffer_cap - self._store_slack
+        )
 
     def _store_reopens(self, buffered):
         """Capped store: the closed connection reopens once this much has drained."""
@@ -626,9 +708,8 @@ class StreamingSession:
     def _on_off_client(self):
         t = self.technique
         buffered_media = self.video.media_time(self.media_pos) - self.playhead
-        done = self.media_pos >= self.video.total_bytes
         if self.reading:
-            if done or buffered_media >= t.high_watermark_s:
+            if self._burst_ends(self.media_pos, buffered_media):
                 self.reading = False
                 if t.connection_mode == PER_BURST and self._conn_open():
                     self.conn.close("RST")
@@ -641,6 +722,13 @@ class StreamingSession:
                 self._register_conn(self.conn)
                 self.conn.enqueue(self.video.total_bytes - self.media_pos)
             self.conn.read(_BIG)
+
+    def _burst_ends(self, media_pos, buffered_media):
+        """ON_OFF: the client stops reading once the file is in or the high watermark reached."""
+        return (
+            media_pos >= self.video.total_bytes
+            or buffered_media >= self.technique.high_watermark_s
+        )
 
     def _below_low_watermark(self, buffered_media):
         """ON_OFF: the client resumes reading once buffered media falls this low."""
@@ -703,7 +791,7 @@ class StreamingSession:
                 break
         return total
 
-    def _dash_on_data(self, nbytes):
+    def _dash_on_data(self, nbytes, now):
         if self._outstanding is None:
             return
         left, total, t_req, level = self._outstanding
@@ -711,7 +799,7 @@ class StreamingSession:
         if left > 0:
             self._outstanding = (left, total, t_req, level)
             return
-        elapsed = max(self.kernel.now - t_req, self.tick_s)
+        elapsed = max(now - t_req, self.tick_s)
         self._tputs.append(total * 8.0 / elapsed)
         start = self._seg_requested_media_start
         length = min(self._seg_dur, self.video.duration_s - start)

@@ -147,11 +147,12 @@ class Connection:
         self.transport.emit(now, UP, 0, REQUEST, self.id)
         self._resume_at = max(self._resume_at, now + self.transport.path.rtt_s)
 
-    def read(self, max_bytes):
+    def read(self, max_bytes, now=None):
         """Drain up to max_bytes from the receive buffer; returns bytes read.
 
         Freeing space in a zero-window state notifies the sender, which
-        resumes one rtt later.
+        resumes one rtt after `now`, the end of the reading tick (by default
+        the kernel's time).
         """
         n = int(min(max_bytes, self.recv_occupancy))
         if n <= 0:
@@ -161,9 +162,9 @@ class Connection:
             self.window_state = OPEN_WINDOW
             self._next_probe = None
             if self.state == STATE_OPEN:
-                self._resume_at = max(
-                    self._resume_at, self.transport.kernel.now + self.transport.path.rtt_s
-                )
+                if now is None:
+                    now = self.transport.kernel.now
+                self._resume_at = max(self._resume_at, now + self.transport.path.rtt_s)
         return n
 
     # -- pipe --------------------------------------------------------------
@@ -171,9 +172,9 @@ class Connection:
     def advance(self, dt, limit=None):
         """Move bytes for the tick ending now; returns records emitted.
 
-        Delivery this tick is min(send_queue, pacing allowance, free buffer
-        space, limit).  While the sender is blocked on a zero window it emits
-        probe/advertisement pairs every probe_interval instead.
+        Delivery this tick is what pace() allows.  While the sender is
+        blocked on a zero window it emits probe/advertisement pairs every
+        probe_interval instead.
         """
         if dt <= 0:
             raise ValueError("advance needs dt > 0")
@@ -181,25 +182,11 @@ class Connection:
             return []
         out = []
         now = self.transport.kernel.now
-        t0 = now - dt
-        eligible = now - max(t0, self._resume_at)
-        if eligible > 0 and self.send_queue > 0:
-            allowance = self._rate_bps() / 8.0 * eligible + self._rate_frac
-            n_rate = int(allowance)
-            free = self.recv_capacity - self.recv_occupancy
-            n = min(n_rate, self.send_queue, free)
-            if limit is not None:
-                n = min(n, int(limit))
-            if n == n_rate:
-                self._rate_frac = allowance - n_rate
-            else:
-                # blocked by buffer/queue/limit: no pacing credit carries over
-                self._rate_frac = 0.0
-            if n > 0:
-                self.send_queue -= n
-                self.recv_occupancy += n
-                self.delivered_total += n
-                out.append(self.transport.emit(now, DOWN, n, DATA, self.id))
+        n, credit, _ = self.pace(now, dt, limit)
+        if n > 0:
+            out.append(self.send(now, n, credit))
+        else:
+            self._rate_frac = credit
         if self.recv_occupancy >= self.recv_capacity and self.window_state == OPEN_WINDOW:
             self.window_state = ZERO_WINDOW
             out.append(self.transport.emit(now, UP, 0, ZERO_WINDOW_AD, self.id))
@@ -219,14 +206,44 @@ class Connection:
                 self._next_probe += self.probe_interval
         return out
 
-    def next_action(self, dt):
-        """Earliest tick end at which advance(dt) may change this connection.
+    def pace(self, now, dt, limit=None):
+        """What the tick ending at `now` sends: (bytes, pacing credit after it, whole).
+
+        The bytes are min(send_queue, pacing allowance, free buffer space,
+        limit).  `whole` says they are the whole allowance with the queue,
+        the free space and the limit all left over: sending them changes
+        nothing but the byte counts and the credit.  Changes nothing itself.
+        """
+        eligible = now - max(now - dt, self._resume_at)
+        if eligible <= 0 or self.send_queue <= 0:
+            return 0, self._rate_frac, False
+        allowance = self._rate_bps() / 8.0 * eligible + self._rate_frac
+        n_rate = int(allowance)
+        room = min(self.send_queue, self.recv_capacity - self.recv_occupancy)
+        if limit is not None:
+            room = min(room, int(limit))
+        if n_rate <= room:
+            return n_rate, allowance - n_rate, 0 < n_rate < room
+        # blocked by buffer/queue/limit: no pacing credit carries over
+        return room, 0.0, False
+
+    def send(self, now, n, credit):
+        """Send n > 0 bytes that pace() allowed for the tick ending at `now`; returns the record."""
+        self._rate_frac = credit
+        self.send_queue -= n
+        self.recv_occupancy += n
+        self.delivered_total += n
+        return self.transport.emit(now, DOWN, n, DATA, self.id)
+
+    def next_action(self, dt, now=None):
+        """Earliest tick end after `now` at which advance(dt) may change this connection.
 
         Until then advance() is a no-op for as long as nobody reads, enqueues
         or requests, so a caller may play the ticks in between without it.
         With bytes queued and room to receive them the sender moves data from
         the first tick ending after the resume time; blocked on a zero window
-        it only probes.  Returns inf when it cannot act on its own.
+        it only probes.  Returns inf when it cannot act on its own.  `now`
+        defaults to the kernel's time.
         """
         if self.state != STATE_OPEN or self.send_queue == 0:
             return math.inf
@@ -234,13 +251,15 @@ class Connection:
         # on a tick ending exactly at it costs one needless full tick, no more
         if self.recv_occupancy < self.recv_capacity:
             return self._resume_at
+        if now is None:
+            now = self.transport.kernel.now
         # blocked on a zero window: a tick zeroes the pacing credit, and is a
         # no-op only once the credit is zero and every tick's allowance is at
         # least one byte (a first tick after the resume time may be partial,
         # and two bytes a tick leave room for float error in its length)
         credit_moves = (
             self._rate_frac != 0.0
-            or self._resume_at >= self.transport.kernel.now
+            or self._resume_at >= now
             or self._rate_bps() / 8.0 * dt < 2.0
         )
         if credit_moves:
@@ -268,11 +287,13 @@ class Connection:
 
 
 def write_timeline_csv(records, path):
+    # rows as csv.writer would write them: no field needs quoting
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TIMELINE_HEADER)
-        for r in records:
-            w.writerow(["%.6f" % r.time, r.direction, r.payload, r.kind, r.conn_id])
+        fh.write(",".join(TIMELINE_HEADER) + "\r\n")
+        fh.writelines(
+            "%.6f,%s,%d,%s,%d\r\n" % (r.time, r.direction, r.payload, r.kind, r.conn_id)
+            for r in records
+        )
 
 
 def read_timeline_csv(path):

@@ -5,7 +5,7 @@ import pytest
 
 from streamsim.analysis import group_bursts
 from streamsim.harness import build_session
-from streamsim.scenario import load_builtin
+from streamsim.scenario import builtin_scenario_names, load_builtin
 from streamsim.session import (
     DASH,
     ENCODING_RATE,
@@ -296,8 +296,22 @@ def test_quiet_ticks_run_inside_one_kernel_event():
     assert session.kernel.executed <= len(session.transport.records) + 10
 
 
+def test_data_ticks_run_inside_few_kernel_events():
+    executed = {}
+    for name in builtin_scenario_names():
+        session = build_session(load_builtin(name))
+        session.run()
+        executed[name] = session.kernel.executed
+        if name == "n9_dailymotion_3g":
+            # a 1.25x throttled watch moves bytes on every tick after its fast start
+            assert sum(r.kind == DATA for r in session.transport.records) == 27_726
+    assert executed["n9_dailymotion_3g"] <= 50
+    assert sum(executed.values()) <= 20_000
+
+
 def test_quiet_spans_change_no_output(monkeypatch):
-    # reference: every tick its own kernel event, no quiet span played
+    # reference: every tick its own kernel event; _play_quiet plays every
+    # kind of span (quiet, flow, socket-read, stalled), so this turns off all
     specs = [
         TechniqueSpec(ENCODING_RATE, fast_start_s=5.0),
         TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25),
@@ -318,6 +332,19 @@ def test_quiet_spans_change_no_output(monkeypatch):
     ]
     video = VideoSpec.constant(45, 500_000, keyframe_spacing=40_000, ladder=LADDER)
     cases = [(video, spec, path, kw) for spec in specs for path, kw in configs]
+    vbr = VideoSpec.vbr(45, 500_000, 0.5, period_s=15.0, ladder=LADDER)
+    # still frames: the client reads nothing for a second, then reopens the window
+    stills = VideoSpec([62_500] * 10 + [0] * 2 + [62_500] * 20)
+    cases += [
+        (video, specs[0], PathSpec(6_000_000, rtt_s=0.3, jitter=0.3),
+         dict(recv_capacity=4_000, seed=3)),
+        (stills, specs[0], PATH, {}),
+        (vbr, specs[0], PATH, {}),
+        (vbr, specs[4], PATH, {}),
+        (vbr, TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0), PATH, {}),
+        (video, TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0,
+                              dash_refetch_depth=2), PATH, {}),
+    ]
 
     def outputs():
         out = []
@@ -328,6 +355,8 @@ def test_quiet_spans_change_no_output(monkeypatch):
         return out
 
     skipped = outputs()
+    capped = skipped[3 * len(configs)][0]  # specs[3] on PATH
+    assert capped.connection_count > 1 and capped.wasted_bytes > 0  # reconnects, key frames lost
     monkeypatch.setattr(StreamingSession, "_play_quiet", lambda self, now: now + self.tick_s)
     assert outputs() == skipped
 
@@ -377,17 +406,32 @@ def test_horizon_reports_a_slow_session_as_still_progressing():
 
 def test_horizon_reports_a_stuck_session_with_the_time_it_stopped():
     # the store never drains 300 kB below its 200 kB cap, so it never reopens
+    session = StreamingSession(
+        VideoSpec.constant(60, 500_000),
+        TechniqueSpec(
+            THROTTLE, fast_start_s=2.0, throttle_factor=2.0,
+            buffer_cap=200_000, reopen_headroom=300_000,
+        ),
+        PATH,
+        max_sim_time=120.0,
+    )
     with pytest.raises(DeadlockError, match=(
         r"stuck, no media byte or playhead movement since t=4\.58: "
         r"delivered 272500 of 3750000 B by t=120\.0"
     )):
-        run(
+        session.run()
+    # the stall up to the horizon is played in one span, not tick by tick
+    assert session.kernel.executed < 100
+
+
+def test_fast_start_larger_than_the_store_cap_is_rejected():
+    # 6 s of a 500 kb/s clip is 375,000 B, which a 200,000 B store never holds
+    with pytest.raises(ValueError, match="375000 B buffered .* at most 200000 B"):
+        StreamingSession(
             VideoSpec.constant(60, 500_000),
-            TechniqueSpec(
-                THROTTLE, fast_start_s=2.0, throttle_factor=2.0,
-                buffer_cap=200_000, reopen_headroom=300_000,
-            ),
-            max_sim_time=120.0,
+            TechniqueSpec(THROTTLE, fast_start_s=6.0, throttle_factor=1.25,
+                          buffer_cap=200_000),
+            PATH,
         )
 
 

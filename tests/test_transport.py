@@ -322,3 +322,17 @@ def test_advance_is_a_no_op_before_next_action():
                 conn.request()
             wake = conn.next_action(TICK)
     assert quiet > 5_000
+
+
+def test_pace_is_whole_only_with_queue_window_and_limit_to_spare():
+    # 8 kb/s over a 1 s tick ending at t=10 allows exactly 1000 B
+    def pace(queue, capacity, limit=None):
+        _, _, conn = make_conn(bandwidth_bps=8_000, rtt_s=0.0, recv_capacity=capacity)
+        conn.enqueue(queue)
+        return conn.pace(10.0, 1.0, limit)
+
+    assert pace(1_001, 1_001) == (1_000, 0.0, True)
+    assert pace(1_000, 1_001) == (1_000, 0.0, False)  # last chunk
+    assert pace(1_001, 1_000) == (1_000, 0.0, False)  # fills the window
+    assert pace(1_001, 1_001, limit=1_000) == (1_000, 0.0, False)  # reaches the limit
+    assert pace(1_001, 1_001, limit=600) == (600, 0.0, False)  # cut: no credit carries
