@@ -106,9 +106,12 @@ def _data_records(records):
 def find_rate_knee(records, window_s=None, drop_frac=None):
     """Start time of the first throughput window after the initial burst whose
     rate falls below drop_frac of the session maximum, or None."""
+    return _rate_knee(_data_records(records), window_s, drop_frac)
+
+
+def _rate_knee(data, window_s=None, drop_frac=None):
     window_s = window_s or THRESHOLDS["knee_window_s"]
     drop_frac = drop_frac or THRESHOLDS["knee_drop_frac"]
-    data = _data_records(records)
     if len(data) < 2:
         return None
     t0, t_last = data[0].time, data[-1].time
@@ -141,7 +144,11 @@ def estimate_throttle_factor(records, avg_rate_bps, fast_start_exclusion=None):
     if not data:
         raise ValueError("no DATA records in trace")
     if fast_start_exclusion is None:
-        fast_start_exclusion = find_rate_knee(records) or 0.0
+        fast_start_exclusion = _rate_knee(data) or 0.0
+    return _steady_ratio(data, avg_rate_bps, fast_start_exclusion)
+
+
+def _steady_ratio(data, avg_rate_bps, fast_start_exclusion):
     t_last = data[-1].time
     span = t_last - fast_start_exclusion
     if span <= 0:
@@ -198,58 +205,116 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     whenever the estimate would go negative (a stall, by construction).
     Returns [(time, buffer_bytes, buffer_media_s), ...] sampled at every DATA
     arrival.
+
+    One pass: received bytes and the playhead only grow, so media_time() of
+    the received bytes is a cursor walking the clip's cumulative-bytes table,
+    and cum_bytes() of the playhead changes only when the playhead moves.  Both
+    use VideoSpec's own float expressions.  Payloads are non-negative.
     """
     from .session import VideoSpec
 
     video = VideoSpec(encoding_schedule)
-    data = _data_records(records)
+    cum, schedule = video._cum, video.schedule
+    total, duration = video.total_bytes, float(video.duration_s)
     series = []
     received = 0
+    i = 0           # cum[i] <= received < cum[i + 1] while 0 < received < total
+    media = 0.0     # video.media_time(received)
     playhead = 0.0
+    consumed = 0.0  # video.cum_bytes(playhead)
     wall = start_of_playback
-    for r in data:
-        if r.time > wall and wall >= start_of_playback:
-            dt = r.time - max(wall, start_of_playback)
-            if r.time >= start_of_playback:
-                dt = r.time - max(wall, start_of_playback)
-                avail = video.media_time(received) - playhead
-                playhead += min(max(dt, 0.0), max(avail, 0.0))
-                playhead = min(playhead, float(video.duration_s))
-        wall = max(wall, r.time)
-        received += r.payload
-        consumed = video.cum_bytes(playhead)
-        series.append(
-            (r.time, received - consumed, video.media_time(received) - playhead)
-        )
+    for r in records:
+        if r.kind != DATA:
+            continue
+        t = r.time
+        if t > wall:
+            if media > playhead:  # the playhead advances by min(dt, avail)
+                dt, avail = t - wall, media - playhead
+                playhead += dt if dt <= avail else avail
+                if playhead >= duration:
+                    playhead, consumed = duration, float(total)
+                else:
+                    j = int(playhead)
+                    consumed = cum[j] + (playhead - j) * schedule[j]
+            wall = t
+        if r.payload:
+            received += r.payload
+            if received >= total:
+                media = duration
+            else:
+                while cum[i + 1] <= received:
+                    i += 1
+                media = i + (received - cum[i]) / schedule[i]
+        series.append((t, received - consumed, media - playhead))
     return series
 
 
 def _harvest(records):
-    """One pass of feature extraction shared by the classifier rules."""
-    data = _data_records(records)
+    """One pass of feature extraction shared by the classifier rules.
+
+    Returns the features and the trace's DATA records.  Bursts are grouped as
+    group_bursts() does, with THRESHOLDS["burst_gap_s"].
+    """
+    burst_gap = THRESHOLDS["burst_gap_s"]
+    silent_gap = THRESHOLDS["silent_gap_s"]
+    data = []
+    data_bytes = probes = ads = 0
+    data_conns = set()
+    req_times = []
+    spans = {}  # conn_id -> [first, last] record time, any record kind
+    conn = span = data_conn = burst_end = None
+    bursts = long_gaps = 0
+    max_gap = 0.0
+    for r in records:
+        t = r.time
+        if r.conn_id != conn:
+            conn = r.conn_id
+            span = spans.get(conn)
+            if span is None:
+                span = spans[conn] = [t, t]
+        if t < span[0]:
+            span[0] = t
+        elif t > span[1]:
+            span[1] = t
+        kind = r.kind
+        if kind == DATA:
+            data.append(r)
+            data_bytes += r.payload
+            if conn != data_conn:
+                data_conn = conn
+                data_conns.add(conn)
+            if burst_end is None:
+                bursts = 1
+            elif t - burst_end >= burst_gap:
+                gap = t - burst_end
+                bursts += 1
+                if gap > max_gap:
+                    max_gap = gap
+                if gap >= silent_gap:
+                    long_gaps += 1
+            burst_end = t
+        elif kind == REQUEST:
+            req_times.append(t)
+        elif kind == ZERO_WINDOW_AD:
+            ads += 1
+        elif kind == ZERO_WINDOW_PROBE:
+            probes += 1
+
     feats = {
         "data_packets": len(data),
-        "data_bytes": sum(r.payload for r in data),
-        "probes": sum(1 for r in records if r.kind == ZERO_WINDOW_PROBE),
-        "ads": sum(1 for r in records if r.kind == ZERO_WINDOW_AD),
-        "requests": sum(1 for r in records if r.kind == REQUEST),
-        "connections": len({r.conn_id for r in data}),
+        "data_bytes": data_bytes,
+        "probes": probes,
+        "ads": ads,
+        "requests": len(req_times),
+        "connections": len(data_conns),
     }
     if not data:
-        return feats
-    bursts = group_bursts(records)
-    gaps = [bursts[i + 1].start - bursts[i].end for i in range(len(bursts) - 1)]
-    long_gaps = [g for g in gaps if g >= THRESHOLDS["silent_gap_s"]]
-    feats["bursts"] = len(bursts)
-    feats["max_burst_gap_s"] = max(gaps) if gaps else 0.0
-    feats["long_gaps"] = len(long_gaps)
+        return feats, data
+    feats["bursts"] = bursts
+    feats["max_burst_gap_s"] = max_gap
+    feats["long_gaps"] = long_gaps
 
     # silence between consecutive connections' activity spans (any record kind)
-    spans = {}
-    for r in records:
-        a = spans.setdefault(r.conn_id, [r.time, r.time])
-        a[0] = min(a[0], r.time)
-        a[1] = max(a[1], r.time)
     ordered = sorted(spans.values())
     conn_gaps = [
         max(0.0, ordered[i + 1][0] - ordered[i][1]) for i in range(len(ordered) - 1)
@@ -271,7 +336,6 @@ def _harvest(records):
     feats["ads_per_min"] = feats["ads"] / minutes
 
     gaps_req = []
-    req_times = [r.time for r in records if r.kind == REQUEST]
     for i in range(len(req_times) - 1):
         gaps_req.append(req_times[i + 1] - req_times[i])
     if gaps_req:
@@ -283,7 +347,7 @@ def _harvest(records):
     else:
         feats["request_gap_median_s"] = 0.0
         feats["request_regularity"] = 0.0
-    return feats
+    return feats, data
 
 
 def classify(records, avg_rate_bps, path_bandwidth_bps):
@@ -291,21 +355,27 @@ def classify(records, avg_rate_bps, path_bandwidth_bps):
 
     Rules are tried in a fixed order; the first match wins and sets the
     confidence from its decisive margin.  A trace that matches nothing is
-    UNKNOWN with the collected evidence attached.
+    UNKNOWN with the collected evidence attached.  Raises ValueError when
+    either rate is not positive.
     """
+    if avg_rate_bps <= 0:
+        raise ValueError("avg_rate_bps must be positive, got %r" % (avg_rate_bps,))
+    if path_bandwidth_bps <= 0:
+        raise ValueError("path_bandwidth_bps must be positive, got %r" % (path_bandwidth_bps,))
     th = THRESHOLDS
-    feats = _harvest(records)
-    if feats["data_packets"] == 0:
+    feats, data = _harvest(records)
+    if not data:
         return ClassificationResult(UNKNOWN, 0.0, feats)
 
+    # the knee both ends the fast start and is the steady ratio's exclusion,
+    # as in estimate_throttle_factor()
+    knee = _rate_knee(data)
     try:
-        ratio = estimate_throttle_factor(records, avg_rate_bps)
+        ratio = _steady_ratio(data, avg_rate_bps, knee or 0.0)
     except ValueError:
         ratio = None
     feats["steady_ratio"] = ratio
-    data = _data_records(records)
     t_last_data = data[-1].time
-    knee = find_rate_knee(records)
     fs_end = knee if knee is not None else data[0].time
     media_total_s = feats["data_bytes"] * 8.0 / avg_rate_bps
     feats["early_margin_s"] = media_total_s - (t_last_data - fs_end)

@@ -103,14 +103,13 @@ class EnergyReport:
 
 
 def _packet_times(records):
-    times = []
-    last = None
-    for r in records:
-        t = r.time if hasattr(r, "time") else float(r)
-        if last is not None and t < last - 1e-12:
-            raise ValueError("packet timeline must be sorted by time")
-        times.append(t)
-        last = t
+    """Timestamps of a list of PacketRecords, or of a list of bare times."""
+    try:
+        times = [r.time for r in records]
+    except AttributeError:
+        times = [float(r) for r in records]
+    if times != sorted(times) and any(b < a - 1e-12 for a, b in zip(times, times[1:])):
+        raise ValueError("packet timeline must be sorted by time")
     return times
 
 
@@ -160,9 +159,17 @@ def rrc_drive(records, params, t_end=None, t_start=None):
             return PCH
         return IDLE
 
+    t1 = params.t1
     cursor = t_start
     last_packet = None
+    tail = None  # segs[-1] while it is a DCH segment ending exactly at the cursor
     for t in times:
+        if tail is not None and cursor <= t <= last_packet + t1 and t <= t_end:
+            # within t1 of the last packet the radio is still in DCH: the
+            # packet only stretches the DCH segment, as ladder() would
+            tail.end = t
+            cursor = last_packet = t
+            continue
         if t < t_start:
             # packet before the observation window still warms the radio
             last_packet = t
@@ -187,6 +194,7 @@ def rrc_drive(records, params, t_end=None, t_start=None):
             emit(DCH, ramp_start, t)
         cursor = t
         last_packet = t
+        tail = segs[-1] if segs and segs[-1].state == DCH and segs[-1].end == t else None
     if last_packet is None:
         emit(IDLE, cursor, t_end)
     else:

@@ -149,3 +149,16 @@ def test_classifier_thresholds_are_complete():
         "span_coverage",
     }
     assert expected == set(THRESHOLDS)
+
+
+@pytest.mark.parametrize(
+    "rate, bandwidth, name",
+    [
+        (0, 1e6, "avg_rate_bps"),  # used to divide by zero
+        (-1, 1e6, "avg_rate_bps"),  # used to return UNKNOWN
+        (8000, 0, "path_bandwidth_bps"),  # used to divide by zero
+    ],
+)
+def test_classifier_rejects_a_non_positive_rate(rate, bandwidth, name):
+    with pytest.raises(ValueError, match=name):
+        classify(burst_trace(), rate, bandwidth)
