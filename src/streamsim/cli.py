@@ -14,6 +14,7 @@ from .analysis import (
 from .harness import (
     audit,
     emit_report,
+    expected_label,
     run_scenario,
     sweep_watched_fraction,
     write_sweep_csv,
@@ -92,7 +93,7 @@ def _cmd_validate(args):
         try:
             sc = _load(name)
             report = run_scenario(sc)
-        except (ScenarioError, DeadlockError) as exc:
+        except (ValueError, DeadlockError) as exc:  # ScenarioError is a ValueError
             print(f"FAIL  {name}: {exc}")
             failures += 1
             continue
@@ -100,7 +101,7 @@ def _cmd_validate(args):
         if not report.classifier_agrees:
             problems.append(
                 f"classified as {report.classification.label}, "
-                f"expected {report.scenario.technique.kind}"
+                f"expected {expected_label(report.scenario.technique)}"
             )
         if problems:
             failures += 1

@@ -43,15 +43,26 @@ and, while no byte arrives, ticks before playback begins and ticks of a
 stall.  A span ends before the first tick that would do more, and each rule
 that ends one is the rule the full tick applies.
 
+Inside a span, a run of ticks that moves no byte and reads nothing is
+played as one stretch: its clock and playhead are built with
+itertools.accumulate, which makes the same float additions one at a time,
+and the first tick a rule acts on is found by bisection.  That is exact
+because, while no byte moves, every rule is monotone in the playhead: float
+subtraction and addition are monotone and cum_bytes never falls.  The two
+rules that stop fewer ticks as the playhead grows (a burst's high watermark,
+a full store) were false when last tested, with a playhead no further on.
+Buffer samples inside a stretch are taken by tick index.
+
 Byte accounting is exact: every received byte is classified as consumed,
 still buffered, or wasted, and the identity is asserted after every full
 tick and at the end of every span.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 
 from .kernel import Kernel
 from .transport import DATA, Transport
@@ -71,6 +82,9 @@ STEADY = "STEADY"
 DRAINED = "DRAINED"
 
 _BIG = 1 << 62
+# most ticks one bulk stretch builds and searches at once; a longer run of
+# quiet ticks takes several stretches
+_STRETCH = 512
 
 
 class DeadlockError(RuntimeError):
@@ -468,6 +482,65 @@ class StreamingSession:
         ticks = self._ticks
         t = now
         while t_next < stop_t:
+            if t_next < conn_t and (reads is None or not conn.recv_occupancy):
+                # A stretch: ticks that move no byte and read nothing change
+                # only the clock, the playhead, the consumed bytes and the
+                # samples.  accumulate makes the loop's own float additions.
+                # While no byte moves, every rule that stops a tick is
+                # monotone in the playhead: float subtraction and addition
+                # are monotone, and cum_bytes never falls.  Most rules stop
+                # every tick once they stop one, so bisection finds the
+                # first tick that stops.  Two rules stop fewer ticks as the
+                # playhead grows: a burst's high watermark and a full store.
+                # Both were false when last tested, on the same bytes with a
+                # playhead no further on, so they stay false here.  The tick
+                # that stops, or the one after a stretch cut at _STRETCH
+                # ticks, is left to the per-tick code below.
+                bound = min(stop_t, conn_t)
+                # build no more ticks than the bound, the delivered media and
+                # the watch leave room for, give or take one
+                span = bound - t
+                if moving:
+                    span = min(span, delivered - playhead, watched_end - playhead)
+                k = _STRETCH if span >= _STRETCH * dt else max(1, int(span / dt) + 2)
+                ts = list(accumulate(repeat(dt, k), initial=t))
+                phs = list(accumulate(repeat(dt, k), initial=playhead)) if moving else None
+
+                def stops(j):
+                    """Whether tick j (to ts[j], playhead to phs[j]) needs the per-tick code."""
+                    if ts[j] >= bound:
+                        return True
+                    ahead, used = playhead, consumed
+                    if moving:
+                        # a step the end of the watch cuts short
+                        # (watched_end - ph < dt) has ph + dt >= watched_end,
+                        # so watch_done stops that tick
+                        ph, ahead = phs[j - 1], phs[j]
+                        if runs_dry(delivered - ph, dt) or watch_done(ahead):
+                            return True
+                        if capped:
+                            used = self._consumed_at(ahead, media_pos)
+                    return acts is not None and acts(media_pos, delivered, ahead, used)
+
+                played = bisect_left(range(1, k + 1), True, key=stops)
+                if played:
+                    # samples by index: a sample tick j leaves the next at j + every
+                    j = self._next_sample - ticks
+                    while j <= played:
+                        self._ticks = ticks + j
+                        if moving:
+                            self.playhead = phs[j]
+                            self._sync_consumed()
+                        self._sample(ts[j])
+                        j += self._sample_every
+                    ticks += played
+                    t = ts[played]
+                    if moving:
+                        playhead = phs[played]
+                        if capped:
+                            consumed = self.consumed = self._consumed_at(playhead, media_pos)
+                    t_next = t + dt
+                    continue
             n = 0
             if t_next >= conn_t:
                 if not flows:

@@ -138,6 +138,32 @@ def test_validate_flags_a_scenario_the_classifier_rejects(tmp_path, capsys):
     assert "1 of 1 scenarios failed" in out
 
 
+def test_validate_names_the_on_off_label_it_expected(tmp_path, capsys):
+    # watermarks 2 s apart on a fast path: the pauses are too short for the
+    # classifier's silent gaps, so it sees a client-paced stream
+    choppy = mini_scenario(
+        tmp_path,
+        technique="ON_OFF\nfast_start_s = 5\nlow_watermark_s = 2\nhigh_watermark_s = 4",
+    )
+    assert main(["validate", str(choppy)]) == 1
+    out = capsys.readouterr().out
+    assert "expected ON_OFF_PERSISTENT" in out
+    assert "1 of 1 scenarios failed" in out
+
+
+def test_validate_reports_a_rejected_session_and_goes_on(tmp_path, capsys):
+    # a fast start of 30 s at 500 kb/s needs 1.875 MB, more than a 1 MB store
+    capped = mini_scenario(
+        tmp_path,
+        technique="THROTTLE\nfast_start_s = 30\nthrottle_factor = 2.0\nbuffer_cap_bytes = 1000000",
+    )
+    assert main(["validate", str(capped), "compare_fast_caching_3g"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL  {capped}: fast start needs 1875000 B buffered" in out
+    assert "ok    compare_fast_caching_3g:" in out
+    assert "1 of 2 scenarios failed" in out
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "streamsim", "list"],

@@ -2,6 +2,10 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import streamsim.session as session_module
 
 from streamsim.analysis import group_bursts
 from streamsim.harness import build_session
@@ -289,11 +293,23 @@ def test_dash_pick_quality_takes_highest_affordable_level():
 # -- quiet spans and sampling ----------------------------------------------
 
 
-def test_quiet_ticks_run_inside_one_kernel_event():
+def test_quiet_ticks_run_inside_one_kernel_event(monkeypatch):
     # fast caching has the file after 30 s of a 360 s watch; the rest is quiet
+    runs_dry = session_module._runs_dry
+    calls = []
+
+    def counted(avail_media, step):
+        calls.append(step)
+        return runs_dry(avail_media, step)
+
+    monkeypatch.setattr(session_module, "_runs_dry", counted)
     session = build_session(load_builtin("compare_fast_caching_3g"))
     session.run()
     assert session.kernel.executed <= len(session.transport.records) + 10
+    # quiet stretches test the playback rules a few times per stretch, not
+    # once per tick: 36,088 ticks, about 3,000 of them moving bytes
+    assert session._ticks > 36_000
+    assert len(calls) <= 6_000
 
 
 def test_data_ticks_run_inside_few_kernel_events():
@@ -307,6 +323,24 @@ def test_data_ticks_run_inside_few_kernel_events():
             assert sum(r.kind == DATA for r in session.transport.records) == 27_726
     assert executed["n9_dailymotion_3g"] <= 50
     assert sum(executed.values()) <= 20_000
+
+
+def every_tick(session, now):
+    """Stands in for _play_quiet: every tick gets its own kernel event."""
+    return now + session.tick_s
+
+
+def play(video, technique, path, kw):
+    """Records, metrics and the error text (or None) of one session."""
+    session = StreamingSession(video, technique, path, **kw)
+    try:
+        session.run()
+        error = None
+    except DeadlockError as exc:
+        error = str(exc)
+    records = [(r.time, r.direction, r.payload, r.kind, r.conn_id)
+               for r in session.transport.records]
+    return error, session.metrics, records
 
 
 def test_quiet_spans_change_no_output(monkeypatch):
@@ -347,18 +381,74 @@ def test_quiet_spans_change_no_output(monkeypatch):
     ]
 
     def outputs():
-        out = []
-        for video, spec, path, kw in cases:
-            session, m = run(video, spec, path=path, **kw)
-            out.append((m, [(r.time, r.direction, r.payload, r.kind, r.conn_id)
-                            for r in session.transport.records]))
-        return out
+        return [play(*case) for case in cases]
 
     skipped = outputs()
-    capped = skipped[3 * len(configs)][0]  # specs[3] on PATH
+    assert [error for error, _, _ in skipped] == [None] * len(cases)
+    capped = skipped[3 * len(configs)][1]  # specs[3] on PATH
     assert capped.connection_count > 1 and capped.wasted_bytes > 0  # reconnects, key frames lost
-    monkeypatch.setattr(StreamingSession, "_play_quiet", lambda self, now: now + self.tick_s)
+    monkeypatch.setattr(StreamingSession, "_play_quiet", every_tick)
     assert outputs() == skipped
+
+
+@st.composite
+def random_sessions(draw):
+    kind = draw(st.sampled_from([ENCODING_RATE, THROTTLE, ON_OFF, FAST_CACHING, DASH]))
+    fast_start_s = draw(st.sampled_from([0.0, 1.0, 2.0]))
+    if kind == THROTTLE:
+        factor = draw(st.sampled_from([1.25, 2.0]))
+        shape = draw(st.sampled_from(["steady", "bursty", "capped"]))
+        technique = TechniqueSpec(
+            THROTTLE, fast_start_s=fast_start_s, throttle_factor=factor,
+            burst_size=draw(st.sampled_from([8_000, 65_536])) if shape == "bursty" else None,
+            buffer_cap=draw(st.sampled_from([300_000, 600_000])) if shape == "capped" else None,
+            keyframe_waste=draw(st.booleans()),
+        )
+    elif kind == ON_OFF:
+        low = draw(st.sampled_from([0.0, 1.0, 3.0]))
+        technique = TechniqueSpec(
+            ON_OFF, fast_start_s=fast_start_s, low_watermark_s=low,
+            high_watermark_s=low + draw(st.sampled_from([2.0, 6.0])),
+            connection_mode=draw(st.sampled_from([PERSISTENT, PER_BURST])),
+        )
+    elif kind == DASH:
+        technique = TechniqueSpec(
+            DASH, fast_start_s=fast_start_s, dash_target_s=draw(st.sampled_from([3.0, 8.0])),
+            dash_refetch_depth=draw(st.sampled_from([0, 2])),
+        )
+    else:
+        technique = TechniqueSpec(kind, fast_start_s=fast_start_s)
+    duration = draw(st.sampled_from([10, 20]))
+    rate = draw(st.sampled_from([250_000, 500_000, 1_000_000]))
+    if draw(st.booleans()):
+        video = VideoSpec.vbr(duration, rate, draw(st.sampled_from([0.3, 0.8])), period_s=10.0,
+                              keyframe_spacing=40_000, ladder=LADDER)
+    else:
+        video = VideoSpec.constant(duration, rate, keyframe_spacing=40_000, ladder=LADDER)
+    path = PathSpec(
+        draw(st.sampled_from([300_000, 1_000_000, 6_000_000])),
+        rtt_s=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        jitter=draw(st.sampled_from([0.0, 0.1, 0.3])),
+    )
+    kw = dict(
+        tick_s=draw(st.sampled_from([0.01, 0.02, 0.025])),
+        watched_fraction=draw(st.one_of(st.sampled_from([0.5, 1.0]), st.floats(0.05, 1.0))),
+        recv_capacity=draw(st.sampled_from([4_000, 65_536])),
+        probe_interval=draw(st.sampled_from([1.0, 5.0])),
+        seed=draw(st.integers(0, 99)),
+        # short horizons end in DeadlockError
+        max_sim_time=draw(st.one_of(st.just(60.0), st.floats(3.0, 60.0))),
+    )
+    return video, technique, path, kw
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_sessions())
+def test_random_sessions_match_every_tick_playback(case):
+    spans = play(*case)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamingSession, "_play_quiet", every_tick)
+        assert play(*case) == spans
 
 
 @pytest.mark.parametrize("technique, interval", [
