@@ -27,8 +27,9 @@ configured amount of media is buffered, at which point playback begins.
 
 Time moves in fixed ticks (10 ms by default).  Most ticks are played inside
 the kernel event of the full tick before them, with the same float
-operations and the same Connection code, so the outputs are those of a
-session that runs every tick as its own event.  Such a span plays:
+operations the full tick makes (transport.paced paces both), so the
+outputs are those of a session that runs every tick as its own event.  Such
+a span plays:
 
   quiet ticks   no byte moves; the playhead advances (ON_OFF pauses, the
                 rest of a watch once the file is in, DASH above its target);
@@ -36,12 +37,25 @@ session that runs every tick as its own event.  Such a span plays:
                 window and store room to spare, and the client reads it
                 (throttled delivery, fast starts, ON_OFF bursts, DASH
                 segments);
+  fill ticks    the sender moves just the free receive window, short of its
+                allowance, and advertises a zero window (ENCODING_RATE
+                window refills);
+  zero-byte pacing ticks
+                the sender has window room but paces no byte, as on the tick
+                that ends at or within float error of its resume time;
   read ticks    ENCODING_RATE reads one tick of media from the socket while
                 the sender waits out the rtt after the window reopened;
 
 and, while no byte arrives, ticks before playback begins and ticks of a
-stall.  A span ends before the first tick that would do more, and each rule
-that ends one is the rule the full tick applies.
+stall.  A span ends before the first tick that would do more: a delivery
+cut short by the queue or the store limit, a probe, or a tick on which a
+rule acts.  Each rule that ends one is the rule the full tick applies.
+
+Ticks that move bytes are played one at a time (_flow), with the
+connection's credit, queue and receive buffer in locals.  The connection is
+written back where its window closes or reopens and at the run's end; the
+byte books and the run's DATA records (one Transport.emit_run) before each
+zero-window advertisement, before each buffer sample and at the run's end.
 
 Inside a span, a run of ticks that moves no byte and reads nothing is
 played as one stretch: its clock and playhead are built with
@@ -50,8 +64,9 @@ and the first tick a rule acts on is found by bisection.  That is exact
 because, while no byte moves, every rule is monotone in the playhead: float
 subtraction and addition are monotone and cum_bytes never falls.  The two
 rules that stop fewer ticks as the playhead grows (a burst's high watermark,
-a full store) were false when last tested, with a playhead no further on.
-Buffer samples inside a stretch are taken by tick index.
+a full store) are tested on the stretch's first tick before any bisection,
+and once false they stay false.  Buffer samples inside a stretch are taken
+by tick index.
 
 Byte accounting is exact: every received byte is classified as consumed,
 still buffered, or wasted, and the identity is asserted after every full
@@ -65,7 +80,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 
 from .kernel import Kernel
-from .transport import DATA, Transport
+from .transport import DATA, DOWN, ZERO_WINDOW, Transport, paced
 
 ENCODING_RATE = "ENCODING_RATE"
 THROTTLE = "THROTTLE"
@@ -417,10 +432,10 @@ class StreamingSession:
         now = self.kernel.now
         dt = self.tick_s
         if self.conn is not None:
-            limit = self._delivery_limit()
+            limit = self._delivery_limit(self.media_pos, self.consumed, self._dup_remaining)
             for rec in self.conn.advance(dt, limit=limit):
                 if rec.kind == DATA:
-                    self._on_data(rec.payload, rec.conn_id, now)
+                    self._on_data(rec.payload, rec.conn_id, now, self._media_after(rec.payload))
         if self.phase == FAST_START:
             self._maybe_finish_fast_start()
         self._playback(dt)
@@ -430,7 +445,7 @@ class StreamingSession:
         self._server_step()
         self._ticks += 1
         if self._ticks >= self._next_sample:
-            self._sample(now)
+            self._sample(self._ticks, now, self.playhead, self.consumed, self._delivered_media())
         if self.strict:
             self._check_accounting()
         self.kernel.schedule(self._play_quiet(now), self._tick)
@@ -438,164 +453,269 @@ class StreamingSession:
     def _play_quiet(self, now):
         """Play the ticks after the full tick at `now` that change little.
 
-        Returns the time of the next full tick.  A tick played here moves
-        either no byte or the sender's whole pacing allowance, reads what the
-        client reads every tick, advances the playhead unless playback is
-        stalled or has not begun, and perhaps takes a buffer sample.  It is
-        played with the same float operations and the same Connection code a
-        full tick uses, and its records go through Transport.emit in the same
-        order.  The first tick that could do more is left to the kernel: one
-        whose delivery is cut by the queue, the window or the store limit,
-        that finishes a DASH segment or the fast start, runs playback dry or
-        ends a stall or the watch, on which the client acts, or the bursty
-        server's next burst.  So is the tick at the horizon: the kernel runs
-        it and never runs the ones after it.
+        Returns the time of the next full tick.  A run of ticks that moves no
+        byte and reads nothing is played as one stretch (_stretch), every
+        other tick one at a time (_flow).  The first tick that could do more
+        is left to the kernel: one whose delivery is cut by the queue or the
+        store limit or blocked on a zero window, that finishes a DASH segment
+        or the fast start, runs playback dry or ends a stall or the watch, on
+        which the client acts, or the bursty server's next burst.  So is the
+        tick at the horizon: the kernel runs it and never runs the ones after
+        it.
         """
         dt = self.tick_s
-        t_next = now + dt
         stop_t = min(self._next_burst(), self.max_sim_time)
-        if t_next >= stop_t:
-            return t_next
-        moving = self.playing and not self.stalled
         conn = self.conn
         conn_t = conn.next_action(dt, now)
         reads, acts = self._client_rule()
+        t = now
+        while t + dt < stop_t:
+            if t + dt < conn_t and (reads is None or not conn.recv_occupancy):
+                t_played = self._stretch(t, min(stop_t, conn_t), acts)
+                if t_played != t:
+                    t = t_played
+                    continue
+            t, conn_t, stopped = self._flow(t, stop_t, conn_t, reads, acts)
+            if stopped:
+                break
+        if t != now and self.strict:
+            # Inside a span the drift term gains nothing (received and
+            # media_pos plus wasted grow by the same bytes), consumed never
+            # exceeds media_pos, and every delivery stays under the store
+            # limit, so the check at its end implies the check on every tick
+            # inside it.
+            self._check_accounting()
+        return t + dt
+
+    def _stretch(self, t, bound, acts):
+        """Play the ticks after `t` that move no byte and read nothing, in bulk.
+
+        They change only the clock, the playhead, the consumed bytes and the
+        samples, and end before `bound`.  Returns the time of the last tick
+        played: `t` when the first tick is left to _flow.
+
+        The clock and the playhead are built with accumulate, which makes the
+        loop's own float additions.  While no byte moves, every rule that
+        stops a tick is monotone in the playhead: float subtraction and
+        addition are monotone, and cum_bytes never falls.  Most rules stop
+        every tick once they stop one, so bisection finds the first tick that
+        stops.  Two rules stop fewer ticks as the playhead grows: a burst's
+        high watermark and a full store.  The first tick is tested on its
+        own, so bisection runs only once both are false, and they stay false
+        for every tick after it.  (A full tick that reopens a capped store
+        may leave it full: with a reopen headroom under the store slack, the
+        store counts as full again on the very next tick.)  The tick that
+        stops, or the one after a stretch cut at _STRETCH ticks, is left to
+        the caller.
+        """
+        dt = self.tick_s
+        moving = self.playing and not self.stalled
+        capped = self.technique.buffer_cap is not None
+        runs_dry, watch_done = _runs_dry, self._watch_done
+        watched_end = self.watched_end
+        media_pos, playhead, consumed = self.media_pos, self.playhead, self.consumed
+        delivered = self._delivered_media()
+        ticks = self._ticks
+        # build no more ticks than the bound, the delivered media and the
+        # watch leave room for, give or take one
+        span = bound - t
+        if moving:
+            span = min(span, delivered - playhead, watched_end - playhead)
+        k = _STRETCH if span >= _STRETCH * dt else max(1, int(span / dt) + 2)
+        ts = list(accumulate(repeat(dt, k), initial=t))
+        phs = list(accumulate(repeat(dt, k), initial=playhead)) if moving else None
+
+        def stops(j):
+            """Whether tick j (to ts[j], playhead to phs[j]) needs the per-tick code."""
+            if ts[j] >= bound:
+                return True
+            ahead, used = playhead, consumed
+            if moving:
+                # a step the end of the watch cuts short (watched_end - ph <
+                # dt) has ph + dt >= watched_end, so watch_done stops that tick
+                ph, ahead = phs[j - 1], phs[j]
+                if runs_dry(delivered - ph, dt) or watch_done(ahead):
+                    return True
+                if capped:
+                    used = self._consumed_at(ahead, media_pos)
+            return acts is not None and acts(media_pos, delivered, ahead, used)
+
+        if stops(1):
+            return t
+        played = bisect_left(range(1, k + 1), True, key=stops)
+        # samples by index: a sample tick j leaves the next at j + every
+        consumed_at, sample = self._consumed_at, self._sample
+        for j in range(self._next_sample - ticks, played + 1, self._sample_every):
+            if moving:
+                sample(ticks + j, ts[j], phs[j], consumed_at(phs[j], media_pos), delivered)
+            else:
+                sample(ticks + j, ts[j], playhead, consumed, delivered)
+        self._ticks = ticks + played
+        if moving:
+            self.playhead = phs[played]
+            self._sync_consumed()
+        return ts[played]
+
+    def _flow(self, t, stop_t, conn_t, reads, acts):
+        """Play the ticks after `t` one at a time, the connection held in locals.
+
+        A tick played here sends the sender's whole pacing allowance, or the
+        free receive window (and advertises it zero, as advance() does), or
+        paces zero bytes with window room; or it sends nothing.  Then the
+        client reads what reads() says, and playback advances unless it is
+        stalled or has not begun.  Each tick uses Connection.pace's float
+        expressions (transport.paced) and the rules of the full tick, tested
+        in its order.  No rule here is bisected: with bytes flowing, the
+        ON_OFF watermark rules are not monotone.
+
+        The run ends before a tick _stretch can play and at the first tick
+        that needs the kernel; it always plays or stops the first tick.  The
+        connection is written back where the window closes or reopens (the
+        Connection changes the window state and asks next_action again) and
+        at the run's end; the byte books and the DATA records (_book_run)
+        there, before a zero-window advertisement and before each buffer
+        sample.  Returns (t, conn_t, stopped): the last tick played, the
+        connection's next action, and whether the next tick is the kernel's.
+        """
+        dt = self.tick_s
+        conn, video = self.conn, self.video
+        dash = self.technique.kind == DASH
+        capped = self.technique.buffer_cap is not None
+        moving = self.playing and not self.stalled
         # Bytes may arrive only while the client reads them and playback is
         # not stalled: a full tick leaves a stall in place only with under
         # 1e-9 s of media to play, and no tick ends it unless bytes arrive.
         flows = reads is not None and not self.stalled
         # DASH books media per finished segment, and its send queue is the
-        # outstanding segment, so a tick that sends the whole allowance with
-        # queue to spare finishes no segment and the fast start neither
-        dash = self.technique.kind == DASH
+        # outstanding segment, so a tick that leaves queue to spare finishes
+        # no segment and the fast start neither
         starting = self.phase == FAST_START and not dash
-        # only a capped store reads the consumed bytes inside a span (its
-        # delivery limit and its rules); for the rest they are synced lazily
-        capped = self.technique.buffer_cap is not None
-        consumed = self.consumed
-        pace, send, on_data = conn.pace, conn.send, self._on_data
-        media_time, runs_dry, watch_done = self.video.media_time, _runs_dry, self._watch_done
+        draining = reads is _drain
+        runs_dry, watch_done = _runs_dry, self._watch_done
         watched_end = self.watched_end
-        media_pos = self.media_pos
+        credit, queue, occ = conn._rate_frac, conn.send_queue, conn.recv_occupancy
+        resume, capacity = conn._resume_at, conn.recv_capacity
+        byte_rate = conn._rate_bps() / 8.0
+        zero = conn.window_state == ZERO_WINDOW
+        media_pos, dup = self.media_pos, self._dup_remaining
+        playhead, consumed = self.playhead, self.consumed
         delivered = self._delivered_media()
-        playhead = self.playhead
-        ticks = self._ticks
-        t = now
-        while t_next < stop_t:
-            if t_next < conn_t and (reads is None or not conn.recv_occupancy):
-                # A stretch: ticks that move no byte and read nothing change
-                # only the clock, the playhead, the consumed bytes and the
-                # samples.  accumulate makes the loop's own float additions.
-                # While no byte moves, every rule that stops a tick is
-                # monotone in the playhead: float subtraction and addition
-                # are monotone, and cum_bytes never falls.  Most rules stop
-                # every tick once they stop one, so bisection finds the
-                # first tick that stops.  Two rules stop fewer ticks as the
-                # playhead grows: a burst's high watermark and a full store.
-                # Both were false when last tested, on the same bytes with a
-                # playhead no further on, so they stay false here.  The tick
-                # that stops, or the one after a stretch cut at _STRETCH
-                # ticks, is left to the per-tick code below.
-                bound = min(stop_t, conn_t)
-                # build no more ticks than the bound, the delivered media and
-                # the watch leave room for, give or take one
-                span = bound - t
-                if moving:
-                    span = min(span, delivered - playhead, watched_end - playhead)
-                k = _STRETCH if span >= _STRETCH * dt else max(1, int(span / dt) + 2)
-                ts = list(accumulate(repeat(dt, k), initial=t))
-                phs = list(accumulate(repeat(dt, k), initial=playhead)) if moving else None
-
-                def stops(j):
-                    """Whether tick j (to ts[j], playhead to phs[j]) needs the per-tick code."""
-                    if ts[j] >= bound:
-                        return True
-                    ahead, used = playhead, consumed
-                    if moving:
-                        # a step the end of the watch cuts short
-                        # (watched_end - ph < dt) has ph + dt >= watched_end,
-                        # so watch_done stops that tick
-                        ph, ahead = phs[j - 1], phs[j]
-                        if runs_dry(delivered - ph, dt) or watch_done(ahead):
-                            return True
-                        if capped:
-                            used = self._consumed_at(ahead, media_pos)
-                    return acts is not None and acts(media_pos, delivered, ahead, used)
-
-                played = bisect_left(range(1, k + 1), True, key=stops)
-                if played:
-                    # samples by index: a sample tick j leaves the next at j + every
-                    j = self._next_sample - ticks
-                    while j <= played:
-                        self._ticks = ticks + j
-                        if moving:
-                            self.playhead = phs[j]
-                            self._sync_consumed()
-                        self._sample(ts[j])
-                        j += self._sample_every
-                    ticks += played
-                    t = ts[played]
-                    if moving:
-                        playhead = phs[played]
-                        if capped:
-                            consumed = self.consumed = self._consumed_at(playhead, media_pos)
-                    t_next = t + dt
-                    continue
+        # media_time() of media_pos as a forward cursor, since media_pos
+        # never falls: cum[i] <= media_pos < cum[i + 1] while it is under total
+        cum, schedule, total = video._cum, video.schedule, video.total_bytes
+        i = bisect_right(cum, media_pos) - 1
+        ticks, next_sample = self._ticks, self._next_sample
+        times, sizes = [], []
+        stopped = True
+        while True:
+            t_next = t + dt
             n = 0
+            fills = False
+            new_pos, used = media_pos, consumed
             if t_next >= conn_t:
                 if not flows:
                     break
-                limit = self._delivery_limit() if capped else None
-                n, credit, whole = pace(t_next, dt, limit)
-                if not whole:
-                    break
-                if not dash:
-                    media_pos = self._media_after(n)
-                    if starting and self._fast_start_done(media_pos):
+                # min() spelled out in this loop: a builtin call costs more
+                # than the rest of a line
+                room = capacity - occ
+                if queue < room:
+                    room = queue
+                if capped:
+                    limit = self._delivery_limit(media_pos, consumed, dup)
+                    if limit < room:
+                        room = limit
+                n, paced_credit = paced(t_next, dt, resume, byte_rate, credit, queue, room)
+                if n == room:
+                    # cut short: only a send that just fills the window plays
+                    if not 0 < n == capacity - occ < queue or (capped and n >= limit):
                         break
-                    delivered = media_time(media_pos)
+                    fills = True
+                if n and not dash:
+                    # as _media_after: the first dup bytes repeat held media
+                    d = (n if n < dup else dup) if dup else 0
+                    new_pos = media_pos + n - d
+                    if starting and self._fast_start_done(new_pos):
+                        break
+                    if new_pos >= total:
+                        delivered = float(video.duration_s)
+                    elif new_pos != media_pos:
+                        while cum[i + 1] <= new_pos:
+                            i += 1
+                        delivered = i + (new_pos - cum[i]) / schedule[i]
             ahead = playhead
             if moving:
-                step = min(dt, watched_end - playhead)
+                step = watched_end - playhead
+                if step > dt:
+                    step = dt
                 if runs_dry(delivered - playhead, step):
                     break
                 ahead = playhead + step
                 if watch_done(ahead):
                     break
                 if capped:
-                    consumed = self._consumed_at(ahead, media_pos)
-            if acts is not None and acts(media_pos, delivered, ahead, consumed):
+                    used = self._consumed_at(ahead, new_pos)
+            if acts is not None and acts(new_pos, delivered, ahead, used):
                 break
+            # the tick plays
+            stopped = False
+            if t_next >= conn_t:
+                credit = paced_credit
             if n:
-                send(t_next, n, credit)
-                on_data(n, conn.id, t_next)
-            playhead = ahead
-            if capped:
-                self.consumed = consumed
-            if reads is not None and conn.recv_occupancy:
-                if conn.read(reads(playhead), t_next) and not n:
-                    # the read may reopen a zero window
-                    conn_t = conn.next_action(dt, t_next)
+                queue -= n
+                occ += n
+                times.append(t_next)
+                sizes.append(n)
+                if not dash:
+                    dup -= d
+                    media_pos = new_pos
+            playhead, consumed = ahead, used
+            turns = fills  # the window closes or reopens on this tick
+            if fills:
+                # as advance(): the DATA record, then the zero-window ad
+                self._book_run(times, sizes, media_pos)
+                times, sizes = [], []
+                conn.close_window(t_next)
+                zero = True
+            if reads is not None and occ:
+                # as Connection.read
+                got = occ if draining else int(min(reads(playhead), occ))
+                if got > 0:
+                    occ -= got
+                    if zero:
+                        conn.reopen_window(t_next)
+                        resume, zero, turns = conn._resume_at, False, True
+            if turns:
+                conn._rate_frac, conn.send_queue, conn.recv_occupancy = credit, queue, occ
+                conn_t = conn.next_action(dt, t_next)
             t = t_next
             ticks += 1
-            if ticks >= self._next_sample:
-                self._ticks, self.playhead = ticks, playhead
+            if ticks >= next_sample:
+                # the sample reads the books
+                if times:
+                    self._book_run(times, sizes, media_pos)
+                    times, sizes = [], []
                 if moving:
-                    self._sync_consumed()
-                self._sample(t)
-            t_next = t + dt
-        if t != now:
-            self._ticks, self.playhead = ticks, playhead
-            if moving:
-                self._sync_consumed()
-            if self.strict:
-                # Inside a span the drift term gains nothing (received and
-                # media_pos plus wasted grow by the same bytes), consumed never
-                # exceeds media_pos, and every delivery stays under the store
-                # limit, so the check at its end implies the check on every
-                # tick inside it.
-                self._check_accounting()
-        return t_next
+                    consumed = self._consumed_at(playhead, media_pos)
+                self._sample(ticks, t, playhead, consumed, delivered)
+                next_sample = self._next_sample
+            if t + dt >= stop_t or t + dt < conn_t and (reads is None or not occ):
+                break
+            stopped = True
+        conn._rate_frac, conn.send_queue, conn.recv_occupancy = credit, queue, occ
+        if times:
+            self._book_run(times, sizes, media_pos)
+        self.playhead, self._ticks = playhead, ticks
+        if moving:
+            self._sync_consumed()
+        return t, conn_t, stopped
+
+    def _book_run(self, times, sizes, media_pos):
+        """Emit and book the DATA a span sent at `times`; media_pos is the one after them."""
+        conn = self.conn
+        self.transport.emit_run(DOWN, DATA, conn.id, times, sizes)
+        sent = sum(sizes)
+        conn.delivered_total += sent
+        self._on_data(sent, conn.id, times[-1], media_pos)
 
     def _client_rule(self):
         """What the client does on a tick played inside a span.
@@ -628,14 +748,16 @@ class StreamingSession:
             return drain, lambda pos, got, ph, used: self._store_full(pos, pos - used)
         return None, lambda pos, got, ph, used: self._store_reopens(pos - used)
 
-    def _delivery_limit(self):
+    def _delivery_limit(self, media_pos, consumed, dup):
+        """Most a tick may deliver into a capped store; None without a cap."""
         cap = self.technique.buffer_cap
         if cap is None:
             return None
-        free = cap - (self.media_pos - self.consumed)
-        return self._dup_remaining + max(0, int(free))
+        free = cap - (media_pos - consumed)
+        return dup + max(0, int(free))
 
-    def _on_data(self, nbytes, conn_id, now):
+    def _on_data(self, nbytes, conn_id, now, media_pos):
+        """Book nbytes that arrived on conn_id by `now`; media_pos is _media_after(nbytes)."""
         self.received += nbytes
         self.metrics.connection_bytes[conn_id] = (
             self.metrics.connection_bytes.get(conn_id, 0) + nbytes
@@ -645,7 +767,7 @@ class StreamingSession:
             self._dash_on_data(nbytes, now)
             return
         dup = min(self._dup_remaining, nbytes)
-        self.media_pos = self._media_after(nbytes)
+        self.media_pos = media_pos
         if dup:
             self._dup_remaining -= dup
             self.wasted += dup
@@ -720,7 +842,8 @@ class StreamingSession:
     def _consumed_at(self, playhead, media_pos):
         if self.technique.kind == DASH:
             return self._dash_consumed_bytes(playhead)
-        return min(float(media_pos), self.video.cum_bytes(playhead))
+        consumed = self.video.cum_bytes(playhead)
+        return consumed if consumed < media_pos else float(media_pos)  # min(), without the call
 
     def _client_step(self, dt):
         t = self.technique
@@ -959,19 +1082,20 @@ class StreamingSession:
         m.stall_total_s = sum(
             (s.end if s.end is not None else now) - s.start for s in m.stalls
         )
-        self._sample(now, final=True)
+        m.buffer_series.append((now, 0.0, 0.0))
 
-    def _sample(self, t, final=False):
+    def _sample(self, ticks, t, playhead, consumed, delivered):
+        """Buffer sample of tick `ticks`, which ends at t.
+
+        The playhead, the consumed bytes and the delivered media seconds are
+        passed in, since spans hold them in locals; the other books are read.
+        """
         if self.technique.kind == DASH:
-            buf_bytes = self.received - self.consumed - self.wasted
+            buf_bytes = self.received - consumed - self.wasted
         else:
-            buf_bytes = self.media_pos - self.consumed
-        buf_media = self._delivered_media() - self.playhead
-        if final:
-            buf_bytes = 0.0
-            buf_media = 0.0
-        self.metrics.buffer_series.append((t, buf_bytes, buf_media))
-        self._next_sample = self._ticks + self._sample_every
+            buf_bytes = self.media_pos - consumed
+        self.metrics.buffer_series.append((t, buf_bytes, delivered - playhead))
+        self._next_sample = ticks + self._sample_every
 
     def _check_accounting(self):
         if self.technique.kind == DASH:

@@ -63,6 +63,27 @@ class PathSpec:
             raise ValueError("jitter fraction must be in [0, 1)")
 
 
+def paced(now, dt, resume_at, byte_rate, credit, queue, room):
+    """Pacing of the tick ending at `now`: (bytes sent, pacing credit after it).
+
+    The sender moves data only after resume_at, at byte_rate bytes a second
+    plus the sub-byte credit carried from earlier ticks, and never more than
+    `room` (the queue, the free receive space and any limit, whichever is
+    least).  The credit carries over only when the allowance is what cut the
+    bytes.  Connection.pace and the session's span playback both pace with it.
+    """
+    start = now - dt
+    eligible = now - (resume_at if resume_at > start else start)  # max(), without the call
+    if eligible <= 0 or queue <= 0:
+        return 0, credit
+    allowance = byte_rate * eligible + credit
+    n = int(allowance)
+    if n <= room:
+        return n, allowance - n
+    # blocked by buffer/queue/limit: no pacing credit carries over
+    return room, 0.0
+
+
 class Transport:
     """Factory for connections over one path; owns the shared packet timeline."""
 
@@ -87,18 +108,29 @@ class Transport:
         return conn
 
     def emit(self, time, direction, payload, kind, conn_id):
-        if self.path.jitter > 0.0:
-            gap = max(0.0, time - self._last_nominal)
-            self._last_nominal = time
-            time = time + self._rng.uniform(-1.0, 1.0) * self.path.jitter * gap
-        else:
-            self._last_nominal = time
-        # timeline must stay sorted for the radio models downstream
-        time = max(time, self._last_emit)
-        self._last_emit = time
-        rec = PacketRecord(time, direction, payload, kind, conn_id)
-        self.records.append(rec)
-        return rec
+        self.emit_run(direction, kind, conn_id, (time,), (payload,))
+        return self.records[-1]
+
+    def emit_run(self, direction, kind, conn_id, times, payloads):
+        """emit() each (time, payload) pair in turn, with the same jitter draws."""
+        jitter = self.path.jitter
+        uniform = self._rng.uniform
+        nominal, last = self._last_nominal, self._last_emit
+        append = self.records.append
+        for time, payload in zip(times, payloads):
+            if jitter > 0.0:
+                gap = time - nominal
+                gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), without the call
+                nominal = time
+                time = time + uniform(-1.0, 1.0) * jitter * gap
+            else:
+                nominal = time
+            # timeline must stay sorted for the radio models downstream
+            if time < last:
+                time = last
+            last = time
+            append(PacketRecord(time, direction, payload, kind, conn_id))
+        self._last_nominal, self._last_emit = nominal, last
 
 
 class Connection:
@@ -159,13 +191,17 @@ class Connection:
             return 0
         self.recv_occupancy -= n
         if self.window_state == ZERO_WINDOW:
-            self.window_state = OPEN_WINDOW
-            self._next_probe = None
-            if self.state == STATE_OPEN:
-                if now is None:
-                    now = self.transport.kernel.now
-                self._resume_at = max(self._resume_at, now + self.transport.path.rtt_s)
+            self.reopen_window(now)
         return n
+
+    def reopen_window(self, now=None):
+        """The client freed space in a zero window by `now`: the sender resumes one rtt later."""
+        self.window_state = OPEN_WINDOW
+        self._next_probe = None
+        if self.state == STATE_OPEN:
+            if now is None:
+                now = self.transport.kernel.now
+            self._resume_at = max(self._resume_at, now + self.transport.path.rtt_s)
 
     # -- pipe --------------------------------------------------------------
 
@@ -188,9 +224,7 @@ class Connection:
         else:
             self._rate_frac = credit
         if self.recv_occupancy >= self.recv_capacity and self.window_state == OPEN_WINDOW:
-            self.window_state = ZERO_WINDOW
-            out.append(self.transport.emit(now, UP, 0, ZERO_WINDOW_AD, self.id))
-            self._next_probe = now + self.probe_interval
+            out.append(self.close_window(now))
         if (
             self.window_state == ZERO_WINDOW
             and self.send_queue > 0
@@ -214,18 +248,13 @@ class Connection:
         the free space and the limit all left over: sending them changes
         nothing but the byte counts and the credit.  Changes nothing itself.
         """
-        eligible = now - max(now - dt, self._resume_at)
-        if eligible <= 0 or self.send_queue <= 0:
-            return 0, self._rate_frac, False
-        allowance = self._rate_bps() / 8.0 * eligible + self._rate_frac
-        n_rate = int(allowance)
         room = min(self.send_queue, self.recv_capacity - self.recv_occupancy)
         if limit is not None:
             room = min(room, int(limit))
-        if n_rate <= room:
-            return n_rate, allowance - n_rate, 0 < n_rate < room
-        # blocked by buffer/queue/limit: no pacing credit carries over
-        return room, 0.0, False
+        n, credit = paced(
+            now, dt, self._resume_at, self._rate_bps() / 8.0, self._rate_frac, self.send_queue, room
+        )
+        return n, credit, 0 < n < room
 
     def send(self, now, n, credit):
         """Send n > 0 bytes that pace() allowed for the tick ending at `now`; returns the record."""
@@ -234,6 +263,15 @@ class Connection:
         self.recv_occupancy += n
         self.delivered_total += n
         return self.transport.emit(now, DOWN, n, DATA, self.id)
+
+    def close_window(self, now):
+        """The receive buffer filled on the tick ending at `now`: advertise a zero window.
+
+        Returns the advertisement; the sender probes one probe_interval later.
+        """
+        self.window_state = ZERO_WINDOW
+        self._next_probe = now + self.probe_interval
+        return self.transport.emit(now, UP, 0, ZERO_WINDOW_AD, self.id)
 
     def next_action(self, dt, now=None):
         """Earliest tick end after `now` at which advance(dt) may change this connection.
@@ -247,8 +285,8 @@ class Connection:
         """
         if self.state != STATE_OPEN or self.send_queue == 0:
             return math.inf
-        # advance() sends from the first tick ending after _resume_at; waking
-        # on a tick ending exactly at it costs one needless full tick, no more
+        # advance() sends from the first tick ending after _resume_at; a tick
+        # ending exactly at it paces zero bytes and only keeps the credit
         if self.recv_occupancy < self.recv_capacity:
             return self._resume_at
         if now is None:

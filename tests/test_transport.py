@@ -12,6 +12,7 @@ from streamsim.transport import (
     REQUEST,
     STATE_CLOSED,
     UP,
+    ZERO_WINDOW,
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
     PacketRecord,
@@ -336,3 +337,61 @@ def test_pace_is_whole_only_with_queue_window_and_limit_to_spare():
     assert pace(1_001, 1_000) == (1_000, 0.0, False)  # fills the window
     assert pace(1_001, 1_001, limit=1_000) == (1_000, 0.0, False)  # reaches the limit
     assert pace(1_001, 1_001, limit=600) == (600, 0.0, False)  # cut: no credit carries
+
+
+def test_run_emitter_matches_emit_one_by_one():
+    # jitter 0.99 can pull a record before the one emitted ahead of it, so
+    # the timeline clamp fires; both sides draw from one seed
+    rng = random.Random(8)
+    times = [0.01 * (i + 1) + rng.choice([0.0, 0.0, 0.004, 2.0]) * (i > 20) for i in range(60)]
+    times.sort()
+    sizes = [rng.randrange(1, 9_000) for _ in times]
+    sides = []
+    for by_run in (False, True):
+        transport = Transport(PathSpec(6_000_000, jitter=0.99), Kernel(), seed=21)
+        for part in (slice(0, 30), slice(30, 60)):
+            if by_run:
+                transport.emit_run(DOWN, DATA, 1, times[part], sizes[part])
+            else:
+                for t, n in zip(times[part], sizes[part]):
+                    transport.emit(t, DOWN, n, DATA, 1)
+            # a control record between the runs shares the jitter stream
+            transport.emit(times[part][-1], UP, 0, ZERO_WINDOW_AD, 1)
+        sides.append(transport.records)
+    assert sides[0] == sides[1]
+    stamps = [r.time for r in sides[1]]
+    assert stamps == sorted(stamps)
+    assert any(a == b for a, b in zip(stamps, stamps[1:]))  # clamped to _last_emit
+
+
+def test_window_fill_in_a_span_matches_advance():
+    # ENCODING_RATE on a zero rtt and a 4 kB window: every tick sends the
+    # space the last read freed, filling the window.  Through the still
+    # seconds the client reads nothing, so the window stays shut and its
+    # probe pending.  Spans play the fills; every-tick playback runs each
+    # through advance().
+    from streamsim.session import (
+        ENCODING_RATE, DeadlockError, StreamingSession, TechniqueSpec, VideoSpec,
+    )
+
+    def at_horizon(every_tick):
+        video = VideoSpec([62_500] * 3 + [0] * 2 + [62_500] * 5)
+        session = StreamingSession(
+            video, TechniqueSpec(ENCODING_RATE, fast_start_s=1.0),
+            PathSpec(6_000_000, rtt_s=0.0, jitter=0.3), recv_capacity=4_000,
+            seed=4, max_sim_time=4.5,
+        )
+        if every_tick:
+            session._play_quiet = lambda now: now + session.tick_s
+        with pytest.raises(DeadlockError):
+            session.run()
+        return session
+
+    spans, ticks = at_horizon(False), at_horizon(True)
+    assert spans.kernel.executed <= 10 < ticks.kernel.executed
+    assert spans.transport.records == ticks.transport.records
+    kinds = [r.kind for r in spans.transport.records]
+    pairs = sum(a == DATA and b == ZERO_WINDOW_AD for a, b in zip(kinds, kinds[1:]))
+    assert pairs > 100
+    assert spans.conn.window_state == ZERO_WINDOW and spans.conn._next_probe is not None
+    assert _conn_state(spans.conn) == _conn_state(ticks.conn)
