@@ -11,12 +11,15 @@ techniques and are deliberately loose enough to survive ~10% timing jitter.
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, compress
+from operator import itemgetter
 
 from .transport import (
     DATA,
     REQUEST,
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
+    check_time_order,
 )
 
 THRESHOLDS = {
@@ -99,31 +102,90 @@ def burst_cdf(bursts):
     return cdf(sizes), cdf(intervals)
 
 
-def _data_records(records):
-    return [r for r in records if r.kind == DATA]
+class _DataView:
+    """A timeline's DATA records as times and byte prefix sums.
+
+    `times` and `cums` follow record order: cums[k] is the payload of the
+    first k DATA records, so cums[0] == 0 and cums[-1] is the total.
+    `sorted_times` and `sorted_cums` are the same for the records
+    stable-sorted by time, which bisection needs; they are the very same
+    lists unless the timeline steps back within check_time_order()'s
+    tolerance.  Raises ValueError if it steps back further.
+    """
+
+    __slots__ = ("times", "cums", "sorted_times", "sorted_cums")
+
+    def __init__(self, records):
+        all_times = [r.time for r in records]
+        in_order = check_time_order(all_times)
+        is_data = [r.kind == DATA for r in records]
+        self.times = times = list(compress(all_times, is_data))
+        payloads = [r.payload for r in compress(records, is_data)]
+        self.cums = list(accumulate(payloads, initial=0))
+        if in_order:
+            self.sorted_times, self.sorted_cums = times, self.cums
+        else:
+            pairs = sorted(zip(times, payloads), key=itemgetter(0))
+            self.sorted_times = [t for t, _ in pairs]
+            self.sorted_cums = list(accumulate((p for _, p in pairs), initial=0))
 
 
 def find_rate_knee(records, window_s=None, drop_frac=None):
     """Start time of the first throughput window after the initial burst whose
-    rate falls below drop_frac of the session maximum, or None."""
-    return _rate_knee(_data_records(records), window_s, drop_frac)
+    rate falls below drop_frac of the session maximum, or None.
+
+    window_s must be positive and drop_frac in (0, 1]; None means the
+    THRESHOLDS default.  Raises ValueError for other values, and for a
+    timeline that is not in time order.
+    """
+    if window_s is not None and not window_s > 0:
+        raise ValueError("window_s must be positive, got %r" % (window_s,))
+    if drop_frac is not None and not 0 < drop_frac <= 1:
+        raise ValueError("drop_frac must be in (0, 1], got %r" % (drop_frac,))
+    return _rate_knee(_DataView(records), window_s, drop_frac)
 
 
-def _rate_knee(data, window_s=None, drop_frac=None):
-    window_s = window_s or THRESHOLDS["knee_window_s"]
-    drop_frac = drop_frac or THRESHOLDS["knee_drop_frac"]
-    if len(data) < 2:
+def _rate_knee(view, window_s=None, drop_frac=None):
+    """The knee from fixed windows of window_s from the first DATA record.
+
+    A record lands in window int((t - t0) / window_s); records past the last
+    whole window are left out, as the trailing partial window is not
+    comparable to full ones.  That index never falls as t grows, so the
+    records of each window are a run of the sorted times, and its bytes are a
+    difference of two prefix sums.  The run ends near t0 + (i + 1) * window_s;
+    bisection finds that time, and the index expression itself settles the
+    records within rounding of it.  Payloads are ints, so while a window
+    holds under 2**53 bytes its total equals a float sum of its payloads in
+    any order, as the window loop this replaces added them.
+    """
+    if window_s is None:
+        window_s = THRESHOLDS["knee_window_s"]
+    if drop_frac is None:
+        drop_frac = THRESHOLDS["knee_drop_frac"]
+    times = view.times
+    if len(times) < 2:
         return None
-    t0, t_last = data[0].time, data[-1].time
+    t0, t_last = times[0], times[-1]
     if t_last - t0 < window_s:
         return None
     n_windows = int((t_last - t0) / window_s)
-    sums = [0.0] * n_windows
-    for r in data:
-        i = int((r.time - t0) / window_s)
-        if i >= n_windows:
-            continue  # trailing partial window is not comparable to full ones
-        sums[i] += r.payload
+    sorted_times, cums = view.sorted_times, view.sorted_cums
+
+    def window(t):
+        return int((t - t0) / window_s)
+
+    n = len(sorted_times)
+    sums = [0] * n_windows
+    lo = 0
+    for i in range(n_windows):
+        # hi: the first record past window i
+        hi = bisect_right(sorted_times, t0 + (i + 1) * window_s, lo)
+        while hi > lo and window(sorted_times[hi - 1]) > i:
+            hi -= 1
+        while hi < n and window(sorted_times[hi]) <= i:
+            hi += 1
+        sums[i] = cums[hi] - cums[lo]
+        lo = hi
     peak = max(sums)
     for i, s in enumerate(sums):
         if s < drop_frac * peak:
@@ -136,24 +198,25 @@ def estimate_throttle_factor(records, avg_rate_bps, fast_start_exclusion=None):
 
     The initial unlimited-rate fill is excluded; by default its end is found
     with the rate-knee heuristic.  Raises ValueError when the trace has no
-    steady phase to measure.
+    steady phase to measure, or is not in time order.
     """
     if avg_rate_bps <= 0:
         raise ValueError("avg_rate_bps must be positive")
-    data = _data_records(records)
-    if not data:
+    view = _DataView(records)
+    if not view.times:
         raise ValueError("no DATA records in trace")
     if fast_start_exclusion is None:
-        fast_start_exclusion = _rate_knee(data) or 0.0
-    return _steady_ratio(data, avg_rate_bps, fast_start_exclusion)
+        fast_start_exclusion = _rate_knee(view) or 0.0
+    return _steady_ratio(view, avg_rate_bps, fast_start_exclusion)
 
 
-def _steady_ratio(data, avg_rate_bps, fast_start_exclusion):
-    t_last = data[-1].time
-    span = t_last - fast_start_exclusion
+def _steady_ratio(view, avg_rate_bps, fast_start_exclusion):
+    span = view.times[-1] - fast_start_exclusion
     if span <= 0:
         raise ValueError("no steady phase after the fast-start exclusion")
-    nbytes = sum(r.payload for r in data if r.time > fast_start_exclusion)
+    # bytes of the records later than the exclusion: a suffix of the sorted view
+    cums = view.sorted_cums
+    nbytes = cums[-1] - cums[bisect_right(view.sorted_times, fast_start_exclusion)]
     return (nbytes * 8.0 / span) / avg_rate_bps
 
 
@@ -164,27 +227,24 @@ def estimate_fast_start(records, avg_rate_bps):
     cum(t) - steady_rate * t stops growing.  Works for traces whose delivery
     continues at or above the steady rate after the initial fill; for
     strongly on-off traces the estimate reflects the first burst peak.
+    Raises ValueError for a timeline that is not in time order.
     """
-    data = _data_records(records)
-    if len(data) < 2:
+    view = _DataView(records)
+    times, cums = view.times, view.cums
+    if len(times) < 2:
         raise ValueError("trace too short to estimate the initial burst")
-    t0 = data[0].time
-    times = [r.time for r in data]
-    cums = []
-    acc = 0
-    for r in data:
-        acc += r.payload
-        cums.append(acc)
+    t0 = times[0]
     span = times[-1] - t0
     if span <= 0:
         raise ValueError("degenerate trace")
-    # steady slope from the back 60% of the delivery span
+    # steady slope from the back 60% of the delivery span; cums[k + 1] is the
+    # bytes up to and including record k
     tail_start = t0 + 0.4 * span
     k = bisect_right(times, tail_start)
     if k >= len(times):
         k = len(times) - 1
-    rho = (cums[-1] - cums[k]) / max(times[-1] - times[k], 1e-9)  # bytes/s
-    values = [c - rho * (t - t0) for t, c in zip(times, cums)]
+    rho = (cums[-1] - cums[k + 1]) / max(times[-1] - times[k], 1e-9)  # bytes/s
+    values = [c - rho * (t - t0) for t, c in zip(times, cums[1:])]
     vmax = max(values)
     tol = rho * 2.0  # one knee window of steady-rate slack
     i = next(j for j, v in enumerate(values) if v >= vmax - tol)
@@ -192,8 +252,8 @@ def estimate_fast_start(records, avg_rate_bps):
         i += 1  # climb to the local peak so we sit at the end of the burst
     return FastStartEstimate(
         end_time=times[i],
-        nbytes=cums[i],
-        media_s=cums[i] * 8.0 / avg_rate_bps,
+        nbytes=cums[i + 1],
+        media_s=cums[i + 1] * 8.0 / avg_rate_bps,
     )
 
 
@@ -356,22 +416,23 @@ def classify(records, avg_rate_bps, path_bandwidth_bps):
     Rules are tried in a fixed order; the first match wins and sets the
     confidence from its decisive margin.  A trace that matches nothing is
     UNKNOWN with the collected evidence attached.  Raises ValueError when
-    either rate is not positive.
+    either rate is not positive, or when the timeline is not in time order.
     """
     if avg_rate_bps <= 0:
         raise ValueError("avg_rate_bps must be positive, got %r" % (avg_rate_bps,))
     if path_bandwidth_bps <= 0:
         raise ValueError("path_bandwidth_bps must be positive, got %r" % (path_bandwidth_bps,))
     th = THRESHOLDS
+    view = _DataView(records)
     feats, data = _harvest(records)
     if not data:
         return ClassificationResult(UNKNOWN, 0.0, feats)
 
     # the knee both ends the fast start and is the steady ratio's exclusion,
     # as in estimate_throttle_factor()
-    knee = _rate_knee(data)
+    knee = _rate_knee(view)
     try:
-        ratio = _steady_ratio(data, avg_rate_bps, knee or 0.0)
+        ratio = _steady_ratio(view, avg_rate_bps, knee or 0.0)
     except ValueError:
         ratio = None
     feats["steady_ratio"] = ratio

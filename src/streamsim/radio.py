@@ -17,6 +17,8 @@ Charge integrates as dwell x current per state, in mA*s.
 import csv
 from dataclasses import dataclass
 
+from .transport import check_time_order
+
 DCH = "DCH"
 FACH = "FACH"
 PCH = "PCH"
@@ -108,8 +110,7 @@ def _packet_times(records):
         times = [r.time for r in records]
     except AttributeError:
         times = [float(r) for r in records]
-    if times != sorted(times) and any(b < a - 1e-12 for a, b in zip(times, times[1:])):
-        raise ValueError("packet timeline must be sorted by time")
+    check_time_order(times)
     return times
 
 
@@ -211,8 +212,8 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
     radio never sleeps (idle instead).
     """
     params.validate()
-    times = [t for t in _packet_times(records) if t_end is None or t <= t_end]
-    times = [t for t in times if t >= t_start]
+    until = float("inf") if t_end is None else t_end
+    times = [t for t in _packet_times(records) if t_start <= t <= until]
     if t_end is None:
         if not times:
             raise ValueError("empty timeline needs an explicit t_end")
@@ -227,25 +228,46 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
         else:
             segs.append(StateSegment(state, a, b))
 
+    append = segs.append
+    wake, interval = params.beacon_wake, params.beacon_interval
+
     def sleep_span(a, b):
         if params.cam_mode:
             emit(PSM_IDLE, a, b)
             return
-        # beacon wakes pinned to the start of the sleep period
+        # Beacon wakes pinned to the start of the sleep period.  A whole
+        # beacon (it ends before b) whose wake and sleep both have length and
+        # that follows a SLEEP segment is one emit() would neither skip nor
+        # merge, so its two segments are appended as they are.  The first
+        # beacon of a span, the last partial one, and any whose wake or sleep
+        # rounds to nothing (beacon_wake = 0, or t + beacon_wake == t late in
+        # a long trace) go through emit().
         t = a
+        after_sleep = False
         while t < b:
-            wake_end = min(t + params.beacon_wake, b)
-            emit(ACTIVE, t, wake_end)
-            emit(SLEEP, wake_end, min(t + params.beacon_interval, b))
-            t += params.beacon_interval
+            wake_end, sleep_end = t + wake, t + interval
+            if after_sleep and sleep_end < b and t < wake_end < sleep_end:
+                append(StateSegment(ACTIVE, t, wake_end))
+                append(StateSegment(SLEEP, wake_end, sleep_end))
+            else:
+                wake_end = min(wake_end, b)
+                emit(ACTIVE, t, wake_end)
+                emit(SLEEP, wake_end, min(sleep_end, b))
+                after_sleep = segs[-1].state == SLEEP
+            t += interval
 
-    # group packets into active runs
+    # group packets into active runs: (first, last) packet times
     runs = []
+    idle_timeout = params.idle_timeout
+    first = last = None
     for t in times:
-        if runs and t - runs[-1][1] <= params.idle_timeout:
-            runs[-1][1] = t
-        else:
-            runs.append([t, t])
+        if last is None or not t - last <= idle_timeout:
+            if last is not None:
+                runs.append((first, last))
+            first = t
+        last = t
+    if last is not None:
+        runs.append((first, last))
 
     cursor = t_start
     for a, b in runs:

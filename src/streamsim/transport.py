@@ -324,6 +324,18 @@ class Connection:
         return self.transport.emit(self.transport.kernel.now, UP, 0, kind, self.id)
 
 
+def check_time_order(times):
+    """Whether a timeline's times never step back; ValueError if one steps
+    back by more than 1e-12.  Smaller steps back are float noise and pass
+    (the result is then False).  The radio drives and the trace estimators
+    share this rule, so both reject the same timelines."""
+    if times == sorted(times):
+        return True
+    if any(b < a - 1e-12 for a, b in zip(times, times[1:])):
+        raise ValueError("packet timeline must be sorted by time")
+    return False
+
+
 def write_timeline_csv(records, path):
     # rows as csv.writer would write them: no field needs quoting
     with open(path, "w", newline="") as fh:

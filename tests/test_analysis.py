@@ -11,7 +11,10 @@ from streamsim.analysis import (
     find_rate_knee,
     group_bursts,
 )
+from streamsim.radio import PsmParams, RrcParams, psm_drive, rrc_drive
 from streamsim.transport import DATA, DOWN, REQUEST, UP, PacketRecord
+
+PSM = PsmParams(current_active=180.0, current_idle=80.0, current_sleep=5.0)
 
 
 def rec(time, payload, kind=DATA, conn=1):
@@ -162,3 +165,63 @@ def test_classifier_thresholds_are_complete():
 def test_classifier_rejects_a_non_positive_rate(rate, bandwidth, name):
     with pytest.raises(ValueError, match=name):
         classify(burst_trace(), rate, bandwidth)
+
+
+# DATA at 100, 0, 104.5 used to index a window list at -50; at 10, 9, 14.5 the
+# record at 9 was binned into the first window
+@pytest.mark.parametrize("times", [(100.0, 0.0, 104.5), (10.0, 9.0, 14.5)])
+@pytest.mark.parametrize(
+    "estimator",
+    [
+        lambda records: classify(records, 500_000, 6_000_000),
+        lambda records: estimate_throttle_factor(records, 500_000),
+        lambda records: estimate_fast_start(records, 500_000),
+        find_rate_knee,
+        lambda records: rrc_drive(records, RrcParams()),
+        lambda records: psm_drive(records, PSM),
+    ],
+    ids=["classify", "throttle_factor", "fast_start", "rate_knee", "rrc_drive", "psm_drive"],
+)
+def test_estimators_and_radio_reject_the_same_out_of_order_timelines(times, estimator):
+    with pytest.raises(ValueError, match="packet timeline must be sorted by time"):
+        estimator([rec(t, 1000) for t in times])
+
+
+def test_a_control_record_out_of_order_is_rejected_too():
+    records = [rec(0.0, 1000), rec(5.0, 0, kind=REQUEST), rec(4.0, 1000), rec(10.0, 1000)]
+    for estimator in (find_rate_knee, lambda r: rrc_drive(r, RrcParams())):
+        with pytest.raises(ValueError, match="sorted by time"):
+            estimator(records)
+
+
+def test_steps_back_within_the_tolerance_are_kept():
+    # a record 5e-13 s before the first one still lands in the first window,
+    # as the window loop put it
+    records = burst_trace()
+    records.insert(1, rec(records[0].time - 5e-13, 125_000))
+    assert find_rate_knee(records) == pytest.approx(2.0)
+    assert estimate_throttle_factor(records, 500_000) > 0
+    assert classify(records, 500_000, 6_000_000).label != UNKNOWN
+
+
+@pytest.mark.parametrize("window_s", [0, 0.0, -1.0, float("nan")])
+def test_rate_knee_rejects_a_non_positive_window(window_s):
+    with pytest.raises(ValueError, match="window_s"):
+        find_rate_knee(burst_trace(), window_s=window_s)
+
+
+@pytest.mark.parametrize("drop_frac", [0, -0.1, 1.5, float("nan")])
+def test_rate_knee_rejects_a_drop_fraction_outside_0_1(drop_frac):
+    with pytest.raises(ValueError, match="drop_frac"):
+        find_rate_knee(burst_trace(), drop_frac=drop_frac)
+
+
+def test_rate_knee_defaults_stand_for_none():
+    records = burst_trace()
+    default = find_rate_knee(records)
+    assert find_rate_knee(records, None, None) == default
+    assert find_rate_knee(
+        records, THRESHOLDS["knee_window_s"], THRESHOLDS["knee_drop_frac"]
+    ) == default
+    # a drop fraction of 1 is allowed: any window below the peak is the knee
+    assert find_rate_knee(records, drop_frac=1.0) == pytest.approx(2.0)

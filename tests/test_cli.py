@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from streamsim.cli import main
+from streamsim.transport import DATA, DOWN, PacketRecord, write_timeline_csv
 
 MINI = """\
 [scenario]
@@ -109,6 +110,18 @@ def test_analyze_recovers_the_technique_from_a_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "label       FAST_CACHING" in out
     assert "confidence" in out
+
+
+def test_analyze_reports_an_out_of_order_trace(tmp_path, capsys):
+    trace = tmp_path / "shuffled.timeline.csv"
+    write_timeline_csv(
+        [PacketRecord(t, DOWN, 1000, DATA, 1) for t in (100.0, 0.0, 104.5)], trace
+    )
+    code = main(["analyze", str(trace), "--rate", "500000", "--bandwidth", "6000000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: packet timeline must be sorted by time\n"
+    assert captured.out == ""
 
 
 def test_analyze_requires_rate_and_bandwidth(tmp_path):

@@ -1,16 +1,21 @@
 """The single-pass trace analysis equals the multi-pass code it replaced.
 
 `estimate_buffer`, the classifier's feature harvest and `rrc_drive` each walk
-a timeline once.  The functions below are their earlier multi-pass versions,
-kept as oracles: every output must match them exactly, float for float, over
-random timelines that include zero-byte schedule seconds, control records
-between DATA records, equal timestamps, tiny RRC timers, promotion ramps and
-observation windows that open after the first packet.  The harvest is also
-tied to the public estimators on every bundled trace, so the inlined and
-standalone code cannot drift apart.
+a timeline once.  The rate knee, the steady ratio and `estimate_fast_start`
+read prefix sums of the DATA bytes, and `psm_drive` appends whole beacons in
+bulk.  The functions below are their earlier versions, kept as oracles: every
+output must match them exactly, float for float, over random timelines that
+include zero-byte schedule seconds, control records between DATA records,
+equal timestamps, records on window edges, steps back within the 1e-12
+ordering tolerance, tiny RRC timers, promotion ramps, beacon wakes that round
+away and observation windows that open after the first packet.  The harvest
+is also tied to the public estimators on every bundled trace, so the inlined
+and standalone code cannot drift apart, and the classifier's accuracy on
+jittered bundled traces is held to a stated floor.
 """
 
 import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,13 +23,30 @@ from hypothesis import strategies as st
 
 from streamsim.analysis import (
     THRESHOLDS,
+    FastStartEstimate,
     _harvest,
     classify,
     estimate_buffer,
+    estimate_fast_start,
     estimate_throttle_factor,
+    find_rate_knee,
     group_bursts,
 )
-from streamsim.radio import DCH, FACH, IDLE, PCH, RrcParams, StateSegment, rrc_drive
+from streamsim.harness import expected_label
+from streamsim.radio import (
+    ACTIVE,
+    DCH,
+    FACH,
+    IDLE,
+    PCH,
+    PSM_IDLE,
+    SLEEP,
+    PsmParams,
+    RrcParams,
+    StateSegment,
+    psm_drive,
+    rrc_drive,
+)
 from streamsim.session import VideoSpec
 from streamsim.transport import (
     CLOSE_FIN,
@@ -207,6 +229,137 @@ def oracle_rrc_drive(records, params, t_end=None, t_start=None):
     return segs
 
 
+def oracle_rate_knee(data, window_s=None, drop_frac=None):
+    window_s = window_s or THRESHOLDS["knee_window_s"]
+    drop_frac = drop_frac or THRESHOLDS["knee_drop_frac"]
+    if len(data) < 2:
+        return None
+    t0, t_last = data[0].time, data[-1].time
+    if t_last - t0 < window_s:
+        return None
+    n_windows = int((t_last - t0) / window_s)
+    sums = [0.0] * n_windows
+    for r in data:
+        i = int((r.time - t0) / window_s)
+        if i >= n_windows:
+            continue
+        sums[i] += r.payload
+    peak = max(sums)
+    for i, s in enumerate(sums):
+        if s < drop_frac * peak:
+            return t0 + i * window_s
+    return None
+
+
+def oracle_steady_ratio(data, avg_rate_bps, fast_start_exclusion):
+    t_last = data[-1].time
+    span = t_last - fast_start_exclusion
+    if span <= 0:
+        raise ValueError("no steady phase after the fast-start exclusion")
+    nbytes = sum(r.payload for r in data if r.time > fast_start_exclusion)
+    return (nbytes * 8.0 / span) / avg_rate_bps
+
+
+def oracle_throttle_factor(records, avg_rate_bps, fast_start_exclusion=None):
+    data = [r for r in records if r.kind == DATA]
+    if not data:
+        raise ValueError("no DATA records in trace")
+    if fast_start_exclusion is None:
+        fast_start_exclusion = oracle_rate_knee(data) or 0.0
+    return oracle_steady_ratio(data, avg_rate_bps, fast_start_exclusion)
+
+
+def oracle_estimate_fast_start(records, avg_rate_bps):
+    data = [r for r in records if r.kind == DATA]
+    if len(data) < 2:
+        raise ValueError("trace too short to estimate the initial burst")
+    t0 = data[0].time
+    times = [r.time for r in data]
+    cums = []
+    acc = 0
+    for r in data:
+        acc += r.payload
+        cums.append(acc)
+    span = times[-1] - t0
+    if span <= 0:
+        raise ValueError("degenerate trace")
+    tail_start = t0 + 0.4 * span
+    k = bisect_right(times, tail_start)
+    if k >= len(times):
+        k = len(times) - 1
+    rho = (cums[-1] - cums[k]) / max(times[-1] - times[k], 1e-9)
+    values = [c - rho * (t - t0) for t, c in zip(times, cums)]
+    vmax = max(values)
+    tol = rho * 2.0
+    i = next(j for j, v in enumerate(values) if v >= vmax - tol)
+    while i + 1 < len(values) and values[i + 1] > values[i]:
+        i += 1
+    return FastStartEstimate(
+        end_time=times[i],
+        nbytes=cums[i],
+        media_s=cums[i] * 8.0 / avg_rate_bps,
+    )
+
+
+def oracle_psm_drive(records, params, t_end=None, t_start=0.0):
+    params.validate()
+    times = [t for t in oracle_packet_times(records) if t_end is None or t <= t_end]
+    times = [t for t in times if t >= t_start]
+    if t_end is None:
+        if not times:
+            raise ValueError("empty timeline needs an explicit t_end")
+        t_end = times[-1] + params.idle_timeout
+    segs = []
+
+    def emit(state, a, b):
+        if b <= a:
+            return
+        if segs and segs[-1].state == state and abs(segs[-1].end - a) < 1e-12:
+            segs[-1].end = b
+        else:
+            segs.append(StateSegment(state, a, b))
+
+    def sleep_span(a, b):
+        if params.cam_mode:
+            emit(PSM_IDLE, a, b)
+            return
+        t = a
+        while t < b:
+            wake_end = min(t + params.beacon_wake, b)
+            emit(ACTIVE, t, wake_end)
+            emit(SLEEP, wake_end, min(t + params.beacon_interval, b))
+            t += params.beacon_interval
+
+    runs = []
+    for t in times:
+        if runs and t - runs[-1][1] <= params.idle_timeout:
+            runs[-1][1] = t
+        else:
+            runs.append([t, t])
+
+    cursor = t_start
+    for a, b in runs:
+        if a > cursor:
+            sleep_span(cursor, a)
+        emit(ACTIVE, a, max(b, a))
+        idle_end = min(b + params.idle_timeout, t_end)
+        emit(PSM_IDLE, b, idle_end)
+        cursor = idle_end
+    if cursor < t_end:
+        sleep_span(cursor, t_end)
+    return segs
+
+
+def in_order_or_error(fn, records, *args):
+    """fn's result, or the ordering error when the timeline steps back by
+    more than 1e-12: the old estimators had no ordering rule."""
+    try:
+        oracle_packet_times(records)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return outcome(fn, records, *args)
+
+
 # --- strategies -------------------------------------------------------------
 
 # gaps that hit equal timestamps, burst-sized steps, and RRC/silence timers
@@ -254,6 +407,50 @@ def exact(series):
 
 def segments(segs):
     return segs if isinstance(segs, tuple) else [(s.state, s.start, s.end) for s in segs]
+
+
+# gaps that put DATA records exactly on binary window edges, or on one time
+edge_gap = st.one_of(
+    st.just(0.0),
+    st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+    st.floats(0.0, 3.0, allow_nan=False),
+)
+# how far a record sits before its nominal time: mostly not at all, else
+# within the 1e-12 ordering tolerance, or past it
+back_step = st.sampled_from([0.0] * 6 + [1e-13, 5e-13, 9e-13, 1e-12, 3e-12])
+windows = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.05, 10.0))
+drop_fracs = st.one_of(st.sampled_from([0.5, 0.8, 1.0]), st.floats(0.01, 1.0))
+
+
+@st.composite
+def edge_timelines(draw, max_records=40):
+    """DATA and control records on and around window edges: equal times, a
+    trace that ends on an edge, and records that step back a little, some
+    to before the first DATA record."""
+    t = draw(st.one_of(st.sampled_from([0.0, 1.0, 4.0]), st.floats(0.0, 5.0)))
+    out = []
+    for _ in range(draw(st.integers(0, max_records))):
+        t += draw(edge_gap)
+        kind = draw(st.sampled_from((DATA, DATA, DATA, DATA, REQUEST, ZERO_WINDOW_AD)))
+        payload = draw(st.one_of(round_bytes, st.integers(0, 4000))) if kind == DATA else 0
+        out.append(PacketRecord(t - draw(back_step), DOWN, payload, kind, 1))
+    return out
+
+
+@st.composite
+def psm_params(draw):
+    interval = draw(st.one_of(st.sampled_from([0.05, 0.1, 0.3]), st.floats(0.01, 1.0)))
+    wake = draw(st.one_of(
+        st.sampled_from([0.0, 0.002, interval / 2, interval * 0.999]),
+        st.floats(0.0, interval, exclude_max=True),
+    ))
+    # idle timeouts under, at and over the beacon interval
+    # (0.25 and 0.5 are also gaps edge_timelines() draws)
+    idle = draw(st.one_of(
+        st.sampled_from([0.1, 0.25, 0.5, interval, 2 * interval]), st.floats(0.01, 2.0)
+    ))
+    cam = draw(st.sampled_from([False, False, False, True]))
+    return PsmParams(180.0, 80.0, 5.0, interval, idle, wake, cam)
 
 
 # --- equivalence ------------------------------------------------------------
@@ -323,6 +520,108 @@ def test_one_pass_harvest_matches_the_multi_pass_features(records):
     assert data == [r for r in records if r.kind == DATA]
 
 
+@settings(max_examples=200, deadline=None)
+@given(edge_timelines(), windows, drop_fracs)
+# a trace that ends on a window edge, with a record on each edge before it
+@example([PacketRecord(t, DOWN, 1000, DATA, 1) for t in (0.0, 2.0, 4.0, 6.0)], 2.0, 0.8)
+# a step back within the tolerance onto the far side of an edge, and one to
+# before the first DATA record
+@example(
+    [PacketRecord(t, DOWN, 1000, DATA, 1) for t in (1.0, 1.0 - 5e-13, 3.0, 3.0 - 9e-13, 9.0)],
+    2.0, 0.8,
+)
+# records that float rounding puts on the other side of the edge time
+# t0 + (i + 1) * window_s from the window the loop bins them in
+@example(
+    [
+        PacketRecord(t, DOWN, n, DATA, 1)
+        for t, n in (
+            (0.8634033085882786, 5000), (1.7, 5000), (2.4, 1000),
+            (2.9634033085882785, 4000), (4.5, 1),
+        )
+    ],
+    0.7, 0.8,
+)
+@example(
+    [PacketRecord(t, DOWN, n, DATA, 1) for t, n in ((0.0, 1), (126.80890349925502, 9), (130.0, 1))],
+    2.5879368061072454, 0.5,
+)
+def test_rate_knee_matches_the_window_loop(records, window_s, drop_frac):
+    def oracle(records, window_s, drop_frac):
+        return oracle_rate_knee([r for r in records if r.kind == DATA], window_s, drop_frac)
+
+    expected = in_order_or_error(oracle, records, window_s, drop_frac)
+    assert repr(outcome(find_rate_knee, records, window_s, drop_frac)) == repr(expected)
+    if window_s == THRESHOLDS["knee_window_s"] and drop_frac == THRESHOLDS["knee_drop_frac"]:
+        assert repr(outcome(find_rate_knee, records)) == repr(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_timelines(), st.floats(1.0, 1e7), st.data())
+def test_steady_ratio_matches_the_filtered_sum(records, rate, data):
+    times = [r.time for r in records]
+    exclusion = data.draw(st.one_of(st.none(), st.sampled_from(times or [0.0]), st.floats(-1.0, 130.0)))
+    expected = in_order_or_error(oracle_throttle_factor, records, rate, exclusion)
+    got = outcome(estimate_throttle_factor, records, rate, exclusion)
+    assert repr(got) == repr(expected)
+    if exclusion is None and not isinstance(expected, tuple):
+        assert repr(classify(records, rate, 1e6).evidence["steady_ratio"]) == repr(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(edge_timelines(), timelines()), st.floats(1.0, 1e7))
+# the burst ends on a step back: the estimate keeps the record order
+@example(
+    [PacketRecord(t, DOWN, 50_000, DATA, 1) for t in (0.0, 0.5, 1.0, 1.0 - 5e-13)]
+    + [PacketRecord(2.0 + k, DOWN, 1000, DATA, 1) for k in range(20)],
+    500_000.0,
+)
+def test_fast_start_matches_the_record_loop(records, rate):
+    expected = in_order_or_error(oracle_estimate_fast_start, records, rate)
+    assert repr(outcome(estimate_fast_start, records, rate)) == repr(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_timelines(), psm_params(), st.data())
+def test_psm_drive_matches_the_beacon_loop(records, params, data):
+    times = [r.time for r in records]
+    last = times[-1] if times else 0.0
+    # a window opening before, at or after the first packet
+    t_start = data.draw(st.one_of(
+        st.just(0.0), st.floats(-1.0, last + 1.0), st.sampled_from(times or [0.0])
+    ))
+    # an end after the last packet, before it, or inside a beacon wake
+    wake_end = (
+        data.draw(st.sampled_from(times or [0.0])) + params.idle_timeout
+        + data.draw(st.integers(0, 5)) * params.beacon_interval
+        + data.draw(st.floats(0.0, 1.0)) * params.beacon_wake
+    )
+    t_end = data.draw(st.one_of(st.none(), st.floats(last - 1.0, last + 20.0), st.just(wake_end)))
+    expected = segments(in_order_or_error(oracle_psm_drive, records, params, t_end, t_start))
+    assert segments(outcome(psm_drive, records, params, t_end, t_start)) == expected
+
+
+@pytest.mark.parametrize("idle", [0.25, 0.5])
+def test_psm_drive_matches_at_a_gap_equal_to_the_idle_timeout(idle):
+    # packets exactly idle_timeout apart share one active run
+    times = [1.0, 1.25, 1.5, 2.0, 4.0]
+    params = PsmParams(180.0, 80.0, 5.0, beacon_interval=0.1, idle_timeout=idle)
+    assert segments(psm_drive(times, params)) == segments(oracle_psm_drive(times, params))
+
+
+@pytest.mark.parametrize("wake", [0.0, 1e-11, 8e-11, 0.1 - 1e-10])
+def test_psm_drive_matches_where_beacon_wakes_round_away(wake):
+    # around 2**20 s a float step is 1.16e-10 below and 2.33e-10 above, so
+    # t + 8e-11 is t only past 2**20, t + 1e-11 is t on both sides, and a
+    # wake of 0.1 - 1e-10 often ends where the beacon does, leaving no sleep
+    start = 2.0 ** 20 - 3.0
+    times = [start, start + 0.05, start + 2.5, start + 6.0]
+    params = PsmParams(180.0, 80.0, 5.0, beacon_interval=0.1, beacon_wake=wake)
+    for t_end in (None, start + 7.05 + wake / 2, start + 9.0):
+        expected = segments(oracle_psm_drive(times, params, t_end, start - 1.0))
+        assert segments(psm_drive(times, params, t_end, start - 1.0)) == expected
+
+
 # --- the harvest agrees with the public estimators ----------------------------
 
 
@@ -364,3 +663,22 @@ def test_harvest_agrees_with_the_estimators_on_bundled_traces(grid, fraction):
 @given(timelines(), st.floats(1.0, 1e7))
 def test_harvest_agrees_with_the_estimators_on_random_traces(records, rate):
     assert_harvest_tied_to_estimators(records, rate, 1e6)
+
+
+# --- classifier accuracy across timing jitter ---------------------------------
+
+# least share of the bundled scenarios labelled with their own technique at
+# each jitter level; every level labels all 20 today
+ACCURACY_FLOOR = {0.0: 1.0, 0.1: 0.95, 0.2: 0.95, 0.3: 0.9}
+
+
+@pytest.mark.parametrize("fraction", sorted(ACCURACY_FLOOR))
+def test_classifier_accuracy_across_jitter(grid, fraction):
+    wrong = []
+    for name, report in grid.items():
+        records = jittered(report.records, fraction, random.Random(f"{name}:{fraction}"))
+        sc = report.scenario
+        label = classify(records, sc.video.avg_rate_bps, sc.path.bandwidth_bps).label
+        if label != expected_label(sc.technique):
+            wrong.append(f"{name}: {label}")
+    assert len(grid) - len(wrong) >= ACCURACY_FLOOR[fraction] * len(grid), wrong
