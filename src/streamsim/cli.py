@@ -47,7 +47,14 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     sc = _load(args.scenario)
-    fractions = [float(x) for x in args.fractions.split(",") if x.strip()]
+    fractions = []
+    for item in args.fractions.split(","):
+        if not item.strip():
+            continue
+        try:
+            fractions.append(float(item))
+        except ValueError:
+            raise ScenarioError(f"--fractions: {item.strip()!r} is not a number") from None
     if not fractions:
         raise ScenarioError("no watched fractions given")
     reports = sweep_watched_fraction(sc, fractions)

@@ -8,6 +8,7 @@ trace should match the technique that generated it.
 
 import csv
 import io
+from copy import deepcopy
 from dataclasses import dataclass
 
 from .analysis import ClassificationResult, classify
@@ -60,8 +61,14 @@ def build_session(scenario, **overrides):
 def run_scenario(scenario, out_dir=None):
     session = build_session(scenario)
     metrics = session.run()
-    records = session.transport.records
+    report = _report(scenario, metrics, session.transport.records)
+    if out_dir is not None:
+        write_artifacts(report, out_dir)
+    return report
 
+
+def _report(scenario, metrics, records):
+    """The radio drive, energy and classification of one finished watch."""
     if scenario.radio_kind == RRC_3G:
         segments = rrc_drive(records, scenario.rrc, t_end=metrics.end_t, t_start=0.0)
         currents = scenario.rrc.currents()
@@ -73,23 +80,41 @@ def run_scenario(scenario, out_dir=None):
     energy = make_energy_report(integrate(segments, currents), scenario.playback_current_ma)
 
     label = classify(records, scenario.video.avg_rate_bps, scenario.path.bandwidth_bps)
-    report = RunReport(scenario, metrics, records, segments, energy, label)
-    if out_dir is not None:
-        write_artifacts(report, out_dir)
-    return report
+    return RunReport(scenario, metrics, records, segments, energy, label)
 
 
 def sweep_watched_fraction(scenario, fractions):
-    """One independent run per abandonment point, identical seed throughout.
+    """One report per abandonment point, in the order given, all from one session.
 
-    Watching fraction f and walking away is simulated as a fresh session
-    truncated at f of the clip; up to the cutoff its delivery is identical
-    to the full watch, so the runs are directly comparable.
+    Watching fraction f and walking away delivers, up to the tick on which
+    the playhead reaches f of the clip, exactly what a longer watch does.
+    So one session runs to the largest fraction, and every shorter watch
+    ends as a snapshot of it at its own end: the metrics and the timeline
+    up to that tick, and the close record a session truncated at f would
+    emit (StreamingSession._finish).  Each report equals that of a fresh
+    run_scenario at f, identical seed throughout, so the runs are directly
+    comparable.  Each report has its own records list, but the records of
+    the common prefix may be the same PacketRecord objects: nothing in the
+    package mutates a record.
     """
+    fractions = list(fractions)
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ValueError(f"watched fraction {f} outside (0, 1]")
-    return [run_scenario(scenario.with_watched_fraction(f)) for f in fractions]
+    if not fractions:
+        return []
+    session = build_session(scenario, watched_fraction=max(fractions))
+    session._also_watch(fractions)
+    session.run()
+    reports, seen = [], set()
+    for f in fractions:
+        metrics, records = session._ended_watches[f]
+        if f in seen:
+            # a repeated fraction gets outputs of its own, as a fresh run would
+            metrics, records = deepcopy(metrics), list(records)
+        seen.add(f)
+        reports.append(_report(scenario.with_watched_fraction(f), metrics, records))
+    return reports
 
 
 def audit(report):

@@ -68,6 +68,18 @@ a full store) are tested on the stretch's first tick before any bisection,
 and once false they stay false.  Buffer samples inside a stretch are taken
 by tick index.
 
+One session may end several watches of the same clip: its own, which is
+the longest, and shorter ones added with _also_watch (the harness runs a
+whole abandonment sweep as one session this way).  The pending watch ends
+are kept in order, and watched_end is the next one, so spans stop before
+the tick that reaches it as they stop before the end of a single watch.
+That full tick works out what a session watching just that far would do
+(_finish): its last step, clipped at the end, and its metrics and close
+record, from copies that leave this session's state, timeline and jitter
+draws as they are.  The tick then goes on to the next watch end.  Up to
+its end a shorter watch delivers exactly what a longer one does, so each
+snapshot is the outcome of a session of its own.
+
 Byte accounting is exact: every received byte is classified as consumed,
 still buffered, or wasted, and the identity is asserted after every full
 tick and at the end of every span.
@@ -76,11 +88,11 @@ tick and at the end of every span.
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, repeat
 
 from .kernel import Kernel
-from .transport import DATA, DOWN, ZERO_WINDOW, Transport, paced
+from .transport import CLOSE_KINDS, DATA, DOWN, UP, ZERO_WINDOW, Transport, paced
 
 ENCODING_RATE = "ENCODING_RATE"
 THROTTLE = "THROTTLE"
@@ -337,7 +349,12 @@ class StreamingSession:
         # buffer samples fall on every n-th tick, counted, not on float time
         self._sample_every = max(1, round(sample_interval / tick_s))
         self.strict = strict_accounting
+        # watch ends still to come, as fractions with the next one last; the
+        # session's own is the largest and ends the run (_also_watch)
+        self._pending = [watched_fraction]
         self.watched_end = watched_fraction * video.duration_s
+        # fraction -> (SessionMetrics, records) of every watch that has ended
+        self._ended_watches = {}
         self.max_sim_time = max_sim_time or (3.0 * video.duration_s + 900.0)
 
         self.phase = FAST_START
@@ -367,6 +384,15 @@ class StreamingSession:
             # the store is full once free space is under one tick of playback:
             # capped delivery refills what playback drains and never gets closer
             self._store_slack = int(max(video.schedule) * tick_s) + 2
+            # a store that reopens within the slack still counts as full, and
+            # the client resets the new connection before a byte arrives
+            headroom = self._reopen_headroom()
+            if headroom <= self._store_slack:
+                raise ValueError(
+                    "reopen headroom of %d B must exceed the store slack of %d B "
+                    "(one tick of the clip's highest rate plus 2 B)"
+                    % (headroom, self._store_slack)
+                )
             if technique.kind != DASH and min(self.fast_start_target, video.total_bytes) > cap:
                 raise ValueError(
                     "fast start needs %d B buffered before playback begins, but "
@@ -375,6 +401,21 @@ class StreamingSession:
                 )
 
     # -- lifecycle ---------------------------------------------------------
+
+    def _also_watch(self, fractions):
+        """End a watch at each of these fractions too, as a snapshot of this run.
+
+        Up to the tick on which its playhead reaches its end, a shorter watch
+        delivers what this one does; there it finishes as a session that
+        watches only that far would (_finish), and this run goes on.  Call
+        before run(); a fraction above the session's own is rejected.
+        """
+        own = self._pending[0]
+        for f in fractions:
+            if not 0.0 < f <= own:
+                raise ValueError("watched fraction %r outside (0, %r]" % (f, own))
+        self._pending = sorted({own, *fractions}, reverse=True)
+        self.watched_end = self._pending[-1] * self.video.duration_s
 
     def run(self):
         self._start()
@@ -458,10 +499,10 @@ class StreamingSession:
         other tick one at a time (_flow).  The first tick that could do more
         is left to the kernel: one whose delivery is cut by the queue or the
         store limit or blocked on a zero window, that finishes a DASH segment
-        or the fast start, runs playback dry or ends a stall or the watch, on
-        which the client acts, or the bursty server's next burst.  So is the
-        tick at the horizon: the kernel runs it and never runs the ones after
-        it.
+        or the fast start, runs playback dry, ends a stall or reaches the
+        next watch end, on which the client acts, or the bursty server's
+        next burst.  So is the tick at the horizon: the kernel runs it and
+        never runs the ones after it.
         """
         dt = self.tick_s
         stop_t = min(self._next_burst(), self.max_sim_time)
@@ -502,11 +543,8 @@ class StreamingSession:
         stops.  Two rules stop fewer ticks as the playhead grows: a burst's
         high watermark and a full store.  The first tick is tested on its
         own, so bisection runs only once both are false, and they stay false
-        for every tick after it.  (A full tick that reopens a capped store
-        may leave it full: with a reopen headroom under the store slack, the
-        store counts as full again on the very next tick.)  The tick that
-        stops, or the one after a stretch cut at _STRETCH ticks, is left to
-        the caller.
+        for every tick after it.  The tick that stops, or the one after a
+        stretch cut at _STRETCH ticks, is left to the caller.
         """
         dt = self.tick_s
         moving = self.playing and not self.stalled
@@ -809,23 +847,28 @@ class StreamingSession:
             return
         now = self.kernel.now
         avail_media = self._delivered_media() - self.playhead
-        step = min(dt, self.watched_end - self.playhead)
         if self.stalled:
             if avail_media <= 1e-9:
                 return
             self.stalled = False
             self.metrics.stalls[-1].end = now
-        if _runs_dry(avail_media, step):
-            # ran dry mid-tick: advance what we can, then freeze
-            self.playhead += max(0.0, avail_media)
-            self._sync_consumed()
-            self.stalled = True
-            self.metrics.stalls.append(Stall(start=now))
-            return
+        while True:
+            # a watch that ends within the tick plays a clipped step; a
+            # longer one goes on with its own step once that watch has ended
+            step = min(dt, self.watched_end - self.playhead)
+            if _runs_dry(avail_media, step):
+                # ran dry mid-tick: advance what we can, then freeze
+                self.playhead += max(0.0, avail_media)
+                self._sync_consumed()
+                self.stalled = True
+                self.metrics.stalls.append(Stall(start=now))
+                return
+            if not self._watch_done(self.playhead + step):
+                break
+            if self._finish(step):
+                return
         self.playhead += step
         self._sync_consumed()
-        if self._watch_done(self.playhead):
-            self._finalize()
 
     def _watch_done(self, playhead):
         return playhead >= self.watched_end - 1e-12
@@ -886,9 +929,14 @@ class StreamingSession:
 
     def _store_reopens(self, buffered):
         """Capped store: the closed connection reopens once this much has drained."""
+        return (
+            self.media_pos < self.video.total_bytes
+            and buffered <= self.technique.buffer_cap - self._reopen_headroom()
+        )
+
+    def _reopen_headroom(self):
         t = self.technique
-        headroom = t.reopen_headroom or max(1, t.buffer_cap // 32)
-        return self.media_pos < self.video.total_bytes and buffered <= t.buffer_cap - headroom
+        return t.reopen_headroom or max(1, t.buffer_cap // 32)
 
     def _reconnect_range(self):
         """New connection re-requesting from the start of the current key frame."""
@@ -1059,30 +1107,62 @@ class StreamingSession:
 
     # -- wrap-up -----------------------------------------------------------
 
-    def _finalize(self):
+    def _finish(self, step):
+        """End the watch at watched_end with a last playback step of `step`.
+
+        Its metrics and its close are those of a session that watches just
+        that far.  The last watch end finishes this session.  An earlier one
+        leaves the session as it is: it keeps copies of the metrics and of
+        the timeline, with a close record whose jitter is drawn from a copy
+        of the transport's state, and the session goes on to the next watch
+        end.  Returns whether the session is done.
+        """
         now = self.kernel.now
-        self.phase = DRAINED
-        self.playing = False
+        fraction = self._pending.pop()
+        done = not self._pending
+        playhead = self.playhead + step
+        consumed = self._consumed_at(playhead, self.media_pos)
         if self.technique.kind == DASH:
-            leftover = self.received - self.consumed - self.wasted
+            leftover = self.received - consumed - self.wasted
         else:
-            leftover = self.media_pos - self.consumed
-        self.wasted += max(0.0, leftover)
-        if self._conn_open():
-            mode = "FIN" if self.watched_end >= self.video.duration_s - 1e-9 else "RST"
-            self.conn.close(mode)
+            leftover = self.media_pos - consumed
+        wasted = self.wasted + max(0.0, leftover)
+        mode = "FIN" if self.watched_end >= self.video.duration_s - 1e-9 else "RST"
         m = self.metrics
+        if done:
+            self.phase = DRAINED
+            self.playing = False
+            self.playhead, self.consumed, self.wasted = playhead, consumed, wasted
+            if self._conn_open():
+                self.conn.close(mode)
+            records = self.transport.records
+        else:
+            m = replace(
+                m,
+                stalls=[replace(s) for s in m.stalls],
+                connection_bytes=dict(m.connection_bytes),
+                buffer_series=list(m.buffer_series),
+                dash_quality_history=list(m.dash_quality_history),
+            )
+            records = list(self.transport.records)
+            if self._conn_open():
+                records.append(
+                    self.transport.detached(now, UP, 0, CLOSE_KINDS[mode], self.conn.id)
+                )
+            self.watched_end = self._pending[-1] * self.video.duration_s
         m.duration_s = now
         m.end_t = now
-        m.watched_s = self.playhead
+        m.watched_s = playhead
         m.received_total = self.received
-        m.consumed_bytes = self.consumed
-        m.wasted_bytes = self.wasted
+        m.consumed_bytes = consumed
+        m.wasted_bytes = wasted
         m.delivery_end_t = self._last_data_t
         m.stall_total_s = sum(
             (s.end if s.end is not None else now) - s.start for s in m.stalls
         )
         m.buffer_series.append((now, 0.0, 0.0))
+        self._ended_watches[fraction] = (m, records)
+        return done
 
     def _sample(self, ticks, t, playhead, consumed, delivered):
         """Buffer sample of tick `ticks`, which ends at t.

@@ -27,6 +27,7 @@ OPEN = "OPEN"
 CLOSE_FIN = "CLOSE_FIN"
 CLOSE_RST = "CLOSE_RST"
 REQUEST = "REQUEST"
+CLOSE_KINDS = {"RST": CLOSE_RST, "FIN": CLOSE_FIN}
 
 STATE_OPEN = "OPEN"
 STATE_CLOSED = "CLOSED"
@@ -110,6 +111,16 @@ class Transport:
     def emit(self, time, direction, payload, kind, conn_id):
         self.emit_run(direction, kind, conn_id, (time,), (payload,))
         return self.records[-1]
+
+    def detached(self, time, direction, payload, kind, conn_id):
+        """The record emit() would append, with the timeline and the jitter
+        state left as they were: its jitter comes from a copy of the state."""
+        state, nominal, last = self._rng.getstate(), self._last_nominal, self._last_emit
+        record = self.emit(time, direction, payload, kind, conn_id)
+        self.records.pop()
+        self._rng.setstate(state)
+        self._last_nominal, self._last_emit = nominal, last
+        return record
 
     def emit_run(self, direction, kind, conn_id, times, payloads):
         """emit() each (time, payload) pair in turn, with the same jitter draws."""
@@ -314,14 +325,13 @@ class Connection:
         """Tear down; undelivered server bytes are dropped.  Idempotent it is not."""
         if self.state == STATE_CLOSED:
             raise ValueError("connection %d closed twice" % self.id)
-        if mode not in ("RST", "FIN"):
+        if mode not in CLOSE_KINDS:
             raise ValueError("close mode must be RST or FIN")
         self.state = STATE_CLOSED
         self.close_mode = mode
         self.send_queue = 0
         self._next_probe = None
-        kind = CLOSE_RST if mode == "RST" else CLOSE_FIN
-        return self.transport.emit(self.transport.kernel.now, UP, 0, kind, self.id)
+        return self.transport.emit(self.transport.kernel.now, UP, 0, CLOSE_KINDS[mode], self.id)
 
 
 def check_time_order(times):

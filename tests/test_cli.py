@@ -93,6 +93,11 @@ def test_sweep_rejects_bad_fraction_lists(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_names_a_fraction_that_is_not_a_number(tmp_path, capsys):
+    assert main(["sweep", str(mini_scenario(tmp_path)), "--fractions", "0.1,abc"]) == 1
+    assert capsys.readouterr().err == "error: --fractions: 'abc' is not a number\n"
+
+
 def test_analyze_recovers_the_technique_from_a_trace(tmp_path, capsys):
     assert main(["run", str(mini_scenario(tmp_path)), "--out", str(tmp_path)]) == 0
     capsys.readouterr()

@@ -1,5 +1,6 @@
 import random
 import statistics
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -397,6 +398,7 @@ def test_quiet_spans_change_no_output(monkeypatch):
 def random_sessions(draw):
     kind = draw(st.sampled_from([ENCODING_RATE, THROTTLE, ON_OFF, FAST_CACHING, DASH]))
     fast_start_s = draw(st.sampled_from([0.0, 1.0, 2.0]))
+    tight_headroom = False
     if kind == THROTTLE:
         factor = draw(st.sampled_from([1.25, 2.0, 8.0]))
         shape = draw(st.sampled_from(["steady", "bursty", "capped"]))
@@ -405,8 +407,8 @@ def random_sessions(draw):
             burst_size=draw(st.sampled_from([8_000, 65_536])) if shape == "bursty" else None,
             buffer_cap=draw(st.sampled_from([300_000, 600_000])) if shape == "capped" else None,
             keyframe_waste=draw(st.booleans()),
-            reopen_headroom=draw(st.sampled_from([None, 1])) if shape == "capped" else None,
         )
+        tight_headroom = shape == "capped" and draw(st.booleans())
     elif kind == ON_OFF:
         low = draw(st.sampled_from([0.0, 1.0, 3.0]))
         technique = TechniqueSpec(
@@ -449,6 +451,11 @@ def random_sessions(draw):
         # a fast start the store cannot hold is rejected up front (see
         # test_fast_start_larger_than_the_store_cap_is_rejected)
         assume(video.cum_bytes(fast_start_s) <= technique.buffer_cap)
+        if tight_headroom:
+            # the smallest headroom a session accepts: one byte over the
+            # store slack (see test_reopen_headroom_within_the_store_slack_is_rejected)
+            slack = int(max(video.schedule) * kw["tick_s"]) + 2
+            technique = replace(technique, reopen_headroom=slack + 1)
     return video, technique, path, kw
 
 
@@ -533,6 +540,27 @@ def test_fast_start_larger_than_the_store_cap_is_rejected():
                           buffer_cap=200_000),
             PATH,
         )
+
+
+def test_reopen_headroom_within_the_store_slack_is_rejected():
+    # a store that reopens within one tick of playback of being full still
+    # counts as full: the client would reset each new connection at once.
+    # One 10 ms tick of a 500 kb/s clip is 625 B, so the slack is 627 B.
+    video = VideoSpec.constant(60, 500_000)
+    for headroom in (1, 627):
+        with pytest.raises(ValueError, match="headroom of %d B .* store slack of 627 B" % headroom):
+            StreamingSession(
+                video,
+                TechniqueSpec(THROTTLE, fast_start_s=2.0, throttle_factor=2.0,
+                              buffer_cap=300_000, reopen_headroom=headroom),
+                PATH,
+            )
+    StreamingSession(
+        video,
+        TechniqueSpec(THROTTLE, fast_start_s=2.0, throttle_factor=2.0,
+                      buffer_cap=300_000, reopen_headroom=628),
+        PATH,
+    )
 
 
 def test_deadlock_guard_trips_when_nothing_moves():
