@@ -27,11 +27,13 @@ from .harness import (
 )
 from .kernel import Kernel
 from .radio import (
+    BeaconTrain,
     EnergyReport,
     PsmParams,
     RrcParams,
     StateSegment,
     clip_segments,
+    expand_segments,
     integrate,
     psm_drive,
     rrc_drive,
@@ -51,6 +53,7 @@ from .transport import PacketRecord, PathSpec, Transport, read_timeline_csv, wri
 __version__ = "0.1.0"
 
 __all__ = [
+    "BeaconTrain",
     "Burst",
     "ClassificationResult",
     "DeadlockError",
@@ -78,6 +81,7 @@ __all__ = [
     "estimate_buffer",
     "estimate_fast_start",
     "estimate_throttle_factor",
+    "expand_segments",
     "expected_label",
     "find_rate_knee",
     "group_bursts",

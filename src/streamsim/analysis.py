@@ -16,6 +16,7 @@ from operator import itemgetter
 
 from .transport import (
     DATA,
+    OUT_OF_ORDER,
     REQUEST,
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
@@ -69,18 +70,33 @@ class FastStartEstimate:
 
 
 def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
-    """Maximal runs of DATA records with inter-packet gaps below gap_s."""
+    """Maximal runs of DATA records with inter-packet gaps below gap_s.
+
+    Raises ValueError if any record, control records too, sits more than
+    1e-12 s before the one ahead of it (check_time_order()'s rule).
+    """
     bursts = []
+    start = None
+    end = last = float("-inf")  # no record is within gap_s of -inf
+    nbytes = packets = 0
     for r in records:
+        t = r.time
+        if t < last and t < last - 1e-12:
+            raise ValueError(OUT_OF_ORDER)
+        last = t
         if r.kind != DATA:
             continue
-        if bursts and r.time - bursts[-1].end < gap_s:
-            b = bursts[-1]
-            b.end = r.time
-            b.nbytes += r.payload
-            b.packets += 1
+        if t - end < gap_s:
+            end = t
+            nbytes += r.payload
+            packets += 1
         else:
-            bursts.append(Burst(r.time, r.time, r.payload, 1))
+            if start is not None:
+                bursts.append(Burst(start, end, nbytes, packets))
+            start = end = t
+            nbytes, packets = r.payload, 1
+    if start is not None:
+        bursts.append(Burst(start, end, nbytes, packets))
     return bursts
 
 
@@ -270,6 +286,9 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     the received bytes is a cursor walking the clip's cumulative-bytes table,
     and cum_bytes() of the playhead changes only when the playhead moves.  Both
     use VideoSpec's own float expressions.  Payloads are non-negative.
+
+    Raises ValueError if any record, control records too, sits more than
+    1e-12 s before the one ahead of it (check_time_order()'s rule).
     """
     from .session import VideoSpec
 
@@ -283,10 +302,14 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     playhead = 0.0
     consumed = 0.0  # video.cum_bytes(playhead)
     wall = start_of_playback
+    last = float("-inf")
     for r in records:
+        t = r.time
+        if t < last and t < last - 1e-12:
+            raise ValueError(OUT_OF_ORDER)
+        last = t
         if r.kind != DATA:
             continue
-        t = r.time
         if t > wall:
             if media > playhead:  # the playhead advances by min(dt, avail)
                 dt, avail = t - wall, media - playhead

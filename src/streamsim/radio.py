@@ -11,7 +11,19 @@ every beacon interval to check the traffic indication map.  In CAM
 (constantly-awake) mode it never sleeps.  Current draws differ per device and
 must be supplied by the caller; there are deliberately no defaults.
 
-Charge integrates as dwell x current per state, in mA*s.
+A long sleep is mostly whole beacons, an ACTIVE wake and a SLEEP each.
+psm_drive() returns each run of them as one BeaconTrain segment, labelled
+BEACONS, that stands for the ACTIVE and SLEEP segments it replaces; the last
+whole beacon of a run and every other beacon stay plain StateSegments.
+expand_segments() turns a train back into those segments, with the same
+floats, and clip_segments() and write_radio_csv() expand, so a .radio.csv is
+the same per-beacon file.  BEACONS has no current in currents(): code that
+prices segments by their state must expand them first or fail.
+
+Charge integrates as dwell x current per state, in mA*s.  integrate() prices
+a train beacon by beacon with the float operations, in the order, that it
+would apply to the expanded segments, so the dwell and charge are the same
+to the last bit.
 """
 
 import csv
@@ -27,6 +39,7 @@ IDLE = "IDLE"
 ACTIVE = "ACTIVE"
 PSM_IDLE = "PSM_IDLE"
 SLEEP = "SLEEP"
+BEACONS = "BEACONS"  # a BeaconTrain's label: ACTIVE and SLEEP by turns
 
 
 @dataclass
@@ -92,6 +105,40 @@ class StateSegment:
     state: str
     start: float
     end: float
+
+
+@dataclass(slots=True)
+class BeaconTrain:
+    """`count` whole power-save beacons in a row from `start` to `end`.
+
+    Each beacon is an ACTIVE wake from its start t to t + wake, then SLEEP
+    until the next beacon starts at t + interval.  The starts are the running
+    sums start, start + interval, (start + interval) + interval, ... that
+    psm_drive() steps through, and `end` is the sum after the last beacon.
+    """
+
+    start: float
+    end: float
+    count: int
+    interval: float
+    wake: float
+    state = BEACONS  # a class attribute, not a field
+
+
+def expand_segments(segments):
+    """The segments with each BeaconTrain replaced by its ACTIVE and SLEEP
+    StateSegments, one pair per beacon; other segments pass as they are."""
+    for seg in segments:
+        if not isinstance(seg, BeaconTrain):
+            yield seg
+            continue
+        wake, interval = seg.wake, seg.interval
+        t = seg.start
+        for _ in range(seg.count):
+            wake_end, nxt = t + wake, t + interval
+            yield StateSegment(ACTIVE, t, wake_end)
+            yield StateSegment(SLEEP, wake_end, nxt)
+            t = nxt
 
 
 @dataclass
@@ -209,7 +256,8 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
     Packets closer together than idle_timeout merge into one ACTIVE span;
     each span is followed by idle_timeout of awake-idle, then sleep with a
     short ACTIVE beacon wake at every beacon interval.  With cam_mode the
-    radio never sleeps (idle instead).
+    radio never sleeps (idle instead).  Runs of whole beacons come back as
+    BeaconTrain segments; expand_segments() gives the per-beacon list.
     """
     params.validate()
     until = float("inf") if t_end is None else t_end
@@ -238,22 +286,34 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
         # Beacon wakes pinned to the start of the sleep period.  A whole
         # beacon (it ends before b) whose wake and sleep both have length and
         # that follows a SLEEP segment is one emit() would neither skip nor
-        # merge, so its two segments are appended as they are.  The first
-        # beacon of a span, the last partial one, and any whose wake or sleep
-        # rounds to nothing (beacon_wake = 0, or t + beacon_wake == t late in
-        # a long trace) go through emit().
+        # merge.  A run of them goes into one BeaconTrain, except the last,
+        # whose two segments are appended as they are: the beacon after it
+        # may merge into its SLEEP.  The first beacon of a span, the last
+        # partial one, and any whose wake or sleep rounds to nothing
+        # (beacon_wake = 0, or t + beacon_wake == t late in a long trace) go
+        # through emit().
         t = a
         after_sleep = False
         while t < b:
             wake_end, sleep_end = t + wake, t + interval
             if after_sleep and sleep_end < b and t < wake_end < sleep_end:
-                append(StateSegment(ACTIVE, t, wake_end))
-                append(StateSegment(SLEEP, wake_end, sleep_end))
-            else:
-                wake_end = min(wake_end, b)
-                emit(ACTIVE, t, wake_end)
-                emit(SLEEP, wake_end, min(sleep_end, b))
-                after_sleep = segs[-1].state == SLEEP
+                first, count = t, 0
+                while True:
+                    last, last_wake_end = t, wake_end
+                    t = sleep_end
+                    wake_end, sleep_end = t + wake, t + interval
+                    if not (sleep_end < b and t < wake_end < sleep_end):
+                        break
+                    count += 1
+                if count:
+                    append(BeaconTrain(first, last, count, interval, wake))
+                append(StateSegment(ACTIVE, last, last_wake_end))
+                append(StateSegment(SLEEP, last_wake_end, t))
+                continue
+            wake_end = min(wake_end, b)
+            emit(ACTIVE, t, wake_end)
+            emit(SLEEP, wake_end, min(sleep_end, b))
+            after_sleep = segs[-1].state == SLEEP
             t += interval
 
     # group packets into active runs: (first, last) packet times
@@ -295,7 +355,7 @@ def clip_segments(segments, t_start, t_end):
     if t_end < t_start:
         raise ValueError("clip window ends before it starts")
     out = []
-    for seg in segments:
+    for seg in expand_segments(segments):
         a = max(seg.start, t_start)
         b = min(seg.end, t_end)
         if b > a:
@@ -308,6 +368,9 @@ def integrate(segments, currents):
     dwell = {}
     charge = 0.0
     for seg in segments:
+        if isinstance(seg, BeaconTrain):
+            charge = _price_beacons(seg, currents, dwell, charge)
+            continue
         span = seg.end - seg.start
         if span < 0:
             raise ValueError("segment with negative span")
@@ -319,6 +382,30 @@ def integrate(segments, currents):
     duration = sum(dwell.values())
     avg = charge / duration if duration > 0 else 0.0
     return EnergyBreakdown(duration, dwell, charge, avg)
+
+
+def _price_beacons(train, currents, dwell, charge):
+    """integrate()'s loop over a train's expanded segments, with the sums in
+    locals: the same float operations in the same order.  Updates `dwell` and
+    returns the charge."""
+    for state in (ACTIVE, SLEEP):
+        if state not in currents:
+            raise ValueError("no current configured for state %r" % state)
+    current_wake, current_sleep = currents[ACTIVE], currents[SLEEP]
+    wake, interval = train.wake, train.interval
+    dwell_wake, dwell_sleep = dwell.get(ACTIVE, 0.0), dwell.get(SLEEP, 0.0)
+    t = train.start
+    for _ in range(train.count):
+        wake_end, nxt = t + wake, t + interval
+        span = wake_end - t
+        dwell_wake += span
+        charge += span * current_wake
+        span = nxt - wake_end
+        dwell_sleep += span
+        charge += span * current_sleep
+        t = nxt
+    dwell[ACTIVE], dwell[SLEEP] = dwell_wake, dwell_sleep
+    return charge
 
 
 def streaming_current(avg_total_mA, playback_mA):
@@ -346,5 +433,5 @@ def write_radio_csv(segments, path):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["state", "start_s", "end_s"])
-        for seg in segments:
+        for seg in expand_segments(segments):
             w.writerow([seg.state, "%.6f" % seg.start, "%.6f" % seg.end])

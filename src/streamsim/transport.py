@@ -334,6 +334,9 @@ class Connection:
         return self.transport.emit(self.transport.kernel.now, UP, 0, CLOSE_KINDS[mode], self.id)
 
 
+OUT_OF_ORDER = "packet timeline must be sorted by time"
+
+
 def check_time_order(times):
     """Whether a timeline's times never step back; ValueError if one steps
     back by more than 1e-12.  Smaller steps back are float noise and pass
@@ -342,7 +345,7 @@ def check_time_order(times):
     if times == sorted(times):
         return True
     if any(b < a - 1e-12 for a, b in zip(times, times[1:])):
-        raise ValueError("packet timeline must be sorted by time")
+        raise ValueError(OUT_OF_ORDER)
     return False
 
 

@@ -168,8 +168,9 @@ def test_classifier_rejects_a_non_positive_rate(rate, bandwidth, name):
 
 
 # DATA at 100, 0, 104.5 used to index a window list at -50; at 10, 9, 14.5 the
-# record at 9 was binned into the first window
-@pytest.mark.parametrize("times", [(100.0, 0.0, 104.5), (10.0, 9.0, 14.5)])
+# record at 9 was binned into the first window; at 5, 1, 3 group_bursts made
+# Burst(start=5.0, end=1.0) and estimate_buffer a series running backward
+@pytest.mark.parametrize("times", [(100.0, 0.0, 104.5), (10.0, 9.0, 14.5), (5.0, 1.0, 3.0)])
 @pytest.mark.parametrize(
     "estimator",
     [
@@ -179,8 +180,13 @@ def test_classifier_rejects_a_non_positive_rate(rate, bandwidth, name):
         find_rate_knee,
         lambda records: rrc_drive(records, RrcParams()),
         lambda records: psm_drive(records, PSM),
+        group_bursts,
+        lambda records: estimate_buffer(records, [100_000] * 200, 0.0),
     ],
-    ids=["classify", "throttle_factor", "fast_start", "rate_knee", "rrc_drive", "psm_drive"],
+    ids=[
+        "classify", "throttle_factor", "fast_start", "rate_knee", "rrc_drive", "psm_drive",
+        "group_bursts", "estimate_buffer",
+    ],
 )
 def test_estimators_and_radio_reject_the_same_out_of_order_timelines(times, estimator):
     with pytest.raises(ValueError, match="packet timeline must be sorted by time"):
@@ -189,8 +195,26 @@ def test_estimators_and_radio_reject_the_same_out_of_order_timelines(times, esti
 
 def test_a_control_record_out_of_order_is_rejected_too():
     records = [rec(0.0, 1000), rec(5.0, 0, kind=REQUEST), rec(4.0, 1000), rec(10.0, 1000)]
-    for estimator in (find_rate_knee, lambda r: rrc_drive(r, RrcParams())):
+    for estimator in (
+        find_rate_knee,
+        lambda r: rrc_drive(r, RrcParams()),
+        group_bursts,
+        lambda r: estimate_buffer(r, [1000] * 20, 0.0),
+    ):
         with pytest.raises(ValueError, match="sorted by time"):
+            estimator(records)
+
+
+def test_bursts_and_buffer_pass_a_1e12_step_back_and_reject_a_larger_one():
+    # each record within 1e-12 of the one ahead of it, as check_time_order()
+    # asks, though the last of them is 1.8e-12 before the latest time
+    steps = (1.0, 1.0 - 1e-12, 1.0 - 9e-13 - 9e-13)
+    records = [rec(0.0, 1000)] + [rec(t, 1000) for t in steps] + [rec(2.0, 1000)]
+    assert [b.packets for b in group_bursts(records)] == [1, 3, 1]
+    assert len(estimate_buffer(records, [1000] * 20, 0.0)) == 5
+    records[2] = rec(1.0 - 3e-12, 1000)
+    for estimator in (group_bursts, lambda r: estimate_buffer(r, [1000] * 20, 0.0)):
+        with pytest.raises(ValueError, match="packet timeline must be sorted by time"):
             estimator(records)
 
 

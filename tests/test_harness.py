@@ -8,6 +8,7 @@ from streamsim.harness import (
     sweep_watched_fraction,
     write_sweep_csv,
 )
+from streamsim.radio import expand_segments
 from streamsim.scenario import load_builtin
 from streamsim.session import (
     DASH,
@@ -60,7 +61,7 @@ def test_every_bundled_run_is_classified_as_built(grid):
 
 def test_radio_kind_picks_the_matching_state_machine(grid):
     for name, report in grid.items():
-        states = {s.state for s in report.radio_segments}
+        states = {s.state for s in expand_segments(report.radio_segments)}
         if report.scenario.radio_kind == "RRC_3G":
             assert states <= {"DCH", "FACH", "PCH", "IDLE"}, name
         else:

@@ -8,10 +8,12 @@ from streamsim.radio import (
     PCH,
     PSM_IDLE,
     SLEEP,
+    BeaconTrain,
     PsmParams,
     RrcParams,
     StateSegment,
     clip_segments,
+    expand_segments,
     integrate,
     make_energy_report,
     psm_drive,
@@ -135,7 +137,7 @@ def test_rrc_params_validation():
 
 
 def test_psm_empty_timeline_is_sleep_plus_beacon_wakes():
-    segs = psm_drive([], psm(), t_end=10.0)
+    segs = list(expand_segments(psm_drive([], psm(), t_end=10.0)))
     dw = dwell_of(segs)
     # ten seconds of sleep means 100 beacon checks of 2 ms each
     assert dw[ACTIVE] == pytest.approx(0.2, abs=1e-9)
@@ -144,7 +146,7 @@ def test_psm_empty_timeline_is_sleep_plus_beacon_wakes():
 
 
 def test_psm_burst_then_idle_then_sleep():
-    segs = psm_drive([0.0, 0.05, 0.08], psm(), t_end=1.18)
+    segs = list(expand_segments(psm_drive([0.0, 0.05, 0.08], psm(), t_end=1.18)))
     dw = dwell_of(segs)
     assert segs[0].state == ACTIVE and segs[0].end == pytest.approx(0.08)
     assert segs[1].state == PSM_IDLE
@@ -152,6 +154,30 @@ def test_psm_burst_then_idle_then_sleep():
     assert dw[ACTIVE] == pytest.approx(0.08 + 10 * 0.002, abs=1e-9)
     assert dw[SLEEP] == pytest.approx(0.98, abs=1e-9)
     assert sum(dw.values()) == pytest.approx(1.18, abs=1e-9)
+
+
+def test_psm_whole_beacons_of_a_sleep_come_as_one_train():
+    segs = psm_drive([0.0, 0.05, 60.0, 60.05], psm(), t_end=60.15)
+    # ACTIVE and PSM_IDLE, the first beacon, the train, the last whole beacon,
+    # the partial one, then ACTIVE and PSM_IDLE again
+    assert [s.state for s in segs] == [
+        ACTIVE, PSM_IDLE, ACTIVE, SLEEP, "BEACONS", ACTIVE, SLEEP, ACTIVE, SLEEP,
+        ACTIVE, PSM_IDLE,
+    ]
+    train = segs[4]
+    assert isinstance(train, BeaconTrain) and train.count == 596
+    assert (train.start, train.end) == (segs[3].end, segs[5].start)
+    assert train.state not in psm().currents()
+    expanded = list(expand_segments(segs))
+    assert len(expanded) == len(segs) - 1 + 2 * train.count
+    assert integrate(segs, psm().currents()) == integrate(expanded, psm().currents())
+    # a train priced without a current fails as its first beacon would
+    for currents in ({SLEEP: 5.0}, {ACTIVE: 180.0}):
+        with pytest.raises(ValueError) as got:
+            integrate(segs[3:], currents)
+        with pytest.raises(ValueError) as want:
+            integrate(expanded[3:], currents)
+        assert str(got.value) == str(want.value)
 
 
 def test_psm_gaps_under_idle_timeout_merge_into_one_run():
