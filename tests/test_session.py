@@ -1,6 +1,9 @@
+import hashlib
+import json
 import random
 import statistics
-from dataclasses import replace
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,6 +39,7 @@ from streamsim.transport import (
 )
 
 PATH = PathSpec(6_000_000, rtt_s=0.05)
+GOLDEN_SESSIONS = Path(__file__).with_name("golden_sessions.json")
 
 
 def run(video, technique, path=PATH, **kw):
@@ -346,52 +350,83 @@ def play(video, technique, path, kw):
     return error, session.metrics, records
 
 
-def test_quiet_spans_change_no_output(monkeypatch):
-    # reference: every tick its own kernel event; _play_quiet plays every
-    # kind of span (quiet, flow, socket-read, stalled), so this turns off all
-    specs = [
-        TechniqueSpec(ENCODING_RATE, fast_start_s=5.0),
-        TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25),
-        TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25, burst_size=65_536),
-        TechniqueSpec(THROTTLE, fast_start_s=2.0, throttle_factor=1.5, buffer_cap=300_000,
-                      keyframe_waste=True),
-        TechniqueSpec(ON_OFF, fast_start_s=10.0, low_watermark_s=2.0, high_watermark_s=10.0),
-        TechniqueSpec(ON_OFF, fast_start_s=10.0, low_watermark_s=0.0, high_watermark_s=10.0,
-                      connection_mode=PER_BURST),
-        TechniqueSpec(FAST_CACHING, fast_start_s=2.0),
-        TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0),
-    ]
-    configs = [
-        (PATH, {}),
-        (PathSpec(6_000_000, rtt_s=0.3, jitter=0.1),
-         dict(watched_fraction=0.4, recv_capacity=4_000, probe_interval=1.0, seed=7)),
-        (PathSpec(400_000, rtt_s=0.05), {}),  # slower than the clip: stalls
-    ]
+def fixed_cases():
+    """(name, (video, technique, path, kw)) of every fixed case below: each
+    technique on a fast, a jittery and a too-slow path, then still frames,
+    VBR clips and a DASH refetch."""
+    specs = {
+        "encoding_rate": TechniqueSpec(ENCODING_RATE, fast_start_s=5.0),
+        "throttle": TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25),
+        "throttle_bursty": TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25,
+                                         burst_size=65_536),
+        "throttle_capped": TechniqueSpec(THROTTLE, fast_start_s=2.0, throttle_factor=1.5,
+                                         buffer_cap=300_000, keyframe_waste=True),
+        "on_off": TechniqueSpec(ON_OFF, fast_start_s=10.0, low_watermark_s=2.0,
+                                high_watermark_s=10.0),
+        "on_off_per_burst": TechniqueSpec(ON_OFF, fast_start_s=10.0, low_watermark_s=0.0,
+                                          high_watermark_s=10.0, connection_mode=PER_BURST),
+        "fast_caching": TechniqueSpec(FAST_CACHING, fast_start_s=2.0),
+        "dash": TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0),
+    }
+    configs = {
+        "fast": (PATH, {}),
+        "jittery_partial": (PathSpec(6_000_000, rtt_s=0.3, jitter=0.1),
+                            dict(watched_fraction=0.4, recv_capacity=4_000,
+                                 probe_interval=1.0, seed=7)),
+        "slow": (PathSpec(400_000, rtt_s=0.05), {}),  # slower than the clip: stalls
+    }
     video = VideoSpec.constant(45, 500_000, keyframe_spacing=40_000, ladder=LADDER)
-    cases = [(video, spec, path, kw) for spec in specs for path, kw in configs]
+    cases = [
+        (f"{s}@{c}", (video, spec, path, kw))
+        for s, spec in specs.items() for c, (path, kw) in configs.items()
+    ]
     vbr = VideoSpec.vbr(45, 500_000, 0.5, period_s=15.0, ladder=LADDER)
     # still frames: the client reads nothing for a second, then reopens the window
     stills = VideoSpec([62_500] * 10 + [0] * 2 + [62_500] * 20)
+    er = specs["encoding_rate"]
     cases += [
-        (video, specs[0], PathSpec(6_000_000, rtt_s=0.3, jitter=0.3),
-         dict(recv_capacity=4_000, seed=3)),
-        (stills, specs[0], PATH, {}),
-        (vbr, specs[0], PATH, {}),
-        (vbr, specs[4], PATH, {}),
-        (vbr, TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0), PATH, {}),
-        (video, TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0,
-                              dash_refetch_depth=2), PATH, {}),
+        ("encoding_rate@jitter_0.3_4kB", (video, er, PathSpec(6_000_000, rtt_s=0.3, jitter=0.3),
+                                          dict(recv_capacity=4_000, seed=3))),
+        ("encoding_rate@still_frames", (stills, er, PATH, {})),
+        ("encoding_rate@vbr", (vbr, er, PATH, {})),
+        ("on_off@vbr", (vbr, specs["on_off"], PATH, {})),
+        ("dash@vbr", (vbr, TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0), PATH, {})),
+        ("dash_refetch@fast", (video, TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0,
+                                                    dash_refetch_depth=2), PATH, {})),
     ]
+    return cases
+
+
+def test_quiet_spans_change_no_output(monkeypatch):
+    # reference: every tick its own kernel event; _play_quiet plays every
+    # kind of span (quiet, flow, socket-read, stalled), so this turns off all
+    cases = [case for _, case in fixed_cases()]
 
     def outputs():
         return [play(*case) for case in cases]
 
     skipped = outputs()
     assert [error for error, _, _ in skipped] == [None] * len(cases)
-    capped = skipped[3 * len(configs)][1]  # specs[3] on PATH
+    capped = skipped[9][1]  # throttle_capped on the fast path
     assert capped.connection_count > 1 and capped.wasted_bytes > 0  # reconnects, key frames lost
     monkeypatch.setattr(StreamingSession, "_play_quiet", every_tick)
     assert outputs() == skipped
+
+
+def fingerprint(error, metrics, records):
+    """sha256 of a session's error text, metrics and records, as repr()s."""
+    text = repr((error, asdict(metrics), records))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_fixed_sessions_match_their_golden_fingerprints():
+    # A reference taken apart from the every-tick oracle: a change that moves
+    # one record, metric or error text of a fixed case changes a hash here,
+    # and must state its reason in CHANGES.md when it updates the file.
+    golden = json.loads(GOLDEN_SESSIONS.read_text())
+    got = {name: fingerprint(*play(*case)) for name, case in fixed_cases()}
+    assert sorted(golden) == sorted(got)
+    assert [name for name in got if got[name] != golden[name]] == []
 
 
 @st.composite
