@@ -40,14 +40,8 @@ from .radio import (
     streaming_current,
 )
 from .scenario import Scenario, ScenarioError, load_builtin, load_scenario
-from .session import (
-    DeadlockError,
-    QualityLevel,
-    SessionMetrics,
-    StreamingSession,
-    TechniqueSpec,
-    VideoSpec,
-)
+from .media import QualityLevel, VideoSpec
+from .session import DeadlockError, SessionMetrics, StreamingSession, TechniqueSpec
 from .transport import PacketRecord, PathSpec, Transport, read_timeline_csv, write_timeline_csv
 
 __version__ = "0.1.0"

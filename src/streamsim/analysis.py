@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from operator import itemgetter
 
+from .media import VideoSpec
 from .transport import (
     DATA,
     OUT_OF_ORDER,
@@ -290,8 +291,6 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     Raises ValueError if any record, control records too, sits more than
     1e-12 s before the one ahead of it (check_time_order()'s rule).
     """
-    from .session import VideoSpec
-
     video = VideoSpec(encoding_schedule)
     cum, schedule = video._cum, video.schedule
     total, duration = video.total_bytes, float(video.duration_s)

@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 
 from .radio import PsmParams, RrcParams
-from .session import DASH, QualityLevel, TechniqueSpec, VideoSpec
+from .media import QualityLevel, VideoSpec
+from .session import DASH, TechniqueSpec
 from .transport import PathSpec
 
 RRC_3G = "RRC_3G"

@@ -25,64 +25,46 @@ Techniques, named by what the client/server pair actually does on the wire:
 Every session starts with a fast start: unlimited-rate delivery until a
 configured amount of media is buffered, at which point playback begins.
 
-Time moves in fixed ticks (10 ms by default).  Most ticks are played inside
-the kernel event of the full tick before them, with the same float
-operations the full tick makes (transport.paced paces both), so the
-outputs are those of a session that runs every tick as its own event.  Such
-a span plays:
+A session is a transport (transport.py) that moves bytes, a MediaBuffer
+(media.py) that books them, and a policy, which is the technique.  A policy
+writes each client rule once: rule() gives, for the session's state, what
+the client reads once a tick's playback is done, reads(playhead), and when
+it does more, acts(pos, got, ph, used) of the buffer's pos, the media
+seconds delivered, the playhead and the bytes consumed; act() is that more
+(reset or reopen a connection, end or start a burst, request a segment).
 
-  quiet ticks   no byte moves; the playhead advances (ON_OFF pauses, the
-                rest of a watch once the file is in, DASH above its target);
-  flow ticks    the sender moves its whole pacing allowance with queue,
-                window and store room to spare, and the client reads it
-                (throttled delivery, fast starts, ON_OFF bursts, DASH
-                segments);
-  fill ticks    the sender moves just the free receive window, short of its
-                allowance, and advertises a zero window (ENCODING_RATE
-                window refills);
-  zero-byte pacing ticks
-                the sender has window room but paces no byte, as on the tick
-                that ends at or within float error of its resume time;
-  read ticks    ENCODING_RATE reads one tick of media from the socket while
-                the sender waits out the rtt after the window reopened;
-
-and, while no byte arrives, ticks before playback begins and ticks of a
-stall.  A span ends before the first tick that would do more: a delivery
-cut short by the queue or the store limit, a probe, or a tick on which a
-rule acts.  Each rule that ends one is the rule the full tick applies.
+Time moves in fixed ticks (10 ms by default).  A full tick is one kernel
+event: the connection advances, the fast start may end, playback moves, the
+client acts or reads, the server serves.  Most ticks are played inside the
+event of the full tick before them, with the same rule methods and the same
+float operations (transport.paced paces both), so the outputs are those of
+a session that runs every tick as its own event.  Such a span plays ticks
+that move no byte (the playhead advances or not), ticks on which the sender
+moves its whole pacing allowance or just the free receive window (then
+advertising a zero window) or paces zero bytes, and ticks on which the
+client reads.  It ends before the first tick that would do more: a delivery
+cut short by the queue or the store limit, a probe, bytes that end the fast
+start or a DASH download (policy.to_go), or a tick on which acts() holds.
 
 Ticks that move bytes are played one at a time (_flow), with the
-connection's credit, queue and receive buffer in locals.  The connection is
-written back where its window closes or reopens and at the run's end; the
-byte books and the run's DATA records (one Transport.emit_run) before each
-zero-window advertisement, before each buffer sample and at the run's end.
-
-Inside a span, a run of ticks that moves no byte and reads nothing is
-played as one stretch: its clock and playhead are built with
-itertools.accumulate, which makes the same float additions one at a time,
-and the first tick a rule acts on is found by bisection.  That is exact
-because, while no byte moves, every rule is monotone in the playhead: float
-subtraction and addition are monotone and cum_bytes never falls.  The two
-rules that stop fewer ticks as the playhead grows (a burst's high watermark,
-a full store) are tested on the stretch's first tick before any bisection,
-and once false they stay false.  Buffer samples inside a stretch are taken
-by tick index.
+connection and the books in locals, written back where the window closes or
+reopens, before each buffer sample and at the run's end.  A run of ticks
+that moves no byte and reads nothing is played as one stretch (_stretch):
+its clock and playhead are built with itertools.accumulate, which makes the
+same float additions one at a time, and the first tick a rule acts on is
+found by bisection, since while no byte moves every rule is monotone in the
+playhead.
 
 One session may end several watches of the same clip: its own, which is
 the longest, and shorter ones added with _also_watch (the harness runs a
-whole abandonment sweep as one session this way).  The pending watch ends
-are kept in order, and watched_end is the next one, so spans stop before
-the tick that reaches it as they stop before the end of a single watch.
-That full tick works out what a session watching just that far would do
-(_finish): its last step, clipped at the end, and its metrics and close
-record, from copies that leave this session's state, timeline and jitter
-draws as they are.  The tick then goes on to the next watch end.  Up to
-its end a shorter watch delivers exactly what a longer one does, so each
-snapshot is the outcome of a session of its own.
+whole abandonment sweep as one session this way).  The full tick that
+reaches a watch end works out what a session watching just that far would
+do (_finish), from copies that leave this session's state, timeline and
+jitter draws as they are, then goes on to the next watch end.
 
-Byte accounting is exact: every received byte is classified as consumed,
-still buffered, or wasted, and the identity is asserted after every full
-tick and at the end of every span.
+Byte accounting is exact: every received byte is consumed, still
+buffered, or wasted.  The identity is asserted after every full tick and at
+the end of every span.
 """
 
 import math
@@ -92,6 +74,8 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate, repeat
 
 from .kernel import Kernel
+# VideoSpec and QualityLevel are re-exported: they lived here first
+from .media import MediaBuffer, QualityLevel, SegmentBuffer, VideoSpec, dash_pick_quality  # noqa: F401
 from .transport import CLOSE_KINDS, DATA, DOWN, UP, ZERO_WINDOW, Transport, paced
 
 ENCODING_RATE = "ENCODING_RATE"
@@ -125,93 +109,6 @@ def _runs_dry(avail_media, step):
 
 def _drain(playhead):
     return _BIG
-
-
-@dataclass(frozen=True)
-class QualityLevel:
-    bandwidth_bps: float
-    label: str
-    segment_s: float
-
-    def __post_init__(self):
-        if self.bandwidth_bps <= 0 or self.segment_s <= 0:
-            raise ValueError("quality level needs positive bandwidth and segment duration")
-
-
-class VideoSpec:
-    """A clip as a per-second byte schedule plus optional quality ladder."""
-
-    def __init__(self, schedule, keyframe_spacing=0, ladder=None):
-        schedule = [int(b) for b in schedule]
-        if not schedule or any(b < 0 for b in schedule):
-            raise ValueError("schedule must be a non-empty list of non-negative byte counts")
-        self.schedule = schedule
-        self.duration_s = len(schedule)
-        self.total_bytes = sum(schedule)
-        if self.total_bytes <= 0:
-            raise ValueError("video has no bytes")
-        self.avg_rate_bps = 8.0 * self.total_bytes / self.duration_s
-        self.keyframe_spacing = int(keyframe_spacing)
-        self.ladder = list(ladder) if ladder else []
-        # cumulative bytes at whole-second boundaries, C[i] = bytes of media [0, i)
-        cum = [0]
-        for b in schedule:
-            cum.append(cum[-1] + b)
-        self._cum = cum
-
-    @classmethod
-    def constant(cls, duration_s, rate_bps, **kw):
-        duration_s = int(duration_s)
-        total = round(duration_s * rate_bps / 8.0)
-        base = total // duration_s
-        schedule = [base] * duration_s
-        schedule[-1] += total - base * duration_s
-        return cls(schedule, **kw)
-
-    @classmethod
-    def vbr(cls, duration_s, rate_bps, amplitude, period_s=30.0, **kw):
-        """Sinusoidal variable bitrate around rate_bps; amplitude in [0, 1)."""
-        duration_s = int(duration_s)
-        if not 0.0 <= amplitude < 1.0:
-            raise ValueError("vbr amplitude must be in [0, 1)")
-        total = round(duration_s * rate_bps / 8.0)
-        base = total / duration_s
-        schedule = [
-            max(0, round(base * (1.0 + amplitude * math.sin(2.0 * math.pi * i / period_s))))
-            for i in range(duration_s)
-        ]
-        schedule[-1] += total - sum(schedule)  # keep the total exact
-        if schedule[-1] < 0:
-            raise ValueError(
-                "vbr: the last-second correction that keeps the total at %d B came out "
-                "negative by %d B; use a longer clip, whole periods or a smaller amplitude"
-                % (total, -schedule[-1])
-            )
-        return cls(schedule, **kw)
-
-    def cum_bytes(self, t):
-        """Media bytes in [0, t) of media time."""
-        if t <= 0:
-            return 0.0
-        if t >= self.duration_s:
-            return float(self.total_bytes)
-        i = int(t)
-        return self._cum[i] + (t - i) * self.schedule[i]
-
-    def bytes_between(self, t0, t1):
-        return self.cum_bytes(t1) - self.cum_bytes(t0)
-
-    def media_time(self, nbytes):
-        """Inverse of cum_bytes: media seconds covered by the first nbytes."""
-        if nbytes <= 0:
-            return 0.0
-        if nbytes >= self.total_bytes:
-            return float(self.duration_s)
-        i = bisect_right(self._cum, nbytes) - 1
-        rem = nbytes - self._cum[i]
-        if self.schedule[i] == 0:
-            return float(i)
-        return i + rem / self.schedule[i]
 
 
 @dataclass
@@ -260,30 +157,6 @@ class TechniqueSpec:
         return self
 
 
-def dash_pick_quality(ladder, bw_estimate_bps, safety):
-    """Index of the highest level with bandwidth <= safety * estimate.
-
-    Falls back to the lowest-bandwidth level when none qualifies.  The very
-    first request of a session does not come through here; players start on
-    the playlist's default (first) entry.
-    """
-    if not ladder:
-        raise ValueError("empty quality ladder")
-    budget = safety * bw_estimate_bps
-    best = None
-    for i, level in enumerate(ladder):
-        if level.bandwidth_bps <= budget:
-            if best is None or level.bandwidth_bps > ladder[best].bandwidth_bps:
-                best = i
-    if best is not None:
-        return best
-    lowest = 0
-    for i, level in enumerate(ladder):
-        if level.bandwidth_bps < ladder[lowest].bandwidth_bps:
-            lowest = i
-    return lowest
-
-
 @dataclass
 class Stall:
     start: float
@@ -311,6 +184,272 @@ class SessionMetrics:
     @property
     def connection_count(self):
         return len(self.connection_bytes)
+
+
+# -- policies: each technique's client and server rules ----------------------
+
+
+class Policy:
+    """FAST_CACHING, and the rules every progressive technique shares.
+
+    The server sends the whole file at path speed, and in the fast start the
+    client reads all that arrives.  With a store cap the client resets the
+    connection once the store is full, and once it has drained opens a new
+    one that re-requests from the start of the held key frame.
+    """
+
+    buffer = MediaBuffer
+
+    def __init__(self, session):
+        t, video = session.technique, session.video
+        self.technique, self.video, self.tick_s = t, video, session.tick_s
+        if t.buffer_cap is not None:
+            # the store is full once free space is under one tick of playback:
+            # capped delivery refills what playback drains and never gets closer
+            slack = int(max(video.schedule) * session.tick_s) + 2
+            # a store that reopens within the slack still counts as full, and
+            # the client resets the new connection before a byte arrives
+            headroom = t.reopen_headroom or max(1, t.buffer_cap // 32)
+            if headroom <= slack:
+                raise ValueError(
+                    "reopen headroom of %d B must exceed the store slack of %d B "
+                    "(one tick of the clip's highest rate plus 2 B)" % (headroom, slack)
+                )
+            self.full_at = t.buffer_cap - slack
+            self.reopen_at = t.buffer_cap - headroom
+
+    def start(self, session):
+        session._open(self.video.total_bytes)
+
+    def rule(self, session):
+        """(reads, acts) in the session's state: None where the client reads
+        nothing, or never does more than read.  Only a policy's act() closes
+        a connection, so until then the client reads from an open one."""
+        if session.phase == FAST_START:
+            return _drain, None
+        return self.steady_rule(session)
+
+    def steady_rule(self, session):
+        if self.technique.buffer_cap is None:
+            return _drain, None
+        if session._conn_open():
+            return _drain, self.store_full
+        return None, self.store_reopens
+
+    def store_full(self, pos, got, ph, used):
+        """Capped store: the client resets the connection once this holds."""
+        return pos >= self.video.total_bytes or pos - used >= self.full_at
+
+    def store_reopens(self, pos, got, ph, used):
+        """Capped store: the closed connection reopens once this much has drained."""
+        return pos < self.video.total_bytes and pos - used <= self.reopen_at
+
+    def act(self, session):
+        if session._conn_open():
+            session.conn.close("RST")
+            return
+        buf, kf = session.buffer, self.video.keyframe_spacing
+        buf.dup = buf.pos % kf if self.technique.keyframe_waste and kf > 0 else 0
+        session._open(buf.dup + (self.video.total_bytes - buf.pos))
+
+    def to_go(self, session):
+        """Bytes that may arrive before the books change more than pos does."""
+        if session.phase == FAST_START:
+            return session.buffer.ready_at - session.buffer.pos
+        return _BIG
+
+    def on_data(self, session, nbytes, now):
+        """nbytes arrived; the buffer has booked them."""
+
+    def steady(self, session):
+        """The fast start has ended."""
+
+    def next_burst(self, session):
+        """Time the server writes its next burst; inf when it writes no more."""
+        return math.inf
+
+    def serve(self, session):
+        """The server's step on a full tick."""
+
+
+class EncodingRate(Policy):
+    def steady_rule(self, session):
+        return self.reads, None
+
+    def reads(self, playhead):
+        """The client reads the bytes of the next tick of media."""
+        return int(math.ceil(self.video.bytes_between(playhead, playhead + self.tick_s)))
+
+
+class Throttle(Policy):
+    burst_next = None
+    server_left = 0  # undelivered bytes for the bursty server
+
+    def start(self, session):
+        if self.technique.burst_size is None:
+            return super().start(session)
+        # bursty server: only the fast-start chunk is written up front
+        session._open(session.buffer.ready_at)
+        self.server_left = self.video.total_bytes - session.buffer.ready_at
+
+    def steady(self, session):
+        t = self.technique
+        if not session._conn_open():
+            return
+        if t.burst_size is not None:
+            self.burst_next = session.kernel.now
+        else:
+            session.conn.set_rate_cap(t.throttle_factor * self.video.avg_rate_bps)
+
+    def next_burst(self, session):
+        if self.server_left > 0 and session.phase == STEADY and session._conn_open():
+            return self.burst_next
+        return math.inf
+
+    def serve(self, session):
+        now = session.kernel.now
+        if self.next_burst(session) <= now:
+            t = self.technique
+            interval = t.burst_size * 8.0 / (t.throttle_factor * self.video.avg_rate_bps)
+            while self.burst_next <= now and self.server_left > 0:
+                n = min(t.burst_size, self.server_left)
+                session.conn.enqueue(n)
+                self.server_left -= n
+                self.burst_next += interval
+
+
+class OnOff(Policy):
+    reading = True  # the fast start is a burst
+
+    def steady_rule(self, session):
+        if self.reading:
+            return _drain, self.burst_ends
+        return None, self.below_low_watermark
+
+    def burst_ends(self, pos, got, ph, used):
+        """The client stops reading once the file is in or the high watermark reached."""
+        return pos >= self.video.total_bytes or got - ph >= self.technique.high_watermark_s
+
+    def below_low_watermark(self, pos, got, ph, used):
+        """The client resumes reading once buffered media falls this low."""
+        return pos < self.video.total_bytes and got - ph <= self.technique.low_watermark_s
+
+    def act(self, session):
+        self.reading = not self.reading
+        if not self.reading:
+            self.steady(session)
+        elif not session._conn_open():
+            session._open(self.video.total_bytes - session.buffer.pos)
+
+    def steady(self, session):
+        # a burst ends; per burst, so does its connection
+        self.reading = False
+        if self.technique.connection_mode == PER_BURST and session._conn_open():
+            session.conn.close("RST")
+
+
+class Dash(Policy):
+    """Segments requested one at a time while the buffer is short of its target.
+
+    After an upward quality switch the client also re-fetches up to
+    dash_refetch_depth of the newest held segments that have not begun to
+    play, at the new level.  Those bytes are billed at once, with no packet
+    to carry them: a known defect.
+    """
+
+    buffer = SegmentBuffer
+    outstanding = None  # (t_request, level, start, length, nbytes) of the download
+    left = 0            # its bytes still to arrive
+    last_level = None
+    target = math.inf   # media seconds to keep buffered: all of it in the fast start
+
+    def __init__(self, session):
+        v = session.video
+        if not v.ladder:
+            raise ValueError("DASH needs a quality ladder on the video")
+        seg = v.ladder[0].segment_s
+        if any(abs(q.segment_s - seg) > 1e-9 for q in v.ladder):
+            raise ValueError("all ladder levels must share one segment duration")
+        super().__init__(session)
+        self.seg_dur = seg
+        self.n_segments = int(math.ceil(v.duration_s / seg))
+        self.requested = 0
+        self.tputs = deque(maxlen=3)
+
+    def start(self, session):
+        session.conn = session.transport.open(session.recv_capacity, session.probe_interval)
+
+    def rule(self, session):
+        if self.outstanding is not None or self.requested >= self.n_segments:
+            return _drain, None
+        return _drain, self.buffer_short
+
+    def buffer_short(self, pos, got, ph, used):
+        """The client requests the next segment while this holds."""
+        return got - ph < self.target
+
+    def steady(self, session):
+        self.target = self.technique.dash_target_s
+
+    def act(self, session):
+        if self.tputs:
+            est = len(self.tputs) / sum(1.0 / x for x in self.tputs)
+            level = dash_pick_quality(self.video.ladder, est, self.technique.dash_safety)
+        else:
+            level = 0  # playlist default entry before any throughput sample
+        start = self.requested * self.seg_dur
+        length = min(self.seg_dur, self.video.duration_s - start)
+        nbytes = self._nbytes(level, length)
+        session.conn.request()
+        session.conn.enqueue(nbytes)
+        self.outstanding = (session.kernel.now, level, start, length, nbytes)
+        self.left = nbytes
+        self.requested += 1
+        if self.last_level is not None and level > self.last_level:
+            self._refetch(session, level)
+        self.last_level = level
+
+    def _nbytes(self, level, length):
+        return int(round(self.video.ladder[level].bandwidth_bps * length / 8.0))
+
+    def _refetch(self, session, level):
+        """Re-fetch the newest held segments that have not begun to play."""
+        buf = session.buffer
+        segments = buf.segments
+        depth = min(self.technique.dash_refetch_depth, len(segments))
+        for i in range(len(segments) - 1, len(segments) - 1 - depth, -1):
+            start, length, _ = segments[i]
+            if start < session.playhead:
+                break
+            new_bytes = self._nbytes(level, length)
+            buf.received += new_bytes
+            buf.pos += new_bytes
+            if self.technique.dash_replaced_counts_waste:
+                buf.replace(i, new_bytes)
+            else:
+                buf.waste(new_bytes)
+
+    def to_go(self, session):
+        return self.left if self.outstanding is not None else _BIG
+
+    def on_data(self, session, nbytes, now):
+        self.left -= nbytes
+        if self.outstanding is None or self.left > 0:
+            return
+        t_request, level, start, length, total = self.outstanding
+        self.outstanding = None
+        self.tputs.append(total * 8.0 / max(now - t_request, self.tick_s))
+        session.buffer.add(start, length, total)
+        session.metrics.dash_quality_history.append(level)
+
+
+POLICIES = {
+    ENCODING_RATE: EncodingRate,
+    THROTTLE: Throttle,
+    ON_OFF: OnOff,
+    FAST_CACHING: Policy,
+    DASH: Dash,
+}
 
 
 class StreamingSession:
@@ -345,7 +484,6 @@ class StreamingSession:
         self.tick_s = tick_s
         self.recv_capacity = recv_capacity
         self.probe_interval = probe_interval
-        self.sample_interval = sample_interval
         # buffer samples fall on every n-th tick, counted, not on float time
         self._sample_every = max(1, round(sample_interval / tick_s))
         self.strict = strict_accounting
@@ -357,48 +495,16 @@ class StreamingSession:
         self._ended_watches = {}
         self.max_sim_time = max_sim_time or (3.0 * video.duration_s + 900.0)
 
-        self.phase = FAST_START
-        self.playing = False
+        self.phase = FAST_START  # then STEADY while playing, then DRAINED
         self.playhead = 0.0
-        self.received = 0
-        self.media_pos = 0          # useful (non-duplicate) bytes delivered
-        self.consumed = 0.0
-        self.wasted = 0.0
         self.stalled = False
         self.conn = None
-        self.reading = True         # ON_OFF burst state; reading during fast start
-        self._dup_remaining = 0
-        self._burst_next = None
-        self._server_left = 0       # undelivered bytes for the bursty server
         self._ticks = 0             # ticks played, quiet ones included
         self._next_sample = 1       # the tick that takes the next buffer sample
         self._last_data_t = 0.0
         self.metrics = SessionMetrics(kind=technique.kind)
-
-        if technique.kind == DASH:
-            self._dash_init()
-        else:
-            self.fast_start_target = int(round(video.cum_bytes(technique.fast_start_s)))
-        cap = technique.buffer_cap
-        if cap is not None:
-            # the store is full once free space is under one tick of playback:
-            # capped delivery refills what playback drains and never gets closer
-            self._store_slack = int(max(video.schedule) * tick_s) + 2
-            # a store that reopens within the slack still counts as full, and
-            # the client resets the new connection before a byte arrives
-            headroom = self._reopen_headroom()
-            if headroom <= self._store_slack:
-                raise ValueError(
-                    "reopen headroom of %d B must exceed the store slack of %d B "
-                    "(one tick of the clip's highest rate plus 2 B)"
-                    % (headroom, self._store_slack)
-                )
-            if technique.kind != DASH and min(self.fast_start_target, video.total_bytes) > cap:
-                raise ValueError(
-                    "fast start needs %d B buffered before playback begins, but "
-                    "buffer_cap holds at most %d B"
-                    % (min(self.fast_start_target, video.total_bytes), cap)
-                )
+        self.policy = POLICIES[technique.kind](self)
+        self.buffer = self.policy.buffer(video, technique.fast_start_s, technique.buffer_cap)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -418,7 +524,7 @@ class StreamingSession:
         self.watched_end = self._pending[-1] * self.video.duration_s
 
     def run(self):
-        self._start()
+        self.policy.start(self)
         self.kernel.schedule_in(self.tick_s, self._tick)
         self.kernel.run_until(self.max_sim_time)
         if self.phase != DRAINED:
@@ -428,7 +534,7 @@ class StreamingSession:
     def _unfinished_cause(self):
         """Why playback did not finish by the horizon: too slow, or stuck."""
         now = self.kernel.now
-        if not self.playing:
+        if self.phase != STEADY:
             played_t = 0.0
         elif self.stalled:
             played_t = self.metrics.stalls[-1].start
@@ -439,30 +545,16 @@ class StreamingSession:
             cause = "too slow for the horizon, still progressing at t=%.2f" % moved_t
         else:
             cause = "stuck, no media byte or playhead movement since t=%.2f" % moved_t
-        delivered = self.received if self.technique.kind == DASH else self.media_pos
         return "%s: delivered %d of %d B by t=%.1f (phase=%s playhead=%.2f conn=%s)" % (
-            cause, delivered, self.video.total_bytes, now, self.phase, self.playhead,
+            cause, self.buffer.pos, self.video.total_bytes, now, self.phase, self.playhead,
             "open" if self._conn_open() else "closed",
         )
 
-    def _start(self):
-        t = self.technique
-        if t.kind == DASH:
-            self.conn = self.transport.open(self.recv_capacity, self.probe_interval)
-            return
+    def _open(self, nbytes):
+        """Open a connection and ask the server for nbytes on it."""
         self.conn = self.transport.open(self.recv_capacity, self.probe_interval)
-        self._register_conn(self.conn)
-        if t.kind == THROTTLE and t.burst_size is not None:
-            # bursty server: only the fast-start chunk is written up front
-            self.conn.enqueue(min(self.fast_start_target, self.video.total_bytes))
-            self._server_left = self.video.total_bytes - min(
-                self.fast_start_target, self.video.total_bytes
-            )
-        else:
-            self.conn.enqueue(self.video.total_bytes)
-
-    def _register_conn(self, conn):
-        self.metrics.connection_bytes.setdefault(conn.id, 0)
+        self.metrics.connection_bytes.setdefault(self.conn.id, 0)
+        self.conn.enqueue(nbytes)
 
     def _conn_open(self):
         return self.conn is not None and self.conn.state == "OPEN"
@@ -472,23 +564,29 @@ class StreamingSession:
     def _tick(self):
         now = self.kernel.now
         dt = self.tick_s
-        if self.conn is not None:
-            limit = self._delivery_limit(self.media_pos, self.consumed, self._dup_remaining)
-            for rec in self.conn.advance(dt, limit=limit):
-                if rec.kind == DATA:
-                    self._on_data(rec.payload, rec.conn_id, now, self._media_after(rec.payload))
-        if self.phase == FAST_START:
-            self._maybe_finish_fast_start()
+        buf = self.buffer
+        limit = buf.limit(buf.pos, buf.consumed, buf.dup)
+        for rec in self.conn.advance(dt, limit=limit):
+            if rec.kind == DATA:
+                self._on_data(rec.payload, rec.conn_id, now, buf.after(rec.payload))
+        if self.phase == FAST_START and buf.ready():
+            self._steady()
         self._playback(dt)
         if self.phase == DRAINED:
             return
-        self._client_step(dt)
-        self._server_step()
+        # the client acts where acts() says, then reads by the rule it leaves
+        reads, acts = self.policy.rule(self)
+        if acts is not None and acts(buf.pos, buf.delivered(), self.playhead, buf.consumed):
+            self.policy.act(self)
+            reads, _ = self.policy.rule(self)
+        if reads is not None:
+            self.conn.read(reads(self.playhead))
+        self.policy.serve(self)
         self._ticks += 1
         if self._ticks >= self._next_sample:
-            self._sample(self._ticks, now, self.playhead, self.consumed, self._delivered_media())
+            self._sample(self._ticks, now, self.playhead, buf.consumed, buf.delivered())
         if self.strict:
-            self._check_accounting()
+            buf.check()
         self.kernel.schedule(self._play_quiet(now), self._tick)
 
     def _play_quiet(self, now):
@@ -498,17 +596,17 @@ class StreamingSession:
         byte and reads nothing is played as one stretch (_stretch), every
         other tick one at a time (_flow).  The first tick that could do more
         is left to the kernel: one whose delivery is cut by the queue or the
-        store limit or blocked on a zero window, that finishes a DASH segment
-        or the fast start, runs playback dry, ends a stall or reaches the
-        next watch end, on which the client acts, or the bursty server's
-        next burst.  So is the tick at the horizon: the kernel runs it and
-        never runs the ones after it.
+        store limit or blocked on a zero window, that finishes a DASH
+        download or the fast start, runs playback dry, ends a stall or
+        reaches the next watch end, on which the client acts, or the bursty
+        server's next burst.  So is the tick at the horizon: the kernel runs
+        it and never runs the ones after it.
         """
         dt = self.tick_s
-        stop_t = min(self._next_burst(), self.max_sim_time)
+        stop_t = min(self.policy.next_burst(self), self.max_sim_time)
         conn = self.conn
         conn_t = conn.next_action(dt, now)
-        reads, acts = self._client_rule()
+        reads, acts = self.policy.rule(self)
         t = now
         while t + dt < stop_t:
             if t + dt < conn_t and (reads is None or not conn.recv_occupancy):
@@ -520,12 +618,11 @@ class StreamingSession:
             if stopped:
                 break
         if t != now and self.strict:
-            # Inside a span the drift term gains nothing (received and
-            # media_pos plus wasted grow by the same bytes), consumed never
-            # exceeds media_pos, and every delivery stays under the store
-            # limit, so the check at its end implies the check on every tick
-            # inside it.
-            self._check_accounting()
+            # Inside a span the drift term gains nothing (received and pos
+            # plus wasted grow by the same bytes), consumed never exceeds
+            # pos, and every delivery stays under the store limit, so the
+            # check at its end implies the check on every tick inside it.
+            self.buffer.check()
         return t + dt
 
     def _stretch(self, t, bound, acts):
@@ -547,12 +644,12 @@ class StreamingSession:
         stretch cut at _STRETCH ticks, is left to the caller.
         """
         dt = self.tick_s
-        moving = self.playing and not self.stalled
-        capped = self.technique.buffer_cap is not None
-        runs_dry, watch_done = _runs_dry, self._watch_done
+        buf = self.buffer
+        moving = self.phase == STEADY and not self.stalled
+        runs_dry, watch_done, consumed_at = _runs_dry, self._watch_done, buf.consumed_at
         watched_end = self.watched_end
-        media_pos, playhead, consumed = self.media_pos, self.playhead, self.consumed
-        delivered = self._delivered_media()
+        media_pos, playhead, consumed = buf.pos, self.playhead, buf.consumed
+        delivered = buf.delivered()
         ticks = self._ticks
         # build no more ticks than the bound, the delivered media and the
         # watch leave room for, give or take one
@@ -574,15 +671,14 @@ class StreamingSession:
                 ph, ahead = phs[j - 1], phs[j]
                 if runs_dry(delivered - ph, dt) or watch_done(ahead):
                     return True
-                if capped:
-                    used = self._consumed_at(ahead, media_pos)
+                used = consumed_at(ahead, media_pos)
             return acts is not None and acts(media_pos, delivered, ahead, used)
 
         if stops(1):
             return t
         played = bisect_left(range(1, k + 1), True, key=stops)
         # samples by index: a sample tick j leaves the next at j + every
-        consumed_at, sample = self._consumed_at, self._sample
+        sample = self._sample
         for j in range(self._next_sample - ticks, played + 1, self._sample_every):
             if moving:
                 sample(ticks + j, ts[j], phs[j], consumed_at(phs[j], media_pos), delivered)
@@ -595,7 +691,7 @@ class StreamingSession:
         return ts[played]
 
     def _flow(self, t, stop_t, conn_t, reads, acts):
-        """Play the ticks after `t` one at a time, the connection held in locals.
+        """Play the ticks after `t` one at a time, the connection and the books in locals.
 
         A tick played here sends the sender's whole pacing allowance, or the
         free receive window (and advertises it zero, as advance() does), or
@@ -610,34 +706,34 @@ class StreamingSession:
         that needs the kernel; it always plays or stops the first tick.  The
         connection is written back where the window closes or reopens (the
         Connection changes the window state and asks next_action again) and
-        at the run's end; the byte books and the DATA records (_book_run)
-        there, before a zero-window advertisement and before each buffer
-        sample.  Returns (t, conn_t, stopped): the last tick played, the
-        connection's next action, and whether the next tick is the kernel's.
+        at the run's end; the books and the DATA records (_book_run) there,
+        before a zero-window advertisement and before each buffer sample.
+        Returns (t, conn_t, stopped): the last tick played, the connection's
+        next action, and whether the next tick is the kernel's.
         """
         dt = self.tick_s
-        conn, video = self.conn, self.video
-        dash = self.technique.kind == DASH
-        capped = self.technique.buffer_cap is not None
-        moving = self.playing and not self.stalled
+        conn, video, buf = self.conn, self.video, self.buffer
+        capped = buf.cap is not None
+        moving = self.phase == STEADY and not self.stalled
         # Bytes may arrive only while the client reads them and playback is
         # not stalled: a full tick leaves a stall in place only with under
         # 1e-9 s of media to play, and no tick ends it unless bytes arrive.
         flows = reads is not None and not self.stalled
-        # DASH books media per finished segment, and its send queue is the
-        # outstanding segment, so a tick that leaves queue to spare finishes
-        # no segment and the fast start neither
-        starting = self.phase == FAST_START and not dash
+        # a tick whose bytes reach to_go ends the fast start or a DASH
+        # download; below it, segments deliver no media
+        to_go = self.policy.to_go(self)
+        progressive = not buf.segmented
         draining = reads is _drain
         runs_dry, watch_done = _runs_dry, self._watch_done
+        limit_at, consumed_at = buf.limit, buf.consumed_at
         watched_end = self.watched_end
         credit, queue, occ = conn._rate_frac, conn.send_queue, conn.recv_occupancy
         resume, capacity = conn._resume_at, conn.recv_capacity
         byte_rate = conn._rate_bps() / 8.0
         zero = conn.window_state == ZERO_WINDOW
-        media_pos, dup = self.media_pos, self._dup_remaining
-        playhead, consumed = self.playhead, self.consumed
-        delivered = self._delivered_media()
+        media_pos, dup, consumed = buf.pos, buf.dup, buf.consumed
+        playhead = self.playhead
+        delivered = buf.delivered()
         # media_time() of media_pos as a forward cursor, since media_pos
         # never falls: cum[i] <= media_pos < cum[i + 1] while it is under total
         cum, schedule, total = video._cum, video.schedule, video.total_bytes
@@ -659,7 +755,7 @@ class StreamingSession:
                 if queue < room:
                     room = queue
                 if capped:
-                    limit = self._delivery_limit(media_pos, consumed, dup)
+                    limit = limit_at(media_pos, consumed, dup)
                     if limit < room:
                         room = limit
                 n, paced_credit = paced(t_next, dt, resume, byte_rate, credit, queue, room)
@@ -668,18 +764,19 @@ class StreamingSession:
                     if not 0 < n == capacity - occ < queue or (capped and n >= limit):
                         break
                     fills = True
-                if n and not dash:
-                    # as _media_after: the first dup bytes repeat held media
+                if n:
+                    if n >= to_go:
+                        break
+                    # as MediaBuffer.after: the first dup bytes repeat held media
                     d = (n if n < dup else dup) if dup else 0
                     new_pos = media_pos + n - d
-                    if starting and self._fast_start_done(new_pos):
-                        break
-                    if new_pos >= total:
-                        delivered = float(video.duration_s)
-                    elif new_pos != media_pos:
-                        while cum[i + 1] <= new_pos:
-                            i += 1
-                        delivered = i + (new_pos - cum[i]) / schedule[i]
+                    if progressive and new_pos != media_pos:
+                        if new_pos >= total:
+                            delivered = float(video.duration_s)
+                        else:
+                            while cum[i + 1] <= new_pos:
+                                i += 1
+                            delivered = i + (new_pos - cum[i]) / schedule[i]
             ahead = playhead
             if moving:
                 step = watched_end - playhead
@@ -691,7 +788,7 @@ class StreamingSession:
                 if watch_done(ahead):
                     break
                 if capped:
-                    used = self._consumed_at(ahead, new_pos)
+                    used = consumed_at(ahead, new_pos)
             if acts is not None and acts(new_pos, delivered, ahead, used):
                 break
             # the tick plays
@@ -701,11 +798,11 @@ class StreamingSession:
             if n:
                 queue -= n
                 occ += n
+                to_go -= n
                 times.append(t_next)
                 sizes.append(n)
-                if not dash:
-                    dup -= d
-                    media_pos = new_pos
+                dup -= d
+                media_pos = new_pos
             playhead, consumed = ahead, used
             turns = fills  # the window closes or reopens on this tick
             if fills:
@@ -733,7 +830,7 @@ class StreamingSession:
                     self._book_run(times, sizes, media_pos)
                     times, sizes = [], []
                 if moving:
-                    consumed = self._consumed_at(playhead, media_pos)
+                    consumed = consumed_at(playhead, media_pos)
                 self._sample(ticks, t, playhead, consumed, delivered)
                 next_sample = self._next_sample
             if t + dt >= stop_t or t + dt < conn_t and (reads is None or not occ):
@@ -748,105 +845,33 @@ class StreamingSession:
         return t, conn_t, stopped
 
     def _book_run(self, times, sizes, media_pos):
-        """Emit and book the DATA a span sent at `times`; media_pos is the one after them."""
+        """Emit and book the DATA a span sent at `times`; media_pos is the pos after them."""
         conn = self.conn
         self.transport.emit_run(DOWN, DATA, conn.id, times, sizes)
         sent = sum(sizes)
         conn.delivered_total += sent
         self._on_data(sent, conn.id, times[-1], media_pos)
 
-    def _client_rule(self):
-        """What the client does on a tick played inside a span.
-
-        Returns (reads, acts).  reads(playhead) is the most the client reads
-        from the socket once that tick's playback is done, or reads is None
-        when it reads nothing.  acts(pos, got, ph, used) says that the client
-        does more than that read on a tick that ends with media_pos `pos`,
-        `got` media seconds delivered, the playhead at `ph` and `used`
-        consumed bytes; acts is None when the client never does more.
-        """
-        t = self.technique
-        drain = _drain if self._conn_open() else None
-        if t.kind == DASH:
-            if self._outstanding is not None or self._seg_requested >= self._n_segments:
-                return drain, None
-            return drain, lambda pos, got, ph, used: self._dash_buffer_short(got - ph)
-        if self.phase == FAST_START:
-            return drain, None
-        if t.kind == ENCODING_RATE:
-            return self._encoding_read, None
-        if t.kind == ON_OFF:
-            if self.reading:
-                return _drain, lambda pos, got, ph, used: self._burst_ends(pos, got - ph)
-            return None, lambda pos, got, ph, used: self._below_low_watermark(got - ph)
-        # THROTTLE and FAST_CACHING read whatever arrives while connected
-        if t.buffer_cap is None:
-            return drain, None
-        if drain is not None:
-            return drain, lambda pos, got, ph, used: self._store_full(pos, pos - used)
-        return None, lambda pos, got, ph, used: self._store_reopens(pos - used)
-
-    def _delivery_limit(self, media_pos, consumed, dup):
-        """Most a tick may deliver into a capped store; None without a cap."""
-        cap = self.technique.buffer_cap
-        if cap is None:
-            return None
-        free = cap - (media_pos - consumed)
-        return dup + max(0, int(free))
-
     def _on_data(self, nbytes, conn_id, now, media_pos):
-        """Book nbytes that arrived on conn_id by `now`; media_pos is _media_after(nbytes)."""
-        self.received += nbytes
+        """Book nbytes that arrived on conn_id by `now`; media_pos is buffer.after(nbytes)."""
         self.metrics.connection_bytes[conn_id] = (
             self.metrics.connection_bytes.get(conn_id, 0) + nbytes
         )
         self._last_data_t = now
-        if self.technique.kind == DASH:
-            self._dash_on_data(nbytes, now)
-            return
-        dup = min(self._dup_remaining, nbytes)
-        self.media_pos = media_pos
-        if dup:
-            self._dup_remaining -= dup
-            self.wasted += dup
-
-    def _media_after(self, nbytes):
-        """media_pos once nbytes arrive; the first _dup_remaining repeat held media."""
-        return self.media_pos + nbytes - min(self._dup_remaining, nbytes)
-
-    def _maybe_finish_fast_start(self):
-        if self._fast_start_done(self.media_pos):
-            self._steady()
-
-    def _fast_start_done(self, media_pos):
-        """Playback begins once this much media has arrived."""
-        if self.technique.kind == DASH:
-            return self._dash_delivered_media() >= min(
-                self.technique.fast_start_s, self.video.duration_s
-            )
-        return media_pos >= min(self.fast_start_target, self.video.total_bytes)
+        self.buffer.arrive(nbytes, media_pos)
+        self.policy.on_data(self, nbytes, now)
 
     def _steady(self):
-        t = self.technique
         self.phase = STEADY
-        self.playing = True
         self.metrics.fast_start_end_t = self.kernel.now
         self.metrics.startup_s = self.kernel.now
-        self.reading = False
-        if t.kind == THROTTLE and self._conn_open():
-            if t.burst_size is not None:
-                self._burst_next = self.kernel.now
-            else:
-                self.conn.set_rate_cap(t.throttle_factor * self.video.avg_rate_bps)
-        elif t.kind == ON_OFF and t.connection_mode == PER_BURST and self._conn_open():
-            # the initial fill is a burst of its own; one connection per burst
-            self.conn.close("RST")
+        self.policy.steady(self)
 
     def _playback(self, dt):
-        if not self.playing:
+        if self.phase != STEADY:
             return
         now = self.kernel.now
-        avail_media = self._delivered_media() - self.playhead
+        avail_media = self.buffer.delivered() - self.playhead
         if self.stalled:
             if avail_media <= 1e-9:
                 return
@@ -873,237 +898,9 @@ class StreamingSession:
     def _watch_done(self, playhead):
         return playhead >= self.watched_end - 1e-12
 
-    def _delivered_media(self):
-        """Media seconds from the start of the clip that have arrived."""
-        if self.technique.kind == DASH:
-            return self._dash_delivered_media()
-        return self.video.media_time(self.media_pos)
-
     def _sync_consumed(self):
-        self.consumed = self._consumed_at(self.playhead, self.media_pos)
-
-    def _consumed_at(self, playhead, media_pos):
-        if self.technique.kind == DASH:
-            return self._dash_consumed_bytes(playhead)
-        consumed = self.video.cum_bytes(playhead)
-        return consumed if consumed < media_pos else float(media_pos)  # min(), without the call
-
-    def _client_step(self, dt):
-        t = self.technique
-        if t.kind == DASH:
-            self._dash_client()
-            return
-        if self.phase == FAST_START:
-            if self._conn_open():
-                self.conn.read(_BIG)
-            return
-        if t.kind in (THROTTLE, FAST_CACHING):
-            if t.buffer_cap is not None:
-                self._capped_client()
-            if self._conn_open():
-                self.conn.read(_BIG)
-        elif t.kind == ENCODING_RATE:
-            if self._conn_open() or (self.conn and self.conn.recv_occupancy):
-                self.conn.read(self._encoding_read(self.playhead))
-        elif t.kind == ON_OFF:
-            self._on_off_client()
-
-    def _encoding_read(self, playhead):
-        """ENCODING_RATE: the client reads the bytes of the next tick of media."""
-        return int(math.ceil(self.video.bytes_between(playhead, playhead + self.tick_s)))
-
-    def _capped_client(self):
-        buffered = self.media_pos - self.consumed
-        if self._conn_open():
-            if self._store_full(self.media_pos, buffered):
-                self.conn.close("RST")
-        elif self._store_reopens(buffered):
-            self._reconnect_range()
-
-    def _store_full(self, media_pos, buffered):
-        """Capped store: the client resets the connection once this holds."""
-        return (
-            media_pos >= self.video.total_bytes
-            or buffered >= self.technique.buffer_cap - self._store_slack
-        )
-
-    def _store_reopens(self, buffered):
-        """Capped store: the closed connection reopens once this much has drained."""
-        return (
-            self.media_pos < self.video.total_bytes
-            and buffered <= self.technique.buffer_cap - self._reopen_headroom()
-        )
-
-    def _reopen_headroom(self):
-        t = self.technique
-        return t.reopen_headroom or max(1, t.buffer_cap // 32)
-
-    def _reconnect_range(self):
-        """New connection re-requesting from the start of the current key frame."""
-        kf = self.video.keyframe_spacing
-        dup = 0
-        if self.technique.keyframe_waste and kf > 0:
-            dup = self.media_pos - (self.media_pos // kf) * kf
-        self._dup_remaining = dup
-        self.conn = self.transport.open(self.recv_capacity, self.probe_interval)
-        self._register_conn(self.conn)
-        self.conn.enqueue(dup + (self.video.total_bytes - self.media_pos))
-
-    def _on_off_client(self):
-        t = self.technique
-        buffered_media = self.video.media_time(self.media_pos) - self.playhead
-        if self.reading:
-            if self._burst_ends(self.media_pos, buffered_media):
-                self.reading = False
-                if t.connection_mode == PER_BURST and self._conn_open():
-                    self.conn.close("RST")
-            else:
-                self.conn.read(_BIG)
-        elif self._below_low_watermark(buffered_media):
-            self.reading = True
-            if not self._conn_open():
-                self.conn = self.transport.open(self.recv_capacity, self.probe_interval)
-                self._register_conn(self.conn)
-                self.conn.enqueue(self.video.total_bytes - self.media_pos)
-            self.conn.read(_BIG)
-
-    def _burst_ends(self, media_pos, buffered_media):
-        """ON_OFF: the client stops reading once the file is in or the high watermark reached."""
-        return (
-            media_pos >= self.video.total_bytes
-            or buffered_media >= self.technique.high_watermark_s
-        )
-
-    def _below_low_watermark(self, buffered_media):
-        """ON_OFF: the client resumes reading once buffered media falls this low."""
-        return (
-            self.media_pos < self.video.total_bytes
-            and buffered_media <= self.technique.low_watermark_s
-        )
-
-    def _next_burst(self):
-        """Time the bursty server writes its next burst; inf when it writes no more."""
-        t = self.technique
-        if (
-            t.kind == THROTTLE
-            and t.burst_size is not None
-            and self.phase == STEADY
-            and self._server_left > 0
-            and self._conn_open()
-        ):
-            return self._burst_next
-        return math.inf
-
-    def _server_step(self):
-        t = self.technique
-        if self._next_burst() <= self.kernel.now:
-            interval = t.burst_size * 8.0 / (t.throttle_factor * self.video.avg_rate_bps)
-            while self._burst_next <= self.kernel.now and self._server_left > 0:
-                n = min(t.burst_size, self._server_left)
-                self.conn.enqueue(n)
-                self._server_left -= n
-                self._burst_next += interval
-
-    # -- DASH specifics ----------------------------------------------------
-
-    def _dash_init(self):
-        t, v = self.technique, self.video
-        if not v.ladder:
-            raise ValueError("DASH needs a quality ladder on the video")
-        seg = v.ladder[0].segment_s
-        if any(abs(q.segment_s - seg) > 1e-9 for q in v.ladder):
-            raise ValueError("all ladder levels must share one segment duration")
-        self._seg_dur = seg
-        self._n_segments = int(math.ceil(v.duration_s / seg))
-        self._segments = []          # (media_start, media_len, nbytes)
-        self._seg_requested = 0
-        self._outstanding = None     # (bytes_left, total, t_request, level_idx)
-        self._tputs = deque(maxlen=3)
-        self._last_level = None
-
-    def _dash_delivered_media(self):
-        return sum(s[1] for s in self._segments)
-
-    def _dash_consumed_bytes(self, playhead):
-        total = 0.0
-        for start, length, nbytes in self._segments:
-            if playhead >= start + length:
-                total += nbytes
-            elif playhead > start:
-                total += nbytes * (playhead - start) / length
-            else:
-                break
-        return total
-
-    def _dash_on_data(self, nbytes, now):
-        if self._outstanding is None:
-            return
-        left, total, t_req, level = self._outstanding
-        left -= nbytes
-        if left > 0:
-            self._outstanding = (left, total, t_req, level)
-            return
-        elapsed = max(now - t_req, self.tick_s)
-        self._tputs.append(total * 8.0 / elapsed)
-        start = self._seg_requested_media_start
-        length = min(self._seg_dur, self.video.duration_s - start)
-        self._segments.append((start, length, total))
-        self.metrics.dash_quality_history.append(level)
-        self._outstanding = None
-
-    def _dash_client(self):
-        if self._conn_open():
-            self.conn.read(_BIG)
-        if self._outstanding is not None or self._seg_requested >= self._n_segments:
-            return
-        if not self._dash_buffer_short(self._dash_delivered_media() - self.playhead):
-            return
-        if self._tputs:
-            est = len(self._tputs) / sum(1.0 / x for x in self._tputs)
-            level = dash_pick_quality(self.video.ladder, est, self.technique.dash_safety)
-        else:
-            level = 0  # playlist default entry before any throughput sample
-        q = self.video.ladder[level]
-        self._seg_requested_media_start = self._seg_requested * self._seg_dur
-        length = min(self._seg_dur, self.video.duration_s - self._seg_requested_media_start)
-        nbytes = int(round(q.bandwidth_bps * length / 8.0))
-        self.conn.request()
-        self.conn.enqueue(nbytes)
-        self._outstanding = (nbytes, nbytes, self.kernel.now, level)
-        self._seg_requested += 1
-        if (
-            self._last_level is not None
-            and level > self._last_level
-            and self.technique.dash_refetch_depth > 0
-        ):
-            self._dash_refetch(level)
-        self._last_level = level
-
-    def _dash_buffer_short(self, buffered_media):
-        """DASH: the client requests the next segment while this holds."""
-        return self.phase != STEADY or buffered_media < self.technique.dash_target_s
-
-    def _dash_refetch(self, level):
-        """Re-download recent unplayed segments after an upward quality switch."""
-        q = self.video.ladder[level]
-        depth = self.technique.dash_refetch_depth
-        replaced = 0
-        for i in range(len(self._segments) - 1, -1, -1):
-            if replaced >= depth:
-                break
-            start, length, nbytes = self._segments[i]
-            if start < self.playhead:
-                break
-            new_bytes = int(round(q.bandwidth_bps * length / 8.0))
-            if self.technique.dash_replaced_counts_waste:
-                # old copy is surplus; the new one is what gets played
-                self.wasted += nbytes
-                self._segments[i] = (start, length, new_bytes)
-            else:
-                # keep the old copy on the books; the refetch is the surplus
-                self.wasted += new_bytes
-            self.received += new_bytes
-            replaced += 1
+        buf = self.buffer
+        buf.consumed = buf.consumed_at(self.playhead, buf.pos)
 
     # -- wrap-up -----------------------------------------------------------
 
@@ -1118,21 +915,17 @@ class StreamingSession:
         end.  Returns whether the session is done.
         """
         now = self.kernel.now
+        buf = self.buffer
         fraction = self._pending.pop()
         done = not self._pending
         playhead = self.playhead + step
-        consumed = self._consumed_at(playhead, self.media_pos)
-        if self.technique.kind == DASH:
-            leftover = self.received - consumed - self.wasted
-        else:
-            leftover = self.media_pos - consumed
-        wasted = self.wasted + max(0.0, leftover)
+        consumed = buf.consumed_at(playhead, buf.pos)
+        wasted = buf.wasted + max(0.0, buf.held(consumed))
         mode = "FIN" if self.watched_end >= self.video.duration_s - 1e-9 else "RST"
         m = self.metrics
         if done:
             self.phase = DRAINED
-            self.playing = False
-            self.playhead, self.consumed, self.wasted = playhead, consumed, wasted
+            self.playhead, buf.consumed, buf.wasted = playhead, consumed, wasted
             if self._conn_open():
                 self.conn.close(mode)
             records = self.transport.records
@@ -1153,7 +946,7 @@ class StreamingSession:
         m.duration_s = now
         m.end_t = now
         m.watched_s = playhead
-        m.received_total = self.received
+        m.received_total = buf.received
         m.consumed_bytes = consumed
         m.wasted_bytes = wasted
         m.delivery_end_t = self._last_data_t
@@ -1170,23 +963,5 @@ class StreamingSession:
         The playhead, the consumed bytes and the delivered media seconds are
         passed in, since spans hold them in locals; the other books are read.
         """
-        if self.technique.kind == DASH:
-            buf_bytes = self.received - consumed - self.wasted
-        else:
-            buf_bytes = self.media_pos - consumed
-        self.metrics.buffer_series.append((t, buf_bytes, delivered - playhead))
+        self.metrics.buffer_series.append((t, self.buffer.held(consumed), delivered - playhead))
         self._next_sample = ticks + self._sample_every
-
-    def _check_accounting(self):
-        if self.technique.kind == DASH:
-            buffered = self.received - self.consumed - self.wasted
-        else:
-            buffered = self.media_pos - self.consumed
-            drift = self.received - self.media_pos - self.wasted
-            if abs(drift) > 1e-6:
-                raise AssertionError("byte accounting drift: %r" % drift)
-        if buffered < -1e-6:
-            raise AssertionError("negative playback buffer: %r" % buffered)
-        cap = self.technique.buffer_cap
-        if cap is not None and buffered > cap + 1e-6:
-            raise AssertionError("playback store exceeded its cap: %r > %r" % (buffered, cap))

@@ -257,14 +257,16 @@ def test_dash_refetch_replaces_recent_unplayed_segments():
         DASH, fast_start_s=5.0, dash_target_s=20.0, dash_refetch_depth=2
     )
     session = StreamingSession(video, spec, PATH)
-    session._segments = [(0.0, 5.0, 125_000), (5.0, 5.0, 125_000), (10.0, 5.0, 125_000)]
+    buf = session.buffer
+    for start in (0.0, 5.0, 10.0):
+        buf.add(start, 5.0, 125_000)
     session.playhead = 2.5
-    session.received = 375_000
-    session._dash_refetch(2)  # jump to the 800 kbps level
+    buf.received = buf.pos = 375_000
+    session.policy._refetch(session, 2)  # jump to the 800 kbps level
     # two newest unplayed segments re-downloaded, old copies kept on the books
-    assert session.wasted == 2 * 500_000
-    assert session.received == 375_000 + 2 * 500_000
-    assert [n for _, _, n in session._segments] == [125_000] * 3
+    assert buf.wasted == 2 * 500_000
+    assert buf.received == 375_000 + 2 * 500_000
+    assert [n for _, _, n in buf.segments] == [125_000] * 3
 
 
 def test_dash_refetch_can_bill_the_replaced_copies_instead():
@@ -277,12 +279,14 @@ def test_dash_refetch_can_bill_the_replaced_copies_instead():
         dash_replaced_counts_waste=True,
     )
     session = StreamingSession(video, spec, PATH)
-    session._segments = [(0.0, 5.0, 125_000), (5.0, 5.0, 125_000), (10.0, 5.0, 125_000)]
+    buf = session.buffer
+    for start in (0.0, 5.0, 10.0):
+        buf.add(start, 5.0, 125_000)
     session.playhead = 2.5
-    session.received = 375_000
-    session._dash_refetch(2)
-    assert session.wasted == 2 * 125_000
-    assert [n for _, _, n in session._segments] == [125_000, 500_000, 500_000]
+    buf.received = buf.pos = 375_000
+    session.policy._refetch(session, 2)
+    assert buf.wasted == 2 * 125_000
+    assert [n for _, _, n in buf.segments] == [125_000, 500_000, 500_000]
 
 
 def test_dash_pick_quality_takes_highest_affordable_level():
