@@ -8,6 +8,7 @@ trace should match the technique that generated it.
 
 import csv
 import io
+from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .radio import (
 )
 from .scenario import PSM_WIFI, RRC_3G, Scenario
 from .session import ON_OFF, PER_BURST, SessionMetrics, StreamingSession
-from .transport import write_timeline_csv
+from .transport import DATA, write_timeline_csv
 
 
 @dataclass
@@ -124,8 +125,14 @@ def audit(report):
     drift = m.received_total - m.consumed_bytes - m.wasted_bytes
     if abs(drift) > 1e-6:
         problems.append(f"byte conservation off by {drift!r}")
-    if m.received_total != sum(m.connection_bytes.values()):
-        problems.append("per-connection byte tallies do not add up to the total")
+    wire = Counter()
+    for r in report.records:
+        if r.kind == DATA:
+            wire[r.conn_id] += r.payload
+    if m.received_total != wire.total():
+        problems.append("billed bytes differ from the DATA payloads on the wire")
+    if Counter(m.connection_bytes) != wire:
+        problems.append("per-connection byte tallies differ from the DATA on each connection")
     segs = report.radio_segments
     for a, b in zip(segs, segs[1:]):
         if abs(a.end - b.start) > 1e-9:

@@ -1,18 +1,10 @@
 """Media of a clip, and the client's books of it.
 
 VideoSpec is a clip as a per-second byte schedule, with an optional quality
-ladder for DASH.  A MediaBuffer books the bytes a session receives:
-
-  received   every byte that arrived, as billed on the wire;
-  pos        the useful ones: received - wasted;
-  consumed   bytes of media behind the playhead;
-  wasted     bytes that never play: repeats of held media, replaced
-             segments and whatever is left when the watch ends;
-
-so pos - consumed is what the store holds (held()).  Progressive delivery
-holds one growing interval of the clip, [0, pos) in bytes, read through
-VideoSpec's cumulative bytes; DASH holds whole segments in play order, read
-through prefix sums of their lengths and bytes (SegmentBuffer).
+ladder for DASH.  A MediaBuffer books the bytes a session receives: every
+one that arrived (received, as billed on the wire) is held (pos - consumed),
+played (consumed) or wasted.  Progressive delivery holds one growing
+interval of the clip, DASH whole segments (SegmentBuffer).
 """
 
 import math
@@ -140,8 +132,6 @@ class MediaBuffer:
     bytes are in; a store `cap` bounds pos - consumed.
     """
 
-    segmented = False
-
     def __init__(self, video, fast_start_s, cap):
         self.video, self.cap = video, cap
         self.received = 0
@@ -156,15 +146,11 @@ class MediaBuffer:
                 "buffer_cap holds at most %d B" % (self.ready_at, cap)
             )
 
-    def after(self, nbytes):
-        """pos once nbytes arrive: the first dup of them repeat held media."""
-        return self.pos + nbytes - min(self.dup, nbytes)
-
-    def arrive(self, nbytes, pos):
-        """Book nbytes that arrived; pos is after(nbytes)."""
-        self.received += nbytes
+    def arrive(self, nbytes):
+        """Book nbytes that arrived: the first dup of them repeat held media."""
         dup = min(self.dup, nbytes)
-        self.pos = pos
+        self.received += nbytes
+        self.pos += nbytes - dup
         if dup:
             self.dup -= dup
             self.wasted += dup
@@ -214,8 +200,6 @@ class SegmentBuffer(MediaBuffer):
     as a float, so consumed_at() adds what a scan of the list adds.
     """
 
-    segmented = True
-
     def __init__(self, video, fast_start_s, cap):
         super().__init__(video, 0.0, cap)
         self.ready_at = min(fast_start_s, video.duration_s)
@@ -244,11 +228,6 @@ class SegmentBuffer(MediaBuffer):
 
     def ready(self):
         return self.media >= self.ready_at
-
-    def held(self, consumed):
-        # the same bytes as pos - consumed, in the float operations DASH
-        # has always booked them with
-        return self.received - consumed - self.wasted
 
     def delivered(self):
         return self.media

@@ -36,24 +36,11 @@ seconds delivered, the playhead and the bytes consumed; act() is that more
 Time moves in fixed ticks (10 ms by default).  A full tick is one kernel
 event: the connection advances, the fast start may end, playback moves, the
 client acts or reads, the server serves.  Most ticks are played inside the
-event of the full tick before them, with the same rule methods and the same
-float operations (transport.paced paces both), so the outputs are those of
-a session that runs every tick as its own event.  Such a span plays ticks
-that move no byte (the playhead advances or not), ticks on which the sender
-moves its whole pacing allowance or just the free receive window (then
-advertising a zero window) or paces zero bytes, and ticks on which the
-client reads.  It ends before the first tick that would do more: a delivery
-cut short by the queue or the store limit, a probe, bytes that end the fast
-start or a DASH download (policy.to_go), or a tick on which acts() holds.
-
-Ticks that move bytes are played one at a time (_flow), with the
-connection and the books in locals, written back where the window closes or
-reopens, before each buffer sample and at the run's end.  A run of ticks
-that moves no byte and reads nothing is played as one stretch (_stretch):
-its clock and playhead are built with itertools.accumulate, which makes the
-same float additions one at a time, and the first tick a rule acts on is
-found by bisection, since while no byte moves every rule is monotone in the
-playhead.
+event of the full tick before them (_play_quiet), with the same policy
+methods and the same float operations, so the outputs are those of a
+session that runs every tick as its own event.  A span ends before the
+first tick that would do more than move bytes under the pacing allowance,
+fill the receive window, read, or play.
 
 One session may end several watches of the same clip: its own, which is
 the longest, and shorter ones added with _also_watch (the harness runs a
@@ -62,9 +49,9 @@ reaches a watch end works out what a session watching just that far would
 do (_finish), from copies that leave this session's state, timeline and
 jitter draws as they are, then goes on to the next watch end.
 
-Byte accounting is exact: every received byte is consumed, still
-buffered, or wasted.  The identity is asserted after every full tick and at
-the end of every span.
+Byte accounting is exact and matches the wire: every byte billed arrived
+in a DATA record, and is consumed, still buffered, or wasted.  The identity
+is asserted after every full tick and at the end of every span.
 """
 
 import math
@@ -199,6 +186,7 @@ class Policy:
     """
 
     buffer = MediaBuffer
+    burst_next = math.inf  # when the server writes its next burst
 
     def __init__(self, session):
         t, video = session.technique, session.video
@@ -264,12 +252,8 @@ class Policy:
     def steady(self, session):
         """The fast start has ended."""
 
-    def next_burst(self, session):
-        """Time the server writes its next burst; inf when it writes no more."""
-        return math.inf
-
     def serve(self, session):
-        """The server's step on a full tick."""
+        """The server's step on a full tick: writes a burst due by now."""
 
 
 class EncodingRate(Policy):
@@ -282,7 +266,6 @@ class EncodingRate(Policy):
 
 
 class Throttle(Policy):
-    burst_next = None
     server_left = 0  # undelivered bytes for the bursty server
 
     def start(self, session):
@@ -294,28 +277,21 @@ class Throttle(Policy):
 
     def steady(self, session):
         t = self.technique
-        if not session._conn_open():
-            return
-        if t.burst_size is not None:
-            self.burst_next = session.kernel.now
-        else:
+        if t.burst_size is None:
             session.conn.set_rate_cap(t.throttle_factor * self.video.avg_rate_bps)
-
-    def next_burst(self, session):
-        if self.server_left > 0 and session.phase == STEADY and session._conn_open():
-            return self.burst_next
-        return math.inf
+        elif self.server_left:
+            self.burst_next = session.kernel.now
 
     def serve(self, session):
-        now = session.kernel.now
-        if self.next_burst(session) <= now:
-            t = self.technique
-            interval = t.burst_size * 8.0 / (t.throttle_factor * self.video.avg_rate_bps)
-            while self.burst_next <= now and self.server_left > 0:
-                n = min(t.burst_size, self.server_left)
-                session.conn.enqueue(n)
-                self.server_left -= n
-                self.burst_next += interval
+        t = self.technique
+        while self.burst_next <= session.kernel.now:
+            n = min(t.burst_size, self.server_left)
+            session.conn.enqueue(n)
+            self.server_left -= n
+            if not self.server_left:
+                self.burst_next = math.inf
+            else:
+                self.burst_next += t.burst_size * 8.0 / (t.throttle_factor * self.video.avg_rate_bps)
 
 
 class OnOff(Policy):
@@ -344,7 +320,7 @@ class OnOff(Policy):
     def steady(self, session):
         # a burst ends; per burst, so does its connection
         self.reading = False
-        if self.technique.connection_mode == PER_BURST and session._conn_open():
+        if self.technique.connection_mode == PER_BURST:
             session.conn.close("RST")
 
 
@@ -353,15 +329,21 @@ class Dash(Policy):
 
     After an upward quality switch the client also re-fetches up to
     dash_refetch_depth of the newest held segments that have not begun to
-    play, at the new level.  Those bytes are billed at once, with no packet
-    to carry them: a known defect.
+    play, at the new level, on the same connection and after the new
+    segment.  The download ends once all of it is in.  A re-fetched copy
+    then replaces a held segment that has still not begun to play, whose
+    old copy is wasted, when dash_replaced_counts_waste is set; otherwise
+    the re-fetched copy is wasted.
     """
 
     buffer = SegmentBuffer
-    outstanding = None  # (t_request, level, start, length, nbytes) of the download
-    left = 0            # its bytes still to arrive
+    # the download under way: (t_request, bytes, level, start, length,
+    # segment bytes, [(held segment, bytes re-fetched)])
+    outstanding = None
+    left = 0  # its bytes still to arrive
+    requested = 0  # segments so far
     last_level = None
-    target = math.inf   # media seconds to keep buffered: all of it in the fast start
+    target = math.inf  # media seconds to keep buffered: all of it in the fast start
 
     def __init__(self, session):
         v = session.video
@@ -373,7 +355,6 @@ class Dash(Policy):
         super().__init__(session)
         self.seg_dur = seg
         self.n_segments = int(math.ceil(v.duration_s / seg))
-        self.requested = 0
         self.tputs = deque(maxlen=3)
 
     def start(self, session):
@@ -399,35 +380,25 @@ class Dash(Policy):
             level = 0  # playlist default entry before any throughput sample
         start = self.requested * self.seg_dur
         length = min(self.seg_dur, self.video.duration_s - start)
-        nbytes = self._nbytes(level, length)
-        session.conn.request()
-        session.conn.enqueue(nbytes)
-        self.outstanding = (session.kernel.now, level, start, length, nbytes)
-        self.left = nbytes
-        self.requested += 1
+        nbytes = self._fetch(session, level, length)
+        refetched = []
         if self.last_level is not None and level > self.last_level:
-            self._refetch(session, level)
+            segments = session.buffer.segments
+            for i in range(len(segments) - 1, -1, -1)[:self.technique.dash_refetch_depth]:
+                if segments[i][0] < session.playhead:
+                    break
+                refetched.append((i, self._fetch(session, level, segments[i][1])))
+        self.left = nbytes + sum(n for _, n in refetched)
+        self.outstanding = (session.kernel.now, self.left, level, start, length, nbytes, refetched)
+        self.requested += 1
         self.last_level = level
 
-    def _nbytes(self, level, length):
-        return int(round(self.video.ladder[level].bandwidth_bps * length / 8.0))
-
-    def _refetch(self, session, level):
-        """Re-fetch the newest held segments that have not begun to play."""
-        buf = session.buffer
-        segments = buf.segments
-        depth = min(self.technique.dash_refetch_depth, len(segments))
-        for i in range(len(segments) - 1, len(segments) - 1 - depth, -1):
-            start, length, _ = segments[i]
-            if start < session.playhead:
-                break
-            new_bytes = self._nbytes(level, length)
-            buf.received += new_bytes
-            buf.pos += new_bytes
-            if self.technique.dash_replaced_counts_waste:
-                buf.replace(i, new_bytes)
-            else:
-                buf.waste(new_bytes)
+    def _fetch(self, session, level, length):
+        """Request `length` media seconds at `level`; returns their bytes."""
+        nbytes = int(round(self.video.ladder[level].bandwidth_bps * length / 8.0))
+        session.conn.request()
+        session.conn.enqueue(nbytes)
+        return nbytes
 
     def to_go(self, session):
         return self.left if self.outstanding is not None else _BIG
@@ -436,11 +407,17 @@ class Dash(Policy):
         self.left -= nbytes
         if self.outstanding is None or self.left > 0:
             return
-        t_request, level, start, length, total = self.outstanding
+        t_request, total, level, start, length, nbytes, refetched = self.outstanding
         self.outstanding = None
         self.tputs.append(total * 8.0 / max(now - t_request, self.tick_s))
-        session.buffer.add(start, length, total)
+        buf = session.buffer
+        buf.add(start, length, nbytes)
         session.metrics.dash_quality_history.append(level)
+        for i, n in refetched:
+            if self.technique.dash_replaced_counts_waste and buf.segments[i][0] >= session.playhead:
+                buf.replace(i, n)
+            else:
+                buf.waste(n)
 
 
 POLICIES = {
@@ -568,7 +545,7 @@ class StreamingSession:
         limit = buf.limit(buf.pos, buf.consumed, buf.dup)
         for rec in self.conn.advance(dt, limit=limit):
             if rec.kind == DATA:
-                self._on_data(rec.payload, rec.conn_id, now, buf.after(rec.payload))
+                self._on_data(rec.payload, rec.conn_id, now)
         if self.phase == FAST_START and buf.ready():
             self._steady()
         self._playback(dt)
@@ -603,7 +580,7 @@ class StreamingSession:
         it and never runs the ones after it.
         """
         dt = self.tick_s
-        stop_t = min(self.policy.next_burst(self), self.max_sim_time)
+        stop_t = min(self.policy.burst_next, self.max_sim_time)
         conn = self.conn
         conn_t = conn.next_action(dt, now)
         reads, acts = self.policy.rule(self)
@@ -722,7 +699,7 @@ class StreamingSession:
         # a tick whose bytes reach to_go ends the fast start or a DASH
         # download; below it, segments deliver no media
         to_go = self.policy.to_go(self)
-        progressive = not buf.segmented
+        progressive = not isinstance(buf, SegmentBuffer)
         draining = reads is _drain
         runs_dry, watch_done = _runs_dry, self._watch_done
         limit_at, consumed_at = buf.limit, buf.consumed_at
@@ -767,7 +744,7 @@ class StreamingSession:
                 if n:
                     if n >= to_go:
                         break
-                    # as MediaBuffer.after: the first dup bytes repeat held media
+                    # as MediaBuffer.arrive: the first dup bytes repeat held media
                     d = (n if n < dup else dup) if dup else 0
                     new_pos = media_pos + n - d
                     if progressive and new_pos != media_pos:
@@ -807,7 +784,7 @@ class StreamingSession:
             turns = fills  # the window closes or reopens on this tick
             if fills:
                 # as advance(): the DATA record, then the zero-window ad
-                self._book_run(times, sizes, media_pos)
+                self._book_run(times, sizes)
                 times, sizes = [], []
                 conn.close_window(t_next)
                 zero = True
@@ -827,7 +804,7 @@ class StreamingSession:
             if ticks >= next_sample:
                 # the sample reads the books
                 if times:
-                    self._book_run(times, sizes, media_pos)
+                    self._book_run(times, sizes)
                     times, sizes = [], []
                 if moving:
                     consumed = consumed_at(playhead, media_pos)
@@ -838,27 +815,27 @@ class StreamingSession:
             stopped = True
         conn._rate_frac, conn.send_queue, conn.recv_occupancy = credit, queue, occ
         if times:
-            self._book_run(times, sizes, media_pos)
+            self._book_run(times, sizes)
         self.playhead, self._ticks = playhead, ticks
         if moving:
             self._sync_consumed()
         return t, conn_t, stopped
 
-    def _book_run(self, times, sizes, media_pos):
-        """Emit and book the DATA a span sent at `times`; media_pos is the pos after them."""
+    def _book_run(self, times, sizes):
+        """Emit and book the DATA a span sent at `times`."""
         conn = self.conn
         self.transport.emit_run(DOWN, DATA, conn.id, times, sizes)
         sent = sum(sizes)
         conn.delivered_total += sent
-        self._on_data(sent, conn.id, times[-1], media_pos)
+        self._on_data(sent, conn.id, times[-1])
 
-    def _on_data(self, nbytes, conn_id, now, media_pos):
-        """Book nbytes that arrived on conn_id by `now`; media_pos is buffer.after(nbytes)."""
+    def _on_data(self, nbytes, conn_id, now):
+        """Book nbytes that arrived on conn_id by `now`."""
         self.metrics.connection_bytes[conn_id] = (
             self.metrics.connection_bytes.get(conn_id, 0) + nbytes
         )
         self._last_data_t = now
-        self.buffer.arrive(nbytes, media_pos)
+        self.buffer.arrive(nbytes)
         self.policy.on_data(self, nbytes, now)
 
     def _steady(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from streamsim.harness import (
@@ -17,6 +19,7 @@ from streamsim.session import (
     PER_BURST,
     TechniqueSpec,
 )
+from streamsim.transport import DATA
 
 COMPARE = [
     "compare_encoding_3g",
@@ -49,6 +52,29 @@ def test_expected_label_mapping():
 def test_every_bundled_run_audits_clean(grid):
     for name, report in grid.items():
         assert audit(report) == [], name
+
+
+def test_audit_flags_bytes_billed_off_the_wire(grid):
+    report = grid["compare_onoff_per_burst_3g"]
+    m = report.metrics
+    wire = "billed bytes differ from the DATA payloads on the wire"
+    per_conn = "per-connection byte tallies differ from the DATA on each connection"
+    # a DATA record that carried one byte less than was billed
+    records = list(report.records)
+    i = next(k for k, r in enumerate(records) if r.kind == DATA)
+    records[i] = replace(records[i], payload=records[i].payload - 1)
+    assert audit(replace(report, records=records)) == [wire, per_conn]
+    # bytes billed with no packet, as a re-fetch booked off the wire once was
+    extra = dict(m.connection_bytes)
+    extra[1] += 500
+    doctored = replace(m, received_total=m.received_total + 500, connection_bytes=extra)
+    assert wire in audit(replace(report, metrics=doctored))
+    # the right total, but booked on the wrong connection
+    ids = sorted(m.connection_bytes)
+    moved = dict(m.connection_bytes)
+    moved[ids[0]] -= 100
+    moved[ids[1]] += 100
+    assert audit(replace(report, metrics=replace(m, connection_bytes=moved))) == [per_conn]
 
 
 def test_every_bundled_run_is_classified_as_built(grid):

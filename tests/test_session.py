@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import statistics
+from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -33,6 +34,8 @@ from streamsim.transport import (
     CLOSE_FIN,
     CLOSE_RST,
     DATA,
+    REQUEST,
+    PacketRecord,
     PathSpec,
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
@@ -57,7 +60,19 @@ def assert_conserved(session, metrics):
         metrics.consumed_bytes + metrics.wasted_bytes, abs=1e-6
     )
     assert metrics.received_total == sum(metrics.connection_bytes.values())
+    assert_billed_on_the_wire(metrics, session.transport.records)
     assert all(b >= -1e-9 for _, b, _ in metrics.buffer_series)
+
+
+def assert_billed_on_the_wire(metrics, records, finished=True):
+    """Every byte billed, in total and per connection, is a DATA payload."""
+    wire = Counter()
+    for r in records:
+        if r.kind == DATA:
+            wire[r.conn_id] += r.payload
+    assert Counter(metrics.connection_bytes) == wire
+    if finished:  # the total is booked when the watch ends
+        assert metrics.received_total == wire.total()
 
 
 LADDER = (
@@ -251,42 +266,35 @@ def test_dash_buffer_stays_near_target():
     assert max(tail) <= 20.0 + seg + 1e-6
 
 
+def refetch_run(replaced_counts_waste):
+    """A DASH watch whose one upward switch, 200 -> 800 kb/s on its second
+    request, re-fetches the first segment: it is held, and not yet playing
+    in a 10 s fast start."""
+    spec = TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=20.0, dash_refetch_depth=2,
+                         dash_replaced_counts_waste=replaced_counts_waste)
+    session, m = run(ladder_video(), spec)
+    assert m.dash_quality_history == [0] + [2] * 11
+    # the re-fetch is billed as it arrives: 500 kB more on the wire, under
+    # a request of its own (one at the open, twelve segments, the re-fetch)
+    wire = sum(r.payload for r in session.transport.records if r.kind == DATA)
+    assert m.received_total == wire == 125_000 + 11 * 500_000 + 500_000
+    assert kinds_of(session).count(REQUEST) == 14
+    assert_conserved(session, m)
+    return m
+
+
 def test_dash_refetch_replaces_recent_unplayed_segments():
-    video = ladder_video()
-    spec = TechniqueSpec(
-        DASH, fast_start_s=5.0, dash_target_s=20.0, dash_refetch_depth=2
-    )
-    session = StreamingSession(video, spec, PATH)
-    buf = session.buffer
-    for start in (0.0, 5.0, 10.0):
-        buf.add(start, 5.0, 125_000)
-    session.playhead = 2.5
-    buf.received = buf.pos = 375_000
-    session.policy._refetch(session, 2)  # jump to the 800 kbps level
-    # two newest unplayed segments re-downloaded, old copies kept on the books
-    assert buf.wasted == 2 * 500_000
-    assert buf.received == 375_000 + 2 * 500_000
-    assert [n for _, _, n in buf.segments] == [125_000] * 3
+    m = refetch_run(replaced_counts_waste=False)
+    # the old copy stays on the books and plays; the re-fetched one is surplus
+    assert m.wasted_bytes == 500_000
+    assert m.consumed_bytes == 125_000 + 11 * 500_000
 
 
 def test_dash_refetch_can_bill_the_replaced_copies_instead():
-    video = ladder_video()
-    spec = TechniqueSpec(
-        DASH,
-        fast_start_s=5.0,
-        dash_target_s=20.0,
-        dash_refetch_depth=2,
-        dash_replaced_counts_waste=True,
-    )
-    session = StreamingSession(video, spec, PATH)
-    buf = session.buffer
-    for start in (0.0, 5.0, 10.0):
-        buf.add(start, 5.0, 125_000)
-    session.playhead = 2.5
-    buf.received = buf.pos = 375_000
-    session.policy._refetch(session, 2)
-    assert buf.wasted == 2 * 125_000
-    assert [n for _, _, n in buf.segments] == [125_000, 500_000, 500_000]
+    m = refetch_run(replaced_counts_waste=True)
+    # the re-fetched copy plays; the 200 kb/s one it replaced is surplus
+    assert m.wasted_bytes == 125_000
+    assert m.consumed_bytes == 12 * 500_000
 
 
 def test_dash_pick_quality_takes_highest_affordable_level():
@@ -456,9 +464,13 @@ def random_sessions(draw):
             connection_mode=draw(st.sampled_from([PERSISTENT, PER_BURST])),
         )
     elif kind == DASH:
+        # a 10 s fast start still holds its first segment unplayed at the
+        # first upward switch, so a refetch re-downloads it
         technique = TechniqueSpec(
-            DASH, fast_start_s=fast_start_s, dash_target_s=draw(st.sampled_from([3.0, 8.0])),
+            DASH, fast_start_s=draw(st.sampled_from([fast_start_s, 10.0])),
+            dash_target_s=draw(st.sampled_from([3.0, 8.0])),
             dash_refetch_depth=draw(st.sampled_from([0, 2])),
+            dash_replaced_counts_waste=draw(st.booleans()),
         )
     else:
         technique = TechniqueSpec(kind, fast_start_s=fast_start_s)
@@ -502,6 +514,8 @@ def random_sessions(draw):
 @given(random_sessions())
 def test_random_sessions_match_every_tick_playback(case):
     spans = play(*case)
+    error, metrics, records = spans
+    assert_billed_on_the_wire(metrics, [PacketRecord(*r) for r in records], error is None)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StreamingSession, "_play_quiet", every_tick)
         assert play(*case) == spans
@@ -718,3 +732,16 @@ def test_randomized_sessions_always_balance_the_books():
         )
         assert_conserved(session, m)
         assert m.watched_s > 0, f"trial {trial}"
+    # DASH watches that re-fetch after their upward switch
+    for trial in range(4):
+        spec = TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=rng.choice([8.0, 20.0]),
+                             dash_refetch_depth=2, dash_replaced_counts_waste=rng.random() < 0.5)
+        session, m = run(
+            ladder_video(rng.choice([30, 60])),
+            spec,
+            path=PathSpec(6_000_000, rtt_s=0.05, jitter=rng.choice([0.0, 0.1])),
+            watched_fraction=rng.choice([0.5, 1.0]),
+            seed=trial,
+        )
+        assert_conserved(session, m)
+        assert kinds_of(session).count(REQUEST) > len(m.dash_quality_history) + 1
