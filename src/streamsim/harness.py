@@ -11,6 +11,8 @@ import io
 from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .analysis import ClassificationResult, classify
 from .radio import (
@@ -126,9 +128,8 @@ def audit(report):
     if abs(drift) > 1e-6:
         problems.append(f"byte conservation off by {drift!r}")
     wire = Counter()
-    for r in report.records:
-        if r.kind == DATA:
-            wire[r.conn_id] += r.payload
+    for conn_id, records in groupby(report.records, attrgetter("conn_id")):
+        wire[conn_id] += sum([r.payload for r in records if r.kind == DATA])
     if m.received_total != wire.total():
         problems.append("billed bytes differ from the DATA payloads on the wire")
     if Counter(m.connection_bytes) != wire:
