@@ -61,8 +61,8 @@ from dataclasses import dataclass, field, replace
 from itertools import accumulate, repeat
 
 from .kernel import Kernel
-# VideoSpec and QualityLevel are re-exported: they lived here first
-from .media import MediaBuffer, QualityLevel, SegmentBuffer, VideoSpec, dash_pick_quality  # noqa: F401
+from .media import MediaBuffer, SegmentBuffer, dash_pick_quality
+from .media import QualityLevel, VideoSpec  # noqa: F401  (re-exported: they lived here first)
 from .transport import CLOSE_KINDS, DATA, DOWN, UP, ZERO_WINDOW, Transport, paced
 
 ENCODING_RATE = "ENCODING_RATE"
@@ -281,17 +281,14 @@ class Throttle(Policy):
             session.conn.set_rate_cap(t.throttle_factor * self.video.avg_rate_bps)
         elif self.server_left:
             self.burst_next = session.kernel.now
+            self.interval = t.burst_size * 8.0 / (t.throttle_factor * self.video.avg_rate_bps)
 
     def serve(self, session):
-        t = self.technique
         while self.burst_next <= session.kernel.now:
-            n = min(t.burst_size, self.server_left)
+            n = min(self.technique.burst_size, self.server_left)
             session.conn.enqueue(n)
             self.server_left -= n
-            if not self.server_left:
-                self.burst_next = math.inf
-            else:
-                self.burst_next += t.burst_size * 8.0 / (t.throttle_factor * self.video.avg_rate_bps)
+            self.burst_next = self.burst_next + self.interval if self.server_left else math.inf
 
 
 class OnOff(Policy):
@@ -384,7 +381,8 @@ class Dash(Policy):
         refetched = []
         if self.last_level is not None and level > self.last_level:
             segments = session.buffer.segments
-            for i in range(len(segments) - 1, -1, -1)[:self.technique.dash_refetch_depth]:
+            depth = self.technique.dash_refetch_depth
+            for i in range(len(segments) - 1, max(-1, len(segments) - 1 - depth), -1):
                 if segments[i][0] < session.playhead:
                     break
                 refetched.append((i, self._fetch(session, level, segments[i][1])))
@@ -407,11 +405,11 @@ class Dash(Policy):
         self.left -= nbytes
         if self.outstanding is None or self.left > 0:
             return
-        t_request, total, level, start, length, nbytes, refetched = self.outstanding
+        t_request, total, level, start, length, seg_bytes, refetched = self.outstanding
         self.outstanding = None
         self.tputs.append(total * 8.0 / max(now - t_request, self.tick_s))
         buf = session.buffer
-        buf.add(start, length, nbytes)
+        buf.add(start, length, seg_bytes)
         session.metrics.dash_quality_history.append(level)
         for i, n in refetched:
             if self.technique.dash_replaced_counts_waste and buf.segments[i][0] >= session.playhead:
