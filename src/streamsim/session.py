@@ -240,12 +240,6 @@ class Policy:
         buf.dup = buf.pos % kf if self.technique.keyframe_waste and kf > 0 else 0
         session._open(buf.dup + (self.video.total_bytes - buf.pos))
 
-    def to_go(self, session):
-        """Bytes that may arrive before the books change more than pos does."""
-        if session.phase == FAST_START:
-            return session.buffer.ready_at - session.buffer.pos
-        return _BIG
-
     def on_data(self, session, nbytes, now):
         """nbytes arrived; the buffer has booked them."""
 
@@ -334,8 +328,9 @@ class Dash(Policy):
     """
 
     buffer = SegmentBuffer
-    # the download under way: (t_request, bytes, level, start, length,
-    # segment bytes, [(held segment, bytes re-fetched)])
+    # the download under way, which is the whole send queue: (t_request,
+    # bytes, level, start, length, segment bytes, [(held segment, bytes
+    # re-fetched)])
     outstanding = None
     left = 0  # its bytes still to arrive
     requested = 0  # segments so far
@@ -397,9 +392,6 @@ class Dash(Policy):
         session.conn.request()
         session.conn.enqueue(nbytes)
         return nbytes
-
-    def to_go(self, session):
-        return self.left if self.outstanding is not None else _BIG
 
     def on_data(self, session, nbytes, now):
         self.left -= nbytes
@@ -694,10 +686,12 @@ class StreamingSession:
         # not stalled: a full tick leaves a stall in place only with under
         # 1e-9 s of media to play, and no tick ends it unless bytes arrive.
         flows = reads is not None and not self.stalled
-        # a tick whose bytes reach to_go ends the fast start or a DASH
-        # download; below it, segments deliver no media
-        to_go = self.policy.to_go(self)
+        # A tick whose bytes reach to_go ends a progressive fast start.  A
+        # DASH download is the whole send queue, so the queue cuts the tick
+        # that ends it, and below that segments deliver no media.
         progressive = not isinstance(buf, SegmentBuffer)
+        starting = progressive and self.phase == FAST_START
+        to_go = buf.ready_at - buf.pos if starting else _BIG
         draining = reads is _drain
         runs_dry, watch_done = _runs_dry, self._watch_done
         limit_at, consumed_at = buf.limit, buf.consumed_at

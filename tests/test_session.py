@@ -297,6 +297,30 @@ def test_dash_refetch_can_bill_the_replaced_copies_instead():
     assert m.consumed_bytes == 12 * 500_000
 
 
+@pytest.mark.parametrize("fast_start_s, depth, replaced, refetches, wasted", [
+    # the re-fetched copies are surplus: 250 kB at the first switch, then
+    # 500 kB for each segment re-fetched at the second
+    (15.0, 2, False, 3, 250_000 + 2 * 500_000),  # both held segments
+    (15.0, 1, False, 2, 250_000 + 500_000),      # the depth keeps the newest only
+    (10.0, 2, False, 2, 250_000 + 500_000),      # the first segment plays by then
+    # the replaced copies are surplus: 125 kB, then 250 kB for each
+    (15.0, 2, True, 3, 125_000 + 2 * 250_000),
+    # ... unless the segment began to play before its copy arrived
+    (10.0, 2, True, 2, 125_000 + 500_000),
+])
+def test_dash_refetch_takes_the_newest_unplayed_segments(
+        fast_start_s, depth, replaced, refetches, wasted):
+    # 1.2 Mb/s over a 0.5 s rtt: the estimate climbs 200 -> 400 -> 800 kb/s
+    # over the first three requests, and each switch re-fetches at its level
+    spec = TechniqueSpec(DASH, fast_start_s=fast_start_s, dash_target_s=20.0,
+                         dash_refetch_depth=depth, dash_replaced_counts_waste=replaced)
+    session, m = run(ladder_video(), spec, path=PathSpec(1_200_000, rtt_s=0.5))
+    assert m.dash_quality_history[:3] == [0, 1, 2]
+    assert kinds_of(session).count(REQUEST) == 1 + len(m.dash_quality_history) + refetches
+    assert m.wasted_bytes == wasted
+    assert_conserved(session, m)
+
+
 def test_dash_pick_quality_takes_highest_affordable_level():
     assert dash_pick_quality(LADDER, 6_000_000, 1.0) == 2
     assert dash_pick_quality(LADDER, 450_000, 1.0) == 1
