@@ -331,22 +331,19 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     return series
 
 
-def _harvest(records):
-    """One pass of feature extraction shared by the classifier rules.
+def _harvest(records, view):
+    """The features the classifier rules read, from one pass over the records
+    and from `view`, their _DataView.
 
-    Returns the features and the trace's DATA records.  Bursts are grouped as
-    group_bursts() does, with THRESHOLDS["burst_gap_s"].
+    The DATA count, bytes and burst gaps come from the view's record-order
+    times.  Bursts are grouped as group_bursts() does, with
+    THRESHOLDS["burst_gap_s"].
     """
-    burst_gap = THRESHOLDS["burst_gap_s"]
-    silent_gap = THRESHOLDS["silent_gap_s"]
-    data = []
-    data_bytes = probes = ads = 0
+    probes = ads = 0
     data_conns = set()
     req_times = []
     spans = {}  # conn_id -> [first, last] record time, any record kind
-    conn = span = data_conn = burst_end = None
-    bursts = long_gaps = 0
-    max_gap = 0.0
+    conn = span = data_conn = None
     for r in records:
         t = r.time
         if r.conn_id != conn:
@@ -360,21 +357,9 @@ def _harvest(records):
             span[1] = t
         kind = r.kind
         if kind == DATA:
-            data.append(r)
-            data_bytes += r.payload
             if conn != data_conn:
                 data_conn = conn
                 data_conns.add(conn)
-            if burst_end is None:
-                bursts = 1
-            elif t - burst_end >= burst_gap:
-                gap = t - burst_end
-                bursts += 1
-                if gap > max_gap:
-                    max_gap = gap
-                if gap >= silent_gap:
-                    long_gaps += 1
-            burst_end = t
         elif kind == REQUEST:
             req_times.append(t)
         elif kind == ZERO_WINDOW_AD:
@@ -382,19 +367,22 @@ def _harvest(records):
         elif kind == ZERO_WINDOW_PROBE:
             probes += 1
 
+    times = view.times
     feats = {
-        "data_packets": len(data),
-        "data_bytes": data_bytes,
+        "data_packets": len(times),
+        "data_bytes": view.cums[-1],
         "probes": probes,
         "ads": ads,
         "requests": len(req_times),
         "connections": len(data_conns),
     }
-    if not data:
-        return feats, data
-    feats["bursts"] = bursts
-    feats["max_burst_gap_s"] = max_gap
-    feats["long_gaps"] = long_gaps
+    if not times:
+        return feats
+    burst_gap = THRESHOLDS["burst_gap_s"]
+    gaps = [g for a, b in zip(times, times[1:]) if (g := b - a) >= burst_gap]
+    feats["bursts"] = len(gaps) + 1
+    feats["max_burst_gap_s"] = max(gaps, default=0.0)
+    feats["long_gaps"] = sum(g >= THRESHOLDS["silent_gap_s"] for g in gaps)
 
     # silence between consecutive connections' activity spans (any record kind)
     ordered = sorted(spans.values())
@@ -407,10 +395,8 @@ def _harvest(records):
     else:
         feats["median_conn_gap_s"] = 0.0
 
-    t_first, t_last = data[0].time, data[-1].time
-    trace_end = records[-1].time
-    feats["data_span_s"] = t_last - t_first
-    feats["trace_span_s"] = trace_end - records[0].time
+    feats["data_span_s"] = times[-1] - times[0]
+    feats["trace_span_s"] = records[-1].time - records[0].time
     feats["span_coverage"] = (
         feats["data_span_s"] / feats["trace_span_s"] if feats["trace_span_s"] > 0 else 0.0
     )
@@ -429,7 +415,7 @@ def _harvest(records):
     else:
         feats["request_gap_median_s"] = 0.0
         feats["request_regularity"] = 0.0
-    return feats, data
+    return feats
 
 
 def classify(records, avg_rate_bps, path_bandwidth_bps):
@@ -446,8 +432,8 @@ def classify(records, avg_rate_bps, path_bandwidth_bps):
         raise ValueError("path_bandwidth_bps must be positive, got %r" % (path_bandwidth_bps,))
     th = THRESHOLDS
     view = _DataView(records)
-    feats, data = _harvest(records)
-    if not data:
+    feats = _harvest(records, view)
+    if not view.times:
         return ClassificationResult(UNKNOWN, 0.0, feats)
 
     # the knee both ends the fast start and is the steady ratio's exclusion,
@@ -458,10 +444,9 @@ def classify(records, avg_rate_bps, path_bandwidth_bps):
     except ValueError:
         ratio = None
     feats["steady_ratio"] = ratio
-    t_last_data = data[-1].time
-    fs_end = knee if knee is not None else data[0].time
+    fs_end = knee if knee is not None else view.times[0]
     media_total_s = feats["data_bytes"] * 8.0 / avg_rate_bps
-    feats["early_margin_s"] = media_total_s - (t_last_data - fs_end)
+    feats["early_margin_s"] = media_total_s - (view.times[-1] - fs_end)
     feats["bandwidth_frac"] = (
         (feats["data_bytes"] * 8.0 / max(feats["data_span_s"], 1e-9)) / path_bandwidth_bps
     )

@@ -1,74 +1,36 @@
-"""Minimal deterministic discrete-event kernel (virtual time, no wall clock)."""
-
-import heapq
-
-
-class EventHandle:
-    """Ticket returned by schedule(); keep it around if you may cancel."""
-
-    __slots__ = ("fire_time", "sequence", "action", "cancelled")
-
-    def __init__(self, fire_time, sequence, action):
-        self.fire_time = fire_time
-        self.sequence = sequence
-        self.action = action
-        self.cancelled = False
+"""The session's clock: virtual time, with one action pending at a time."""
 
 
 class Kernel:
-    """Executes scheduled actions in (fire_time, insertion order).
+    """Virtual time in seconds from 0, and at most one pending action.
 
-    Time is continuous seconds starting at 0.  Events scheduled for the same
-    instant run in the order they were scheduled, including events scheduled
-    by other events during the same run_until() call.
+    A session keeps exactly one action pending, its next full tick, and that
+    action schedules the one after it.  schedule() rejects a time before now
+    and a second pending action.
     """
 
     def __init__(self):
         self.now = 0.0
-        self._queue = []  # heap of (fire_time, seq, EventHandle)
-        self._seq = 0
-        self._executed = 0
-
-    @property
-    def executed(self):
-        """Events run so far, over every run_until() call."""
-        return self._executed
+        self.executed = 0  # actions run, over every run_until() call
+        self._at = 0.0
+        self._action = None
 
     def schedule(self, fire_time, action):
         if fire_time < self.now:
             raise ValueError(
-                "cannot schedule event at t=%g before now=%g" % (fire_time, self.now)
+                "cannot schedule an action at t=%g before now=%g" % (fire_time, self.now)
             )
-        handle = EventHandle(float(fire_time), self._seq, action)
-        heapq.heappush(self._queue, (handle.fire_time, handle.sequence, handle))
-        self._seq += 1
-        return handle
-
-    def schedule_in(self, delay, action):
-        return self.schedule(self.now + delay, action)
-
-    def cancel(self, handle):
-        # Lazy removal; cancelled entries are skipped when popped.
-        handle.cancelled = True
+        if self._action is not None:
+            raise ValueError("an action is already pending at t=%g" % self._at)
+        self._at, self._action = float(fire_time), action
 
     def run_until(self, t_end):
-        """Run every event with fire_time <= t_end, then set now = t_end.
-
-        Returns the number of events executed by this call.
-        """
+        """Run the pending action while it falls due by t_end, then set now = t_end."""
         if t_end < self.now:
             raise ValueError("run_until(%g) is in the past (now=%g)" % (t_end, self.now))
-        executed = 0
-        while self._queue and self._queue[0][0] <= t_end:
-            fire_time, _, handle = heapq.heappop(self._queue)
-            if handle.cancelled:
-                continue
-            self.now = fire_time
-            handle.action()
-            executed += 1
+        while self._action is not None and self._at <= t_end:
+            action, self._action = self._action, None
+            self.now = self._at
+            action()
+            self.executed += 1
         self.now = t_end
-        self._executed += executed
-        return executed
-
-    def pending(self):
-        return sum(1 for _, _, h in self._queue if not h.cancelled)

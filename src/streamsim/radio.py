@@ -143,6 +143,9 @@ def expand_segments(segments):
 
 @dataclass
 class EnergyReport:
+    """Charge and per-state dwell of a radio timeline, with the playback draw
+    added (make_energy_report) or not (integrate(): playback_mA is 0)."""
+
     duration_s: float
     dwell: dict               # state -> seconds
     charge_mAs: float
@@ -342,14 +345,6 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
     return segs
 
 
-@dataclass
-class EnergyBreakdown:
-    duration_s: float
-    dwell: dict
-    charge_mAs: float
-    avg_current_mA: float
-
-
 def clip_segments(segments, t_start, t_end):
     """The part of a segment list that overlaps [t_start, t_end]."""
     if t_end < t_start:
@@ -364,7 +359,8 @@ def clip_segments(segments, t_start, t_end):
 
 
 def integrate(segments, currents):
-    """Charge and per-state dwell for a contiguous segment list."""
+    """Charge and per-state dwell for a contiguous segment list, as an
+    EnergyReport with no playback draw."""
     dwell = {}
     charge = 0.0
     for seg in segments:
@@ -381,7 +377,7 @@ def integrate(segments, currents):
             raise ValueError("no current configured for state %r" % seg.state) from None
     duration = sum(dwell.values())
     avg = charge / duration if duration > 0 else 0.0
-    return EnergyBreakdown(duration, dwell, charge, avg)
+    return EnergyReport(duration, dwell, charge, avg, 0.0, avg)
 
 
 def _price_beacons(train, currents, dwell, charge):
@@ -417,12 +413,13 @@ def streaming_current(avg_total_mA, playback_mA):
     return avg_total_mA - playback_mA
 
 
-def make_energy_report(breakdown, playback_mA):
-    total = breakdown.avg_current_mA + playback_mA
+def make_energy_report(report, playback_mA):
+    """integrate()'s report with the playback draw of playback_mA added."""
+    total = report.avg_total_mA + playback_mA
     return EnergyReport(
-        duration_s=breakdown.duration_s,
-        dwell=dict(breakdown.dwell),
-        charge_mAs=breakdown.charge_mAs + playback_mA * breakdown.duration_s,
+        duration_s=report.duration_s,
+        dwell=dict(report.dwell),
+        charge_mAs=report.charge_mAs + playback_mA * report.duration_s,
         avg_total_mA=total,
         playback_mA=playback_mA,
         avg_streaming_mA=streaming_current(total, playback_mA),

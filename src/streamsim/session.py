@@ -420,7 +420,7 @@ POLICIES = {
 
 
 class StreamingSession:
-    """Drives one playback session on a discrete-event kernel, one event per full tick."""
+    """Drives one playback session on the kernel's clock, one kernel action per full tick."""
 
     def __init__(
         self,
@@ -436,7 +436,6 @@ class StreamingSession:
         seed=0,
         sample_interval=0.1,
         max_sim_time=None,
-        strict_accounting=True,
     ):
         technique.validate()
         if not 0.0 < watched_fraction <= 1.0:
@@ -453,7 +452,6 @@ class StreamingSession:
         self.probe_interval = probe_interval
         # buffer samples fall on every n-th tick, counted, not on float time
         self._sample_every = max(1, round(sample_interval / tick_s))
-        self.strict = strict_accounting
         # watch ends still to come, as fractions with the next one last; the
         # session's own is the largest and ends the run (_also_watch)
         self._pending = [watched_fraction]
@@ -492,15 +490,17 @@ class StreamingSession:
 
     def run(self):
         self.policy.start(self)
-        self.kernel.schedule_in(self.tick_s, self._tick)
+        self.kernel.schedule(self.kernel.now + self.tick_s, self._tick)
         self.kernel.run_until(self.max_sim_time)
         if self.phase != DRAINED:
             raise DeadlockError(self._unfinished_cause())
         return self.metrics
 
     def _unfinished_cause(self):
-        """Why playback did not finish by the horizon: too slow, or stuck."""
+        """Why playback did not finish by the horizon: too slow, or stuck,
+        and if stuck whether a full store admits no byte."""
         now = self.kernel.now
+        buf = self.buffer
         if self.phase != STEADY:
             played_t = 0.0
         elif self.stalled:
@@ -512,8 +512,12 @@ class StreamingSession:
             cause = "too slow for the horizon, still progressing at t=%.2f" % moved_t
         else:
             cause = "stuck, no media byte or playhead movement since t=%.2f" % moved_t
+            if buf.limit(buf.pos, buf.consumed, buf.dup) == 0:
+                cause += ", with the store full (%.0f B held, cap %d B) and %d B still queued" % (
+                    buf.held(buf.consumed), buf.cap, self.conn.send_queue,
+                )
         return "%s: delivered %d of %d B by t=%.1f (phase=%s playhead=%.2f conn=%s)" % (
-            cause, self.buffer.pos, self.video.total_bytes, now, self.phase, self.playhead,
+            cause, buf.pos, self.video.total_bytes, now, self.phase, self.playhead,
             "open" if self._conn_open() else "closed",
         )
 
@@ -552,8 +556,7 @@ class StreamingSession:
         self._ticks += 1
         if self._ticks >= self._next_sample:
             self._sample(self._ticks, now, self.playhead, buf.consumed, buf.delivered())
-        if self.strict:
-            buf.check()
+        buf.check()
         self.kernel.schedule(self._play_quiet(now), self._tick)
 
     def _play_quiet(self, now):
@@ -584,7 +587,7 @@ class StreamingSession:
             t, conn_t, stopped = self._flow(t, stop_t, conn_t, reads, acts)
             if stopped:
                 break
-        if t != now and self.strict:
+        if t != now:
             # Inside a span the drift term gains nothing (received and pos
             # plus wasted grow by the same bytes), consumed never exceeds
             # pos, and every delivery stays under the store limit, so the
@@ -664,9 +667,9 @@ class StreamingSession:
         free receive window (and advertises it zero, as advance() does), or
         paces zero bytes with window room; or it sends nothing.  Then the
         client reads what reads() says, and playback advances unless it is
-        stalled or has not begun.  Each tick uses Connection.pace's float
-        expressions (transport.paced) and the rules of the full tick, tested
-        in its order.  No rule here is bisected: with bytes flowing, the
+        stalled or has not begun.  Each tick paces with transport.paced, as
+        Connection.advance does, and tests the rules of the full tick in its
+        order.  No rule here is bisected: with bytes flowing, the
         ON_OFF watermark rules are not monotone.
 
         The run ends before a tick _stretch can play and at the first tick

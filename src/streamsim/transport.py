@@ -71,7 +71,7 @@ def paced(now, dt, resume_at, byte_rate, credit, queue, room):
     plus the sub-byte credit carried from earlier ticks, and never more than
     `room` (the queue, the free receive space and any limit, whichever is
     least).  The credit carries over only when the allowance is what cut the
-    bytes.  Connection.pace and the session's span playback both pace with it.
+    bytes.  Connection.advance and the session's span playback both pace with it.
     """
     start = now - dt
     eligible = now - (resume_at if resume_at > start else start)  # max(), without the call
@@ -151,7 +151,6 @@ class Connection:
         self.transport = transport
         self.id = conn_id
         self.state = STATE_OPEN
-        self.close_mode = None
         self.send_queue = 0              # bytes waiting at the server
         self.send_rate_cap = None        # bps, None = path speed
         self.recv_capacity = int(recv_capacity)
@@ -165,15 +164,13 @@ class Connection:
 
     # -- server side -------------------------------------------------------
 
-    def enqueue(self, nbytes, rate_cap="keep"):
-        """Queue nbytes at the server; optionally set the pacing cap (bps)."""
+    def enqueue(self, nbytes):
+        """Queue nbytes at the server."""
         if self.state != STATE_OPEN:
             raise ValueError("enqueue on closed connection %d" % self.id)
         if nbytes < 0:
             raise ValueError("cannot enqueue negative bytes")
         self.send_queue += int(nbytes)
-        if rate_cap != "keep":
-            self.set_rate_cap(rate_cap)
         return self.send_queue
 
     def set_rate_cap(self, rate_cap):
@@ -219,9 +216,10 @@ class Connection:
     def advance(self, dt, limit=None):
         """Move bytes for the tick ending now; returns records emitted.
 
-        Delivery this tick is what pace() allows.  While the sender is
-        blocked on a zero window it emits probe/advertisement pairs every
-        probe_interval instead.
+        Delivery this tick is min(send_queue, pacing allowance, free buffer
+        space, limit), paced by paced().  While the sender is blocked on a
+        zero window it emits probe/advertisement pairs every probe_interval
+        instead.
         """
         if dt <= 0:
             raise ValueError("advance needs dt > 0")
@@ -229,11 +227,17 @@ class Connection:
             return []
         out = []
         now = self.transport.kernel.now
-        n, credit, _ = self.pace(now, dt, limit)
+        room = min(self.send_queue, self.recv_capacity - self.recv_occupancy)
+        if limit is not None:
+            room = min(room, int(limit))
+        n, self._rate_frac = paced(
+            now, dt, self._resume_at, self._rate_bps() / 8.0, self._rate_frac, self.send_queue, room
+        )
         if n > 0:
-            out.append(self.send(now, n, credit))
-        else:
-            self._rate_frac = credit
+            self.send_queue -= n
+            self.recv_occupancy += n
+            self.delivered_total += n
+            out.append(self.transport.emit(now, DOWN, n, DATA, self.id))
         if self.recv_occupancy >= self.recv_capacity and self.window_state == OPEN_WINDOW:
             out.append(self.close_window(now))
         if (
@@ -250,30 +254,6 @@ class Connection:
                 )
                 self._next_probe += self.probe_interval
         return out
-
-    def pace(self, now, dt, limit=None):
-        """What the tick ending at `now` sends: (bytes, pacing credit after it, whole).
-
-        The bytes are min(send_queue, pacing allowance, free buffer space,
-        limit).  `whole` says they are the whole allowance with the queue,
-        the free space and the limit all left over: sending them changes
-        nothing but the byte counts and the credit.  Changes nothing itself.
-        """
-        room = min(self.send_queue, self.recv_capacity - self.recv_occupancy)
-        if limit is not None:
-            room = min(room, int(limit))
-        n, credit = paced(
-            now, dt, self._resume_at, self._rate_bps() / 8.0, self._rate_frac, self.send_queue, room
-        )
-        return n, credit, 0 < n < room
-
-    def send(self, now, n, credit):
-        """Send n > 0 bytes that pace() allowed for the tick ending at `now`; returns the record."""
-        self._rate_frac = credit
-        self.send_queue -= n
-        self.recv_occupancy += n
-        self.delivered_total += n
-        return self.transport.emit(now, DOWN, n, DATA, self.id)
 
     def close_window(self, now):
         """The receive buffer filled on the tick ending at `now`: advertise a zero window.
@@ -328,7 +308,6 @@ class Connection:
         if mode not in CLOSE_KINDS:
             raise ValueError("close mode must be RST or FIN")
         self.state = STATE_CLOSED
-        self.close_mode = mode
         self.send_queue = 0
         self._next_probe = None
         return self.transport.emit(self.transport.kernel.now, UP, 0, CLOSE_KINDS[mode], self.id)

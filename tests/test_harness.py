@@ -19,7 +19,7 @@ from streamsim.session import (
     PER_BURST,
     TechniqueSpec,
 )
-from streamsim.transport import DATA
+from streamsim.transport import DATA, check_time_order
 
 COMPARE = [
     "compare_encoding_3g",
@@ -75,6 +75,17 @@ def test_audit_flags_bytes_billed_off_the_wire(grid):
     moved[ids[0]] -= 100
     moved[ids[1]] += 100
     assert audit(replace(report, metrics=replace(m, connection_bytes=moved))) == [per_conn]
+
+
+def test_audit_flags_a_record_that_steps_back(grid):
+    # audit's order rule is strict: a step back of 1e-13 s is flagged, though
+    # check_time_order lets it pass as float noise
+    report = grid["compare_onoff_per_burst_3g"]
+    records = list(report.records)
+    i = len(records) // 2
+    records[i] = replace(records[i], time=records[i - 1].time - 1e-13)
+    assert check_time_order([r.time for r in records]) is False
+    assert audit(replace(report, records=records)) == ["packet timeline out of order"]
 
 
 def test_every_bundled_run_is_classified_as_built(grid):

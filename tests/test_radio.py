@@ -226,16 +226,18 @@ def test_psm_params_validation():
 def test_charge_is_dwell_times_current():
     br = integrate([StateSegment(DCH, 0.0, 20.0)], {DCH: 150.0})
     assert br.charge_mAs == pytest.approx(3000.0)
-    assert br.avg_current_mA == pytest.approx(150.0)
+    assert br.avg_total_mA == pytest.approx(150.0)
     assert br.duration_s == pytest.approx(20.0)
     assert br.dwell == {DCH: pytest.approx(20.0)}
+    # no playback draw until make_energy_report adds one
+    assert br.playback_mA == 0.0 and br.avg_streaming_mA == br.avg_total_mA
 
 
 def test_integrate_mixed_states():
     segs = [StateSegment(DCH, 0.0, 10.0), StateSegment(PCH, 10.0, 30.0)]
     br = integrate(segs, {DCH: 200.0, PCH: 50.0})
     assert br.charge_mAs == pytest.approx(2000.0 + 1000.0)
-    assert br.avg_current_mA == pytest.approx(100.0)
+    assert br.avg_total_mA == pytest.approx(100.0)
 
 
 def test_integrate_rejects_unknown_state_and_negative_span():

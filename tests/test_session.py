@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import statistics
 from collections import Counter
 from dataclasses import asdict, replace
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import streamsim.session as session_module
 
 from streamsim.analysis import group_bursts
-from streamsim.harness import build_session
+from streamsim.harness import _report, audit, build_session
 from streamsim.scenario import builtin_scenario_names, load_builtin
 from streamsim.session import (
     DASH,
@@ -545,6 +546,21 @@ def test_random_sessions_match_every_tick_playback(case):
         assert play(*case) == spans
 
 
+@settings(max_examples=300, deadline=None)
+@given(random_sessions())
+def test_random_sessions_that_finish_audit_clean(case):
+    # priced under one 3G RRC and one Wi-Fi PSM radio of the bundled scenarios
+    video, technique, path, kw = case
+    session = StreamingSession(video, technique, path, **kw)
+    try:
+        metrics = session.run()
+    except DeadlockError:
+        return
+    for name in ("compare_encoding_3g", "galaxy_s3_dailymotion_wifi"):
+        scenario = replace(load_builtin(name), video=video, technique=technique, path=path)
+        assert audit(_report(scenario, metrics, session.transport.records)) == [], name
+
+
 @pytest.mark.parametrize("technique, interval", [
     (TechniqueSpec(FAST_CACHING, fast_start_s=2.0), 0.1),
     (TechniqueSpec(ON_OFF, fast_start_s=10.0, low_watermark_s=2.0, high_watermark_s=10.0), 0.1),
@@ -606,6 +622,33 @@ def test_horizon_reports_a_stuck_session_with_the_time_it_stopped():
         session.run()
     # the stall up to the horizon is played in one span, not tick by tick
     assert session.kernel.executed < 100
+
+
+@pytest.mark.parametrize("cap, depth, stuck", [
+    # the store fills in the fast start, before a segment is whole
+    (300_000, 0, ("0.52", 325_000, "FAST_START")),
+    (600_000, 0, ("0.92", 25_000, "FAST_START")),
+    # a refetch after an upward switch fills it in steady play
+    (1_300_000, 2, ("36.62", 200_000, "STEADY")),
+    # controls: the same store without refetches, and a larger one with them
+    (1_300_000, 0, None),
+    (2_000_000, 2, None),
+], ids=["fast-start-300k", "fast-start-600k", "refetch-1300k", "no-refetch-1300k", "refetch-2000k"])
+def test_dash_stuck_on_a_full_store_says_so(cap, depth, stuck):
+    technique = TechniqueSpec(DASH, fast_start_s=10, dash_target_s=15,
+                              buffer_cap=cap, dash_refetch_depth=depth)
+    session = StreamingSession(ladder_video(), technique, PathSpec(6_000_000))
+    if stuck is None:
+        assert session.run().watched_s == pytest.approx(60.0)
+        return
+    since, queued, phase = stuck
+    with pytest.raises(DeadlockError, match=re.escape(
+        f"stuck, no media byte or playhead movement since t={since}, with the store full "
+        f"({cap} B held, cap {cap} B) and {queued} B still queued: "
+    ) + rf".*\(phase={phase} "):
+        session.run()
+    buf = session.buffer
+    assert buf.held(buf.consumed) == cap and buf.limit(buf.pos, buf.consumed, buf.dup) == 0
 
 
 def test_fast_start_larger_than_the_store_cap_is_rejected():

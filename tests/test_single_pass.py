@@ -1,8 +1,10 @@
 """The single-pass trace analysis equals the multi-pass code it replaced.
 
-`estimate_buffer`, the classifier's feature harvest, `group_bursts` and
-`rrc_drive` each walk a timeline once.  The rate knee, the steady ratio and
-`estimate_fast_start` read prefix sums of the DATA bytes, and `psm_drive`
+`estimate_buffer`, `group_bursts` and `rrc_drive` each walk a timeline
+once.  The classifier's feature harvest walks it once for the control
+records, connections and requests, and reads the DATA count, bytes and burst
+gaps from the `_DataView` the classifier builds.  The rate knee, the steady
+ratio and `estimate_fast_start` read the same prefix sums, and `psm_drive`
 returns runs of whole beacons as beacon trains, which `integrate` prices in
 bulk.  The functions below are their earlier versions, kept as oracles: every
 output must match them exactly, float for float, over random timelines that
@@ -28,6 +30,7 @@ from streamsim.analysis import (
     THRESHOLDS,
     Burst,
     FastStartEstimate,
+    _DataView,
     _harvest,
     classify,
     estimate_buffer,
@@ -558,10 +561,9 @@ def test_rrc_drive_sorted_check_on_records_and_small_back_steps():
 # gaps exactly at the burst and silence thresholds
 @example([PacketRecord(t, DOWN, 100, DATA, 1) for t in (0.0, 0.05, 0.5, 10.5)])
 def test_one_pass_harvest_matches_the_multi_pass_features(records):
-    feats, data = _harvest(records)
+    feats = _harvest(records, _DataView(records))
     expected = oracle_harvest(records)
     assert list(feats.items()) == list(expected.items())
-    assert data == [r for r in records if r.kind == DATA]
 
 
 @settings(max_examples=200, deadline=None)

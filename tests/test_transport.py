@@ -87,7 +87,8 @@ def test_fractional_rate_carry_has_no_long_term_drift():
 
 def test_rate_cap_limits_below_path_bandwidth():
     kernel, transport, conn = make_conn(bandwidth_bps=6_000_000, rtt_s=0.0)
-    conn.enqueue(1 << 20, rate_cap=400_000)
+    conn.enqueue(1 << 20)
+    conn.set_rate_cap(400_000)
     drive(kernel, conn, 100)
     # 400 kbps for 1 s is 50 kB; allow the one-byte carry rounding.
     assert abs(conn.delivered_total - 50_000) <= 1.0
@@ -305,7 +306,8 @@ def test_advance_is_a_no_op_before_next_action():
             recv_capacity=rng.choice([100, 10_000, 65_536]),
             probe_interval=rng.choice([0.5, 5.0]),
         )
-        conn.enqueue(rng.choice([0, 30_000, 500_000]), rate_cap=rng.choice([None, 0, 600, 400_000]))
+        conn.enqueue(rng.choice([0, 30_000, 500_000]))
+        conn.set_rate_cap(rng.choice([None, 0, 600, 400_000]))
         wake = conn.next_action(TICK)
         for i in range(800):
             now = (i + 1) * TICK
@@ -323,20 +325,6 @@ def test_advance_is_a_no_op_before_next_action():
                 conn.request()
             wake = conn.next_action(TICK)
     assert quiet > 5_000
-
-
-def test_pace_is_whole_only_with_queue_window_and_limit_to_spare():
-    # 8 kb/s over a 1 s tick ending at t=10 allows exactly 1000 B
-    def pace(queue, capacity, limit=None):
-        _, _, conn = make_conn(bandwidth_bps=8_000, rtt_s=0.0, recv_capacity=capacity)
-        conn.enqueue(queue)
-        return conn.pace(10.0, 1.0, limit)
-
-    assert pace(1_001, 1_001) == (1_000, 0.0, True)
-    assert pace(1_000, 1_001) == (1_000, 0.0, False)  # last chunk
-    assert pace(1_001, 1_000) == (1_000, 0.0, False)  # fills the window
-    assert pace(1_001, 1_001, limit=1_000) == (1_000, 0.0, False)  # reaches the limit
-    assert pace(1_001, 1_001, limit=600) == (600, 0.0, False)  # cut: no credit carries
 
 
 def test_run_emitter_matches_emit_one_by_one():
