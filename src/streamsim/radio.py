@@ -26,7 +26,6 @@ would apply to the expanded segments, so the dwell and charge are the same
 to the last bit.
 """
 
-import csv
 from dataclasses import dataclass
 
 from .transport import check_time_order
@@ -427,8 +426,9 @@ def make_energy_report(report, playback_mA):
 
 
 def write_radio_csv(segments, path):
+    """Rows as csv.writer writes them (no field needs quoting), per beacon."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["state", "start_s", "end_s"])
-        for seg in expand_segments(segments):
-            w.writerow([seg.state, "%.6f" % seg.start, "%.6f" % seg.end])
+        fh.write("state,start_s,end_s\r\n")
+        fh.writelines(
+            "%s,%.6f,%.6f\r\n" % (s.state, s.start, s.end) for s in expand_segments(segments)
+        )

@@ -256,7 +256,8 @@ class EncodingRate(Policy):
 
     def reads(self, playhead):
         """The client reads the bytes of the next tick of media."""
-        return int(math.ceil(self.video.bytes_between(playhead, playhead + self.tick_s)))
+        cum_bytes = self.video.cum_bytes
+        return int(math.ceil(cum_bytes(playhead + self.tick_s) - cum_bytes(playhead)))
 
 
 class Throttle(Policy):
@@ -516,8 +517,10 @@ class StreamingSession:
                 cause += ", with the store full (%.0f B held, cap %d B) and %d B still queued" % (
                     buf.held(buf.consumed), buf.cap, self.conn.send_queue,
                 )
-        return "%s: delivered %d of %d B by t=%.1f (phase=%s playhead=%.2f conn=%s)" % (
-            cause, buf.pos, self.video.total_bytes, now, self.phase, self.playhead,
+        # media seconds, not bytes: a DASH store counts the bytes of the
+        # levels it fetched, refetches included, which the clip's bytes do not bound
+        return "%s: delivered %.2f of %d s by t=%.1f (phase=%s playhead=%.2f conn=%s)" % (
+            cause, buf.delivered(), self.video.duration_s, now, self.phase, self.playhead,
             "open" if self._conn_open() else "closed",
         )
 
@@ -555,7 +558,7 @@ class StreamingSession:
         self.policy.serve(self)
         self._ticks += 1
         if self._ticks >= self._next_sample:
-            self._sample(self._ticks, now, self.playhead, buf.consumed, buf.delivered())
+            self._sample(now)
         buf.check()
         self.kernel.schedule(self._play_quiet(now), self._tick)
 
@@ -611,7 +614,9 @@ class StreamingSession:
         high watermark and a full store.  The first tick is tested on its
         own, so bisection runs only once both are false, and they stay false
         for every tick after it.  The tick that stops, or the one after a
-        stretch cut at _STRETCH ticks, is left to the caller.
+        stretch cut at _STRETCH ticks, is left to the caller.  The samples of
+        the ticks played are built in one pass from the same clock and
+        playhead, and join buffer_series at once.
         """
         dt = self.tick_s
         buf = self.buffer
@@ -647,13 +652,20 @@ class StreamingSession:
         if stops(1):
             return t
         played = bisect_left(range(1, k + 1), True, key=stops)
-        # samples by index: a sample tick j leaves the next at j + every
-        sample = self._sample
-        for j in range(self._next_sample - ticks, played + 1, self._sample_every):
+        # the sample ticks by index: a sample tick j leaves the next at j + every
+        every = self._sample_every
+        at = range(self._next_sample - ticks, played + 1, every)
+        if at:
             if moving:
-                sample(ticks + j, ts[j], phs[j], consumed_at(phs[j], media_pos), delivered)
+                samples = [
+                    (ts[j], media_pos - consumed_at(phs[j], media_pos), delivered - phs[j])
+                    for j in at
+                ]
             else:
-                sample(ticks + j, ts[j], playhead, consumed, delivered)
+                held, media = media_pos - consumed, delivered - playhead
+                samples = [(ts[j], held, media) for j in at]
+            self.metrics.buffer_series.extend(samples)
+            self._next_sample = ticks + at[-1] + every
         self._ticks = ticks + played
         if moving:
             self.playhead = phs[played]
@@ -676,8 +688,13 @@ class StreamingSession:
         that needs the kernel; it always plays or stops the first tick.  The
         connection is written back where the window closes or reopens (the
         Connection changes the window state and asks next_action again) and
-        at the run's end; the books and the DATA records (_book_run) there,
-        before a zero-window advertisement and before each buffer sample.
+        at the run's end.  The DATA records and the books (_book_run) are
+        written where the window fills, before its zero-window advertisement,
+        and at the run's end.  A buffer sample comes from the locals:
+        MediaBuffer.held is pos - consumed, and pos is media_pos once the run
+        is booked.  Nothing else a tick reads waits on the books, since a
+        DASH download completes only on a tick the queue cuts, which is never
+        played here.
         Returns (t, conn_t, stopped): the last tick played, the connection's
         next action, and whether the next tick is the kernel's.
         """
@@ -710,7 +727,8 @@ class StreamingSession:
         # never falls: cum[i] <= media_pos < cum[i + 1] while it is under total
         cum, schedule, total = video._cum, video.schedule, video.total_bytes
         i = bisect_right(cum, media_pos) - 1
-        ticks, next_sample = self._ticks, self._next_sample
+        ticks, next_sample, every = self._ticks, self._next_sample, self._sample_every
+        series = self.metrics.buffer_series
         times, sizes = [], []
         stopped = True
         while True:
@@ -797,21 +815,17 @@ class StreamingSession:
             t = t_next
             ticks += 1
             if ticks >= next_sample:
-                # the sample reads the books
-                if times:
-                    self._book_run(times, sizes)
-                    times, sizes = [], []
                 if moving:
                     consumed = consumed_at(playhead, media_pos)
-                self._sample(ticks, t, playhead, consumed, delivered)
-                next_sample = self._next_sample
+                series.append((t, media_pos - consumed, delivered - playhead))
+                next_sample = ticks + every
             if t + dt >= stop_t or t + dt < conn_t and (reads is None or not occ):
                 break
             stopped = True
         conn._rate_frac, conn.send_queue, conn.recv_occupancy = credit, queue, occ
         if times:
             self._book_run(times, sizes)
-        self.playhead, self._ticks = playhead, ticks
+        self.playhead, self._ticks, self._next_sample = playhead, ticks, next_sample
         if moving:
             self._sync_consumed()
         return t, conn_t, stopped
@@ -929,11 +943,14 @@ class StreamingSession:
         self._ended_watches[fraction] = (m, records)
         return done
 
-    def _sample(self, ticks, t, playhead, consumed, delivered):
-        """Buffer sample of tick `ticks`, which ends at t.
+    def _sample(self, t):
+        """Buffer sample of the full tick that ends at t, read from the books.
 
-        The playhead, the consumed bytes and the delivered media seconds are
-        passed in, since spans hold them in locals; the other books are read.
+        Spans take their samples themselves, with the same arithmetic, from
+        the books they hold in locals (_stretch, _flow).
         """
-        self.metrics.buffer_series.append((t, self.buffer.held(consumed), delivered - playhead))
-        self._next_sample = ticks + self._sample_every
+        buf = self.buffer
+        self.metrics.buffer_series.append(
+            (t, buf.held(buf.consumed), buf.delivered() - self.playhead)
+        )
+        self._next_sample = self._ticks + self._sample_every

@@ -16,6 +16,8 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
+from operator import le
 
 DOWN = "down"  # server -> client
 UP = "up"      # client -> server
@@ -125,8 +127,17 @@ class Transport:
     def emit_run(self, direction, kind, conn_id, times, payloads):
         """emit() each (time, payload) pair in turn, with the same jitter draws."""
         jitter = self.path.jitter
-        uniform = self._rng.uniform
         nominal, last = self._last_nominal, self._last_emit
+        if not jitter and len(times) > 1 and times[0] >= last and all(map(le, times, times[1:])):
+            # no draw moves a time and none falls behind the one before it,
+            # so every record keeps its time as it is; a lone record is
+            # cheaper through the loop
+            self.records.extend(map(
+                PacketRecord, times, repeat(direction), payloads, repeat(kind), repeat(conn_id)
+            ))
+            self._last_nominal = self._last_emit = times[-1]
+            return
+        uniform = self._rng.uniform
         append = self.records.append
         for time, payload in zip(times, payloads):
             if jitter > 0.0:
@@ -328,23 +339,37 @@ def check_time_order(times):
     return False
 
 
+class _Tails(dict):
+    """The ",direction,bytes,kind,conn_id\r\n" end of a row, formatted once per key."""
+
+    def __missing__(self, key):
+        tail = self[key] = ",%s,%d,%s,%d\r\n" % key
+        return tail
+
+
 def write_timeline_csv(records, path):
-    # rows as csv.writer would write them: no field needs quoting
+    """Rows as csv.writer writes them (no field needs quoting), streamed:
+    each time is formatted once, and each distinct rest of a row once."""
+    tails = _Tails()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TIMELINE_HEADER) + "\r\n")
         fh.writelines(
-            "%.6f,%s,%d,%s,%d\r\n" % (r.time, r.direction, r.payload, r.kind, r.conn_id)
-            for r in records
+            "%.6f" % r.time + tails[r.direction, r.payload, r.kind, r.conn_id] for r in records
         )
 
 
 def read_timeline_csv(path):
+    """The records of a timeline CSV; a malformed row is a ValueError that names its line."""
     out = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd)
         if header != TIMELINE_HEADER:
             raise ValueError("unexpected timeline header: %s" % header)
-        for row in rd:
-            out.append(PacketRecord(float(row[0]), row[1], int(row[2]), row[3], int(row[4])))
+        try:
+            for row in rd:
+                t, direction, payload, kind, conn_id = row
+                out.append(PacketRecord(float(t), direction, int(payload), kind, int(conn_id)))
+        except ValueError as exc:
+            raise ValueError("%s line %d: %s" % (path, rd.line_num, exc)) from None
     return out

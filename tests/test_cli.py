@@ -129,6 +129,22 @@ def test_analyze_reports_an_out_of_order_trace(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("row, cause", [
+    ("0.020000,down,1000", "not enough values to unpack (expected 5, got 3)"),
+    ("0.02x,down,1000,DATA,1", "could not convert string to float: '0.02x'"),
+], ids=["short-row", "bad-number"])
+def test_analyze_names_the_line_of_a_malformed_row(tmp_path, capsys, row, cause):
+    trace = tmp_path / "bad.timeline.csv"
+    trace.write_text(
+        "time_s,direction,bytes,kind,conn_id\n0.010000,down,1000,DATA,1\n" + row + "\n"
+    )
+    code = main(["analyze", str(trace), "--rate", "500000", "--bandwidth", "6000000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {trace} line 3: {cause}\n"
+    assert captured.out == ""
+
+
 def test_analyze_requires_rate_and_bandwidth(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["analyze", "whatever.csv"])

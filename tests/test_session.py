@@ -594,7 +594,7 @@ def test_horizon_reports_a_slow_session_as_still_progressing():
     # a 1500 B receive window over a 0.6 s rtt moves ~2.5 kB/s: too slow, not stuck
     with pytest.raises(DeadlockError, match=(
         r"too slow for the horizon, still progressing at t=1079\.\d\d: "
-        r"delivered 2655000 of 3750000 B by t=1080\.0"
+        r"delivered 42\.48 of 60 s by t=1080\.0"
     )):
         run(
             VideoSpec.constant(60, 500_000),
@@ -617,7 +617,7 @@ def test_horizon_reports_a_stuck_session_with_the_time_it_stopped():
     )
     with pytest.raises(DeadlockError, match=(
         r"stuck, no media byte or playhead movement since t=4\.58: "
-        r"delivered 272500 of 3750000 B by t=120\.0"
+        r"delivered 4\.36 of 60 s by t=120\.0"
     )):
         session.run()
     # the stall up to the horizon is played in one span, not tick by tick
@@ -645,8 +645,11 @@ def test_dash_stuck_on_a_full_store_says_so(cap, depth, stuck):
     with pytest.raises(DeadlockError, match=re.escape(
         f"stuck, no media byte or playhead movement since t={since}, with the store full "
         f"({cap} B held, cap {cap} B) and {queued} B still queued: "
-    ) + rf".*\(phase={phase} "):
+    ) + rf".*\(phase={phase} ") as err:
         session.run()
+    # progress is media seconds of the clip, which refetched bytes do not inflate
+    delivered, clip = re.search(r"delivered (\S+) of (\d+) s", str(err.value)).groups()
+    assert float(delivered) <= float(clip) == 60.0
     buf = session.buffer
     assert buf.held(buf.consumed) == cap and buf.limit(buf.pos, buf.consumed, buf.dup) == 0
 

@@ -327,17 +327,22 @@ def test_advance_is_a_no_op_before_next_action():
     assert quiet > 5_000
 
 
-def test_run_emitter_matches_emit_one_by_one():
+@pytest.mark.parametrize("jitter", [0.0, 0.99])
+def test_run_emitter_matches_emit_one_by_one(jitter):
     # jitter 0.99 can pull a record before the one emitted ahead of it, so
-    # the timeline clamp fires; both sides draw from one seed
+    # the timeline clamp fires; both sides draw from one seed.  Without
+    # jitter, the first two runs go through emit_run's one-map branch; the
+    # third starts before the last time emitted and the fourth steps back,
+    # so both need the clamp and take the loop.
     rng = random.Random(8)
-    times = [0.01 * (i + 1) + rng.choice([0.0, 0.0, 0.004, 2.0]) * (i > 20) for i in range(60)]
+    times = [0.01 * (i + 1) + rng.choice([0.0, 0.0, 0.004, 2.0]) * (i > 20) for i in range(80)]
     times.sort()
     sizes = [rng.randrange(1, 9_000) for _ in times]
+    parts = [slice(0, 30), slice(30, 60), slice(50, 60), slice(79, 59, -1)]
     sides = []
     for by_run in (False, True):
-        transport = Transport(PathSpec(6_000_000, jitter=0.99), Kernel(), seed=21)
-        for part in (slice(0, 30), slice(30, 60)):
+        transport = Transport(PathSpec(6_000_000, jitter=jitter), Kernel(), seed=21)
+        for part in parts:
             if by_run:
                 transport.emit_run(DOWN, DATA, 1, times[part], sizes[part])
             else:
