@@ -24,7 +24,7 @@ from .radio import (
 )
 from .scenario import PSM_WIFI, RRC_3G, Scenario
 from .session import ON_OFF, PER_BURST, SessionMetrics, StreamingSession
-from .transport import DATA, write_timeline_csv
+from .transport import DATA, write_rows, write_timeline_csv
 
 
 @dataclass
@@ -219,7 +219,7 @@ def write_artifacts(report, out_dir):
     write_radio_csv(report.radio_segments, base + ".radio.csv")
     with open(base + ".buffer.csv", "w", newline="") as fh:
         fh.write("time_s,buffer_bytes,buffer_media_s\r\n")
-        fh.writelines(map("%.3f,%.0f,%.3f\r\n".__mod__, report.metrics.buffer_series))
+        write_rows(fh, map("%.3f,%.0f,%.3f\r\n".__mod__, report.metrics.buffer_series))
     with open(base + ".summary.csv", "w", newline="") as fh:
         fh.write(emit_report([report], fmt="csv"))
 

@@ -28,7 +28,7 @@ to the last bit.
 
 from dataclasses import dataclass
 
-from .transport import check_time_order
+from .transport import check_time_order, write_rows
 
 DCH = "DCH"
 FACH = "FACH"
@@ -429,6 +429,6 @@ def write_radio_csv(segments, path):
     """Rows as csv.writer writes them (no field needs quoting), per beacon."""
     with open(path, "w", newline="") as fh:
         fh.write("state,start_s,end_s\r\n")
-        fh.writelines(
+        write_rows(fh, (
             "%s,%.6f,%.6f\r\n" % (s.state, s.start, s.end) for s in expand_segments(segments)
-        )
+        ))

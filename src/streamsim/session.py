@@ -63,7 +63,7 @@ from itertools import accumulate, repeat
 from .kernel import Kernel
 from .media import MediaBuffer, SegmentBuffer, dash_pick_quality
 from .media import QualityLevel, VideoSpec  # noqa: F401  (re-exported: they lived here first)
-from .transport import CLOSE_KINDS, DATA, DOWN, UP, ZERO_WINDOW, Transport, paced
+from .transport import CLOSE_KINDS, DATA, DOWN, UP, ZERO_WINDOW, Transport
 
 ENCODING_RATE = "ENCODING_RATE"
 THROTTLE = "THROTTLE"
@@ -255,9 +255,18 @@ class EncodingRate(Policy):
         return self.reads, None
 
     def reads(self, playhead):
-        """The client reads the bytes of the next tick of media."""
-        cum_bytes = self.video.cum_bytes
-        return int(math.ceil(cum_bytes(playhead + self.tick_s) - cum_bytes(playhead)))
+        """The client reads the bytes of the next tick of media: VideoSpec.cum_bytes
+        at playhead + tick_s less at playhead, spelled out with its float operations."""
+        v = self.video
+        cum, schedule, duration = v._cum, v.schedule, v.duration_s
+        t = playhead + self.tick_s
+        j = int(t)
+        hi = (cum[j] + (t - j) * schedule[j] if 0 < t < duration
+              else 0.0 if t <= 0 else float(v.total_bytes))
+        j = int(playhead)
+        lo = (cum[j] + (playhead - j) * schedule[j] if 0 < playhead < duration
+              else 0.0 if playhead <= 0 else float(v.total_bytes))
+        return math.ceil(hi - lo)
 
 
 class Throttle(Policy):
@@ -656,11 +665,21 @@ class StreamingSession:
         every = self._sample_every
         at = range(self._next_sample - ticks, played + 1, every)
         if at:
-            if moving:
-                samples = [
-                    (ts[j], media_pos - consumed_at(phs[j], media_pos), delivered - phs[j])
-                    for j in at
-                ]
+            if moving and isinstance(buf, SegmentBuffer):
+                samples = [(ts[j], media_pos - consumed_at(phs[j], media_pos), delivered - phs[j])
+                           for j in at]
+            elif moving:
+                # as MediaBuffer.consumed_at(phs[j], media_pos)
+                v = self.video
+                cum, schedule, duration, end = v._cum, v.schedule, v.duration_s, v.total_bytes
+                end, pos, samples = float(end), float(media_pos), []
+                for j in at:
+                    ph = phs[j]
+                    i = int(ph)
+                    c = (cum[i] + (ph - i) * schedule[i] if 0 < ph < duration
+                         else 0.0 if ph <= 0 else end)
+                    c = c if c < media_pos else pos
+                    samples.append((ts[j], media_pos - c, delivered - ph))
             else:
                 held, media = media_pos - consumed, delivered - playhead
                 samples = [(ts[j], held, media) for j in at]
@@ -679,28 +698,30 @@ class StreamingSession:
         free receive window (and advertises it zero, as advance() does), or
         paces zero bytes with window room; or it sends nothing.  Then the
         client reads what reads() says, and playback advances unless it is
-        stalled or has not begun.  Each tick paces with transport.paced, as
-        Connection.advance does, and tests the rules of the full tick in its
-        order.  No rule here is bisected: with bytes flowing, the
-        ON_OFF watermark rules are not monotone.
+        stalled or has not begun.  A tick spells out transport.paced, the
+        store limit, the playback rules and a progressive consumed_at with
+        their float operations, and tests the rules of the full tick in its
+        order.  No rule here is bisected: with bytes flowing, the ON_OFF
+        watermark rules are not monotone.
 
         The run ends before a tick _stretch can play and at the first tick
         that needs the kernel; it always plays or stops the first tick.  The
         connection is written back where the window closes or reopens (the
         Connection changes the window state and asks next_action again) and
-        at the run's end.  The DATA records and the books (_book_run) are
-        written where the window fills, before its zero-window advertisement,
-        and at the run's end.  A buffer sample comes from the locals:
-        MediaBuffer.held is pos - consumed, and pos is media_pos once the run
-        is booked.  Nothing else a tick reads waits on the books, since a
-        DASH download completes only on a tick the queue cuts, which is never
-        played here.
+        at the run's end.  The DATA records are emitted where the window
+        fills, before its zero-window advertisement, and at the run's end;
+        their bytes are booked once, at the end.  No tick waits on the books:
+        close_window, reopen_window and next_action read only the connection,
+        a sample comes from the locals (MediaBuffer.held is pos - consumed),
+        a DASH download completes only on a tick the queue cuts, never played
+        here, and one arrive() of the sum books what one per fill would.
         Returns (t, conn_t, stopped): the last tick played, the connection's
         next action, and whether the next tick is the kernel's.
         """
         dt = self.tick_s
         conn, video, buf = self.conn, self.video, self.buffer
-        capped = buf.cap is not None
+        cap = buf.cap
+        capped = cap is not None
         moving = self.phase == STEADY and not self.stalled
         # Bytes may arrive only while the client reads them and playback is
         # not stalled: a full tick leaves a stall in place only with under
@@ -713,9 +734,9 @@ class StreamingSession:
         starting = progressive and self.phase == FAST_START
         to_go = buf.ready_at - buf.pos if starting else _BIG
         draining = reads is _drain
-        runs_dry, watch_done = _runs_dry, self._watch_done
-        limit_at, consumed_at = buf.limit, buf.consumed_at
+        consumed_at = buf.consumed_at
         watched_end = self.watched_end
+        done_at = watched_end - 1e-12  # as _watch_done
         credit, queue, occ = conn._rate_frac, conn.send_queue, conn.recv_occupancy
         resume, capacity = conn._resume_at, conn.recv_capacity
         byte_rate = conn._rate_bps() / 8.0
@@ -726,10 +747,13 @@ class StreamingSession:
         # media_time() of media_pos as a forward cursor, since media_pos
         # never falls: cum[i] <= media_pos < cum[i + 1] while it is under total
         cum, schedule, total = video._cum, video.schedule, video.total_bytes
+        duration = video.duration_s
         i = bisect_right(cum, media_pos) - 1
         ticks, next_sample, every = self._ticks, self._next_sample, self._sample_every
         series = self.metrics.buffer_series
+        emit_run = self.transport.emit_run
         times, sizes = [], []
+        sent = 0  # bytes of the records emitted at window fills
         stopped = True
         while True:
             t_next = t + dt
@@ -739,16 +763,25 @@ class StreamingSession:
             if t_next >= conn_t:
                 if not flows:
                     break
-                # min() spelled out in this loop: a builtin call costs more
-                # than the rest of a line
+                # min(), max(), MediaBuffer.limit and transport.paced spelled
+                # out in this loop: a call costs more than the rest of a line
                 room = capacity - occ
                 if queue < room:
                     room = queue
                 if capped:
-                    limit = limit_at(media_pos, consumed, dup)
+                    free = int(cap - (media_pos - consumed))
+                    limit = dup + (free if free > 0 else 0)
                     if limit < room:
                         room = limit
-                n, paced_credit = paced(t_next, dt, resume, byte_rate, credit, queue, room)
+                start = t_next - dt
+                eligible = t_next - (resume if resume > start else start)
+                paced_credit = credit
+                if eligible > 0 and queue > 0:
+                    allowance = byte_rate * eligible + credit
+                    n = int(allowance)
+                    paced_credit = allowance - n
+                    if n > room:
+                        n, paced_credit = room, 0.0
                 if n == room:
                     # cut short: only a send that just fills the window plays
                     if not 0 < n == capacity - occ < queue or (capped and n >= limit):
@@ -762,7 +795,7 @@ class StreamingSession:
                     new_pos = media_pos + n - d
                     if progressive and new_pos != media_pos:
                         if new_pos >= total:
-                            delivered = float(video.duration_s)
+                            delivered = float(duration)
                         else:
                             while cum[i + 1] <= new_pos:
                                 i += 1
@@ -772,12 +805,19 @@ class StreamingSession:
                 step = watched_end - playhead
                 if step > dt:
                     step = dt
-                if runs_dry(delivered - playhead, step):
+                if delivered - playhead + 1e-9 < step:  # as _runs_dry
                     break
                 ahead = playhead + step
-                if watch_done(ahead):
+                if ahead >= done_at:
                     break
-                if capped:
+                if capped and progressive:
+                    # as MediaBuffer.consumed_at(ahead, new_pos)
+                    j = int(ahead)
+                    used = (cum[j] + (ahead - j) * schedule[j] if 0 < ahead < duration
+                            else 0.0 if ahead <= 0 else float(total))
+                    if used >= new_pos:
+                        used = float(new_pos)
+                elif capped:
                     used = consumed_at(ahead, new_pos)
             if acts is not None and acts(new_pos, delivered, ahead, used):
                 break
@@ -796,14 +836,18 @@ class StreamingSession:
             playhead, consumed = ahead, used
             turns = fills  # the window closes or reopens on this tick
             if fills:
-                # as advance(): the DATA record, then the zero-window ad
-                self._book_run(times, sizes)
+                # as advance(): the DATA records, then the zero-window ad
+                emit_run(DOWN, DATA, conn.id, times, sizes)
+                sent += sum(sizes)
                 times, sizes = [], []
+                last_t = t_next
                 conn.close_window(t_next)
                 zero = True
             if reads is not None and occ:
                 # as Connection.read
-                got = occ if draining else int(min(reads(playhead), occ))
+                got = occ if draining else int(reads(playhead))
+                if got > occ:
+                    got = occ
                 if got > 0:
                     occ -= got
                     if zero:
@@ -815,7 +859,14 @@ class StreamingSession:
             t = t_next
             ticks += 1
             if ticks >= next_sample:
-                if moving:
+                if moving and progressive:
+                    # as MediaBuffer.consumed_at(playhead, media_pos)
+                    j = int(playhead)
+                    consumed = (cum[j] + (playhead - j) * schedule[j] if 0 < playhead < duration
+                                else 0.0 if playhead <= 0 else float(total))
+                    if consumed >= media_pos:
+                        consumed = float(media_pos)
+                elif moving:
                     consumed = consumed_at(playhead, media_pos)
                 series.append((t, media_pos - consumed, delivered - playhead))
                 next_sample = ticks + every
@@ -824,19 +875,17 @@ class StreamingSession:
             stopped = True
         conn._rate_frac, conn.send_queue, conn.recv_occupancy = credit, queue, occ
         if times:
-            self._book_run(times, sizes)
+            emit_run(DOWN, DATA, conn.id, times, sizes)
+            sent += sum(sizes)
+            last_t = times[-1]
+        if sent:
+            # the run's bytes, booked once
+            conn.delivered_total += sent
+            self._on_data(sent, conn.id, last_t)
         self.playhead, self._ticks, self._next_sample = playhead, ticks, next_sample
         if moving:
             self._sync_consumed()
         return t, conn_t, stopped
-
-    def _book_run(self, times, sizes):
-        """Emit and book the DATA a span sent at `times`."""
-        conn = self.conn
-        self.transport.emit_run(DOWN, DATA, conn.id, times, sizes)
-        sent = sum(sizes)
-        conn.delivered_total += sent
-        self._on_data(sent, conn.id, times[-1])
 
     def _on_data(self, nbytes, conn_id, now):
         """Book nbytes that arrived on conn_id by `now`."""

@@ -16,7 +16,7 @@ import csv
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from operator import le
 
 DOWN = "down"  # server -> client
@@ -73,7 +73,8 @@ def paced(now, dt, resume_at, byte_rate, credit, queue, room):
     plus the sub-byte credit carried from earlier ticks, and never more than
     `room` (the queue, the free receive space and any limit, whichever is
     least).  The credit carries over only when the allowance is what cut the
-    bytes.  Connection.advance and the session's span playback both pace with it.
+    bytes.  Connection.advance paces with it; the session's flow loop spells
+    out the same arithmetic, held to the same bytes by an every-tick test.
     """
     start = now - dt
     eligible = now - (resume_at if resume_at > start else start)  # max(), without the call
@@ -137,14 +138,15 @@ class Transport:
             ))
             self._last_nominal = self._last_emit = times[-1]
             return
-        uniform = self._rng.uniform
+        draw = self._rng.random
         append = self.records.append
         for time, payload in zip(times, payloads):
             if jitter > 0.0:
                 gap = time - nominal
                 gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), without the call
                 nominal = time
-                time = time + uniform(-1.0, 1.0) * jitter * gap
+                # Random.uniform(-1.0, 1.0), without the call
+                time = time + (-1.0 + 2.0 * draw()) * jitter * gap
             else:
                 nominal = time
             # timeline must stay sorted for the radio models downstream
@@ -347,15 +349,22 @@ class _Tails(dict):
         return tail
 
 
+def write_rows(fh, rows):
+    """Write rows (non-empty strings) in blocks of 1,024, holding no full row list."""
+    rows = iter(rows)
+    while block := "".join(islice(rows, 1024)):
+        fh.write(block)
+
+
 def write_timeline_csv(records, path):
     """Rows as csv.writer writes them (no field needs quoting), streamed:
     each time is formatted once, and each distinct rest of a row once."""
     tails = _Tails()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TIMELINE_HEADER) + "\r\n")
-        fh.writelines(
+        write_rows(fh, (
             "%.6f" % r.time + tails[r.direction, r.payload, r.kind, r.conn_id] for r in records
-        )
+        ))
 
 
 def read_timeline_csv(path):
@@ -363,9 +372,11 @@ def read_timeline_csv(path):
     out = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, None)
+        if header is None:
+            raise ValueError("%s: empty file, no timeline header" % path)
         if header != TIMELINE_HEADER:
-            raise ValueError("unexpected timeline header: %s" % header)
+            raise ValueError("%s: unexpected timeline header: %s" % (path, header))
         try:
             for row in rd:
                 t, direction, payload, kind, conn_id = row

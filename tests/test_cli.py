@@ -145,6 +145,20 @@ def test_analyze_names_the_line_of_a_malformed_row(tmp_path, capsys, row, cause)
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, cause", [
+    ("", "empty file, no timeline header"),
+    ("t,dir,n\n0.01,down,1000\n", "unexpected timeline header: ['t', 'dir', 'n']"),
+], ids=["empty", "foreign-header"])
+def test_analyze_names_a_file_without_a_timeline_header(tmp_path, capsys, text, cause):
+    trace = tmp_path / "other.csv"
+    trace.write_text(text)
+    code = main(["analyze", str(trace), "--rate", "500000", "--bandwidth", "1000000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {trace}: {cause}\n"
+    assert captured.out == ""
+
+
 def test_analyze_requires_rate_and_bandwidth(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["analyze", "whatever.csv"])

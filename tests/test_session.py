@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 import statistics
@@ -367,6 +368,61 @@ def test_data_ticks_run_inside_few_kernel_events():
     # window refills (the freed window, then a zero-window advertisement) play in spans
     assert executed["compare_encoding_3g"] <= 50
     assert sum(executed.values()) <= 5_000
+
+
+def test_a_flow_run_books_its_bytes_once(monkeypatch):
+    # the encoding-rate client refills its window 5,482 times in this
+    # session; each fill emits its DATA records before the zero-window
+    # advertisement, but a flow run books its bytes once, at its end
+    on_data = StreamingSession._on_data
+    booked = []
+
+    def counted(self, nbytes, conn_id, now):
+        booked.append(nbytes)
+        return on_data(self, nbytes, conn_id, now)
+
+    monkeypatch.setattr(StreamingSession, "_on_data", counted)
+    session = build_session(load_builtin("compare_encoding_3g"))
+    metrics = session.run()
+    assert len(booked) <= 50
+    wire = sum(r.payload for r in session.transport.records if r.kind == DATA)
+    assert sum(booked) == metrics.received_total == wire
+
+
+READ_VIDEOS = {
+    "constant": VideoSpec.constant(20, 500_000),
+    "vbr": VideoSpec.vbr(20, 500_000, 0.8, period_s=10.0),
+    "still_seconds": VideoSpec([62_500] * 3 + [0] * 2 + [62_500] * 5),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    name=st.sampled_from(sorted(READ_VIDEOS)),
+    tick_s=st.sampled_from([0.01, 0.02, 0.025]),  # the ticks random_sessions() draws
+    where=st.sampled_from(["start", "ticks", "whole", "end", "past"]),
+    second=st.integers(0, 20),
+    frac=st.floats(-1.0, 1.0),
+)
+def test_encoding_rate_reads_the_next_tick_of_media(name, tick_s, where, second, frac):
+    # reads() spells out cum_bytes; it must give the bytes the call would
+    video = READ_VIDEOS[name]
+    end = video.duration_s
+    if where == "ticks":
+        # a playhead as playback builds it, one tick added at a time
+        playhead = 0.0
+        for _ in range(int(abs(frac) * end / tick_s)):
+            playhead += tick_s
+    else:
+        playhead = {
+            "start": 0.0,
+            "whole": min(second, end) + frac * tick_s,  # within a tick of a whole second
+            "end": end - abs(frac) * tick_s,  # within one tick of the end
+            "past": end + abs(frac) * 5.0,
+        }[where]
+    session = StreamingSession(video, TechniqueSpec(ENCODING_RATE), PATH, tick_s=tick_s)
+    expected = int(math.ceil(video.cum_bytes(playhead + tick_s) - video.cum_bytes(playhead)))
+    assert session.policy.reads(playhead) == expected
 
 
 def every_tick(session, now):

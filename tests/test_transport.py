@@ -357,6 +357,27 @@ def test_run_emitter_matches_emit_one_by_one(jitter):
     assert any(a == b for a, b in zip(stamps, stamps[1:]))  # clamped to _last_emit
 
 
+def test_jittered_run_draws_what_random_uniform_draws():
+    # emit_run draws Random.uniform(-1.0, 1.0) as -1.0 + 2.0 * random();
+    # the stamps are rebuilt here with uniform itself.  At jitter 0.99 the
+    # records after the jump to 2.0 s may land behind the one before, so
+    # the clamp to the last stamp fires too.
+    times = [0.01 * (i + 1) for i in range(40)] + [2.0 + 0.01 * i for i in range(40)]
+    transport = Transport(PathSpec(6_000_000, jitter=0.99), Kernel(), seed=5)
+    transport.emit_run(DOWN, DATA, 1, times, [1_000] * len(times))
+    rng = random.Random(5)
+    nominal = last = 0.0
+    expected, clamped = [], 0
+    for t in times:
+        stamp = t + rng.uniform(-1.0, 1.0) * 0.99 * max(0.0, t - nominal)
+        nominal = t
+        clamped += stamp < last
+        last = max(last, stamp)
+        expected.append(last)
+    assert [r.time for r in transport.records] == expected
+    assert clamped > 0
+
+
 def test_window_fill_in_a_span_matches_advance():
     # ENCODING_RATE on a zero rtt and a 4 kB window: every tick sends the
     # space the last read freed, filling the window.  Through the still
