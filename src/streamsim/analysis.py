@@ -21,6 +21,7 @@ from .transport import (
     REQUEST,
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
+    Timeline,
     check_time_order,
 )
 
@@ -133,11 +134,13 @@ class _DataView:
     __slots__ = ("times", "cums", "sorted_times", "sorted_cums")
 
     def __init__(self, records):
-        all_times = [r.time for r in records]
+        columns = isinstance(records, Timeline)
+        all_times = records.time if columns else [r.time for r in records]
         in_order = check_time_order(all_times)
-        is_data = [r.kind == DATA for r in records]
+        is_data = [k == DATA for k in records.kind] if columns else [r.kind == DATA for r in records]
         self.times = times = list(compress(all_times, is_data))
-        payloads = [r.payload for r in compress(records, is_data)]
+        payloads = (list(compress(records.payload, is_data)) if columns
+                    else [r.payload for r in compress(records, is_data)])
         self.cums = list(accumulate(payloads, initial=0))
         if in_order:
             self.sorted_times, self.sorted_cums = times, self.cums
@@ -344,28 +347,52 @@ def _harvest(records, view):
     req_times = []
     spans = {}  # conn_id -> [first, last] record time, any record kind
     conn = span = data_conn = None
-    for r in records:
-        t = r.time
-        if r.conn_id != conn:
-            conn = r.conn_id
-            span = spans.get(conn)
-            if span is None:
-                span = spans[conn] = [t, t]
-        if t < span[0]:
-            span[0] = t
-        elif t > span[1]:
-            span[1] = t
-        kind = r.kind
-        if kind == DATA:
-            if conn != data_conn:
-                data_conn = conn
-                data_conns.add(conn)
-        elif kind == REQUEST:
-            req_times.append(t)
-        elif kind == ZERO_WINDOW_AD:
-            ads += 1
-        elif kind == ZERO_WINDOW_PROBE:
-            probes += 1
+    timeline = isinstance(records, Timeline)
+    if timeline:
+        # the record loop below, over the columns: no record is built
+        for t, c, kind in zip(records.time, records.conn, records.kind):
+            if c != conn:
+                conn = c
+                span = spans.get(conn)
+                if span is None:
+                    span = spans[conn] = [t, t]
+            if t < span[0]:
+                span[0] = t
+            elif t > span[1]:
+                span[1] = t
+            if kind == DATA:
+                if conn != data_conn:
+                    data_conn = conn
+                    data_conns.add(conn)
+            elif kind == REQUEST:
+                req_times.append(t)
+            elif kind == ZERO_WINDOW_AD:
+                ads += 1
+            elif kind == ZERO_WINDOW_PROBE:
+                probes += 1
+    else:
+        for r in records:
+            t = r.time
+            if r.conn_id != conn:
+                conn = r.conn_id
+                span = spans.get(conn)
+                if span is None:
+                    span = spans[conn] = [t, t]
+            if t < span[0]:
+                span[0] = t
+            elif t > span[1]:
+                span[1] = t
+            kind = r.kind
+            if kind == DATA:
+                if conn != data_conn:
+                    data_conn = conn
+                    data_conns.add(conn)
+            elif kind == REQUEST:
+                req_times.append(t)
+            elif kind == ZERO_WINDOW_AD:
+                ads += 1
+            elif kind == ZERO_WINDOW_PROBE:
+                probes += 1
 
     times = view.times
     feats = {
@@ -396,7 +423,8 @@ def _harvest(records, view):
         feats["median_conn_gap_s"] = 0.0
 
     feats["data_span_s"] = times[-1] - times[0]
-    feats["trace_span_s"] = records[-1].time - records[0].time
+    feats["trace_span_s"] = (records.time[-1] - records.time[0] if timeline
+                             else records[-1].time - records[0].time)
     feats["span_coverage"] = (
         feats["data_span_s"] / feats["trace_span_s"] if feats["trace_span_s"] > 0 else 0.0
     )

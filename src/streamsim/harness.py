@@ -11,8 +11,8 @@ import io
 from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter
+from itertools import compress, groupby
+from operator import itemgetter
 
 from .analysis import ClassificationResult, classify
 from .radio import (
@@ -24,14 +24,14 @@ from .radio import (
 )
 from .scenario import PSM_WIFI, RRC_3G, Scenario
 from .session import ON_OFF, PER_BURST, SessionMetrics, StreamingSession
-from .transport import DATA, write_rows, write_timeline_csv
+from .transport import DATA, Timeline, write_rows, write_timeline_csv
 
 
 @dataclass
 class RunReport:
     scenario: Scenario
     metrics: SessionMetrics
-    records: list
+    records: Timeline  # or a list of PacketRecord; read as a sequence of records
     radio_segments: list
     energy: object
     classification: ClassificationResult
@@ -114,7 +114,7 @@ def sweep_watched_fraction(scenario, fractions):
         metrics, records = session._ended_watches[f]
         if f in seen:
             # a repeated fraction gets outputs of its own, as a fresh run would
-            metrics, records = deepcopy(metrics), list(records)
+            metrics, records = deepcopy(metrics), records.copy()
         seen.add(f)
         reports.append(_report(scenario.with_watched_fraction(f), metrics, records))
     return reports
@@ -128,8 +128,11 @@ def audit(report):
     if abs(drift) > 1e-6:
         problems.append(f"byte conservation off by {drift!r}")
     wire = Counter()
-    for conn_id, records in groupby(report.records, attrgetter("conn_id")):
-        wire[conn_id] += sum([r.payload for r in records if r.kind == DATA])
+    records = Timeline.of(report.records)
+    is_data = [k == DATA for k in records.kind]
+    data = zip(compress(records.conn, is_data), compress(records.payload, is_data))
+    for conn_id, run in groupby(data, itemgetter(0)):
+        wire[conn_id] += sum(map(itemgetter(1), run))
     if m.received_total != wire.total():
         problems.append("billed bytes differ from the DATA payloads on the wire")
     if Counter(m.connection_bytes) != wire:
@@ -144,8 +147,7 @@ def audit(report):
     span = sum(s.end - s.start for s in segs)
     if abs(span - report.energy.duration_s) > 1e-6:
         problems.append("energy duration disagrees with the radio timeline")
-    times = [r.time for r in report.records]
-    if times != sorted(times):
+    if records.time != sorted(records.time):
         problems.append("packet timeline out of order")
     return problems
 

@@ -28,7 +28,7 @@ to the last bit.
 
 from dataclasses import dataclass
 
-from .transport import check_time_order, write_rows
+from .transport import Timeline, check_time_order, write_rows
 
 DCH = "DCH"
 FACH = "FACH"
@@ -154,7 +154,10 @@ class EnergyReport:
 
 
 def _packet_times(records):
-    """Timestamps of a list of PacketRecords, or of a list of bare times."""
+    """Timestamps of a Timeline (its own time column), of PacketRecords, or of bare times."""
+    if isinstance(records, Timeline):
+        check_time_order(records.time)
+        return records.time
     try:
         times = [r.time for r in records]
     except AttributeError:

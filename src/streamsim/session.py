@@ -58,7 +58,8 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
+from operator import sub
 
 from .kernel import Kernel
 from .media import MediaBuffer, SegmentBuffer, dash_pick_quality
@@ -80,9 +81,11 @@ STEADY = "STEADY"
 DRAINED = "DRAINED"
 
 _BIG = 1 << 62
-# most ticks one bulk stretch builds and searches at once; a longer run of
-# quiet ticks takes several stretches
+# most ticks one bulk stretch or chunk builds and searches at once; a longer
+# run takes several
 _STRETCH = 512
+# fewest ticks a chunk needs room for: a shorter one costs more than it saves
+_FLOOR = 64
 
 
 class DeadlockError(RuntimeError):
@@ -701,15 +704,15 @@ class StreamingSession:
         stalled or has not begun.  A tick spells out transport.paced, the
         store limit, the playback rules and a progressive consumed_at with
         their float operations, and tests the rules of the full tick in its
-        order.  No rule here is bisected: with bytes flowing, the ON_OFF
-        watermark rules are not monotone.
+        order.  Steady paced ticks, with no act rule, play in chunks (_chunk);
+        the ON_OFF watermarks, not monotone while bytes flow, are per tick.
 
         The run ends before a tick _stretch can play and at the first tick
         that needs the kernel; it always plays or stops the first tick.  The
         connection is written back where the window closes or reopens (the
         Connection changes the window state and asks next_action again) and
         at the run's end.  The DATA records are emitted where the window
-        fills, before its zero-window advertisement, and at the run's end;
+        fills, with its zero-window advertisement, and at the run's end;
         their bytes are booked once, at the end.  No tick waits on the books:
         close_window, reopen_window and next_action read only the connection,
         a sample comes from the locals (MediaBuffer.held is pos - consumed),
@@ -755,7 +758,36 @@ class StreamingSession:
         times, sizes = [], []
         sent = 0  # bytes of the records emitted at window fills
         stopped = True
+        # the first tick at which to plan a chunk of steady paced ticks
+        bulk_from = ticks if draining and acts is None and flows and not capped and not dup else _BIG
         while True:
+            if ticks >= bulk_from and resume <= t and not occ and not zero:
+                chunk = self._chunk(t, stop_t, conn_t, resume, credit, byte_rate, capacity,
+                                    queue if queue < to_go else to_go, playhead, delivered, moving)
+                if chunk is None:
+                    bulk_from = ticks + _FLOOR
+                else:
+                    k, ts, phs, ns, upto, credit = chunk
+                    times += compress(ts[1:], ns)
+                    sizes += filter(None, ns)
+                    for j in range(next_sample - ticks, k + 1, every):
+                        pos = media_pos + upto[j - 1]
+                        # media_time and consumed_at give what the locals would hold
+                        media = video.media_time(pos) if progressive and pos != media_pos else delivered
+                        ph = phs[j] if moving else playhead
+                        used = consumed_at(ph, pos) if moving else consumed
+                        series.append((ts[j], pos - used, media - ph))
+                        next_sample = ticks + j + every
+                    nbytes = upto[k - 1]
+                    queue, to_go, media_pos = queue - nbytes, to_go - nbytes, media_pos + nbytes
+                    if progressive and nbytes:
+                        # the media cursor i catches up on the next tick that moves bytes
+                        delivered = video.media_time(media_pos)
+                    ticks, t, playhead = ticks + k, ts[k], phs[k] if moving else playhead
+                    if t + dt >= stop_t:
+                        stopped = False
+                        break
+                    continue
             t_next = t + dt
             n = 0
             fills = False
@@ -837,7 +869,7 @@ class StreamingSession:
             turns = fills  # the window closes or reopens on this tick
             if fills:
                 # as advance(): the DATA records, then the zero-window ad
-                emit_run(DOWN, DATA, conn.id, times, sizes)
+                emit_run(DOWN, DATA, conn.id, times, sizes, True)
                 sent += sum(sizes)
                 times, sizes = [], []
                 last_t = t_next
@@ -886,6 +918,60 @@ class StreamingSession:
         if moving:
             self._sync_consumed()
         return t, conn_t, stopped
+
+    def _chunk(self, t, stop_t, conn_t, resume, credit, byte_rate, capacity, bytes_left,
+               playhead, delivered, moving):
+        """Plan the steady paced ticks after `t` that _flow plays as one chunk.
+
+        With the resume time behind the first tick's start, each tick's
+        eligible time is its own length and only the credit recurrence is a
+        loop; the clock and the playhead come from accumulate, as in
+        _stretch: the per-tick loop's float operations, in its order.  The
+        chunk ends before the first tick the per-tick loop could cut, each
+        rule found by bisection, as each is monotone: the bytes against
+        `bytes_left` (the queue or the rest of the fast start), the clock
+        against stop_t, the playhead against the watch end and against
+        running dry on the chunk's first `delivered`, a lower bound.  A tick
+        whose allowance fills the window ends it too.  Returns None unless
+        the bytes, the clock and the watch leave room for _FLOOR ticks, else
+        (k, ts, phs, sizes, upto, credit): the clock and playheads (None if
+        playback stands) of ticks 0..k, the k sizes, the bytes sent by each
+        tick, and the credit after tick k.
+        """
+        dt = self.tick_s
+        per_tick = byte_rate * dt
+        room = min((stop_t - t) / dt, bytes_left / per_tick if per_tick > 0 else _BIG)
+        watched_end = self.watched_end
+        if moving:
+            room = min(room, (min(watched_end, delivered) - playhead) / dt)
+        if room < _FLOOR or conn_t > t + dt or resume > t + dt - dt or per_tick + 1.0 >= capacity:
+            return None
+        k = min(_STRETCH, int(room) + 2)
+        ts = list(accumulate(repeat(dt, k), initial=t))
+        ends = ts[1:]
+        allowances = []
+        for eligible in map(sub, ends, map(sub, ends, repeat(dt))):
+            allowance = byte_rate * eligible + credit
+            n = int(allowance)
+            credit = allowance - n
+            allowances.append(allowance)
+        sizes = list(map(int, allowances))
+        upto = list(accumulate(sizes))
+        played = min(bisect_left(upto, bytes_left), bisect_left(ts, stop_t, 1) - 1)
+        if max(sizes) >= capacity:
+            played = min(played, next(j for j, n in enumerate(sizes) if n >= capacity))
+        phs = list(accumulate(repeat(dt, k), initial=playhead)) if moving else None
+        if moving:
+            done_at = watched_end - 1e-12  # as _watch_done
+
+            def cut(j):
+                ph = phs[j - 1]
+                return watched_end - ph < dt or delivered - ph + 1e-9 < dt or phs[j] >= done_at
+
+            played = bisect_left(range(1, played + 1), True, key=cut)
+        if not played:
+            return None
+        return played, ts, phs, sizes[:played], upto, allowances[played - 1] - sizes[played - 1]
 
     def _on_data(self, nbytes, conn_id, now):
         """Book nbytes that arrived on conn_id by `now`."""
@@ -972,7 +1058,7 @@ class StreamingSession:
                 buffer_series=list(m.buffer_series),
                 dash_quality_history=list(m.dash_quality_history),
             )
-            records = list(self.transport.records)
+            records = self.transport.records.copy()
             if self._conn_open():
                 records.append(
                     self.transport.detached(now, UP, 0, CLOSE_KINDS[mode], self.conn.id)

@@ -49,6 +49,65 @@ class PacketRecord:
     conn_id: int
 
 
+class Timeline:
+    """A packet timeline as five parallel columns, one entry per record.
+
+    Transport.emit_run extends the columns, and the classifier's views, the
+    radio drives, audit and the CSV writer read them.  Read as a sequence
+    (iteration, indexing, list(), ==), a Timeline is a list of PacketRecord
+    built on the first read and kept until the next append() or pop(); the
+    records are copies, and changing one changes no column.
+    """
+
+    __slots__ = ("time", "direction", "payload", "kind", "conn", "_rows")
+
+    def __init__(self, time=(), direction=(), payload=(), kind=(), conn=()):
+        self.time, self.direction, self.payload = list(time), list(direction), list(payload)
+        self.kind, self.conn, self._rows = list(kind), list(conn), None
+
+    @classmethod
+    def of(cls, records):
+        """`records` if a Timeline, else a Timeline of the PacketRecords in it."""
+        if isinstance(records, cls):
+            return records
+        return cls(*zip(*((r.time, r.direction, r.payload, r.kind, r.conn_id) for r in records)))
+
+    def columns(self):
+        return self.time, self.direction, self.payload, self.kind, self.conn
+
+    def rows(self):
+        """The records, as a list built once and kept until the timeline changes."""
+        if self._rows is None:
+            self._rows = list(map(PacketRecord, *self.columns()))
+        return self._rows
+
+    def __len__(self):
+        return len(self.time)
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def __getitem__(self, index):
+        return self.rows()[index]
+
+    def __eq__(self, other):
+        if isinstance(other, Timeline):
+            return self.columns() == other.columns()
+        return self.rows() == other
+
+    def append(self, r):
+        for column, value in zip(self.columns(), (r.time, r.direction, r.payload, r.kind, r.conn_id)):
+            column.append(value)
+        self._rows = None
+
+    def pop(self):
+        self._rows = None
+        return PacketRecord(*[column.pop() for column in self.columns()])
+
+    def copy(self):
+        return Timeline(*self.columns())
+
+
 @dataclass(frozen=True)
 class PathSpec:
     """Bottleneck description; jitter perturbs record timestamps only."""
@@ -89,12 +148,12 @@ def paced(now, dt, resume_at, byte_rate, credit, queue, room):
 
 
 class Transport:
-    """Factory for connections over one path; owns the shared packet timeline."""
+    """Factory for connections over one path; owns the shared packet timeline (a Timeline)."""
 
     def __init__(self, path, kernel, seed=0):
         self.path = path
         self.kernel = kernel
-        self.records = []
+        self.records = Timeline()
         self._next_id = 1
         self._rng = random.Random(seed)
         self._last_emit = 0.0       # last perturbed timestamp on the timeline
@@ -113,7 +172,7 @@ class Transport:
 
     def emit(self, time, direction, payload, kind, conn_id):
         self.emit_run(direction, kind, conn_id, (time,), (payload,))
-        return self.records[-1]
+        return PacketRecord(self.records.time[-1], direction, payload, kind, conn_id)
 
     def detached(self, time, direction, payload, kind, conn_id):
         """The record emit() would append, with the timeline and the jitter
@@ -125,36 +184,51 @@ class Transport:
         self._last_nominal, self._last_emit = nominal, last
         return record
 
-    def emit_run(self, direction, kind, conn_id, times, payloads):
-        """emit() each (time, payload) pair in turn, with the same jitter draws."""
+    def emit_run(self, direction, kind, conn_id, times, payloads, ad=False):
+        """emit() each (time, payload) pair in turn, with the same jitter draws;
+        with `ad`, then a zero-window advertisement at the last time."""
         jitter = self.path.jitter
         nominal, last = self._last_nominal, self._last_emit
-        if not jitter and len(times) > 1 and times[0] >= last and all(map(le, times, times[1:])):
-            # no draw moves a time and none falls behind the one before it,
-            # so every record keeps its time as it is; a lone record is
-            # cheaper through the loop
-            self.records.extend(map(
-                PacketRecord, times, repeat(direction), payloads, repeat(kind), repeat(conn_id)
-            ))
-            self._last_nominal = self._last_emit = times[-1]
+        n = len(times)
+        if not n:
             return
-        draw = self._rng.random
-        append = self.records.append
-        for time, payload in zip(times, payloads):
-            if jitter > 0.0:
-                gap = time - nominal
-                gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), without the call
-                nominal = time
-                # Random.uniform(-1.0, 1.0), without the call
-                time = time + (-1.0 + 2.0 * draw()) * jitter * gap
-            else:
-                nominal = time
-            # timeline must stay sorted for the radio models downstream
-            if time < last:
-                time = last
-            last = time
-            append(PacketRecord(time, direction, payload, kind, conn_id))
+        if ad:
+            times = [*times, times[-1]]
+        if not jitter and times[0] >= last and all(map(le, times, times[1:])):
+            # no draw moves a time and none falls behind the one before it,
+            # so every record keeps its time as it is
+            stamps = times
+            nominal = last = times[-1]
+        else:
+            draw = self._rng.random
+            stamps = []
+            append = stamps.append
+            for time in times:
+                if jitter > 0.0:
+                    gap = time - nominal
+                    gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), without the call
+                    nominal = time
+                    # Random.uniform(-1.0, 1.0), without the call
+                    time = time + (-1.0 + 2.0 * draw()) * jitter * gap
+                else:
+                    nominal = time
+                # timeline must stay sorted for the radio models downstream
+                if time < last:
+                    time = last
+                last = time
+                append(time)
         self._last_nominal, self._last_emit = nominal, last
+        tl = self.records
+        tl.time += stamps
+        tl.direction += repeat(direction, n)
+        tl.payload += payloads
+        tl.kind += repeat(kind, n)
+        tl.conn += repeat(conn_id, len(stamps))
+        if ad:
+            tl.direction.append(UP)
+            tl.payload.append(0)
+            tl.kind.append(ZERO_WINDOW_AD)
+        tl._rows = None
 
 
 class Connection:
@@ -252,7 +326,8 @@ class Connection:
             self.delivered_total += n
             out.append(self.transport.emit(now, DOWN, n, DATA, self.id))
         if self.recv_occupancy >= self.recv_capacity and self.window_state == OPEN_WINDOW:
-            out.append(self.close_window(now))
+            self.close_window(now)
+            out.append(self.transport.emit(now, UP, 0, ZERO_WINDOW_AD, self.id))
         if (
             self.window_state == ZERO_WINDOW
             and self.send_queue > 0
@@ -269,13 +344,13 @@ class Connection:
         return out
 
     def close_window(self, now):
-        """The receive buffer filled on the tick ending at `now`: advertise a zero window.
+        """The receive buffer filled on the tick ending at `now`: the window is zero.
 
-        Returns the advertisement; the sender probes one probe_interval later.
+        The sender probes one probe_interval later.  The caller emits the
+        zero-window advertisement.
         """
         self.window_state = ZERO_WINDOW
         self._next_probe = now + self.probe_interval
-        return self.transport.emit(now, UP, 0, ZERO_WINDOW_AD, self.id)
 
     def next_action(self, dt, now=None):
         """Earliest tick end after `now` at which advance(dt) may change this connection.
@@ -363,12 +438,13 @@ def write_timeline_csv(records, path):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TIMELINE_HEADER) + "\r\n")
         write_rows(fh, (
-            "%.6f" % r.time + tails[r.direction, r.payload, r.kind, r.conn_id] for r in records
+            "%.6f" % t + tails[d, p, k, c] for t, d, p, k, c in zip(*Timeline.of(records).columns())
         ))
 
 
 def read_timeline_csv(path):
-    """The records of a timeline CSV; a malformed row is a ValueError that names its line."""
+    """The records of a timeline CSV, as a list; a malformed row, a time that is
+    not finite or a negative byte count is a ValueError that names its line."""
     out = []
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
@@ -380,7 +456,12 @@ def read_timeline_csv(path):
         try:
             for row in rd:
                 t, direction, payload, kind, conn_id = row
-                out.append(PacketRecord(float(t), direction, int(payload), kind, int(conn_id)))
+                time, nbytes = float(t), int(payload)
+                if not math.isfinite(time):
+                    raise ValueError("time %r is not finite" % t)
+                if nbytes < 0:
+                    raise ValueError("byte count %r is negative" % payload)
+                out.append(PacketRecord(time, direction, nbytes, kind, int(conn_id)))
         except ValueError as exc:
             raise ValueError("%s line %d: %s" % (path, rd.line_num, exc)) from None
     return out

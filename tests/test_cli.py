@@ -159,6 +159,26 @@ def test_analyze_names_a_file_without_a_timeline_header(tmp_path, capsys, text, 
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("row, cause", [
+    ("nan,down,1000,DATA,1", "time 'nan' is not finite"),
+    ("inf,down,1000,DATA,1", "time 'inf' is not finite"),
+    ("-inf,down,1000,DATA,1", "time '-inf' is not finite"),
+    ("0.020000,down,-5,DATA,1", "byte count '-5' is negative"),
+], ids=["nan", "inf", "-inf", "-5"])
+def test_analyze_rejects_a_time_that_is_not_finite_or_a_negative_count(tmp_path, capsys,
+                                                                       row, cause):
+    # a NaN time used to surface as "cannot convert float NaN to integer",
+    # an infinite one as an OverflowError traceback, and -5 bytes were analysed
+    trace = tmp_path / "x.csv"
+    trace.write_text("time_s,direction,bytes,kind,conn_id\n0.010000,down,1000,DATA,1\n"
+                     + row + "\n")
+    code = main(["analyze", str(trace), "--rate", "500000", "--bandwidth", "1000000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {trace} line 3: {cause}\n"
+    assert captured.out == ""
+
+
 def test_analyze_requires_rate_and_bandwidth(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["analyze", "whatever.csv"])

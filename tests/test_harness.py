@@ -64,6 +64,10 @@ def test_audit_flags_bytes_billed_off_the_wire(grid):
     i = next(k for k, r in enumerate(records) if r.kind == DATA)
     records[i] = replace(records[i], payload=records[i].payload - 1)
     assert audit(replace(report, records=records)) == [wire, per_conn]
+    # the same on the Timeline's columns
+    timeline = report.records.copy()
+    timeline.payload[i] -= 1
+    assert audit(replace(report, records=timeline)) == [wire, per_conn]
     # bytes billed with no packet, as a re-fetch booked off the wire once was
     extra = dict(m.connection_bytes)
     extra[1] += 500
@@ -86,6 +90,9 @@ def test_audit_flags_a_record_that_steps_back(grid):
     records[i] = replace(records[i], time=records[i - 1].time - 1e-13)
     assert check_time_order([r.time for r in records]) is False
     assert audit(replace(report, records=records)) == ["packet timeline out of order"]
+    timeline = report.records.copy()
+    timeline.time[i] = records[i].time
+    assert audit(replace(report, records=timeline)) == ["packet timeline out of order"]
 
 
 def test_every_bundled_run_is_classified_as_built(grid):

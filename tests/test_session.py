@@ -9,10 +9,11 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import streamsim.session as session_module
+from streamsim.session import _STRETCH
 
 from streamsim.analysis import group_bursts
 from streamsim.harness import _report, audit, build_session
@@ -41,6 +42,7 @@ from streamsim.transport import (
     PathSpec,
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
+    Transport,
 )
 
 PATH = PathSpec(6_000_000, rtt_s=0.05)
@@ -627,6 +629,150 @@ def test_buffer_samples_are_a_whole_number_of_ticks_apart(technique, interval):
     times = [t for t, _, _ in m.buffer_series]
     gaps = {round((b - a) / session.tick_s) for a, b in zip(times, times[1:-1])}
     assert gaps == {round(interval / session.tick_s)}
+
+
+# -- steady paced chunks ---------------------------------------------------
+
+
+def chunk_cuts(session, args, plan):
+    """The rules that end a chunk _flow played: what stops the tick after it."""
+    _, stop_t, _, _, _, _, capacity, bytes_left, _, delivered, moving = args
+    k, ts, phs, _, upto, _ = plan
+    dt, end = session.tick_s, session.watched_end
+    cuts = set()
+    if k < len(upto):
+        if upto[k] >= bytes_left:
+            cuts.add("fast_start" if session.phase == "FAST_START" else "queue")
+        if upto[k] - upto[k - 1] >= capacity:
+            cuts.add("window")
+    if k + 1 < len(ts) and ts[k + 1] >= stop_t:
+        cuts.add("clock")
+    if moving and k + 1 < len(phs):
+        if end - phs[k] < dt or phs[k + 1] >= end - 1e-12:
+            cuts.add("watch")
+        if delivered - phs[k] + 1e-9 < dt:
+            cuts.add("dry")
+    return cuts
+
+
+def play_chunks(case):
+    """play() of a case, the ticks its chunks played, and the rules that ended them."""
+    plan = StreamingSession._chunk
+    played, cuts = [0], Counter()
+
+    def counted(self, *args):
+        chunk = plan(self, *args)
+        if chunk is not None:
+            played[0] += chunk[0]
+            cuts.update(chunk_cuts(self, args, chunk))
+        return chunk
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamingSession, "_chunk", counted)
+        out = play(*case)
+    return out, played[0], cuts
+
+
+def play_without_chunks(case):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamingSession, "_chunk", lambda self, *args: None)
+        return play(*case)
+
+
+def bundled_outputs(name):
+    session = build_session(load_builtin(name))
+    metrics = session.run()
+    return metrics, [(r.time, r.direction, r.payload, r.kind, r.conn_id)
+                     for r in session.transport.records]
+
+
+def test_chunks_change_no_output(monkeypatch):
+    # reference: the per-tick flow loop, with a chunk planner that plays nothing
+    cases = [case for _, case in fixed_cases()]
+    names = builtin_scenario_names()
+    chunked = [play_chunks(case) for case in cases]
+    bundled = [bundled_outputs(name) for name in names]
+    assert sum(ticks for _, ticks, _ in chunked) > 10_000
+    monkeypatch.setattr(StreamingSession, "_chunk", lambda self, *args: None)
+    assert [play(*case) for case in cases] == [out for out, _, _ in chunked]
+    assert [bundled_outputs(name) for name in names] == bundled
+
+
+STEADY = TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25)
+CLIP = VideoSpec.constant(60, 500_000, keyframe_spacing=40_000)
+
+
+@pytest.mark.parametrize("case, cut", [
+    ((CLIP, STEADY, PATH, {}), "queue"),
+    ((CLIP, TechniqueSpec(FAST_CACHING, fast_start_s=40.0), PATH, {}), "fast_start"),
+    ((CLIP, STEADY, PATH, dict(watched_fraction=0.5)), "watch"),
+    # the path is slower than the server's bursts, so the queue never drains
+    ((CLIP, TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=2.0, burst_size=200_000),
+      PathSpec(600_000, rtt_s=0.05), {}), "clock"),
+    ((CLIP, TechniqueSpec(FAST_CACHING, fast_start_s=5.0), PathSpec(400_000, rtt_s=0.05), {}),
+     "dry"),
+], ids=["queue", "fast_start", "watch", "burst", "run_dry"])
+def test_a_chunk_cut_by_each_rule_plays_as_every_tick(case, cut):
+    out, ticks, cuts = play_chunks(case)
+    assert ticks > 100 and cuts[cut] > 0, cuts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamingSession, "_play_quiet", every_tick)
+        assert play(*case) == out
+
+
+def test_a_chunk_starts_only_with_the_resume_time_behind_its_first_tick():
+    # (0.02 + 0.01) - 0.01 rounds below 0.02: a sender resuming at 0.02
+    # gets less than a whole tick on the tick that ends at 0.03
+    session = StreamingSession(CLIP, STEADY, PATH)
+    t, dt = 0.02, session.tick_s
+    start = t + dt - dt
+    assert start < t
+
+    def plan(resume):
+        return session._chunk(t, math.inf, resume, resume, 0.0, 97_656.25, 65_536, 10**9,
+                              0.0, 0.0, False)
+
+    assert plan(t) is None
+    k, ts, _, sizes, _, credit = plan(start)
+    assert k == _STRETCH and ts[1] == t + dt and sizes[0] == 976 and 0.0 <= credit < 1.0
+
+
+def test_random_sessions_play_chunks_as_the_per_tick_loop():
+    played = Counter()
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_sessions())
+    @example((VideoSpec.constant(20, 500_000), TechniqueSpec(THROTTLE, throttle_factor=2.0),
+              PATH, {}))
+    @example((VideoSpec.constant(20, 500_000), TechniqueSpec(FAST_CACHING), PATH, {}))
+    def chunks_change_nothing(case):
+        out, ticks, _ = play_chunks(case)
+        assert play_without_chunks(case) == out
+        technique = case[1]
+        if technique.burst_size is None and technique.buffer_cap is None:
+            played[technique.kind] += ticks
+
+    chunks_change_nothing()
+    assert played[THROTTLE] > 0 and played[FAST_CACHING] > 0
+
+
+def test_a_window_fill_emits_its_records_once(monkeypatch):
+    # each of the encoding-rate client's 5,482 window refills emits its
+    # DATA records and the zero-window advertisement in one call
+    emit_run = Transport.emit_run
+    calls = []
+
+    def counted(self, direction, kind, conn_id, times, payloads, ad=False):
+        calls.append(ad)
+        return emit_run(self, direction, kind, conn_id, times, payloads, ad)
+
+    monkeypatch.setattr(Transport, "emit_run", counted)
+    session = build_session(load_builtin("compare_encoding_3g"))
+    session.run()
+    fills = sum(calls)
+    assert fills > 5_000
+    assert len(calls) <= fills + 50
+    assert kinds_of(session).count(ZERO_WINDOW_AD) >= fills
 
 
 # -- degradation and guards ------------------------------------------------

@@ -54,6 +54,7 @@ from streamsim.radio import (
     clip_segments,
     expand_segments,
     integrate,
+    _packet_times,
     psm_drive,
     rrc_drive,
     write_radio_csv,
@@ -69,6 +70,8 @@ from streamsim.transport import (
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
     PacketRecord,
+    Timeline,
+    write_timeline_csv,
 )
 
 CONTROL = (REQUEST, ZERO_WINDOW_AD, ZERO_WINDOW_PROBE, OPEN, CLOSE_FIN)
@@ -564,6 +567,33 @@ def test_one_pass_harvest_matches_the_multi_pass_features(records):
     feats = _harvest(records, _DataView(records))
     expected = oracle_harvest(records)
     assert list(feats.items()) == list(expected.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(timelines(), edge_timelines()))
+# a connection that comes back after another, with a record that steps back
+@example([PacketRecord(t, DOWN, 100, k, c) for t, k, c in (
+    (0.0, OPEN, 1), (1.0, DATA, 1), (2.0, DATA, 2), (1.5 - 5e-13, DATA, 1), (3.0, REQUEST, 1),
+)])
+def test_column_readers_match_the_record_loops(tmp_path_factory, records):
+    # a Timeline's readers take its columns; a list of records keeps the loops
+    timeline = Timeline.of(records)
+    assert timeline == records
+
+    def view(v):
+        return [v.times, v.cums, v.sorted_times, v.sorted_cums]
+
+    got, want = outcome(_DataView, timeline), outcome(_DataView, records)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert view(got) == view(want)
+    assert exact(_harvest(timeline, got).items()) == exact(_harvest(records, want).items())
+    assert _packet_times(timeline) == _packet_times(records)
+    tmp = tmp_path_factory.mktemp("csv")
+    write_timeline_csv(timeline, tmp / "columns.csv")
+    write_timeline_csv(records, tmp / "records.csv")
+    assert (tmp / "columns.csv").read_bytes() == (tmp / "records.csv").read_bytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -17,6 +17,7 @@ from streamsim.transport import (
     ZERO_WINDOW_PROBE,
     PacketRecord,
     PathSpec,
+    Timeline,
     Transport,
     read_timeline_csv,
     write_timeline_csv,
@@ -250,6 +251,47 @@ def test_timeline_csv_rejects_foreign_header(tmp_path):
         read_timeline_csv(path)
 
 
+def test_timeline_reads_as_a_list_of_records():
+    records = [
+        PacketRecord(0.01 * i, DOWN if i % 3 else UP, 100 * i, DATA if i % 3 else REQUEST, 1 + i // 4)
+        for i in range(10)
+    ]
+    columns = [[getattr(r, f) for r in records]
+               for f in ("time", "direction", "payload", "kind", "conn_id")]
+    timeline = Timeline(*columns)
+    assert len(timeline) == 10 and len(Timeline()) == 0
+    assert timeline[0] == records[0] and timeline[-1] == records[-1] and timeline[-3] == records[-3]
+    assert timeline[2:7] == records[2:7] and timeline[::-2] == records[::-2]
+    assert list(timeline) == [r for r in timeline] == records
+    assert timeline == records and records == timeline and timeline != records[:-1]
+    assert timeline == Timeline(*columns) and timeline != Timeline()
+    moved = Timeline(*columns)
+    moved.payload[4] += 1
+    assert timeline != moved and moved != records
+    # a copy has columns of its own
+    copy = timeline.copy()
+    copy.time[0] = 5.0
+    copy.append(PacketRecord(1.0, UP, 0, CLOSE_FIN, 3))
+    assert len(timeline) == 10 and timeline[0].time == 0.0 and len(copy) == 11
+    # the records are built once, and again after an append or a pop
+    rows = timeline.rows()
+    assert timeline.rows() is rows and timeline[:] == rows
+    extra = PacketRecord(0.5, UP, 0, CLOSE_RST, 3)
+    timeline.append(extra)
+    assert timeline.rows() is not rows and timeline[-1] == extra and len(timeline) == 11
+    rows = timeline.rows()
+    assert timeline.pop() == extra
+    assert timeline.rows() is not rows and timeline == records
+
+
+def test_emit_drops_the_records_built_before_it():
+    kernel, transport, conn = make_conn()
+    before = list(transport.records)
+    assert transport.records.rows() == before
+    record = transport.emit(0.5, DOWN, 1_000, DATA, conn.id)
+    assert record == transport.records[-1] and transport.records == before + [record]
+
+
 def test_path_spec_validation():
     with pytest.raises(ValueError):
         PathSpec(0)
@@ -331,7 +373,7 @@ def test_advance_is_a_no_op_before_next_action():
 def test_run_emitter_matches_emit_one_by_one(jitter):
     # jitter 0.99 can pull a record before the one emitted ahead of it, so
     # the timeline clamp fires; both sides draw from one seed.  Without
-    # jitter, the first two runs go through emit_run's one-map branch; the
+    # jitter, the first two runs keep their times without emit_run's loop; the
     # third starts before the last time emitted and the fourth steps back,
     # so both need the clamp and take the loop.
     rng = random.Random(8)
