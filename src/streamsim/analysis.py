@@ -9,6 +9,7 @@ fitted constants; they were tuned against simulated traces of all five
 techniques and are deliberately loose enough to survive ~10% timing jitter.
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
@@ -213,15 +214,21 @@ def _rate_knee(view, window_s=None, drop_frac=None):
     return None
 
 
+def _check_rate(name, value):
+    """ValueError, naming the value, unless a rate is positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError("%s must be positive and finite, got %r" % (name, value))
+
+
 def estimate_throttle_factor(records, avg_rate_bps, fast_start_exclusion=None):
     """Steady-phase throughput over the average encoding rate.
 
     The initial unlimited-rate fill is excluded; by default its end is found
-    with the rate-knee heuristic.  Raises ValueError when the trace has no
-    steady phase to measure, or is not in time order.
+    with the rate-knee heuristic.  Raises ValueError when the rate is not
+    positive and finite, the trace has no steady phase to measure, or it is
+    not in time order.
     """
-    if avg_rate_bps <= 0:
-        raise ValueError("avg_rate_bps must be positive")
+    _check_rate("avg_rate_bps", avg_rate_bps)
     view = _DataView(records)
     if not view.times:
         raise ValueError("no DATA records in trace")
@@ -247,8 +254,10 @@ def estimate_fast_start(records, avg_rate_bps):
     cum(t) - steady_rate * t stops growing.  Works for traces whose delivery
     continues at or above the steady rate after the initial fill; for
     strongly on-off traces the estimate reflects the first burst peak.
-    Raises ValueError for a timeline that is not in time order.
+    Raises ValueError for a rate that is not positive and finite, and for a
+    timeline that is not in time order.
     """
+    _check_rate("avg_rate_bps", avg_rate_bps)
     view = _DataView(records)
     times, cums = view.times, view.cums
     if len(times) < 2:
@@ -452,12 +461,11 @@ def classify(records, avg_rate_bps, path_bandwidth_bps):
     Rules are tried in a fixed order; the first match wins and sets the
     confidence from its decisive margin.  A trace that matches nothing is
     UNKNOWN with the collected evidence attached.  Raises ValueError when
-    either rate is not positive, or when the timeline is not in time order.
+    either rate is not positive and finite, or when the timeline is not in
+    time order.
     """
-    if avg_rate_bps <= 0:
-        raise ValueError("avg_rate_bps must be positive, got %r" % (avg_rate_bps,))
-    if path_bandwidth_bps <= 0:
-        raise ValueError("path_bandwidth_bps must be positive, got %r" % (path_bandwidth_bps,))
+    _check_rate("avg_rate_bps", avg_rate_bps)
+    _check_rate("path_bandwidth_bps", path_bandwidth_bps)
     th = THRESHOLDS
     view = _DataView(records)
     feats = _harvest(records, view)

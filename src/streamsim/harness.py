@@ -96,9 +96,9 @@ def sweep_watched_fraction(scenario, fractions):
     up to that tick, and the close record a session truncated at f would
     emit (StreamingSession._finish).  Each report equals that of a fresh
     run_scenario at f, identical seed throughout, so the runs are directly
-    comparable.  Each report has its own records list, but the records of
-    the common prefix may be the same PacketRecord objects: nothing in the
-    package mutates a record.
+    comparable.  Each report has a timeline of its own (a Timeline.copy()
+    of the columns), and reading it as records builds its own PacketRecord
+    objects: no two reports share a record.
     """
     fractions = list(fractions)
     for f in fractions:

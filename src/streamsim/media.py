@@ -84,9 +84,6 @@ class VideoSpec:
         i = int(t)
         return self._cum[i] + (t - i) * self.schedule[i]
 
-    def bytes_between(self, t0, t1):
-        return self.cum_bytes(t1) - self.cum_bytes(t0)
-
     def media_time(self, nbytes):
         """Inverse of cum_bytes: media seconds covered by the first nbytes."""
         if nbytes <= 0:

@@ -36,9 +36,10 @@ seconds delivered, the playhead and the bytes consumed; act() is that more
 Time moves in fixed ticks (10 ms by default).  A full tick is one kernel
 event: the connection advances, the fast start may end, playback moves, the
 client acts or reads, the server serves.  Most ticks are played inside the
-event of the full tick before them (_play_quiet), with the same policy
-methods and the same float operations, so the outputs are those of a
-session that runs every tick as its own event.  A span ends before the
+event of the full tick before them (_flow), with the same policy methods
+and the same float operations, so the outputs are those of a session that
+runs every tick as its own event.  Runs that move no byte, and steady paced
+runs, are laid out in bulk by one planner (_chunk).  A span ends before the
 first tick that would do more than move bytes under the pacing allowance,
 fill the receive window, read, or play.
 
@@ -81,20 +82,15 @@ STEADY = "STEADY"
 DRAINED = "DRAINED"
 
 _BIG = 1 << 62
-# most ticks one bulk stretch or chunk builds and searches at once; a longer
-# run takes several
+# most ticks one bulk run builds and searches at once; a longer run takes
+# several
 _STRETCH = 512
-# fewest ticks a chunk needs room for: a shorter one costs more than it saves
+# fewest ticks a paced run needs room for: a shorter one costs more than it saves
 _FLOOR = 64
 
 
 class DeadlockError(RuntimeError):
     """Raised when playback does not finish by the horizon (diagnostic, not a crash)."""
-
-
-def _runs_dry(avail_media, step):
-    """Playback stalls when the delivered media cannot cover a whole step."""
-    return avail_media + 1e-9 < step
 
 
 def _drain(playhead):
@@ -575,154 +571,55 @@ class StreamingSession:
         self.kernel.schedule(self._play_quiet(now), self._tick)
 
     def _play_quiet(self, now):
-        """Play the ticks after the full tick at `now` that change little.
+        """Play the ticks after the full tick at `now` that change little (_flow).
 
-        Returns the time of the next full tick.  A run of ticks that moves no
-        byte and reads nothing is played as one stretch (_stretch), every
-        other tick one at a time (_flow).  The first tick that could do more
-        is left to the kernel: one whose delivery is cut by the queue or the
-        store limit or blocked on a zero window, that finishes a DASH
+        Returns the time of the next full tick.  The first tick that could do
+        more is left to the kernel: one whose delivery is cut by the queue or
+        the store limit or blocked on a zero window, that finishes a DASH
         download or the fast start, runs playback dry, ends a stall or
         reaches the next watch end, on which the client acts, or the bursty
         server's next burst.  So is the tick at the horizon: the kernel runs
         it and never runs the ones after it.
         """
-        dt = self.tick_s
-        stop_t = min(self.policy.burst_next, self.max_sim_time)
-        conn = self.conn
-        conn_t = conn.next_action(dt, now)
-        reads, acts = self.policy.rule(self)
-        t = now
-        while t + dt < stop_t:
-            if t + dt < conn_t and (reads is None or not conn.recv_occupancy):
-                t_played = self._stretch(t, min(stop_t, conn_t), acts)
-                if t_played != t:
-                    t = t_played
-                    continue
-            t, conn_t, stopped = self._flow(t, stop_t, conn_t, reads, acts)
-            if stopped:
-                break
+        t = self._flow(now)
         if t != now:
             # Inside a span the drift term gains nothing (received and pos
             # plus wasted grow by the same bytes), consumed never exceeds
             # pos, and every delivery stays under the store limit, so the
             # check at its end implies the check on every tick inside it.
             self.buffer.check()
-        return t + dt
+        return t + self.tick_s
 
-    def _stretch(self, t, bound, acts):
-        """Play the ticks after `t` that move no byte and read nothing, in bulk.
+    def _flow(self, t):
+        """Play the ticks after the full tick at `t`, the connection and the books in locals.
 
-        They change only the clock, the playhead, the consumed bytes and the
-        samples, and end before `bound`.  Returns the time of the last tick
-        played: `t` when the first tick is left to _flow.
+        Returns the time of the last tick played.  A run of ticks that moves
+        no byte and reads nothing (a quiet run), and a run of steady paced
+        ticks with no act rule, play in bulk as _chunk plans them; a quiet
+        tick it leaves ends the span.  Any other tick plays one at a time: it
+        sends the sender's whole pacing allowance, or the free receive window
+        (and advertises it zero, as advance() does), or paces zero bytes with
+        window room.  Then the client reads what reads() says, and playback
+        advances unless it is stalled or has not begun.  A tick spells out
+        transport.paced, the store limit, the playback rules and a
+        progressive consumed_at with their float operations, and tests the
+        rules of the full tick in its order.
 
-        The clock and the playhead are built with accumulate, which makes the
-        loop's own float additions.  While no byte moves, every rule that
-        stops a tick is monotone in the playhead: float subtraction and
-        addition are monotone, and cum_bytes never falls.  Most rules stop
-        every tick once they stop one, so bisection finds the first tick that
-        stops.  Two rules stop fewer ticks as the playhead grows: a burst's
-        high watermark and a full store.  The first tick is tested on its
-        own, so bisection runs only once both are false, and they stay false
-        for every tick after it.  The tick that stops, or the one after a
-        stretch cut at _STRETCH ticks, is left to the caller.  The samples of
-        the ticks played are built in one pass from the same clock and
-        playhead, and join buffer_series at once.
-        """
-        dt = self.tick_s
-        buf = self.buffer
-        moving = self.phase == STEADY and not self.stalled
-        runs_dry, watch_done, consumed_at = _runs_dry, self._watch_done, buf.consumed_at
-        watched_end = self.watched_end
-        media_pos, playhead, consumed = buf.pos, self.playhead, buf.consumed
-        delivered = buf.delivered()
-        ticks = self._ticks
-        # build no more ticks than the bound, the delivered media and the
-        # watch leave room for, give or take one
-        span = bound - t
-        if moving:
-            span = min(span, delivered - playhead, watched_end - playhead)
-        k = _STRETCH if span >= _STRETCH * dt else max(1, int(span / dt) + 2)
-        ts = list(accumulate(repeat(dt, k), initial=t))
-        phs = list(accumulate(repeat(dt, k), initial=playhead)) if moving else None
-
-        def stops(j):
-            """Whether tick j (to ts[j], playhead to phs[j]) needs the per-tick code."""
-            if ts[j] >= bound:
-                return True
-            ahead, used = playhead, consumed
-            if moving:
-                # a step the end of the watch cuts short (watched_end - ph <
-                # dt) has ph + dt >= watched_end, so watch_done stops that tick
-                ph, ahead = phs[j - 1], phs[j]
-                if runs_dry(delivered - ph, dt) or watch_done(ahead):
-                    return True
-                used = consumed_at(ahead, media_pos)
-            return acts is not None and acts(media_pos, delivered, ahead, used)
-
-        if stops(1):
-            return t
-        played = bisect_left(range(1, k + 1), True, key=stops)
-        # the sample ticks by index: a sample tick j leaves the next at j + every
-        every = self._sample_every
-        at = range(self._next_sample - ticks, played + 1, every)
-        if at:
-            if moving and isinstance(buf, SegmentBuffer):
-                samples = [(ts[j], media_pos - consumed_at(phs[j], media_pos), delivered - phs[j])
-                           for j in at]
-            elif moving:
-                # as MediaBuffer.consumed_at(phs[j], media_pos)
-                v = self.video
-                cum, schedule, duration, end = v._cum, v.schedule, v.duration_s, v.total_bytes
-                end, pos, samples = float(end), float(media_pos), []
-                for j in at:
-                    ph = phs[j]
-                    i = int(ph)
-                    c = (cum[i] + (ph - i) * schedule[i] if 0 < ph < duration
-                         else 0.0 if ph <= 0 else end)
-                    c = c if c < media_pos else pos
-                    samples.append((ts[j], media_pos - c, delivered - ph))
-            else:
-                held, media = media_pos - consumed, delivered - playhead
-                samples = [(ts[j], held, media) for j in at]
-            self.metrics.buffer_series.extend(samples)
-            self._next_sample = ticks + at[-1] + every
-        self._ticks = ticks + played
-        if moving:
-            self.playhead = phs[played]
-            self._sync_consumed()
-        return ts[played]
-
-    def _flow(self, t, stop_t, conn_t, reads, acts):
-        """Play the ticks after `t` one at a time, the connection and the books in locals.
-
-        A tick played here sends the sender's whole pacing allowance, or the
-        free receive window (and advertises it zero, as advance() does), or
-        paces zero bytes with window room; or it sends nothing.  Then the
-        client reads what reads() says, and playback advances unless it is
-        stalled or has not begun.  A tick spells out transport.paced, the
-        store limit, the playback rules and a progressive consumed_at with
-        their float operations, and tests the rules of the full tick in its
-        order.  Steady paced ticks, with no act rule, play in chunks (_chunk);
-        the ON_OFF watermarks, not monotone while bytes flow, are per tick.
-
-        The run ends before a tick _stretch can play and at the first tick
-        that needs the kernel; it always plays or stops the first tick.  The
-        connection is written back where the window closes or reopens (the
-        Connection changes the window state and asks next_action again) and
-        at the run's end.  The DATA records are emitted where the window
-        fills, with its zero-window advertisement, and at the run's end;
+        The connection is written back where the window closes or reopens
+        (the Connection changes the window state and asks next_action again)
+        and at the span's end.  The DATA records are emitted where the window
+        fills, with its zero-window advertisement, and at the span's end;
         their bytes are booked once, at the end.  No tick waits on the books:
         close_window, reopen_window and next_action read only the connection,
         a sample comes from the locals (MediaBuffer.held is pos - consumed),
         a DASH download completes only on a tick the queue cuts, never played
         here, and one arrive() of the sum books what one per fill would.
-        Returns (t, conn_t, stopped): the last tick played, the connection's
-        next action, and whether the next tick is the kernel's.
         """
         dt = self.tick_s
         conn, video, buf = self.conn, self.video, self.buffer
+        stop_t = min(self.policy.burst_next, self.max_sim_time)
+        conn_t = conn.next_action(dt, t)
+        reads, acts = self.policy.rule(self)
         cap = buf.cap
         capped = cap is not None
         moving = self.phase == STEADY and not self.stalled
@@ -757,37 +654,44 @@ class StreamingSession:
         emit_run = self.transport.emit_run
         times, sizes = [], []
         sent = 0  # bytes of the records emitted at window fills
-        stopped = True
-        # the first tick at which to plan a chunk of steady paced ticks
+        # the first tick at which to plan a run of steady paced ticks
         bulk_from = ticks if draining and acts is None and flows and not capped and not dup else _BIG
-        while True:
-            if ticks >= bulk_from and resume <= t and not occ and not zero:
-                chunk = self._chunk(t, stop_t, conn_t, resume, credit, byte_rate, capacity,
-                                    queue if queue < to_go else to_go, playhead, delivered, moving)
-                if chunk is None:
+        while t + dt < stop_t:
+            plan = None
+            if t + dt < conn_t and (reads is None or not occ):
+                plan = self._chunk(t, min(stop_t, conn_t), acts, None,
+                                   media_pos, playhead, consumed, delivered)
+                if plan is None:
+                    break
+            elif ticks >= bulk_from and resume <= t and not occ and not zero:
+                pace = resume, credit, byte_rate, capacity, queue if queue < to_go else to_go
+                plan = self._chunk(t, stop_t, None, pace, media_pos, playhead, consumed, delivered)
+                if plan is None:
                     bulk_from = ticks + _FLOOR
-                else:
-                    k, ts, phs, ns, upto, credit = chunk
+            if plan is not None:
+                k, ts, phs, ns, upto, after = plan
+                for j in range(next_sample - ticks, k + 1, every):
+                    pos = media_pos + upto[j - 1] if upto else media_pos
+                    # media_time and consumed_at give what the locals would hold
+                    media = video.media_time(pos) if progressive and pos != media_pos else delivered
+                    ph = phs[j] if moving else playhead
+                    used = consumed_at(ph, pos) if moving else consumed
+                    series.append((ts[j], pos - used, media - ph))
+                    next_sample = ticks + j + every
+                if upto:
                     times += compress(ts[1:], ns)
                     sizes += filter(None, ns)
-                    for j in range(next_sample - ticks, k + 1, every):
-                        pos = media_pos + upto[j - 1]
-                        # media_time and consumed_at give what the locals would hold
-                        media = video.media_time(pos) if progressive and pos != media_pos else delivered
-                        ph = phs[j] if moving else playhead
-                        used = consumed_at(ph, pos) if moving else consumed
-                        series.append((ts[j], pos - used, media - ph))
-                        next_sample = ticks + j + every
                     nbytes = upto[k - 1]
                     queue, to_go, media_pos = queue - nbytes, to_go - nbytes, media_pos + nbytes
                     if progressive and nbytes:
                         # the media cursor i catches up on the next tick that moves bytes
                         delivered = video.media_time(media_pos)
-                    ticks, t, playhead = ticks + k, ts[k], phs[k] if moving else playhead
-                    if t + dt >= stop_t:
-                        stopped = False
-                        break
-                    continue
+                    credit = after
+                ticks, t = ticks + k, ts[k]
+                if moving:
+                    playhead = phs[k]
+                    consumed = consumed_at(playhead, media_pos)  # the store limit reads it
+                continue
             t_next = t + dt
             n = 0
             fills = False
@@ -837,7 +741,7 @@ class StreamingSession:
                 step = watched_end - playhead
                 if step > dt:
                     step = dt
-                if delivered - playhead + 1e-9 < step:  # as _runs_dry
+                if delivered - playhead + 1e-9 < step:  # runs dry, as in _playback
                     break
                 ahead = playhead + step
                 if ahead >= done_at:
@@ -854,7 +758,6 @@ class StreamingSession:
             if acts is not None and acts(new_pos, delivered, ahead, used):
                 break
             # the tick plays
-            stopped = False
             if t_next >= conn_t:
                 credit = paced_credit
             if n:
@@ -902,75 +805,89 @@ class StreamingSession:
                     consumed = consumed_at(playhead, media_pos)
                 series.append((t, media_pos - consumed, delivered - playhead))
                 next_sample = ticks + every
-            if t + dt >= stop_t or t + dt < conn_t and (reads is None or not occ):
-                break
-            stopped = True
         conn._rate_frac, conn.send_queue, conn.recv_occupancy = credit, queue, occ
         if times:
             emit_run(DOWN, DATA, conn.id, times, sizes)
             sent += sum(sizes)
             last_t = times[-1]
         if sent:
-            # the run's bytes, booked once
+            # the span's bytes, booked once
             conn.delivered_total += sent
             self._on_data(sent, conn.id, last_t)
         self.playhead, self._ticks, self._next_sample = playhead, ticks, next_sample
         if moving:
             self._sync_consumed()
-        return t, conn_t, stopped
+        return t
 
-    def _chunk(self, t, stop_t, conn_t, resume, credit, byte_rate, capacity, bytes_left,
-               playhead, delivered, moving):
-        """Plan the steady paced ticks after `t` that _flow plays as one chunk.
+    def _chunk(self, t, stop_t, acts, pace, media_pos, playhead, consumed, delivered):
+        """Plan a run of ticks after `t`, ending before `stop_t`, that _flow plays in bulk.
 
-        With the resume time behind the first tick's start, each tick's
-        eligible time is its own length and only the credit recurrence is a
-        loop; the clock and the playhead come from accumulate, as in
-        _stretch: the per-tick loop's float operations, in its order.  The
-        chunk ends before the first tick the per-tick loop could cut, each
-        rule found by bisection, as each is monotone: the bytes against
-        `bytes_left` (the queue or the rest of the fast start), the clock
-        against stop_t, the playhead against the watch end and against
-        running dry on the chunk's first `delivered`, a lower bound.  A tick
-        whose allowance fills the window ends it too.  Returns None unless
-        the bytes, the clock and the watch leave room for _FLOOR ticks, else
-        (k, ts, phs, sizes, upto, credit): the clock and playheads (None if
-        playback stands) of ticks 0..k, the k sizes, the bytes sent by each
-        tick, and the credit after tick k.
+        Without `pace` the run moves no byte and ends where `acts` holds.
+        With pace = (resume, credit, byte_rate, capacity, bytes_left) it is
+        a run of steady paced ticks with the resume time behind its first
+        tick, so each tick's eligible time is its own length and only the
+        credit recurrence is a loop.  The clock and the playhead come from
+        accumulate: the per-tick loop's float operations, in its order.  The
+        run ends before the first tick the per-tick loop could cut, found by
+        bisection as each rule is monotone over the run: the clock, the bytes
+        against `bytes_left` (the queue or the rest of the fast start), the
+        playhead against the watch end and running dry on the run's first
+        `delivered` (a lower bound), and `acts`, tested alone on the first
+        tick as a burst's high watermark and a full store go false as the
+        playhead grows.  A paced run needs room for _FLOOR ticks and ends at
+        a tick whose allowance fills the window.  Returns None, or (k, ts,
+        phs, sizes, upto, credit): the clock and playheads (None if playback
+        stands) of ticks 0..k, and for a paced run the k sizes, the bytes
+        sent by each tick and the credit after tick k.
         """
         dt = self.tick_s
-        per_tick = byte_rate * dt
-        room = min((stop_t - t) / dt, bytes_left / per_tick if per_tick > 0 else _BIG)
         watched_end = self.watched_end
+        moving = self.phase == STEADY and not self.stalled
+        # build no more ticks than the clock, the bytes, the delivered media
+        # and the watch leave room for, give or take one
+        room = (stop_t - t) / dt
         if moving:
             room = min(room, (min(watched_end, delivered) - playhead) / dt)
-        if room < _FLOOR or conn_t > t + dt or resume > t + dt - dt or per_tick + 1.0 >= capacity:
-            return None
-        k = min(_STRETCH, int(room) + 2)
+        if pace is not None:
+            resume, credit, byte_rate, capacity, bytes_left = pace
+            per_tick = byte_rate * dt
+            room = min(room, bytes_left / per_tick if per_tick > 0 else _BIG)
+            if room < _FLOOR or resume > t + dt - dt or per_tick + 1.0 >= capacity:
+                return None
+        k = int(min(room, _STRETCH - 2)) + 2
         ts = list(accumulate(repeat(dt, k), initial=t))
-        ends = ts[1:]
-        allowances = []
-        for eligible in map(sub, ends, map(sub, ends, repeat(dt))):
-            allowance = byte_rate * eligible + credit
-            n = int(allowance)
-            credit = allowance - n
-            allowances.append(allowance)
-        sizes = list(map(int, allowances))
-        upto = list(accumulate(sizes))
-        played = min(bisect_left(upto, bytes_left), bisect_left(ts, stop_t, 1) - 1)
-        if max(sizes) >= capacity:
-            played = min(played, next(j for j, n in enumerate(sizes) if n >= capacity))
         phs = list(accumulate(repeat(dt, k), initial=playhead)) if moving else None
-        if moving:
-            done_at = watched_end - 1e-12  # as _watch_done
+        played = bisect_left(ts, stop_t, 1) - 1
+        if pace is not None:
+            ends = ts[1:]
+            allowances = []
+            for eligible in map(sub, ends, map(sub, ends, repeat(dt))):
+                allowance = byte_rate * eligible + credit
+                n = int(allowance)
+                credit = allowance - n
+                allowances.append(allowance)
+            sizes = list(map(int, allowances))
+            upto = list(accumulate(sizes))
+            played = min(played, bisect_left(upto, bytes_left))
+            if max(sizes) >= capacity:
+                played = min(played, next(j for j, n in enumerate(sizes) if n >= capacity))
+        done_at = watched_end - 1e-12  # as _watch_done
 
-            def cut(j):
-                ph = phs[j - 1]
-                return watched_end - ph < dt or delivered - ph + 1e-9 < dt or phs[j] >= done_at
+        def stops(j):
+            """Whether tick j (to ts[j], playhead to phs[j]) needs the per-tick code."""
+            if not moving:
+                return acts is not None and acts(media_pos, delivered, playhead, consumed)
+            ph, ahead = phs[j - 1], phs[j]
+            if watched_end - ph < dt or delivered - ph + 1e-9 < dt or ahead >= done_at:
+                return True
+            return acts is not None and acts(
+                media_pos, delivered, ahead, self.buffer.consumed_at(ahead, media_pos))
 
-            played = bisect_left(range(1, played + 1), True, key=cut)
-        if not played:
+        if not played or stops(1):
             return None
+        played = bisect_left(range(2, played + 1), True, key=stops) + 1
+        if pace is None:
+            return played, ts, phs, None, None, None
         return played, ts, phs, sizes[:played], upto, allowances[played - 1] - sizes[played - 1]
 
     def _on_data(self, nbytes, conn_id, now):
@@ -1002,8 +919,9 @@ class StreamingSession:
             # a watch that ends within the tick plays a clipped step; a
             # longer one goes on with its own step once that watch has ended
             step = min(dt, self.watched_end - self.playhead)
-            if _runs_dry(avail_media, step):
-                # ran dry mid-tick: advance what we can, then freeze
+            if avail_media + 1e-9 < step:
+                # the delivered media cannot cover a whole step: it ran dry
+                # mid-tick, so advance what we can, then freeze
                 self.playhead += max(0.0, avail_media)
                 self._sync_consumed()
                 self.stalled = True
@@ -1082,7 +1000,7 @@ class StreamingSession:
         """Buffer sample of the full tick that ends at t, read from the books.
 
         Spans take their samples themselves, with the same arithmetic, from
-        the books they hold in locals (_stretch, _flow).
+        the books they hold in locals (_flow).
         """
         buf = self.buffer
         self.metrics.buffer_series.append(

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from streamsim.analysis import (
@@ -160,11 +163,27 @@ def test_classifier_thresholds_are_complete():
         (0, 1e6, "avg_rate_bps"),  # used to divide by zero
         (-1, 1e6, "avg_rate_bps"),  # used to return UNKNOWN
         (8000, 0, "path_bandwidth_bps"),  # used to divide by zero
+        # NaN and inf used to pass and return a label (the encoding rate's
+        # cases are in test_a_rate_must_be_positive_and_finite)
+        (8000, math.nan, "path_bandwidth_bps"),
+        (8000, math.inf, "path_bandwidth_bps"),
     ],
 )
 def test_classifier_rejects_a_non_positive_rate(rate, bandwidth, name):
     with pytest.raises(ValueError, match=name):
         classify(burst_trace(), rate, bandwidth)
+
+
+@pytest.mark.parametrize("rate", [0, -1, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("estimate", [
+    estimate_throttle_factor, estimate_fast_start,
+    lambda records, rate: classify(records, rate, 6e6),
+], ids=["throttle_factor", "fast_start", "classify"])
+def test_a_rate_must_be_positive_and_finite(estimate, rate):
+    # estimate_fast_start used to divide by a zero rate and return a negative
+    # media_s for -1; NaN and inf passed every check and gave nan or 0
+    with pytest.raises(ValueError, match="avg_rate_bps .* got " + re.escape(repr(rate))):
+        estimate(burst_trace(), rate)
 
 
 # DATA at 100, 0, 104.5 used to index a window list at -50; at 10, 9, 14.5 the

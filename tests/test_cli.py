@@ -179,6 +179,18 @@ def test_analyze_rejects_a_time_that_is_not_finite_or_a_negative_count(tmp_path,
     assert captured.out == ""
 
 
+def test_analyze_rejects_a_rate_that_is_not_a_number(tmp_path, capsys):
+    # a NaN rate used to print "steady throughput / encoding rate = nan" and exit 0
+    assert main(["run", str(mini_scenario(tmp_path)), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    trace = str(tmp_path / "mini.timeline.csv")
+    code = main(["analyze", trace, "--rate", "nan", "--bandwidth", "6e6"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: avg_rate_bps must be positive and finite, got nan\n"
+    assert captured.out == ""
+
+
 def test_analyze_requires_rate_and_bandwidth(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["analyze", "whatever.csv"])

@@ -5,6 +5,7 @@ import random
 import re
 import statistics
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import streamsim.session as session_module
 from streamsim.session import _STRETCH
 
 from streamsim.analysis import group_bursts
@@ -338,23 +338,16 @@ def test_dash_pick_quality_takes_highest_affordable_level():
 # -- quiet spans and sampling ----------------------------------------------
 
 
-def test_quiet_ticks_run_inside_one_kernel_event(monkeypatch):
+def test_quiet_ticks_run_inside_one_kernel_event():
     # fast caching has the file after 30 s of a 360 s watch; the rest is quiet
-    runs_dry = session_module._runs_dry
-    calls = []
-
-    def counted(avail_media, step):
-        calls.append(step)
-        return runs_dry(avail_media, step)
-
-    monkeypatch.setattr(session_module, "_runs_dry", counted)
     session = build_session(load_builtin("compare_fast_caching_3g"))
-    session.run()
+    with planned() as (played, _):
+        session.run()
     assert session.kernel.executed <= len(session.transport.records) + 10
-    # quiet stretches test the playback rules a few times per stretch, not
-    # once per tick: 36,088 ticks, about 3,000 of them moving bytes
+    # the planner lays out nearly all of the 36,088 ticks in bulk, the quiet
+    # ones after the file is in and the paced ones that move it
     assert session._ticks > 36_000
-    assert len(calls) <= 6_000
+    assert played["quiet"] > 30_000 and sum(played.values()) > 0.99 * session._ticks
 
 
 def test_data_ticks_run_inside_few_kernel_events():
@@ -635,42 +628,61 @@ def test_buffer_samples_are_a_whole_number_of_ticks_apart(technique, interval):
 
 
 def chunk_cuts(session, args, plan):
-    """The rules that end a chunk _flow played: what stops the tick after it."""
-    _, stop_t, _, _, _, _, capacity, bytes_left, _, delivered, moving = args
+    """The rules that end a run _flow played in bulk: what stops the tick
+    after it.  A quiet run's rules are named "quiet <rule>"."""
+    _, bound, acts, pace, media_pos, playhead, consumed, delivered = args
     k, ts, phs, _, upto, _ = plan
     dt, end = session.tick_s, session.watched_end
     cuts = set()
-    if k < len(upto):
+    if pace is not None and k < len(upto):
+        capacity, bytes_left = pace[3], pace[4]
         if upto[k] >= bytes_left:
             cuts.add("fast_start" if session.phase == "FAST_START" else "queue")
         if upto[k] - upto[k - 1] >= capacity:
             cuts.add("window")
-    if k + 1 < len(ts) and ts[k + 1] >= stop_t:
-        cuts.add("clock")
-    if moving and k + 1 < len(phs):
-        if end - phs[k] < dt or phs[k + 1] >= end - 1e-12:
-            cuts.add("watch")
-        if delivered - phs[k] + 1e-9 < dt:
-            cuts.add("dry")
-    return cuts
+    if k + 1 < len(ts):
+        if ts[k + 1] >= bound:
+            # a quiet run also ends at the connection's next action
+            stop_t = min(session.policy.burst_next, session.max_sim_time)
+            cuts.add("clock" if bound >= stop_t else "next_action")
+        ahead, used = playhead, consumed
+        if phs is not None:
+            ahead = phs[k + 1]
+            used = session.buffer.consumed_at(ahead, media_pos)
+            if end - phs[k] < dt or ahead >= end - 1e-12:
+                cuts.add("watch")
+            if delivered - phs[k] + 1e-9 < dt:
+                cuts.add("dry")
+        if acts is not None and acts(media_pos, delivered, ahead, used):
+            cuts.add(acts.__name__)
+    return {c if pace is not None else "quiet " + c for c in cuts}
 
 
-def play_chunks(case):
-    """play() of a case, the ticks its chunks played, and the rules that ended them."""
+@contextmanager
+def planned():
+    """Counters of the ticks the planner's quiet and paced runs play, and of
+    the rules that end them, while the block runs."""
     plan = StreamingSession._chunk
-    played, cuts = [0], Counter()
+    played, cuts = Counter(), Counter()
 
     def counted(self, *args):
         chunk = plan(self, *args)
         if chunk is not None:
-            played[0] += chunk[0]
+            played["quiet" if args[3] is None else "paced"] += chunk[0]
             cuts.update(chunk_cuts(self, args, chunk))
         return chunk
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StreamingSession, "_chunk", counted)
+        yield played, cuts
+
+
+def play_chunks(case):
+    """play() of a case, the ticks its quiet and paced runs played, and the
+    rules that ended them."""
+    with planned() as (played, cuts):
         out = play(*case)
-    return out, played[0], cuts
+    return out, played, cuts
 
 
 def play_without_chunks(case):
@@ -692,7 +704,8 @@ def test_chunks_change_no_output(monkeypatch):
     names = builtin_scenario_names()
     chunked = [play_chunks(case) for case in cases]
     bundled = [bundled_outputs(name) for name in names]
-    assert sum(ticks for _, ticks, _ in chunked) > 10_000
+    assert sum(ticks["paced"] for _, ticks, _ in chunked) > 10_000
+    assert sum(ticks["quiet"] for _, ticks, _ in chunked) > 10_000
     monkeypatch.setattr(StreamingSession, "_chunk", lambda self, *args: None)
     assert [play(*case) for case in cases] == [out for out, _, _ in chunked]
     assert [bundled_outputs(name) for name in names] == bundled
@@ -700,6 +713,7 @@ def test_chunks_change_no_output(monkeypatch):
 
 STEADY = TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25)
 CLIP = VideoSpec.constant(60, 500_000, keyframe_spacing=40_000)
+ON_OFF_SPEC = dict(fast_start_s=10.0, low_watermark_s=2.0, high_watermark_s=10.0)
 
 
 @pytest.mark.parametrize("case, cut", [
@@ -711,10 +725,23 @@ CLIP = VideoSpec.constant(60, 500_000, keyframe_spacing=40_000)
       PathSpec(600_000, rtt_s=0.05), {}), "clock"),
     ((CLIP, TechniqueSpec(FAST_CACHING, fast_start_s=5.0), PathSpec(400_000, rtt_s=0.05), {}),
      "dry"),
-], ids=["queue", "fast_start", "watch", "burst", "run_dry"])
+    # quiet runs: between bursts, with no download under way, while a
+    # closed store drains, after the file is in, and until the connection's
+    # next action (a zero-window probe, or the sender's resume an rtt on)
+    ((CLIP, TechniqueSpec(ON_OFF, connection_mode=PER_BURST, **ON_OFF_SPEC), PATH, {}),
+     "quiet below_low_watermark"),
+    ((VideoSpec.constant(60, 500_000, ladder=LADDER),
+      TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0), PATH, {}), "quiet buffer_short"),
+    ((CLIP, TechniqueSpec(THROTTLE, fast_start_s=2.0, throttle_factor=1.5, buffer_cap=300_000,
+                          keyframe_waste=True), PATH, {}), "quiet store_reopens"),
+    ((CLIP, TechniqueSpec(FAST_CACHING, fast_start_s=5.0), PATH, dict(watched_fraction=0.5)),
+     "quiet watch"),
+    ((CLIP, TechniqueSpec(ON_OFF, **ON_OFF_SPEC), PATH, {}), "quiet next_action"),
+], ids=["queue", "fast_start", "watch", "burst", "run_dry", "quiet_low_watermark",
+        "quiet_dash_target", "quiet_store_reopens", "quiet_watch", "quiet_next_action"])
 def test_a_chunk_cut_by_each_rule_plays_as_every_tick(case, cut):
     out, ticks, cuts = play_chunks(case)
-    assert ticks > 100 and cuts[cut] > 0, cuts
+    assert ticks["quiet" if cut.startswith("quiet") else "paced"] > 100 and cuts[cut] > 0, cuts
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StreamingSession, "_play_quiet", every_tick)
         assert play(*case) == out
@@ -729,8 +756,8 @@ def test_a_chunk_starts_only_with_the_resume_time_behind_its_first_tick():
     assert start < t
 
     def plan(resume):
-        return session._chunk(t, math.inf, resume, resume, 0.0, 97_656.25, 65_536, 10**9,
-                              0.0, 0.0, False)
+        return session._chunk(t, math.inf, None, (resume, 0.0, 97_656.25, 65_536, 10**9),
+                               0, 0.0, 0.0, 0.0)
 
     assert plan(t) is None
     k, ts, _, sizes, _, credit = plan(start)
@@ -750,10 +777,11 @@ def test_random_sessions_play_chunks_as_the_per_tick_loop():
         assert play_without_chunks(case) == out
         technique = case[1]
         if technique.burst_size is None and technique.buffer_cap is None:
-            played[technique.kind] += ticks
+            played[technique.kind] += ticks["paced"]
+        played["quiet"] += ticks["quiet"]
 
     chunks_change_nothing()
-    assert played[THROTTLE] > 0 and played[FAST_CACHING] > 0
+    assert played[THROTTLE] > 0 and played[FAST_CACHING] > 0 and played["quiet"] > 0
 
 
 def test_a_window_fill_emits_its_records_once(monkeypatch):
@@ -950,7 +978,6 @@ def test_video_spec_schedule_arithmetic():
     assert video.cum_bytes(60) == 3_750_000.0
     assert video.cum_bytes(1.5) == pytest.approx(1.5 * 62_500)
     assert video.media_time(video.cum_bytes(17.3)) == pytest.approx(17.3)
-    assert video.bytes_between(10.0, 20.0) == pytest.approx(625_000)
 
     vbr = VideoSpec.vbr(60, 500_000, amplitude=0.4)
     assert vbr.total_bytes == 3_750_000
