@@ -10,6 +10,7 @@ techniques and are deliberately loose enough to survive ~10% timing jitter.
 """
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
@@ -18,11 +19,12 @@ from operator import itemgetter
 from .media import VideoSpec
 from .transport import (
     DATA,
-    OUT_OF_ORDER,
     REQUEST,
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
     Timeline,
+    check_ends,
+    check_step,
     check_time_order,
 )
 
@@ -75,17 +77,19 @@ class FastStartEstimate:
 def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
     """Maximal runs of DATA records with inter-packet gaps below gap_s.
 
-    Raises ValueError if any record, control records too, sits more than
-    1e-12 s before the one ahead of it (check_time_order()'s rule).
+    Raises ValueError if any record, control records too, has a time that
+    is not finite or sits more than 1e-12 s before the one ahead of it
+    (check_time_order()'s rule).
     """
     bursts = []
     start = None
-    end = last = float("-inf")  # no record is within gap_s of -inf
+    end = float("-inf")  # no record is within gap_s of -inf
+    last = -sys.float_info.max  # below every finite time: a first -inf fails check_step()
     nbytes = packets = 0
     for r in records:
         t = r.time
-        if t < last and t < last - 1e-12:
-            raise ValueError(OUT_OF_ORDER)
+        if not t >= last:
+            check_step(last, t)
         last = t
         if r.kind != DATA:
             continue
@@ -98,6 +102,7 @@ def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
                 bursts.append(Burst(start, end, nbytes, packets))
             start = end = t
             nbytes, packets = r.payload, 1
+    check_ends(last)
     if start is not None:
         bursts.append(Burst(start, end, nbytes, packets))
     return bursts
@@ -300,8 +305,9 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     and cum_bytes() of the playhead changes only when the playhead moves.  Both
     use VideoSpec's own float expressions.  Payloads are non-negative.
 
-    Raises ValueError if any record, control records too, sits more than
-    1e-12 s before the one ahead of it (check_time_order()'s rule).
+    Raises ValueError if any record, control records too, has a time that
+    is not finite or sits more than 1e-12 s before the one ahead of it
+    (check_time_order()'s rule).
     """
     video = VideoSpec(encoding_schedule)
     cum, schedule = video._cum, video.schedule
@@ -313,11 +319,11 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     playhead = 0.0
     consumed = 0.0  # video.cum_bytes(playhead)
     wall = start_of_playback
-    last = float("-inf")
+    last = -sys.float_info.max  # below every finite time: a first -inf fails check_step()
     for r in records:
         t = r.time
-        if t < last and t < last - 1e-12:
-            raise ValueError(OUT_OF_ORDER)
+        if not t >= last:
+            check_step(last, t)
         last = t
         if r.kind != DATA:
             continue
@@ -340,6 +346,7 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
                     i += 1
                 media = i + (received - cum[i]) / schedule[i]
         series.append((t, received - consumed, media - playhead))
+    check_ends(last)
     return series
 
 

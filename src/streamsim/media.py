@@ -84,6 +84,13 @@ class VideoSpec:
         i = int(t)
         return self._cum[i] + (t - i) * self.schedule[i]
 
+    def cum_bytes_at(self, times):
+        """cum_bytes of each of `times` (in time order), as a list."""
+        if not 0 < times[0] <= times[-1] < self.duration_s:
+            return list(map(self.cum_bytes, times))
+        cum, schedule = self._cum, self.schedule
+        return [cum[i] + (t - i) * schedule[i] for t, i in zip(times, map(int, times))]
+
     def media_time(self, nbytes):
         """Inverse of cum_bytes: media seconds covered by the first nbytes."""
         if nbytes <= 0:
@@ -165,6 +172,10 @@ class MediaBuffer:
         consumed = self.video.cum_bytes(playhead)
         return consumed if consumed < pos else float(pos)  # min(), without the call
 
+    def consumed_each(self, playheads, positions):
+        """consumed_at of each playhead and pos, as a list."""
+        return [c if c < p else float(p) for c, p in zip(self.video.cum_bytes_at(playheads), positions)]
+
     def held(self, consumed):
         """Bytes in the store while `consumed` of them have played."""
         return self.pos - consumed
@@ -225,6 +236,9 @@ class SegmentBuffer(MediaBuffer):
 
     def ready(self):
         return self.media >= self.ready_at
+
+    def consumed_each(self, playheads, positions):
+        return list(map(self.consumed_at, playheads, positions))
 
     def delivered(self):
         return self.media

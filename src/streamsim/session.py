@@ -33,15 +33,12 @@ it does more, acts(pos, got, ph, used) of the buffer's pos, the media
 seconds delivered, the playhead and the bytes consumed; act() is that more
 (reset or reopen a connection, end or start a burst, request a segment).
 
-Time moves in fixed ticks (10 ms by default).  A full tick is one kernel
-event: the connection advances, the fast start may end, playback moves, the
-client acts or reads, the server serves.  Most ticks are played inside the
-event of the full tick before them (_flow), with the same policy methods
-and the same float operations, so the outputs are those of a session that
-runs every tick as its own event.  Runs that move no byte, and steady paced
-runs, are laid out in bulk by one planner (_chunk).  A span ends before the
-first tick that would do more than move bytes under the pacing allowance,
-fill the receive window, read, or play.
+Time moves in fixed ticks (10 ms by default), and every tick is planned or
+full.  A full tick is one kernel event: the connection advances, the fast
+start may end, playback moves, the client acts or reads, the server serves.
+One planner (_chunk) lays out the ticks after it in runs, played in bulk
+inside the same event (_flow) with the same rules and float operations, so
+the outputs are those of a session that runs every tick as its own event.
 
 One session may end several watches of the same clip: its own, which is
 the longest, and shorter ones added with _also_watch (the harness runs a
@@ -60,9 +57,9 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress, repeat
-from operator import sub
+from operator import add, mul, sub
 
-from .kernel import Kernel
+from .kernel import Kernel, Ticks
 from .media import MediaBuffer, SegmentBuffer, dash_pick_quality
 from .media import QualityLevel, VideoSpec  # noqa: F401  (re-exported: they lived here first)
 from .transport import CLOSE_KINDS, DATA, DOWN, UP, ZERO_WINDOW, Transport
@@ -82,11 +79,8 @@ STEADY = "STEADY"
 DRAINED = "DRAINED"
 
 _BIG = 1 << 62
-# most ticks one bulk run builds and searches at once; a longer run takes
-# several
+# most ticks a paced run builds at once; a longer one takes several
 _STRETCH = 512
-# fewest ticks a paced run needs room for: a shorter one costs more than it saves
-_FLOOR = 64
 
 
 class DeadlockError(RuntimeError):
@@ -95,6 +89,11 @@ class DeadlockError(RuntimeError):
 
 def _drain(playhead):
     return _BIG
+
+
+def _first(column, x, lo, hi):
+    """bisect_left over a list of tick times, or over Ticks."""
+    return column.index(x, lo, hi) if isinstance(column, Ticks) else bisect_left(column, x, lo, hi)
 
 
 @dataclass
@@ -254,18 +253,9 @@ class EncodingRate(Policy):
         return self.reads, None
 
     def reads(self, playhead):
-        """The client reads the bytes of the next tick of media: VideoSpec.cum_bytes
-        at playhead + tick_s less at playhead, spelled out with its float operations."""
+        """The client reads the bytes of the next tick of media."""
         v = self.video
-        cum, schedule, duration = v._cum, v.schedule, v.duration_s
-        t = playhead + self.tick_s
-        j = int(t)
-        hi = (cum[j] + (t - j) * schedule[j] if 0 < t < duration
-              else 0.0 if t <= 0 else float(v.total_bytes))
-        j = int(playhead)
-        lo = (cum[j] + (playhead - j) * schedule[j] if 0 < playhead < duration
-              else 0.0 if playhead <= 0 else float(v.total_bytes))
-        return math.ceil(hi - lo)
+        return math.ceil(v.cum_bytes(playhead + self.tick_s) - v.cum_bytes(playhead))
 
 
 class Throttle(Policy):
@@ -449,8 +439,12 @@ class StreamingSession:
         technique.validate()
         if not 0.0 < watched_fraction <= 1.0:
             raise ValueError("watched_fraction must be in (0, 1]")
-        if tick_s <= 0:
-            raise ValueError("tick_s must be positive")
+        max_sim_time = max_sim_time or (3.0 * video.duration_s + 900.0)
+        for name, value in (("tick_s", tick_s), ("recv_capacity", recv_capacity),
+                            ("probe_interval", probe_interval),
+                            ("sample_interval", sample_interval), ("max_sim_time", max_sim_time)):
+            if not 0 < value < math.inf:
+                raise ValueError("%s must be positive and finite, not %r" % (name, value))
         self.video = video
         self.technique = technique
         self.path = path
@@ -467,7 +461,7 @@ class StreamingSession:
         self.watched_end = watched_fraction * video.duration_s
         # fraction -> (SessionMetrics, records) of every watch that has ended
         self._ended_watches = {}
-        self.max_sim_time = max_sim_time or (3.0 * video.duration_s + 900.0)
+        self.max_sim_time = max_sim_time
 
         self.phase = FAST_START  # then STEADY while playing, then DRAINED
         self.playhead = 0.0
@@ -554,6 +548,7 @@ class StreamingSession:
         if self.phase == FAST_START and buf.ready():
             self._steady()
         self._playback(dt)
+        self._ticks += 1
         if self.phase == DRAINED:
             return
         # the client acts where acts() says, then reads by the rule it leaves
@@ -564,22 +559,17 @@ class StreamingSession:
         if reads is not None:
             self.conn.read(reads(self.playhead))
         self.policy.serve(self)
-        self._ticks += 1
         if self._ticks >= self._next_sample:
             self._sample(now)
         buf.check()
         self.kernel.schedule(self._play_quiet(now), self._tick)
 
     def _play_quiet(self, now):
-        """Play the ticks after the full tick at `now` that change little (_flow).
+        """Play the ticks after the full tick at `now` that _chunk lays out (_flow).
 
-        Returns the time of the next full tick.  The first tick that could do
-        more is left to the kernel: one whose delivery is cut by the queue or
-        the store limit or blocked on a zero window, that finishes a DASH
-        download or the fast start, runs playback dry, ends a stall or
-        reaches the next watch end, on which the client acts, or the bursty
-        server's next burst.  So is the tick at the horizon: the kernel runs
-        it and never runs the ones after it.
+        Returns the time of the next full tick, the first that no plan
+        covers (_chunk says which), or the tick at the horizon: the kernel
+        runs it and never runs the ones after it.
         """
         t = self._flow(now)
         if t != now:
@@ -591,225 +581,95 @@ class StreamingSession:
         return t + self.tick_s
 
     def _flow(self, t):
-        """Play the ticks after the full tick at `t`, the connection and the books in locals.
+        """Play the plans _chunk lays out after the full tick at `t`, the books in locals.
 
-        Returns the time of the last tick played.  A run of ticks that moves
-        no byte and reads nothing (a quiet run), and a run of steady paced
-        ticks with no act rule, play in bulk as _chunk plans them; a quiet
-        tick it leaves ends the span.  Any other tick plays one at a time: it
-        sends the sender's whole pacing allowance, or the free receive window
-        (and advertises it zero, as advance() does), or paces zero bytes with
-        window room.  Then the client reads what reads() says, and playback
-        advances unless it is stalled or has not begun.  A tick spells out
-        transport.paced, the store limit, the playback rules and a
-        progressive consumed_at with their float operations, and tests the
-        rules of the full tick in its order.
-
-        The connection is written back where the window closes or reopens
-        (the Connection changes the window state and asks next_action again)
-        and at the span's end.  The DATA records are emitted where the window
-        fills, with its zero-window advertisement, and at the span's end;
-        their bytes are booked once, at the end.  No tick waits on the books:
-        close_window, reopen_window and next_action read only the connection,
-        a sample comes from the locals (MediaBuffer.held is pos - consumed),
-        a DASH download completes only on a tick the queue cuts, never played
-        here, and one arrive() of the sum books what one per fill would.
+        Returns the time of the last tick played; the span ends where _chunk
+        has no plan.  The DATA records are emitted where the window fills,
+        with its zero-window advertisement, and at the end, where their bytes
+        are booked once: a DASH download completes only on a full tick, and
+        one arrive() of the sum books what one per fill would.
         """
         dt = self.tick_s
         conn, video, buf = self.conn, self.video, self.buffer
         stop_t = min(self.policy.burst_next, self.max_sim_time)
         conn_t = conn.next_action(dt, t)
-        reads, acts = self.policy.rule(self)
-        cap = buf.cap
-        capped = cap is not None
+        rule = self.policy.rule(self)
         moving = self.phase == STEADY and not self.stalled
-        # Bytes may arrive only while the client reads them and playback is
-        # not stalled: a full tick leaves a stall in place only with under
-        # 1e-9 s of media to play, and no tick ends it unless bytes arrive.
-        flows = reads is not None and not self.stalled
         # A tick whose bytes reach to_go ends a progressive fast start.  A
         # DASH download is the whole send queue, so the queue cuts the tick
         # that ends it, and below that segments deliver no media.
         progressive = not isinstance(buf, SegmentBuffer)
-        starting = progressive and self.phase == FAST_START
-        to_go = buf.ready_at - buf.pos if starting else _BIG
-        draining = reads is _drain
+        to_go = buf.ready_at - buf.pos if progressive and self.phase == FAST_START else _BIG
         consumed_at = buf.consumed_at
-        watched_end = self.watched_end
-        done_at = watched_end - 1e-12  # as _watch_done
-        credit, queue, occ = conn._rate_frac, conn.send_queue, conn.recv_occupancy
-        resume, capacity = conn._resume_at, conn.recv_capacity
-        byte_rate = conn._rate_bps() / 8.0
-        zero = conn.window_state == ZERO_WINDOW
         media_pos, dup, consumed = buf.pos, buf.dup, buf.consumed
         playhead = self.playhead
         delivered = buf.delivered()
-        # media_time() of media_pos as a forward cursor, since media_pos
-        # never falls: cum[i] <= media_pos < cum[i + 1] while it is under total
-        cum, schedule, total = video._cum, video.schedule, video.total_bytes
-        duration = video.duration_s
-        i = bisect_right(cum, media_pos) - 1
         ticks, next_sample, every = self._ticks, self._next_sample, self._sample_every
         series = self.metrics.buffer_series
         emit_run = self.transport.emit_run
         times, sizes = [], []
-        sent = 0  # bytes of the records emitted at window fills
-        # the first tick at which to plan a run of steady paced ticks
-        bulk_from = ticks if draining and acts is None and flows and not capped and not dup else _BIG
+        sent = 0  # bytes of the span's DATA records
         while t + dt < stop_t:
-            plan = None
-            if t + dt < conn_t and (reads is None or not occ):
-                plan = self._chunk(t, min(stop_t, conn_t), acts, None,
-                                   media_pos, playhead, consumed, delivered)
-                if plan is None:
-                    break
-            elif ticks >= bulk_from and resume <= t and not occ and not zero:
-                pace = resume, credit, byte_rate, capacity, queue if queue < to_go else to_go
-                plan = self._chunk(t, stop_t, None, pace, media_pos, playhead, consumed, delivered)
-                if plan is None:
-                    bulk_from = ticks + _FLOOR
-            if plan is not None:
-                k, ts, phs, ns, upto, after = plan
-                for j in range(next_sample - ticks, k + 1, every):
-                    pos = media_pos + upto[j - 1] if upto else media_pos
-                    # media_time and consumed_at give what the locals would hold
-                    media = video.media_time(pos) if progressive and pos != media_pos else delivered
-                    ph = phs[j] if moving else playhead
-                    used = consumed_at(ph, pos) if moving else consumed
-                    series.append((ts[j], pos - used, media - ph))
-                    next_sample = ticks + j + every
-                if upto:
-                    times += compress(ts[1:], ns)
-                    sizes += filter(None, ns)
-                    nbytes = upto[k - 1]
-                    queue, to_go, media_pos = queue - nbytes, to_go - nbytes, media_pos + nbytes
-                    if progressive and nbytes:
-                        # the media cursor i catches up on the next tick that moves bytes
-                        delivered = video.media_time(media_pos)
-                    credit = after
-                ticks, t = ticks + k, ts[k]
-                if moving:
-                    playhead = phs[k]
-                    consumed = consumed_at(playhead, media_pos)  # the store limit reads it
-                continue
-            t_next = t + dt
-            n = 0
-            fills = False
-            new_pos, used = media_pos, consumed
-            if t_next >= conn_t:
-                if not flows:
-                    break
-                # min(), max(), MediaBuffer.limit and transport.paced spelled
-                # out in this loop: a call costs more than the rest of a line
-                room = capacity - occ
-                if queue < room:
-                    room = queue
-                if capped:
-                    free = int(cap - (media_pos - consumed))
-                    limit = dup + (free if free > 0 else 0)
-                    if limit < room:
-                        room = limit
-                start = t_next - dt
-                eligible = t_next - (resume if resume > start else start)
-                paced_credit = credit
-                if eligible > 0 and queue > 0:
-                    allowance = byte_rate * eligible + credit
-                    n = int(allowance)
-                    paced_credit = allowance - n
-                    if n > room:
-                        n, paced_credit = room, 0.0
-                if n == room:
-                    # cut short: only a send that just fills the window plays
-                    if not 0 < n == capacity - occ < queue or (capped and n >= limit):
-                        break
-                    fills = True
-                if n:
-                    if n >= to_go:
-                        break
-                    # as MediaBuffer.arrive: the first dup bytes repeat held media
-                    d = (n if n < dup else dup) if dup else 0
-                    new_pos = media_pos + n - d
-                    if progressive and new_pos != media_pos:
-                        if new_pos >= total:
-                            delivered = float(duration)
-                        else:
-                            while cum[i + 1] <= new_pos:
-                                i += 1
-                            delivered = i + (new_pos - cum[i]) / schedule[i]
-            ahead = playhead
-            if moving:
-                step = watched_end - playhead
-                if step > dt:
-                    step = dt
-                if delivered - playhead + 1e-9 < step:  # runs dry, as in _playback
-                    break
-                ahead = playhead + step
-                if ahead >= done_at:
-                    break
-                if capped and progressive:
-                    # as MediaBuffer.consumed_at(ahead, new_pos)
-                    j = int(ahead)
-                    used = (cum[j] + (ahead - j) * schedule[j] if 0 < ahead < duration
-                            else 0.0 if ahead <= 0 else float(total))
-                    if used >= new_pos:
-                        used = float(new_pos)
-                elif capped:
-                    used = consumed_at(ahead, new_pos)
-            if acts is not None and acts(new_pos, delivered, ahead, used):
+            plan = self._chunk(t, stop_t, conn_t, rule, media_pos, dup, playhead, consumed,
+                               delivered, to_go)
+            if plan is None:
                 break
-            # the tick plays
-            if t_next >= conn_t:
-                credit = paced_credit
-            if n:
-                queue -= n
-                occ += n
-                to_go -= n
-                times.append(t_next)
-                sizes.append(n)
-                dup -= d
-                media_pos = new_pos
-            playhead, consumed = ahead, used
-            turns = fills  # the window closes or reopens on this tick
-            if fills:
-                # as advance(): the DATA records, then the zero-window ad
-                emit_run(DOWN, DATA, conn.id, times, sizes, True)
-                sent += sum(sizes)
-                times, sizes = [], []
-                last_t = t_next
-                conn.close_window(t_next)
-                zero = True
-            if reads is not None and occ:
-                # as Connection.read
-                got = occ if draining else int(reads(playhead))
-                if got > occ:
-                    got = occ
-                if got > 0:
-                    occ -= got
-                    if zero:
-                        conn.reopen_window(t_next)
-                        resume, zero, turns = conn._resume_at, False, True
-            if turns:
-                conn._rate_frac, conn.send_queue, conn.recv_occupancy = credit, queue, occ
-                conn_t = conn.next_action(dt, t_next)
-            t = t_next
-            ticks += 1
-            if ticks >= next_sample:
-                if moving and progressive:
-                    # as MediaBuffer.consumed_at(playhead, media_pos)
-                    j = int(playhead)
-                    consumed = (cum[j] + (playhead - j) * schedule[j] if 0 < playhead < duration
-                                else 0.0 if playhead <= 0 else float(total))
-                    if consumed >= media_pos:
-                        consumed = float(media_pos)
-                elif moving:
-                    consumed = consumed_at(playhead, media_pos)
-                series.append((t, media_pos - consumed, delivered - playhead))
-                next_sample = ticks + every
-        conn._rate_frac, conn.send_queue, conn.recv_occupancy = credit, queue, occ
+            k, ts, phs, ns, upto, records, pacing = plan
+            first = next_sample - ticks
+            if first <= k:
+                # the plan's samples, as the books would give them; the first
+                # dup bytes repeat held media (MediaBuffer.arrive)
+                stamps = ts[first:k + 1:every]
+                count = len(stamps)
+                ahead = phs[first:k + 1:every] if moving else [playhead] * count
+                held = [media_pos] * count
+                if upto and dup:
+                    held = [media_pos + max(0, u - dup) for u in upto[first - 1:k:every]]
+                elif upto:
+                    held = list(map(add, upto[first - 1:k:every], repeat(media_pos)))
+                media = repeat(delivered)
+                if progressive and upto:
+                    # positions never fall: media_time once for each
+                    table = {p: video.media_time(p) for p in dict.fromkeys(held)}
+                    media = map(table.__getitem__, held)
+                used = buf.consumed_each(ahead, held) if moving else repeat(consumed)
+                series += zip(stamps, map(sub, held, used), map(sub, media, ahead))
+                next_sample = ticks + first + count * every
+            if pacing is not None:
+                if records is None:
+                    times += compress(ts[1:k + 1], ns)
+                    sizes += filter(None, ns[:k])
+                else:
+                    filled = 0
+                    for f in records[2]:
+                        # as advance(): the DATA records, then the zero-window ad
+                        times += records[0][filled:f]
+                        sizes += records[1][filled:f]
+                        emit_run(DOWN, DATA, conn.id, times, sizes, True)
+                        times, sizes, filled = [], [], f
+                    times += records[0][filled:]
+                    sizes += records[1][filled:]
+                nbytes = upto[k - 1]
+                if nbytes:
+                    sent += nbytes
+                    last_t = ts[bisect_left(upto, nbytes, 0, k) + 1]  # its last DATA record
+                    d = min(dup, nbytes)
+                    to_go, media_pos, dup = to_go - nbytes, media_pos + nbytes - d, dup - d
+                    conn.send_queue -= nbytes
+                    if progressive:
+                        delivered = video.media_time(media_pos)
+                conn._rate_frac, conn.recv_occupancy, conn._resume_at, closed, reopened = pacing
+                if closed is not None:
+                    conn.close_window(closed)
+                if reopened is not None and (closed is None or reopened >= closed):
+                    conn.reopen_window(reopened)
+                conn_t = conn.next_action(dt, ts[k])
+            ticks, t = ticks + k, ts[k]
+            if moving:
+                playhead = phs[k]
+                consumed = consumed_at(playhead, media_pos)  # the store limit reads it
         if times:
             emit_run(DOWN, DATA, conn.id, times, sizes)
-            sent += sum(sizes)
-            last_t = times[-1]
         if sent:
             # the span's bytes, booked once
             conn.delivered_total += sent
@@ -819,76 +679,210 @@ class StreamingSession:
             self._sync_consumed()
         return t
 
-    def _chunk(self, t, stop_t, acts, pace, media_pos, playhead, consumed, delivered):
+    def _chunk(self, t, stop_t, conn_t, rule, media_pos, dup, playhead, consumed, delivered,
+               to_go):
         """Plan a run of ticks after `t`, ending before `stop_t`, that _flow plays in bulk.
 
-        Without `pace` the run moves no byte and ends where `acts` holds.
-        With pace = (resume, credit, byte_rate, capacity, bytes_left) it is
-        a run of steady paced ticks with the resume time behind its first
-        tick, so each tick's eligible time is its own length and only the
-        credit recurrence is a loop.  The clock and the playhead come from
-        accumulate: the per-tick loop's float operations, in its order.  The
-        run ends before the first tick the per-tick loop could cut, found by
-        bisection as each rule is monotone over the run: the clock, the bytes
-        against `bytes_left` (the queue or the rest of the fast start), the
-        playhead against the watch end and running dry on the run's first
-        `delivered` (a lower bound), and `acts`, tested alone on the first
-        tick as a burst's high watermark and a full store go false as the
-        playhead grows.  A paced run needs room for _FLOOR ticks and ends at
-        a tick whose allowance fills the window.  Returns None, or (k, ts,
-        phs, sizes, upto, credit): the clock and playheads (None if playback
-        stands) of ticks 0..k, and for a paced run the k sizes, the bytes
-        sent by each tick and the credit after tick k.
+        The books come in as _flow holds them, the pacing state on the
+        connection, whose next action is at `conn_t`.  Until then a run whose
+        client reads nothing, or has nothing to read, moves no byte (quiet).
+        Any other run is paced: each tick sends what transport.paced gives
+        for its eligible time.  Where the client drains every tick and no
+        tick can fill the window, the credit is all a comprehension carries;
+        otherwise a loop also carries the window's occupancy, each fill with
+        the read and reopen after it, and the resume time.  Clock and
+        playhead repeat the full tick's float additions: accumulate lists
+        for a paced run, closed form (kernel.Ticks) for a quiet one.
+
+        The run ends before the first tick the full tick must play: the
+        clock; the bytes reaching the fast start's end or a DASH download's;
+        a fill with an act rule or a store cap, one the client leaves shut,
+        a send into a zero window; the watch end and running dry on the
+        first `delivered` (a lower bound), both monotone in the playhead; the
+        store limit, checked once pos could bring the store within the run's
+        largest tick of its cap; `acts`, tested alone on the first tick, and
+        bisected where it is monotone: over a run that moves no media or
+        whose every later tick adds more media than a tick plays (a high
+        watermark or a full store come true only as the store grows, a low
+        one or a buffer target as the playhead moves), else scanned.
+
+        Returns None, or (k, ts, phs, sizes, upto, records, pacing): clock
+        and playheads (None if playback stands) of ticks 0..k; for a paced
+        run the sizes and bytes sent by each tick, the (times, sizes, fill
+        counts) of the DATA records where the loop carries the window, and
+        (credit, occupancy, resume time, last fill, last reopen) after tick k.
         """
         dt = self.tick_s
+        conn, buf, video = self.conn, self.buffer, self.video
+        reads, acts = rule
         watched_end = self.watched_end
+        done_at = watched_end - 1e-12  # as _watch_done
         moving = self.phase == STEADY and not self.stalled
+        progressive = not isinstance(buf, SegmentBuffer)
+        capped = buf.cap is not None
+        occ = conn.recv_occupancy
+        quiet = t + dt < conn_t and (reads is None or not occ)
+        if not quiet and (reads is None or self.stalled and t + dt >= conn_t):
+            # the sender fills a window the client leaves alone, or its
+            # bytes end a stall
+            return None
+        capacity, credit, resume = conn.recv_capacity, conn._rate_frac, conn._resume_at
+        byte_rate = conn._rate_bps() / 8.0
+        zero = conn.window_state == ZERO_WINDOW
+        windowed = not quiet and (reads is not _drain or occ or zero
+                                  or byte_rate * dt + 1.0 >= capacity)
+        if windowed and (acts is not None or capped or dup):
+            return None
+        ns = upto = credits = records = pacing = None
+        reach = _BIG  # the first tick the store limit may cut
+
+        def stands(j):  # playback cannot take tick j whole: the watch ends or it runs dry
+            ph = phs[j - 1]
+            return watched_end - ph < dt or delivered - ph + 1e-9 < dt or phs[j] >= done_at
+
+        def pos_at(j):
+            u = upto[j - 1] - dup if j and ns else 0
+            return media_pos + u if u > 0 else media_pos
+
+        def used_at(j):
+            return buf.consumed_at(phs[j], pos_at(j)) if moving and j else consumed
+
+        def holds(j, limit=True):  # the store limit (with `limit`) or acts stops tick j
+            pos = pos_at(j)
+            if limit and j >= reach:
+                before = dup - upto[j - 2] if j > 1 else dup
+                if ns[j - 1] >= buf.limit(pos_at(j - 1), used_at(j - 1), max(0, before)):
+                    return True
+            if acts is None:
+                return False
+            got = video.media_time(pos) if progressive and pos != media_pos else delivered
+            return acts(pos, got, phs[j] if moving else playhead, used_at(j))
+
+        bytes_left = min(conn.send_queue, to_go)
+        # a sender that empties its queue then paces nothing: a run with no
+        # rule to test on the quiet ticks after it goes on through them
+        empties = progressive and bytes_left < to_go and acts is None and not capped
+
+        def pace(size):
+            """Lay out the bytes of ticks 1..size of a paced run; the ticks before the first cut."""
+            nonlocal ns, upto, credits, reach
+            ends = ts[1:size + 1]
+            if empties and byte_rate > 0:
+                ends = ends[:int(bytes_left / (byte_rate * dt)) + 2]  # the ticks the queue lasts
+            eligibles = map(sub, ends, map(sub, ends, repeat(dt)))
+            if resume > ends[0] - dt:
+                # ticks that start before the resume time are eligible from it
+                starts = list(map(sub, ends, repeat(dt)))
+                p = bisect_left(starts, resume)
+                eligibles = [*map(sub, ends[:p], repeat(resume)), *map(sub, ends[p:], starts[p:])]
+            allowances = list(map(mul, repeat(byte_rate), eligibles))
+            c = credit
+            credits = [c := (allowance + c) % 1.0 for allowance in allowances]  # paced()'s split
+            ns = list(map(int, map(add, allowances, [credit, *credits])))
+            upto = list(accumulate(ns))
+            # the full tick plays the tick that ends the fast start or fills
+            # the window, and the one that empties a DASH download's queue
+            last = bisect_left(upto, bytes_left)
+            if progressive and bytes_left < to_go and last < len(ns):
+                # the tick that empties the queue sends what is left, with no
+                # pacing credit kept unless that was its whole allowance
+                rest = bytes_left - (upto[last - 1] if last else 0)
+                if ns[last] > rest:
+                    ns[last], credits[last], upto[last] = rest, 0.0, bytes_left
+                if empties:
+                    # the ticks after it send nothing and keep the credit
+                    tail = size - last - 1
+                    ns[last + 1:], credits[last + 1:] = repeat(0, tail), repeat(credits[last], tail)
+                    upto[last + 1:] = repeat(bytes_left, tail)
+                    last = size - 1
+                last += 1
+            cut = min(size, last)
+            if max(ns) >= capacity:
+                cut = min(cut, next(j for j, n in enumerate(ns) if n >= capacity))
+            if capped and cut:
+                # used only grows, so tick j meets the limit only once pos
+                # before it comes within the run's largest tick of the cap
+                edge = buf.cap + consumed - max(ns[:cut]) - 2
+                reach = 1 if media_pos > edge else bisect_right(upto, edge - media_pos + dup) + 2
+            return cut
+
+        # the first tick alone
+        ts = [t, t + dt]
+        phs = [playhead, playhead + dt] if moving else None
+        if (moving and stands(1) or quiet and acts is not None and holds(1) or not quiet
+                and not windowed and (acts is not None or capped) and (not pace(1) or holds(1))):
+            return None
+        bound = min(stop_t, conn_t) if quiet else stop_t
         # build no more ticks than the clock, the bytes, the delivered media
         # and the watch leave room for, give or take one
-        room = (stop_t - t) / dt
+        room = (bound - t) / dt
         if moving:
             room = min(room, (min(watched_end, delivered) - playhead) / dt)
-        if pace is not None:
-            resume, credit, byte_rate, capacity, bytes_left = pace
+        if not quiet and not windowed and byte_rate > 0:
             per_tick = byte_rate * dt
-            room = min(room, bytes_left / per_tick if per_tick > 0 else _BIG)
-            if room < _FLOOR or resume > t + dt - dt or per_tick + 1.0 >= capacity:
+            if not empties:
+                room = min(room, bytes_left / per_tick)
+            slack = buf.cap - self.policy.full_at if capped else 0  # a tick of playback, and 2 B
+            if capped and per_tick > slack:
+                # about the ticks until a sender that outpaces playback fills the store
+                room = min(room, (dup + buf.cap - (media_pos - consumed)) / (per_tick - slack))
+        # a paced run's clock and playheads are lists, as it sends on every
+        # tick; a quiet run reads its own at a few ticks, in closed form
+        k = int(room if quiet else min(room, _STRETCH - 2)) + 2
+        ts = Ticks(t, dt, k) if quiet else list(accumulate(repeat(dt, k), initial=t))
+        if moving:  # one playhead more: an ENCODING_RATE client reads up to a tick past it
+            phs = Ticks(playhead, dt, k + 1) if quiet else list(
+                accumulate(repeat(dt, k + 1), initial=playhead))
+        played = _first(ts, bound, 1, k + 1) - 1
+        if moving:
+            # near where the float thresholds put it, then onto stands()'s own answer
+            j = _first(phs, min(watched_end - dt - 1e-12, delivered + 1e-9 - dt), 1, played) + 1
+            while j > 2 and stands(j - 1):
+                j -= 1
+            while j <= played and not stands(j):
+                j += 1
+            played = j - 1
+
+        if windowed:
+            wants = None
+            if reads is not _drain and moving:
+                # reads() takes cum_bytes at the playhead and a tick on, the next playhead
+                cums = video.cum_bytes_at(phs[1:played + 2])
+                wants = list(map(math.ceil, map(sub, cums[1:], cums)))
+            elif reads is not _drain:
+                wants = [reads(playhead)] * played
+            ns, times, sizes, fills, pacing = conn.plan(ts[:played + 1], dt, wants, bytes_left,
+                                                        self.stalled)
+            played = len(ns)
+            if not played:
                 return None
-        k = int(min(room, _STRETCH - 2)) + 2
-        ts = list(accumulate(repeat(dt, k), initial=t))
-        phs = list(accumulate(repeat(dt, k), initial=playhead)) if moving else None
-        played = bisect_left(ts, stop_t, 1) - 1
-        if pace is not None:
-            ends = ts[1:]
-            allowances = []
-            for eligible in map(sub, ends, map(sub, ends, repeat(dt))):
-                allowance = byte_rate * eligible + credit
-                n = int(allowance)
-                credit = allowance - n
-                allowances.append(allowance)
-            sizes = list(map(int, allowances))
-            upto = list(accumulate(sizes))
-            played = min(played, bisect_left(upto, bytes_left))
-            if max(sizes) >= capacity:
-                played = min(played, next(j for j, n in enumerate(sizes) if n >= capacity))
-        done_at = watched_end - 1e-12  # as _watch_done
+            upto = list(accumulate(ns))
+            records = times, sizes, fills
+        elif not quiet:
+            played = pace(played)
+            if not played:
+                return None
 
-        def stops(j):
-            """Whether tick j (to ts[j], playhead to phs[j]) needs the per-tick code."""
-            if not moving:
-                return acts is not None and acts(media_pos, delivered, playhead, consumed)
-            ph, ahead = phs[j - 1], phs[j]
-            if watched_end - ph < dt or delivered - ph + 1e-9 < dt or ahead >= done_at:
-                return True
-            return acts is not None and acts(
-                media_pos, delivered, ahead, self.buffer.consumed_at(ahead, media_pos))
-
-        if not played or stops(1):
-            return None
-        played = bisect_left(range(2, played + 1), True, key=stops) + 1
-        if pace is None:
-            return played, ts, phs, None, None, None
-        return played, ts, phs, sizes[:played], upto, allowances[played - 1] - sizes[played - 1]
+        scan_from = reach
+        if acts is not None and played > 1:
+            monotone = not (moving and ns)
+            if not monotone and progressive:
+                # ticks that repeat held media, or send nothing, only let the
+                # store shrink: past them, every tick must outpace playback
+                grows = bisect_right(upto, dup, 0, played) + 1
+                monotone = min(ns[grows:played], default=_BIG) > 1 + dt * max(video.schedule[
+                    int(playhead):int(video.media_time(pos_at(played))) + 1], default=0)
+            if monotone:
+                played = bisect_left(range(2, played + 1), True, key=lambda j: holds(j, False)) + 1
+            else:
+                scan_from = 2
+        for j in range(max(2, scan_from), played + 1):
+            if holds(j):
+                played = j - 1
+                break
+        if ns is not None and not windowed:
+            pacing = credits[played - 1], 0, resume, None, None
+        return played, ts, phs, ns, upto, records, pacing
 
     def _on_data(self, nbytes, conn_id, now):
         """Book nbytes that arrived on conn_id by `now`."""

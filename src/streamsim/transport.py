@@ -16,7 +16,8 @@ import csv
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice, repeat
+from bisect import bisect_left
+from itertools import accumulate, islice, repeat
 from operator import le
 
 DOWN = "down"  # server -> client
@@ -117,10 +118,10 @@ class PathSpec:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth_bps <= 0:
-            raise ValueError("path bandwidth must be positive")
-        if self.rtt_s < 0:
-            raise ValueError("rtt must be >= 0")
+        if not 0 < self.bandwidth_bps < math.inf:
+            raise ValueError("bandwidth_bps must be positive and finite, not %r" % self.bandwidth_bps)
+        if not 0 <= self.rtt_s < math.inf:
+            raise ValueError("rtt_s must be >= 0 and finite, not %r" % self.rtt_s)
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter fraction must be in [0, 1)")
 
@@ -132,8 +133,9 @@ def paced(now, dt, resume_at, byte_rate, credit, queue, room):
     plus the sub-byte credit carried from earlier ticks, and never more than
     `room` (the queue, the free receive space and any limit, whichever is
     least).  The credit carries over only when the allowance is what cut the
-    bytes.  Connection.advance paces with it; the session's flow loop spells
-    out the same arithmetic, held to the same bytes by an every-tick test.
+    bytes.  Connection.advance paces with it.  The session's planner
+    (StreamingSession._chunk) repeats its float operations over a run of
+    ticks, held to the same bytes by an every-tick test.
     """
     start = now - dt
     eligible = now - (resume_at if resume_at > start else start)  # max(), without the call
@@ -343,6 +345,62 @@ class Connection:
                 self._next_probe += self.probe_interval
         return out
 
+    def plan(self, ts, dt, wants, left, stalled=False):
+        """What advance(dt), read() and the window's close and reopen do on the
+        ticks ending at ts[1:] (ts[0] is now), the client reading wants[i - 1]
+        bytes (or, with no wants, all it holds) after tick i, leaving the
+        connection as it is.  Stops before a tick that sends into a zero
+        window, sends while `stalled` or sends `left` bytes or more (the
+        queue, or what ends the caller's run), and after a fill the client
+        leaves shut.  Returns, for the ticks played, their sizes, the times
+        and sizes of their DATA records, the record counts at window fills,
+        and (credit, occupancy, resume time, last fill, last reopen) after.
+        """
+        rtt, capacity, byte_rate = self.transport.path.rtt_s, self.recv_capacity, self._rate_bps() / 8.0
+        occ, credit, resume = self.recv_occupancy, self._rate_frac, self._resume_at
+        zero = self.window_state == ZERO_WINDOW
+        action = self.next_action(dt, ts[0])
+        read_by = list(accumulate(wants, initial=0)) if wants else None
+        sizes, stamps, payloads, fills = [], [], [], []
+        closed = reopened = None
+        j, last = 1, len(ts) - 1
+        while j <= last:
+            now = ts[j]
+            if now < action and not zero:
+                # the sender waits for its resume time and the client reads
+                end = bisect_left(ts, action, j, last + 1)
+                sizes += repeat(0, end - j)
+                if occ:
+                    occ = max(0, occ - (read_by[end - 1] - read_by[j - 1])) if wants else 0
+                j = end
+                continue
+            n = 0
+            fill = False
+            if now >= action:
+                if zero or stalled:
+                    break
+                n, after = paced(now, dt, resume, byte_rate, credit, left, capacity - occ)
+                if n >= left:
+                    break
+                credit, left, fill, occ = after, left - n, n == capacity - occ, occ + n
+            sizes.append(n)
+            if n:
+                stamps.append(now)
+                payloads.append(n)
+            if fill:
+                fills.append(len(stamps))
+                closed, zero = now, True
+            got = min(wants[j - 1], occ) if wants else occ
+            if got > 0:
+                occ -= got
+                if zero:
+                    zero, reopened = False, now
+                    action = resume = max(resume, now + rtt)
+            j += 1
+            if fill and zero:
+                break  # the window stays shut: probes are advance()'s
+        return sizes, stamps, payloads, fills, (credit, occ, resume, closed, reopened)
+
     def close_window(self, now):
         """The receive buffer filled on the tick ending at `now`: the window is zero.
 
@@ -404,16 +462,40 @@ class Connection:
 OUT_OF_ORDER = "packet timeline must be sorted by time"
 
 
-def check_time_order(times):
-    """Whether a timeline's times never step back; ValueError if one steps
-    back by more than 1e-12.  Smaller steps back are float noise and pass
-    (the result is then False).  The radio drives and the trace estimators
-    share this rule, so both reject the same timelines."""
-    if times == sorted(times):
-        return True
-    if any(b < a - 1e-12 for a, b in zip(times, times[1:])):
+def check_step(before, t):
+    """The time-order rule for a record at `t` after one at `before`, for a
+    step that is not `t >= before` (a NaN fails that too): ValueError if
+    either time is not finite, `t` first, or `t` steps back by more than
+    1e-12.  A smaller step back is float noise and passes."""
+    check_ends(t, before)
+    if t < before - 1e-12:
         raise ValueError(OUT_OF_ORDER)
-    return False
+
+
+def check_ends(*times):
+    """ValueError for the first of `times` that is not finite.  Of a timeline
+    whose every step kept check_step()'s rule, in time order with no NaN,
+    the first and last time bound every other."""
+    for t in times:
+        if not math.isfinite(t):
+            raise ValueError("packet timeline time %r is not finite" % t)
+
+
+def check_time_order(times):
+    """Whether a timeline's times never step back; ValueError for a time that
+    is not finite or steps back by more than 1e-12 (check_step).  Smaller
+    steps back are float noise and pass (the result is then False).  The
+    radio drives and the trace estimators share this rule, so both reject
+    the same timelines."""
+    ordered = times == sorted(times)
+    # sorting and list equality pass a NaN by; a sum does not, nor an inf
+    if ordered and math.isfinite(sum(times)):
+        return True
+    for before, t in zip(times, islice(times, 1, None)):
+        if not t >= before:
+            check_step(before, t)
+    check_ends(times[0], times[-1])
+    return ordered
 
 
 class _Tails(dict):

@@ -212,6 +212,34 @@ def test_estimators_and_radio_reject_the_same_out_of_order_timelines(times, esti
         estimator([rec(t, 1000) for t in times])
 
 
+ESTIMATORS = [
+    lambda records: classify(records, 500_000, 6_000_000),
+    lambda records: estimate_throttle_factor(records, 500_000),
+    lambda records: estimate_fast_start(records, 500_000),
+    find_rate_knee,
+    lambda records: rrc_drive(records, RrcParams()),
+    lambda records: psm_drive(records, PSM),
+    group_bursts,
+    lambda records: estimate_buffer(records, [100_000] * 200, 0.0),
+]
+
+
+# a NaN made classify and the knee fail with "cannot convert float NaN to
+# integer", and group_bursts, the buffer and fast-start estimates and the
+# radio drives return results
+@pytest.mark.parametrize("times, bad", [
+    ((0.0, math.nan, 1.0), "nan"), ((math.nan, 0.0, 1.0), "nan"), ((0.0, 1.0, math.nan), "nan"),
+    ((0.0, 1.0, math.inf), "inf"), ((-math.inf, 0.0, 1.0), "-inf"), ((0.0, math.inf, 1.0), "inf"),
+], ids=["nan-middle", "nan-first", "nan-last", "inf-last", "-inf-first", "inf-middle"])
+@pytest.mark.parametrize("estimator", ESTIMATORS, ids=[
+    "classify", "throttle_factor", "fast_start", "rate_knee", "rrc_drive", "psm_drive",
+    "group_bursts", "estimate_buffer",
+])
+def test_estimators_and_radio_name_a_time_that_is_not_finite(times, bad, estimator):
+    with pytest.raises(ValueError, match=re.escape("packet timeline time %s is not finite" % bad)):
+        estimator([rec(t, 1000) for t in times])
+
+
 def test_a_control_record_out_of_order_is_rejected_too():
     records = [rec(0.0, 1000), rec(5.0, 0, kind=REQUEST), rec(4.0, 1000), rec(10.0, 1000)]
     for estimator in (

@@ -43,6 +43,7 @@ from streamsim.transport import (
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
     Transport,
+    paced,
 )
 
 PATH = PathSpec(6_000_000, rtt_s=0.05)
@@ -368,7 +369,7 @@ def test_data_ticks_run_inside_few_kernel_events():
 def test_a_flow_run_books_its_bytes_once(monkeypatch):
     # the encoding-rate client refills its window 5,482 times in this
     # session; each fill emits its DATA records before the zero-window
-    # advertisement, but a flow run books its bytes once, at its end
+    # advertisement, but a span books its bytes once, at its end
     on_data = StreamingSession._on_data
     booked = []
 
@@ -487,7 +488,7 @@ def fixed_cases():
 
 def test_quiet_spans_change_no_output(monkeypatch):
     # reference: every tick its own kernel event; _play_quiet plays every
-    # kind of span (quiet, flow, socket-read, stalled), so this turns off all
+    # planned run (quiet, paced, window refills, stalled), so this turns off all
     cases = [case for _, case in fixed_cases()]
 
     def outputs():
@@ -628,34 +629,50 @@ def test_buffer_samples_are_a_whole_number_of_ticks_apart(technique, interval):
 
 
 def chunk_cuts(session, args, plan):
-    """The rules that end a run _flow played in bulk: what stops the tick
-    after it.  A quiet run's rules are named "quiet <rule>"."""
-    _, bound, acts, pace, media_pos, playhead, consumed, delivered = args
-    k, ts, phs, _, upto, _ = plan
+    """The rules that end a run _flow played in bulk (what stops the tick
+    after it), and the window events a paced run carried ("fill" and
+    "reopen").  A quiet run's rules are named "quiet <rule>"."""
+    _, stop_t, conn_t, (reads, acts), media_pos, dup, playhead, consumed, delivered, to_go = args
+    k, ts, phs, ns, upto, fills, pacing = plan
+    conn, buf = session.conn, session.buffer
     dt, end = session.tick_s, session.watched_end
     cuts = set()
-    if pace is not None and k < len(upto):
-        capacity, bytes_left = pace[3], pace[4]
-        if upto[k] >= bytes_left:
+    if fills:
+        cuts.add("fill")
+    if pacing is not None and pacing[4] is not None:
+        cuts.add("reopen")
+    pos = media_pos + max(0, upto[k - 1] - dup) if upto else media_pos
+    used = consumed
+    if ns is not None and k < len(ns):
+        if ns[k] and upto[k] >= min(conn.send_queue, to_go):
             cuts.add("fast_start" if session.phase == "FAST_START" else "queue")
-        if upto[k] - upto[k - 1] >= capacity:
+        if ns[k] >= conn.recv_capacity:
             cuts.add("window")
+        if phs is not None:
+            used = buf.consumed_at(phs[k], pos)
+        limit = buf.limit(pos, used, max(0, dup - upto[k - 1]))
+        if limit is not None and ns[k] >= limit:
+            cuts.add("limit")
+        pos = media_pos + max(0, upto[k] - dup)
     if k + 1 < len(ts):
-        if ts[k + 1] >= bound:
-            # a quiet run also ends at the connection's next action
-            stop_t = min(session.policy.burst_next, session.max_sim_time)
-            cuts.add("clock" if bound >= stop_t else "next_action")
-        ahead, used = playhead, consumed
+        if ts[k + 1] >= stop_t:
+            cuts.add("clock")
+        elif ns is None and ts[k + 1] >= conn_t:
+            cuts.add("next_action")  # a quiet run also ends at the connection's next action
+        elif pacing is not None and pacing[3] is not None and pacing[3] == ts[k]:
+            cuts.add("shut")  # the last tick filled a window the client did not reopen
+        ahead = playhead
         if phs is not None:
             ahead = phs[k + 1]
-            used = session.buffer.consumed_at(ahead, media_pos)
+            used = buf.consumed_at(ahead, pos)
             if end - phs[k] < dt or ahead >= end - 1e-12:
                 cuts.add("watch")
             if delivered - phs[k] + 1e-9 < dt:
                 cuts.add("dry")
-        if acts is not None and acts(media_pos, delivered, ahead, used):
+        got = session.video.media_time(pos) if pos != media_pos else delivered
+        if acts is not None and acts(pos, got, ahead, used):
             cuts.add(acts.__name__)
-    return {c if pace is not None else "quiet " + c for c in cuts}
+    return {c if ns is not None else "quiet " + c for c in cuts}
 
 
 @contextmanager
@@ -668,7 +685,7 @@ def planned():
     def counted(self, *args):
         chunk = plan(self, *args)
         if chunk is not None:
-            played["quiet" if args[3] is None else "paced"] += chunk[0]
+            played["quiet" if chunk[3] is None else "paced"] += chunk[0]
             cuts.update(chunk_cuts(self, args, chunk))
         return chunk
 
@@ -687,7 +704,7 @@ def play_chunks(case):
 
 def play_without_chunks(case):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(StreamingSession, "_chunk", lambda self, *args: None)
+        patch.setattr(StreamingSession, "_play_quiet", every_tick)
         return play(*case)
 
 
@@ -699,25 +716,40 @@ def bundled_outputs(name):
 
 
 def test_chunks_change_no_output(monkeypatch):
-    # reference: the per-tick flow loop, with a chunk planner that plays nothing
+    # reference: every tick its own kernel event
     cases = [case for _, case in fixed_cases()]
     names = builtin_scenario_names()
     chunked = [play_chunks(case) for case in cases]
     bundled = [bundled_outputs(name) for name in names]
     assert sum(ticks["paced"] for _, ticks, _ in chunked) > 10_000
     assert sum(ticks["quiet"] for _, ticks, _ in chunked) > 10_000
-    monkeypatch.setattr(StreamingSession, "_chunk", lambda self, *args: None)
+    monkeypatch.setattr(StreamingSession, "_play_quiet", every_tick)
     assert [play(*case) for case in cases] == [out for out, _, _ in chunked]
     assert [bundled_outputs(name) for name in names] == bundled
+
+
+def test_every_tick_is_planned_or_full():
+    # no third kind of tick: the planner lays out every tick that is not a
+    # full tick (kernel event) of its own
+    for name in builtin_scenario_names():
+        session = build_session(load_builtin(name))
+        with planned() as (played, _):
+            session.run()
+        assert sum(played.values()) + session.kernel.executed == session._ticks, name
 
 
 STEADY = TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25)
 CLIP = VideoSpec.constant(60, 500_000, keyframe_spacing=40_000)
 ON_OFF_SPEC = dict(fast_start_s=10.0, low_watermark_s=2.0, high_watermark_s=10.0)
+CAPPED = TechniqueSpec(THROTTLE, fast_start_s=2.0, throttle_factor=1.5, buffer_cap=300_000,
+                       keyframe_waste=True)
+STILLS = VideoSpec([62_500] * 10 + [0] * 2 + [62_500] * 20)
 
 
 @pytest.mark.parametrize("case, cut", [
-    ((CLIP, STEADY, PATH, {}), "queue"),
+    # the tick that completes a DASH download (its whole queue) is a full tick
+    ((VideoSpec.constant(60, 500_000, ladder=LADDER),
+      TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0), PATH, {}), "queue"),
     ((CLIP, TechniqueSpec(FAST_CACHING, fast_start_s=40.0), PATH, {}), "fast_start"),
     ((CLIP, STEADY, PATH, dict(watched_fraction=0.5)), "watch"),
     # the path is slower than the server's bursts, so the queue never drains
@@ -725,6 +757,19 @@ ON_OFF_SPEC = dict(fast_start_s=10.0, low_watermark_s=2.0, high_watermark_s=10.0
       PathSpec(600_000, rtt_s=0.05), {}), "clock"),
     ((CLIP, TechniqueSpec(FAST_CACHING, fast_start_s=5.0), PathSpec(400_000, rtt_s=0.05), {}),
      "dry"),
+    # paced runs that carry an act rule: a capped store fills and a burst
+    # reaches the high watermark; a bursty server's burst of about nine
+    # ticks and the quiet ticks after it run up to its next burst
+    ((CLIP, CAPPED, PATH, {}), "store_full"),
+    ((CLIP, TechniqueSpec(ON_OFF, **ON_OFF_SPEC), PATH, {}), "burst_ends"),
+    ((CLIP, TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25, burst_size=65_536),
+      PATH, {}), "clock"),
+    # the encoding-rate client fills the window and reopens it on the same
+    # tick; over still frames it reads nothing, so a fill ends the run and
+    # a later run reopens the window
+    ((CLIP, TechniqueSpec(ENCODING_RATE, fast_start_s=5.0), PATH, {}), "fill"),
+    ((STILLS, TechniqueSpec(ENCODING_RATE, fast_start_s=5.0), PATH, {}), "shut"),
+    ((STILLS, TechniqueSpec(ENCODING_RATE, fast_start_s=5.0), PATH, {}), "reopen"),
     # quiet runs: between bursts, with no download under way, while a
     # closed store drains, after the file is in, and until the connection's
     # next action (a zero-window probe, or the sender's resume an rtt on)
@@ -732,12 +777,12 @@ ON_OFF_SPEC = dict(fast_start_s=10.0, low_watermark_s=2.0, high_watermark_s=10.0
      "quiet below_low_watermark"),
     ((VideoSpec.constant(60, 500_000, ladder=LADDER),
       TechniqueSpec(DASH, fast_start_s=10.0, dash_target_s=15.0), PATH, {}), "quiet buffer_short"),
-    ((CLIP, TechniqueSpec(THROTTLE, fast_start_s=2.0, throttle_factor=1.5, buffer_cap=300_000,
-                          keyframe_waste=True), PATH, {}), "quiet store_reopens"),
+    ((CLIP, CAPPED, PATH, {}), "quiet store_reopens"),
     ((CLIP, TechniqueSpec(FAST_CACHING, fast_start_s=5.0), PATH, dict(watched_fraction=0.5)),
      "quiet watch"),
     ((CLIP, TechniqueSpec(ON_OFF, **ON_OFF_SPEC), PATH, {}), "quiet next_action"),
-], ids=["queue", "fast_start", "watch", "burst", "run_dry", "quiet_low_watermark",
+], ids=["queue", "fast_start", "watch", "burst", "run_dry", "store_full", "burst_ends",
+        "burst_train", "encoding_fill", "encoding_shut", "encoding_reopen", "quiet_low_watermark",
         "quiet_dash_target", "quiet_store_reopens", "quiet_watch", "quiet_next_action"])
 def test_a_chunk_cut_by_each_rule_plays_as_every_tick(case, cut):
     out, ticks, cuts = play_chunks(case)
@@ -747,24 +792,56 @@ def test_a_chunk_cut_by_each_rule_plays_as_every_tick(case, cut):
         assert play(*case) == out
 
 
-def test_a_chunk_starts_only_with_the_resume_time_behind_its_first_tick():
+def test_a_bursty_server_plays_each_burst_as_one_paced_run():
+    # a 64 kB burst crosses the 6 Mb/s path in about nine ticks; each burst
+    # and the quiet ticks after it are one paced run up to the server's next
+    # burst, which is the one full tick of each burst
+    case = (CLIP, TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25,
+                                burst_size=65_536), PATH, {})
+    plan = StreamingSession._chunk
+    runs = []
+
+    def counted(self, *args):
+        chunk = plan(self, *args)
+        if chunk is not None and chunk[3] is not None and self.phase == "STEADY":
+            runs.append((chunk[0], chunk[4][chunk[0] - 1]))
+        return chunk
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamingSession, "_chunk", counted)
+        session = StreamingSession(*case[:3])
+        session.run()
+    whole = sum(nbytes == 65_536 for _, nbytes in runs)  # runs that carry one whole burst
+    assert whole > 50 and len(runs) <= whole + 5
+    assert session.kernel.executed <= whole + 10
+
+
+def test_a_chunk_paces_its_first_tick_from_the_resume_time():
     # (0.02 + 0.01) - 0.01 rounds below 0.02: a sender resuming at 0.02
     # gets less than a whole tick on the tick that ends at 0.03
     session = StreamingSession(CLIP, STEADY, PATH)
+    session.policy.start(session)
+    conn = session.conn
     t, dt = 0.02, session.tick_s
     start = t + dt - dt
     assert start < t
+    conn.send_queue = 10**9
 
     def plan(resume):
-        return session._chunk(t, math.inf, None, (resume, 0.0, 97_656.25, 65_536, 10**9),
-                               0, 0.0, 0.0, 0.0)
+        conn._resume_at = resume
+        return session._chunk(t, math.inf, resume, session.policy.rule(session),
+                              0, 0, 0.0, 0.0, 0.0, 10**9)
 
-    assert plan(t) is None
-    k, ts, _, sizes, _, credit = plan(start)
-    assert k == _STRETCH and ts[1] == t + dt and sizes[0] == 976 and 0.0 <= credit < 1.0
+    byte_rate = conn._rate_bps() / 8.0
+    for resume in (t, start):
+        k, ts, _, sizes, _, fills, pacing = plan(resume)
+        assert k == _STRETCH and ts[1] == t + dt and not fills
+        first = paced(ts[1], dt, resume, byte_rate, 0.0, 10**9, 10**9)
+        assert sizes[0] == first[0] and 0.0 <= pacing[0] < 1.0
+    assert plan(t)[3][0] < plan(start)[3][0]
 
 
-def test_random_sessions_play_chunks_as_the_per_tick_loop():
+def test_random_sessions_play_chunks_as_every_tick():
     played = Counter()
 
     @settings(max_examples=100, deadline=None)
@@ -775,13 +852,12 @@ def test_random_sessions_play_chunks_as_the_per_tick_loop():
     def chunks_change_nothing(case):
         out, ticks, _ = play_chunks(case)
         assert play_without_chunks(case) == out
-        technique = case[1]
-        if technique.burst_size is None and technique.buffer_cap is None:
-            played[technique.kind] += ticks["paced"]
+        played[case[1].kind] += ticks["paced"]
         played["quiet"] += ticks["quiet"]
 
     chunks_change_nothing()
-    assert played[THROTTLE] > 0 and played[FAST_CACHING] > 0 and played["quiet"] > 0
+    assert played["quiet"] > 0 and all(played[kind] > 0 for kind in (
+        THROTTLE, FAST_CACHING, ENCODING_RATE, ON_OFF, DASH))
 
 
 def test_a_window_fill_emits_its_records_once(monkeypatch):
@@ -969,6 +1045,18 @@ def test_session_argument_validation():
         StreamingSession(video, TechniqueSpec(ENCODING_RATE), PATH, watched_fraction=1.5)
     with pytest.raises(ValueError):
         StreamingSession(video, TechniqueSpec(ENCODING_RATE), PATH, tick_s=0.0)
+
+
+# tick_s=inf ended in a DeadlockError "stuck ... by t=960", max_sim_time=nan
+# reported "by t=nan", probe_interval=nan ran to the end, and a NaN tick,
+# sample interval or receive window failed converting NaN to an integer
+@pytest.mark.parametrize("name", ["tick_s", "max_sim_time", "probe_interval",
+                                  "sample_interval", "recv_capacity"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_session_rejects_a_parameter_that_is_not_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match="%s must be positive and finite" % name):
+        StreamingSession(VideoSpec.constant(10, 100_000), TechniqueSpec(ENCODING_RATE), PATH,
+                         **{name: value})
 
 
 def test_video_spec_schedule_arithmetic():

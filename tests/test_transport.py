@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -299,6 +300,15 @@ def test_path_spec_validation():
         PathSpec(1e6, rtt_s=-0.1)
     with pytest.raises(ValueError):
         PathSpec(1e6, jitter=1.0)
+    # a NaN rtt ran to the end silently, and a NaN bandwidth failed with
+    # "cannot convert float NaN to integer"
+    for kw, name in ((dict(bandwidth_bps=math.nan), "bandwidth_bps"),
+                     (dict(bandwidth_bps=math.inf), "bandwidth_bps"),
+                     (dict(bandwidth_bps=1e6, rtt_s=math.nan), "rtt_s"),
+                     (dict(bandwidth_bps=1e6, rtt_s=math.inf), "rtt_s"),
+                     (dict(bandwidth_bps=1e6, jitter=math.nan), "jitter")):
+        with pytest.raises(ValueError, match=name):
+            PathSpec(**kw)
 
 
 def test_random_workloads_conserve_bytes():
