@@ -13,7 +13,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from operator import itemgetter
 
 from .media import VideoSpec
@@ -140,13 +140,18 @@ class _DataView:
     __slots__ = ("times", "cums", "sorted_times", "sorted_cums")
 
     def __init__(self, records):
-        columns = isinstance(records, Timeline)
-        all_times = records.time if columns else [r.time for r in records]
+        timeline = isinstance(records, Timeline)
+        all_times = records.time if timeline else [r.time for r in records]
         in_order = check_time_order(all_times)
-        is_data = [k == DATA for k in records.kind] if columns else [r.kind == DATA for r in records]
-        self.times = times = list(compress(all_times, is_data))
-        payloads = (list(compress(records.payload, is_data)) if columns
-                    else [r.payload for r in compress(records, is_data)])
+        if timeline:
+            data = [(start, end) for start, end, _, kind, _ in records.runs() if kind == DATA]
+            times = list(chain.from_iterable(all_times[start:end] for start, end in data))
+            payloads = list(chain.from_iterable(records.payload[start:end] for start, end in data))
+        else:
+            is_data = [r.kind == DATA for r in records]
+            times = list(compress(all_times, is_data))
+            payloads = [r.payload for r in compress(records, is_data)]
+        self.times = times
         self.cums = list(accumulate(payloads, initial=0))
         if in_order:
             self.sorted_times, self.sorted_cums = times, self.cums
@@ -364,28 +369,20 @@ def _harvest(records, view):
     spans = {}  # conn_id -> [first, last] record time, any record kind
     conn = span = data_conn = None
     timeline = isinstance(records, Timeline)
-    if timeline:
-        # the record loop below, over the columns: no record is built
-        for t, c, kind in zip(records.time, records.conn, records.kind):
-            if c != conn:
-                conn = c
-                span = spans.get(conn)
-                if span is None:
-                    span = spans[conn] = [t, t]
-            if t < span[0]:
-                span[0] = t
-            elif t > span[1]:
-                span[1] = t
+    if timeline and view.sorted_times is view.times:
+        # the record loop below, run by run, in time order (see _DataView):
+        # a connection spans its first run's start to its last run's end
+        time = records.time
+        for start, end, _, kind, c in records.runs():
+            spans.setdefault(c, [time[start], 0.0])[1] = time[end - 1]
             if kind == DATA:
-                if conn != data_conn:
-                    data_conn = conn
-                    data_conns.add(conn)
+                data_conns.add(c)
             elif kind == REQUEST:
-                req_times.append(t)
+                req_times += time[start:end]
             elif kind == ZERO_WINDOW_AD:
-                ads += 1
+                ads += end - start
             elif kind == ZERO_WINDOW_PROBE:
-                probes += 1
+                probes += end - start
     else:
         for r in records:
             t = r.time

@@ -11,8 +11,6 @@ import io
 from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass
-from itertools import compress, groupby
-from operator import itemgetter
 
 from .analysis import ClassificationResult, classify
 from .radio import (
@@ -96,9 +94,9 @@ def sweep_watched_fraction(scenario, fractions):
     up to that tick, and the close record a session truncated at f would
     emit (StreamingSession._finish).  Each report equals that of a fresh
     run_scenario at f, identical seed throughout, so the runs are directly
-    comparable.  Each report has a timeline of its own (a Timeline.copy()
-    of the columns), and reading it as records builds its own PacketRecord
-    objects: no two reports share a record.
+    comparable.  Each report has a timeline of its own (a Timeline.copy()),
+    and reading it as records builds its own PacketRecord objects: no two
+    reports share a record.
     """
     fractions = list(fractions)
     for f in fractions:
@@ -129,10 +127,9 @@ def audit(report):
         problems.append(f"byte conservation off by {drift!r}")
     wire = Counter()
     records = Timeline.of(report.records)
-    is_data = [k == DATA for k in records.kind]
-    data = zip(compress(records.conn, is_data), compress(records.payload, is_data))
-    for conn_id, run in groupby(data, itemgetter(0)):
-        wire[conn_id] += sum(map(itemgetter(1), run))
+    for start, end, _, kind, conn_id in records.runs():
+        if kind == DATA:
+            wire[conn_id] += sum(records.payload[start:end])
     if m.received_total != wire.total():
         problems.append("billed bytes differ from the DATA payloads on the wire")
     if Counter(m.connection_bytes) != wire:

@@ -16,8 +16,9 @@ import csv
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from bisect import bisect_left
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from operator import le
 
 DOWN = "down"  # server -> client
@@ -51,20 +52,33 @@ class PacketRecord:
 
 
 class Timeline:
-    """A packet timeline as five parallel columns, one entry per record.
+    """A packet timeline: `time` and `payload` as columns, one entry per
+    record, and the direction, kind and connection once per run, a maximal
+    stretch of records that share all three.  No run is empty, and no two
+    neighbouring runs share all three values.
 
-    Transport.emit_run extends the columns, and the classifier's views, the
-    radio drives, audit and the CSV writer read them.  Read as a sequence
-    (iteration, indexing, list(), ==), a Timeline is a list of PacketRecord
-    built on the first read and kept until the next append() or pop(); the
-    records are copies, and changing one changes no column.
+    Transport.emit_run adds a run a call (or extends the last one), and the
+    classifier's views, audit and the CSV writer read runs(); the radio
+    drives read the time column.  columns() gives all five as lists.  Read
+    as a sequence (iteration, indexing, list(), ==), a Timeline is a list
+    of PacketRecord built on the first read and kept until the next
+    append() or pop(); the records are copies, and changing one changes no
+    column.  The constructor takes five sequences, one entry per record,
+    and raises ValueError if their lengths differ.
     """
 
-    __slots__ = ("time", "direction", "payload", "kind", "conn", "_rows")
+    __slots__ = ("time", "payload", "_runs", "_rows")
 
     def __init__(self, time=(), direction=(), payload=(), kind=(), conn=()):
-        self.time, self.direction, self.payload = list(time), list(direction), list(payload)
-        self.kind, self.conn, self._rows = list(kind), list(conn), None
+        lengths = tuple(map(len, (time, direction, payload, kind, conn)))
+        if min(lengths) != max(lengths):
+            raise ValueError("timeline columns differ in length: time %d, direction %d, "
+                             "payload %d, kind %d, conn %d" % lengths)
+        self.time, self.payload, self._runs, self._rows = list(time), list(payload), [], None
+        end = 0
+        for key, run in groupby(zip(direction, kind, conn)):
+            end += len(list(run))
+            self._runs.append((end, *key))  # (end, direction, kind, conn)
 
     @classmethod
     def of(cls, records):
@@ -73,13 +87,27 @@ class Timeline:
             return records
         return cls(*zip(*((r.time, r.direction, r.payload, r.kind, r.conn_id) for r in records)))
 
+    def runs(self):
+        """(start, end, direction, kind, conn) of each run, in order: its
+        records' times and payloads are time[start:end] and payload[start:end]."""
+        start = 0
+        for end, direction, kind, conn in self._runs:
+            yield start, end, direction, kind, conn
+            start = end
+
     def columns(self):
-        return self.time, self.direction, self.payload, self.kind, self.conn
+        """time, direction, payload, kind and conn, as five lists."""
+        keys = chain.from_iterable(repeat(run[2:], run[1] - run[0]) for run in self.runs())
+        direction, kind, conn = map(list, zip(*keys)) if self._runs else ([], [], [])
+        return self.time, direction, self.payload, kind, conn
 
     def rows(self):
         """The records, as a list built once and kept until the timeline changes."""
         if self._rows is None:
-            self._rows = list(map(PacketRecord, *self.columns()))
+            time, payload, self._rows = self.time, self.payload, []
+            for start, end, d, k, c in self.runs():
+                self._rows += map(PacketRecord, time[start:end], repeat(d), payload[start:end],
+                                  repeat(k), repeat(c))
         return self._rows
 
     def __len__(self):
@@ -93,20 +121,33 @@ class Timeline:
 
     def __eq__(self, other):
         if isinstance(other, Timeline):
-            return self.columns() == other.columns()
+            return (self.time, self.payload, self._runs) == (other.time, other.payload, other._runs)
         return self.rows() == other
 
-    def append(self, r):
-        for column, value in zip(self.columns(), (r.time, r.direction, r.payload, r.kind, r.conn_id)):
-            column.append(value)
+    def _close_run(self, *key):
+        """Make the payloads past the last run a run of `key` (direction,
+        kind, conn), or join them to the last run if it has that key."""
+        if self._runs and self._runs[-1][1:] == key:
+            self._runs.pop()
+        self._runs.append((len(self.payload), *key))
         self._rows = None
+
+    def append(self, r):
+        self.time.append(r.time)
+        self.payload.append(r.payload)
+        self._close_run(r.direction, r.kind, r.conn_id)
 
     def pop(self):
+        end, direction, kind, conn = self._runs.pop()
+        if end - 1 > (self._runs[-1][0] if self._runs else 0):
+            self._runs.append((end - 1, direction, kind, conn))
         self._rows = None
-        return PacketRecord(*[column.pop() for column in self.columns()])
+        return PacketRecord(self.time.pop(), direction, self.payload.pop(), kind, conn)
 
     def copy(self):
-        return Timeline(*self.columns())
+        new = Timeline()
+        new.time, new.payload, new._runs = self.time[:], self.payload[:], self._runs[:]
+        return new
 
 
 @dataclass(frozen=True)
@@ -191,8 +232,7 @@ class Transport:
         with `ad`, then a zero-window advertisement at the last time."""
         jitter = self.path.jitter
         nominal, last = self._last_nominal, self._last_emit
-        n = len(times)
-        if not n:
+        if not len(times):
             return
         if ad:
             times = [*times, times[-1]]
@@ -221,16 +261,12 @@ class Transport:
                 append(time)
         self._last_nominal, self._last_emit = nominal, last
         tl = self.records
-        tl.time += stamps
-        tl.direction += repeat(direction, n)
+        tl.time += stamps  # with `ad`, the ad's time too
         tl.payload += payloads
-        tl.kind += repeat(kind, n)
-        tl.conn += repeat(conn_id, len(stamps))
+        tl._close_run(direction, kind, conn_id)
         if ad:
-            tl.direction.append(UP)
             tl.payload.append(0)
-            tl.kind.append(ZERO_WINDOW_AD)
-        tl._rows = None
+            tl._close_run(UP, ZERO_WINDOW_AD, conn_id)
 
 
 class Connection:
@@ -498,12 +534,12 @@ def check_time_order(times):
     return ordered
 
 
-class _Tails(dict):
-    """The ",direction,bytes,kind,conn_id\r\n" end of a row, formatted once per key."""
-
-    def __missing__(self, key):
-        tail = self[key] = ",%s,%d,%s,%d\r\n" % key
-        return tail
+@lru_cache(maxsize=64)
+def _row_field(value):
+    """`value` as csv.writer writes it among other fields (quoted, its quotes
+    doubled, if it holds a comma, a quote or a line break), for a % format."""
+    value = str(value).replace("%", "%%")
+    return '"%s"' % value.replace('"', '""') if any(c in value for c in ',"\r\n') else value
 
 
 def write_rows(fh, rows):
@@ -514,14 +550,23 @@ def write_rows(fh, rows):
 
 
 def write_timeline_csv(records, path):
-    """Rows as csv.writer writes them (no field needs quoting), streamed:
-    each time is formatted once, and each distinct rest of a row once."""
-    tails = _Tails()
+    """The rows csv.writer writes, the time with six decimals, streamed: each
+    run's row format is built once, and one % fills the formats of about
+    1,024 rows with their (time, payload) pairs."""
+    timeline = Timeline.of(records)
+    time, payload = timeline.time, timeline.payload
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TIMELINE_HEADER) + "\r\n")
-        write_rows(fh, (
-            "%.6f" % t + tails[d, p, k, c] for t, d, p, k, c in zip(*Timeline.of(records).columns())
-        ))
+        formats, first = [], 0
+        for start, end, direction, kind, conn in timeline.runs():
+            row = "%%.6f,%s,%%d,%s,%d\r\n" % (_row_field(direction), _row_field(kind), conn)
+            for i in range(start, end, 1024):
+                j = min(i + 1024, end)
+                formats.append(row * (j - i))
+                if j - first >= 1024 or j == len(time):
+                    pairs = chain.from_iterable(zip(time[first:j], payload[first:j]))
+                    fh.write("".join(formats) % tuple(pairs))
+                    formats, first = [], j
 
 
 def read_timeline_csv(path):

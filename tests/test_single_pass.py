@@ -21,6 +21,8 @@ to a stated floor.
 
 import random
 from bisect import bisect_right
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,7 +41,7 @@ from streamsim.analysis import (
     find_rate_knee,
     group_bursts,
 )
-from streamsim.harness import expected_label
+from streamsim.harness import audit, expected_label
 from streamsim.radio import (
     ACTIVE,
     DCH,
@@ -576,9 +578,36 @@ def test_one_pass_harvest_matches_the_multi_pass_features(records):
     (0.0, OPEN, 1), (1.0, DATA, 1), (2.0, DATA, 2), (1.5 - 5e-13, DATA, 1), (3.0, REQUEST, 1),
 )])
 def test_column_readers_match_the_record_loops(tmp_path_factory, records):
-    # a Timeline's readers take its columns; a list of records keeps the loops
+    # a Timeline's readers take its runs; a list of records keeps the loops
     timeline = Timeline.of(records)
     assert timeline == records
+
+    def fields(rows):
+        return exact((r.time, r.direction, r.payload, r.kind, r.conn_id) for r in rows)
+
+    assert all(type(r) is PacketRecord for r in timeline.rows())
+    assert fields(timeline.rows()) == fields(records)
+    # audit's wire tallies against a record loop: bills that match them are
+    # clean, and one byte more on any connection is flagged
+    wire = Counter()
+    for r in records:
+        if r.kind == DATA:
+            wire[r.conn_id] += r.payload
+    for conn, extra in [(None, 0)] + [(c, 1) for c in wire]:
+        billed = dict(wire)
+        if conn is not None:
+            billed[conn] += extra
+        metrics = SimpleNamespace(received_total=sum(billed.values()), consumed_bytes=0,
+                                  wasted_bytes=sum(billed.values()), connection_bytes=billed,
+                                  end_t=0.0)
+        report = SimpleNamespace(metrics=metrics, records=timeline, radio_segments=[],
+                                 energy=SimpleNamespace(duration_s=0.0))
+        problems = audit(report)
+        assert [p for p in problems if p != "packet timeline out of order"] == [
+            "billed bytes differ from the DATA payloads on the wire",
+            "per-connection byte tallies differ from the DATA on each connection",
+        ][:2 * extra]
+        assert audit(SimpleNamespace(**{**vars(report), "records": records})) == problems
 
     def view(v):
         return [v.times, v.cums, v.sorted_times, v.sorted_cums]

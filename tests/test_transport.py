@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsim.kernel import Kernel
 from streamsim.transport import (
@@ -283,6 +285,77 @@ def test_timeline_reads_as_a_list_of_records():
     rows = timeline.rows()
     assert timeline.pop() == extra
     assert timeline.rows() is not rows and timeline == records
+
+
+def test_timeline_columns_of_unequal_length_are_rejected():
+    with pytest.raises(ValueError, match="time 2, direction 1, payload 1, kind 1, conn 1"):
+        Timeline([0.0, 1.0], ["down"], [1], ["DATA"], [1])
+    with pytest.raises(ValueError, match="time 1, direction 1, payload 1, kind 1, conn 0"):
+        Timeline([0.0], [DOWN], [1], [DATA], [])
+
+
+def assert_runs(timeline, expected):
+    """The runs of `timeline` are canonical and hold `expected`, the
+    (direction, payload, kind, conn) of each record in order."""
+    runs = list(timeline.runs())
+    ends = [end for _, end, *_ in runs]
+    assert [start for start, *_ in runs] == [0, *ends][:len(runs)]
+    assert all(start < end for start, end, *_ in runs)
+    assert all(a[2:] != b[2:] for a, b in zip(runs, runs[1:]))
+    assert (ends or [0])[-1] == len(timeline) == len(timeline.payload)
+    time, direction, payload, kind, conn = timeline.columns()
+    assert list(zip(direction, payload, kind, conn)) == expected
+    assert Timeline(*timeline.columns()) == timeline
+    assert timeline == list(map(PacketRecord, time, direction, payload, kind, conn))
+
+
+keys = st.tuples(st.sampled_from([DOWN, UP]), st.sampled_from([DATA, REQUEST, ZERO_WINDOW_AD]),
+                 st.integers(1, 2))
+timeline_ops = st.lists(st.one_of(
+    st.tuples(st.just("emit_run"), keys, st.lists(st.integers(0, 3_000), max_size=4),
+              st.booleans()),
+    st.tuples(st.just("append"), keys),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("detached"), keys),
+), max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.0, 0.5]), timeline_ops)
+def test_timeline_runs_stay_canonical(jitter, ops):
+    transport = Transport(PathSpec(6_000_000, jitter=jitter), Kernel(), seed=3)
+    expected = []
+    t = 0.0
+    for op, *args in ops:
+        timeline = transport.records
+        t += 0.1
+        if op == "emit_run":
+            (direction, kind, conn), payloads, ad = args
+            transport.emit_run(direction, kind, conn, [t + 0.01 * i for i in range(len(payloads))],
+                               payloads, ad)
+            if payloads:
+                expected += [(direction, n, kind, conn) for n in payloads]
+                expected += [(UP, 0, ZERO_WINDOW_AD, conn)] * ad
+        elif op == "append":
+            (direction, kind, conn), = args
+            timeline.append(PacketRecord(t, direction, 7, kind, conn))
+            expected.append((direction, 7, kind, conn))
+        elif op == "pop" and expected:
+            last = timeline[-1]
+            assert timeline.pop() == last
+            assert (last.direction, last.payload, last.kind, last.conn_id) == expected.pop()
+        elif op == "copy":
+            transport.records = timeline.copy()
+            assert transport.records == timeline
+        elif op == "detached":
+            (direction, kind, conn), = args
+            before = timeline.copy()
+            record = transport.detached(t, direction, 5, kind, conn)
+            assert (record.direction, record.payload, record.kind, record.conn_id) == (
+                direction, 5, kind, conn)
+            assert timeline == before
+        assert_runs(transport.records, expected)
 
 
 def test_emit_drops_the_records_built_before_it():

@@ -1,11 +1,13 @@
 """The artifact writers give the bytes of the csv.writer code they replaced.
 
-`write_timeline_csv` formats each time once and each distinct rest of a row
-once, and `write_radio_csv` formats its rows itself.  The functions below
-are the earlier csv.writer versions, kept as oracles: every file must match
-them byte for byte, over records with times up to about 4,000 s, equal
-stamps, zero payloads, every record kind and several connections, and over
-radio timelines that hold beacon trains.
+`write_timeline_csv` formats each run's row once and fills it with the
+run's times and payloads, and `write_radio_csv` formats its rows itself.
+The functions below are the earlier csv.writer versions, kept as oracles:
+every file must match them byte for byte, over records with times up to
+about 4,000 s, equal stamps, zero payloads, every record kind, directions
+and kinds that need quoting, and several connections, and over radio
+timelines that hold beacon trains.  A timeline file reads back as the
+records written.
 """
 
 import csv
@@ -38,6 +40,7 @@ from streamsim.transport import (
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
     PacketRecord,
+    read_timeline_csv,
     write_timeline_csv,
 )
 
@@ -67,13 +70,17 @@ stamps = st.one_of(
     st.sampled_from([0.0, 0.01, 0.0000005, 1234.5678905, 3999.9999995]),
 )
 
+# directions and kinds that csv.writer must quote (a comma, a quote, a line
+# break) or that a % format would read as a directive
+fields = st.text(alphabet=',"\r\n% ad', max_size=4)
+
 records = st.lists(
     st.builds(
         PacketRecord,
         time=stamps,
-        direction=st.sampled_from([DOWN, UP]),
+        direction=st.one_of(st.sampled_from([DOWN, UP]), fields),
         payload=st.one_of(st.just(0), st.integers(1, 10_000_000)),
-        kind=st.sampled_from(KINDS),
+        kind=st.one_of(st.sampled_from(KINDS), fields),
         conn_id=st.integers(1, 4),
     ),
     max_size=60,
@@ -107,6 +114,9 @@ def test_timeline_csv_matches_csv_writer(tmp_path_factory, recs):
     write_timeline_csv(recs, out / "got.csv")
     oracle_timeline_csv(recs, out / "want.csv")
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+    back = read_timeline_csv(out / "got.csv")
+    assert [(r.direction, r.payload, r.kind, r.conn_id) for r in back] == [
+        (r.direction, r.payload, r.kind, r.conn_id) for r in recs]
 
 
 @settings(max_examples=200, deadline=None)
