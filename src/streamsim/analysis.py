@@ -11,10 +11,10 @@ techniques and are deliberately loose enough to survive ~10% timing jitter.
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .media import VideoSpec
 from .transport import (
@@ -77,10 +77,12 @@ class FastStartEstimate:
 def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
     """Maximal runs of DATA records with inter-packet gaps below gap_s.
 
-    Raises ValueError if any record, control records too, has a time that
-    is not finite or sits more than 1e-12 s before the one ahead of it
-    (check_time_order()'s rule).
+    Raises ValueError if gap_s is not positive, or if any record, control
+    records too, has a time that is not finite or sits more than 1e-12 s
+    before the one ahead of it (check_time_order()'s rule).
     """
+    if not gap_s > 0:
+        raise ValueError("gap_s must be positive, got %r" % (gap_s,))
     bursts = []
     start = None
     end = float("-inf")  # no record is within gap_s of -inf
@@ -302,57 +304,63 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     Buffered bytes = cumulative received - cumulative consumed, where the
     playhead starts at start_of_playback, advances in real time, and freezes
     whenever the estimate would go negative (a stall, by construction).
-    Returns [(time, buffer_bytes, buffer_media_s), ...] sampled at every DATA
-    arrival.
+    Returns [(time, buffer_bytes, buffer_media_s), ...] sampled at the first
+    DATA arrival, at each arrival where the received bytes first reach a whole
+    second of the clip (a zero-byte second shares its arrival), and at the
+    last arrival.  Each sample is the one a replay of every arrival gives
+    there, with VideoSpec's media_time() and cum_bytes().
 
-    One pass: received bytes and the playhead only grow, so media_time() of
-    the received bytes is a cursor walking the clip's cumulative-bytes table,
-    and cum_bytes() of the playhead changes only when the playhead moves.  Both
-    use VideoSpec's own float expressions.  Payloads are non-negative.
+    The playhead is replayed in windows.  While it stays within the media
+    held at a window's start, each arrival advances it by its whole time
+    step: the window's playheads are a running sum of those steps.  Each
+    arrival that leaves that bound takes the step alone, min(step, media
+    ahead of the playhead).  Payloads are non-negative.
 
-    Raises ValueError if any record, control records too, has a time that
-    is not finite or sits more than 1e-12 s before the one ahead of it
-    (check_time_order()'s rule).
+    Raises ValueError for a start_of_playback that is not finite, and if any
+    record, control records too, has a time that is not finite or sits more
+    than 1e-12 s before the one ahead of it (check_time_order()'s rule).
     """
+    if not math.isfinite(start_of_playback):
+        raise ValueError("start_of_playback must be finite, got %r" % (start_of_playback,))
     video = VideoSpec(encoding_schedule)
-    cum, schedule = video._cum, video.schedule
-    total, duration = video.total_bytes, float(video.duration_s)
-    series = []
-    received = 0
-    i = 0           # cum[i] <= received < cum[i + 1] while 0 < received < total
-    media = 0.0     # video.media_time(received)
-    playhead = 0.0
-    consumed = 0.0  # video.cum_bytes(playhead)
-    wall = start_of_playback
-    last = -sys.float_info.max  # below every finite time: a first -inf fails check_step()
-    for r in records:
-        t = r.time
-        if not t >= last:
-            check_step(last, t)
-        last = t
-        if r.kind != DATA:
-            continue
-        if t > wall:
-            if media > playhead:  # the playhead advances by min(dt, avail)
-                dt, avail = t - wall, media - playhead
-                playhead += dt if dt <= avail else avail
-                if playhead >= duration:
-                    playhead, consumed = duration, float(total)
-                else:
-                    j = int(playhead)
-                    consumed = cum[j] + (playhead - j) * schedule[j]
-            wall = t
-        if r.payload:
-            received += r.payload
-            if received >= total:
-                media = duration
-            else:
-                while cum[i + 1] <= received:
-                    i += 1
-                media = i + (received - cum[i]) / schedule[i]
-        series.append((t, received - consumed, media - playhead))
-    check_ends(last)
-    return series
+    view = _DataView(records)
+    times, cums = view.times, view.cums
+    n = len(times)
+    if not n:
+        return []
+    # cums[k + 1] is the bytes received after arrival k
+    picks = sorted({0, n - 1}.union(
+        bisect_left(cums, c, 1) - 1 for c in video._cum[1:] if c <= cums[-1]
+    ))
+    # the wall clock after each arrival: a step back within the order
+    # tolerance moves the playhead by nothing, as a step of zero does
+    walls = times if view.sorted_times is times else list(accumulate(times, max))
+    duration = float(video.duration_s)
+    playhead, wall = 0.0, start_of_playback
+    k = bisect_right(walls, wall)  # arrivals at or before the start move nothing
+    heads = [playhead] * bisect_left(picks, k)  # the playhead at each pick
+    while k < n and playhead < duration:
+        media = video.media_time(cums[k])  # held before arrival k, and never less later
+        hi = bisect_right(walls, wall + (media - playhead), k)
+        steps = map(sub, walls[k:hi], chain((wall,), walls[k:hi - 1]))
+        run = list(accumulate(steps, initial=playhead))
+        # where p + step <= media, the per-arrival p + min(step, media - p)
+        # rounds to the same float (Sterbenz's lemma, or a tie to even)
+        hi = k + bisect_right(run, media, 1) - 1
+        # the arrival's own step, at most the media ahead; it may round one ulp
+        # past the media held, but never past the clip's end, a whole second
+        if hi == k:
+            step, avail = walls[k] - wall, media - playhead
+            run, hi = [playhead, playhead + min(step, avail) if avail > 0 else playhead], k + 1
+        heads += [run[p - k + 1] for p in picks[len(heads):bisect_left(picks, hi)]]
+        playhead, wall, k = run[hi - k], walls[hi - 1], hi
+    heads += [playhead] * (len(picks) - len(heads))  # at the clip's end it moves no more
+    received = [cums[p + 1] for p in picks]
+    return list(zip(
+        [times[p] for p in picks],
+        map(sub, received, video.cum_bytes_at(heads)),
+        map(sub, map(video.media_time, received), heads),
+    ))
 
 
 def _harvest(records, view):

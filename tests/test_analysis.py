@@ -133,6 +133,25 @@ def test_buffer_replay_freezes_the_playhead_on_a_stall():
     assert media == pytest.approx(9.0)
 
 
+# a NaN start left every arrival at or before it, so playback never began:
+# the last sample read (5.0, 400.0, 4.0) where a start of 0.0 gives (5.0, 100.0, 1.0)
+@pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+def test_buffer_replay_rejects_a_start_that_is_not_finite(start):
+    records = [rec(t, 100) for t in (0.0, 0.01, 0.02, 5.0)]
+    assert estimate_buffer(records, [100] * 10, 0.0)[-1] == (5.0, 100.0, 1.0)
+    with pytest.raises(ValueError, match="start_of_playback must be finite, got " + re.escape(repr(start))):
+        estimate_buffer(records, [100] * 10, start)
+
+
+# each of these made every DATA record its own burst
+@pytest.mark.parametrize("gap_s", [math.nan, 0.0, -0.05])
+def test_group_bursts_rejects_a_gap_that_is_not_positive(gap_s):
+    records = [rec(t, 100) for t in (0.0, 0.01, 0.02, 0.03)]
+    assert len(group_bursts(records)) == 1
+    with pytest.raises(ValueError, match="gap_s must be positive, got " + re.escape(repr(gap_s))):
+        group_bursts(records, gap_s)
+
+
 def test_classifier_returns_unknown_on_empty_trace():
     result = classify([], avg_rate_bps=500_000, path_bandwidth_bps=6_000_000)
     assert result.label == UNKNOWN

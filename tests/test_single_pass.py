@@ -1,7 +1,11 @@
 """The single-pass trace analysis equals the multi-pass code it replaced.
 
-`estimate_buffer`, `group_bursts` and `rrc_drive` each walk a timeline
-once.  The classifier's feature harvest walks it once for the control
+`estimate_buffer` replays the playhead over every DATA arrival in bulk and
+samples it at the first and last arrival and where the received bytes first
+reach each whole second of the clip; each sample must equal the per-arrival
+oracle's tuple at that arrival, over random timelines and over every bundled
+trace, clean and jittered.  `group_bursts` and `rrc_drive` each walk a
+timeline once.  The classifier's feature harvest walks it once for the control
 records, connections and requests, and reads the DATA count, bytes and burst
 gaps from the `_DataView` the classifier builds.  The rate knee, the steady
 ratio and `estimate_fast_start` read the same prefix sums, and `psm_drive`
@@ -22,6 +26,7 @@ to a stated floor.
 import random
 from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -493,6 +498,34 @@ def psm_params(draw):
 # --- equivalence ------------------------------------------------------------
 
 
+def sample_arrivals(records, schedule):
+    """The DATA arrivals estimate_buffer samples: the first, each where the
+    received bytes first reach a whole second of the clip, and the last."""
+    payloads = [r.payload for r in records if r.kind == DATA]
+    picks = {0, len(payloads) - 1} if payloads else set()
+    bounds = accumulate(schedule)  # the bytes of the clip's first 1, 2, ... seconds
+    bound, received = next(bounds), 0
+    for k, payload in enumerate(payloads):
+        received += payload
+        while bound is not None and received >= bound:
+            picks.add(k)
+            bound = next(bounds, None)
+    return sorted(picks)
+
+
+def assert_buffer_samples_match_the_replay(records, schedule, start):
+    expected = in_order_or_error(oracle_estimate_buffer, records, schedule, start)
+    got = outcome(estimate_buffer, records, schedule, start)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert exact(got) == exact([expected[k] for k in sample_arrivals(records, schedule)])
+
+
+def data_at(times, payload):
+    return [PacketRecord(t, DOWN, payload, DATA, 1) for t in times]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(timelines(), edge_timelines()),
@@ -504,13 +537,36 @@ def psm_params(draw):
         st.floats(0.0, 120.0, allow_nan=False),
     ),
 )
+# a stall at 1 s of media, and a recovery from 3 s on
+@example(data_at([i / 10 for i in range(10)], 100) + data_at([3 + i / 20 for i in range(40)], 100),
+         [1000] * 10, 0.0)
+# the playhead reaches the clip's end at 2 s, on a step longer than the media ahead
+@example(data_at([0.0, 0.5], 100) + data_at([1.0, 2.7, 3.0], 0), [100, 100], 0.0)
+# three times the clip's bytes, the last of them after playback ended
+@example(data_at([0.0, 0.5, 1.0, 3.0], 150), [100, 100], 0.0)
+# playback starts after 21 arrivals
+@example(data_at([i / 10 for i in range(30)], 100), [500] * 10, 2.05)
+# steps back within 1e-12, one ahead of a window's end
+@example(data_at([0.0, 0.5, 1.0, 1.0 - 5e-13, 1.5, 2.0, 2.0 - 9e-13, 2.5], 100), [100] * 10, 0.0)
+# the playhead catches up with the media held 1e-10 s before an arrival
+@example(data_at([0.0, 1.0 + 1e-10, 1.5], 100), [100] * 10, 0.0)
+# steps whose running sum rounds past the media held (to 1.0000000000000002)
+# though the last arrival is at the wall clock plus that media
+@example(data_at([1.0], 100) + data_at([2.291153435001304, 2.7], 0), [100] * 10, 1.7)
+# a step capped at the media held that rounds one ulp past it (3 + 2**-50 >
+# 3 + 2**-51), then an arrival with no new bytes, which must not move it back
+@example(data_at([0.0], 1) + data_at([3 * 2.0**-52], 3) + data_at([10.0, 11.0], 0),
+         [1, 1, 1, 2**51], 0.0)
 def test_estimate_buffer_matches_the_multi_pass_replay(records, schedule, start):
-    expected = in_order_or_error(oracle_estimate_buffer, records, schedule, start)
-    got = outcome(estimate_buffer, records, schedule, start)
-    if isinstance(expected, tuple):
-        assert got == expected
-    else:
-        assert exact(got) == exact(expected)
+    assert_buffer_samples_match_the_replay(records, schedule, start)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3])
+def test_estimate_buffer_matches_the_replay_on_bundled_traces(grid, fraction):
+    for name, report in grid.items():
+        records = jittered(report.records, fraction, random.Random(f"{name}:buffer"))
+        schedule = report.scenario.video.schedule
+        assert_buffer_samples_match_the_replay(records, schedule, report.metrics.startup_s)
 
 
 @settings(max_examples=200, deadline=None)
