@@ -79,7 +79,8 @@ def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
 
     Raises ValueError if gap_s is not positive, or if any record, control
     records too, has a time that is not finite or sits more than 1e-12 s
-    before the one ahead of it (check_time_order()'s rule).
+    before the one ahead of it (check_time_order()'s rule).  A Timeline is
+    read by its time column and DATA runs, a list record by record.
     """
     if not gap_s > 0:
         raise ValueError("gap_s must be positive, got %r" % (gap_s,))
@@ -88,22 +89,39 @@ def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
     end = float("-inf")  # no record is within gap_s of -inf
     last = -sys.float_info.max  # below every finite time: a first -inf fails check_step()
     nbytes = packets = 0
-    for r in records:
-        t = r.time
-        if not t >= last:
-            check_step(last, t)
-        last = t
-        if r.kind != DATA:
-            continue
-        if t - end < gap_s:
-            end = t
-            nbytes += r.payload
-            packets += 1
-        else:
-            if start is not None:
-                bursts.append(Burst(start, end, nbytes, packets))
-            start = end = t
-            nbytes, packets = r.payload, 1
+    if isinstance(records, Timeline):
+        time, payload = records.time, records.payload
+        check_time_order([last, *time])  # the steps the record loop below checks
+        for i, j, _, kind, _ in records.runs():
+            if kind != DATA:
+                continue
+            for t, p in zip(time[i:j], payload[i:j]):
+                if t - end < gap_s:
+                    end = t
+                    nbytes += p
+                    packets += 1
+                else:
+                    if start is not None:
+                        bursts.append(Burst(start, end, nbytes, packets))
+                    start = end = t
+                    nbytes, packets = p, 1
+    else:
+        for r in records:
+            t = r.time
+            if not t >= last:
+                check_step(last, t)
+            last = t
+            if r.kind != DATA:
+                continue
+            if t - end < gap_s:
+                end = t
+                nbytes += r.payload
+                packets += 1
+            else:
+                if start is not None:
+                    bursts.append(Burst(start, end, nbytes, packets))
+                start = end = t
+                nbytes, packets = r.payload, 1
     check_ends(last)
     if start is not None:
         bursts.append(Burst(start, end, nbytes, packets))

@@ -8,7 +8,7 @@ interval of the clip, DASH whole segments (SegmentBuffer).
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -85,9 +85,13 @@ class VideoSpec:
         return self._cum[i] + (t - i) * self.schedule[i]
 
     def cum_bytes_at(self, times):
-        """cum_bytes of each of `times` (in time order), as a list."""
-        if not 0 < times[0] <= times[-1] < self.duration_s:
-            return list(map(self.cum_bytes, times))
+        """cum_bytes of each of `times` (in time order), as a list; those in
+        (0, duration_s) in bulk."""
+        lo = bisect_right(times, 0)
+        hi = bisect_left(times, self.duration_s, lo)
+        if lo or hi < len(times):
+            clip_end = [float(self.total_bytes)] * (len(times) - hi)
+            return [0.0] * lo + self.cum_bytes_at(times[lo:hi]) + clip_end
         cum, schedule = self._cum, self.schedule
         return [cum[i] + (t - i) * schedule[i] for t, i in zip(times, map(int, times))]
 

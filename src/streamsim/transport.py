@@ -17,9 +17,9 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, groupby, islice, repeat
-from operator import le
+from operator import itemgetter, le
 
 DOWN = "down"  # server -> client
 UP = "up"      # client -> server
@@ -57,12 +57,14 @@ class Timeline:
     stretch of records that share all three.  No run is empty, and no two
     neighbouring runs share all three values.
 
-    Transport.emit_run adds a run a call (or extends the last one), and the
-    classifier's views, audit and the CSV writer read runs(); the radio
-    drives read the time column.  columns() gives all five as lists.  Read
-    as a sequence (iteration, indexing, list(), ==), a Timeline is a list
-    of PacketRecord built on the first read and kept until the next
-    append() or pop(); the records are copies, and changing one changes no
+    Transport.emit_run adds a run a call (or extends the last one), and
+    read_timeline_csv one a stretch of rows.  The classifier's views,
+    group_bursts, audit and the CSV writer read runs(); the radio drives
+    read the time column.  columns() gives all five as lists.  Read
+    as a sequence (iteration, slicing, list(), ==), a Timeline is a list of
+    PacketRecord built on the first read and kept until the next append()
+    or pop(); indexing with an int builds that one record from the columns
+    and its run.  The records are copies, and changing one changes no
     column.  The constructor takes five sequences, one entry per record,
     and raises ValueError if their lengths differ.
     """
@@ -117,7 +119,11 @@ class Timeline:
         return iter(self.rows())
 
     def __getitem__(self, index):
-        return self.rows()[index]
+        if isinstance(index, slice):
+            return self.rows()[index]
+        i = range(len(self.time))[index]  # an int in range, or IndexError
+        _, direction, kind, conn = self._runs[bisect_right(self._runs, i, key=itemgetter(0))]
+        return PacketRecord(self.time[i], direction, self.payload[i], kind, conn)
 
     def __eq__(self, other):
         if isinstance(other, Timeline):
@@ -570,9 +576,11 @@ def write_timeline_csv(records, path):
 
 
 def read_timeline_csv(path):
-    """The records of a timeline CSV, as a list; a malformed row, a time that is
-    not finite or a negative byte count is a ValueError that names its line."""
-    out = []
+    """The Timeline of a timeline CSV, read column by column and a run a stretch
+    of rows; a malformed row, a time that is not finite or a negative byte
+    count is a ValueError that names its line."""
+    timeline = Timeline()
+    time, payload = timeline.time, timeline.payload
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
@@ -580,15 +588,23 @@ def read_timeline_csv(path):
             raise ValueError("%s: empty file, no timeline header" % path)
         if header != TIMELINE_HEADER:
             raise ValueError("%s: unexpected timeline header: %s" % (path, header))
+        d = k = c = run = None  # the run's direction, kind and conn_id as read
         try:
             for row in rd:
-                t, direction, payload, kind, conn_id = row
-                time, nbytes = float(t), int(payload)
-                if not math.isfinite(time):
+                t, direction, nbytes, kind, conn_id = row
+                stamp, n = float(t), int(nbytes)
+                if not math.isfinite(stamp):
                     raise ValueError("time %r is not finite" % t)
-                if nbytes < 0:
-                    raise ValueError("byte count %r is negative" % payload)
-                out.append(PacketRecord(time, direction, nbytes, kind, int(conn_id)))
+                if n < 0:
+                    raise ValueError("byte count %r is negative" % nbytes)
+                if conn_id != c or kind != k or direction != d:
+                    if run is not None:
+                        timeline._close_run(*run)  # joins "1" after "01"
+                    d, k, c, run = direction, kind, conn_id, (direction, kind, int(conn_id))
+                time.append(stamp)
+                payload.append(n)
         except ValueError as exc:
             raise ValueError("%s line %d: %s" % (path, rd.line_num, exc)) from None
-    return out
+    if run is not None:
+        timeline._close_run(*run)
+    return timeline

@@ -1059,6 +1059,24 @@ def test_session_rejects_a_parameter_that_is_not_positive_and_finite(name, value
                          **{name: value})
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 3_000), min_size=1, max_size=12).filter(any),
+    st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, -1.0, 0.5, 1.0]), st.floats(-3.0, 15.0), st.integers(-2, 15),
+    ), max_size=30),
+    st.booleans(),
+)
+def test_cum_bytes_at_matches_cum_bytes(schedule, times, at_end):
+    # in bulk between 0 and the clip's end, at each time outside it alone
+    video = VideoSpec(schedule)
+    if at_end:
+        times.append(video.duration_s)
+    times.sort()
+    got = video.cum_bytes_at(times)
+    assert list(map(repr, got)) == list(map(repr, map(video.cum_bytes, times)))
+
+
 def test_video_spec_schedule_arithmetic():
     video = VideoSpec.constant(60, 500_000)
     assert video.total_bytes == 3_750_000

@@ -23,9 +23,11 @@ drift apart, and the classifier's accuracy on jittered bundled traces is held
 to a stated floor.
 """
 
+import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from dataclasses import replace
 from itertools import accumulate
 from types import SimpleNamespace
 
@@ -579,6 +581,55 @@ def test_estimate_buffer_matches_the_replay_on_bundled_traces(grid, fraction):
 def test_group_bursts_matches_the_burst_list_loop(records, gap_s):
     expected = in_order_or_error(oracle_group_bursts, records, gap_s)
     assert repr(outcome(group_bursts, records, gap_s)) == repr(expected)
+
+
+# a time that breaks the order rule: not finite, or a whole second back
+broken_times = st.sampled_from([math.nan, math.inf, -math.inf, None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(timelines(), edge_timelines()),
+    st.one_of(st.just(THRESHOLDS["burst_gap_s"]), st.sampled_from([0.001, 0.3, 2.0, 10.0])),
+    st.lists(st.tuples(st.integers(0, 50), broken_times), max_size=2),
+)
+# a control record inside a burst, and a step back within the tolerance
+@example([PacketRecord(t, DOWN, 100, k, 1) for t, k in (
+    (0.0, DATA), (0.01, REQUEST), (0.02 - 1e-12, DATA), (0.03, ZERO_WINDOW_AD), (0.04, DATA),
+)], 0.05, [])
+# the record loop's first step is from below every finite time: a first NaN
+# or -inf fails there, before a later time that is not finite or steps back
+@example([PacketRecord(0.01 * i, DOWN, 100, DATA, 1) for i in range(4)], 0.05,
+         [(0, math.nan), (1, math.inf)])
+@example([PacketRecord(0.01 * i, DOWN, 100, DATA, 1) for i in range(4)], 0.05,
+         [(0, -math.inf), (2, None)])
+def test_group_bursts_reads_a_timeline_as_its_record_list(records, gap_s, breaks):
+    # a Timeline's DATA runs and time column give the record loop's bursts
+    # and errors
+    records = list(records)
+    for i, t in breaks:
+        if i < len(records):
+            r = records[i]
+            records[i] = replace(r, time=r.time - 1.0 if t is None else t)
+    timeline = Timeline.of(records)
+    assert repr(outcome(group_bursts, timeline, gap_s)) == repr(
+        outcome(group_bursts, records, gap_s))
+    assert timeline._rows is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(timelines(), edge_timelines()))
+def test_timeline_index_builds_one_record_from_its_run(records):
+    timeline = Timeline.of(records)
+    n = len(records)
+    got = [timeline[i] for i in range(-n, n)]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            timeline[i]
+    assert timeline._rows is None  # no record list was built
+    rows = timeline.rows()
+    assert all(type(r) is PacketRecord for r in got)
+    assert got == [rows[i] for i in range(-n, n)]
 
 
 @settings(max_examples=200, deadline=None)

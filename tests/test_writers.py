@@ -7,11 +7,14 @@ every file must match them byte for byte, over records with times up to
 about 4,000 s, equal stamps, zero payloads, every record kind, directions
 and kinds that need quoting, and several connections, and over radio
 timelines that hold beacon trains.  A timeline file reads back as the
-records written.
+records written, into the columns and runs of the Timeline that the earlier
+per-row reader's record list gives.
 """
 
 import csv
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +43,7 @@ from streamsim.transport import (
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
     PacketRecord,
+    Timeline,
     read_timeline_csv,
     write_timeline_csv,
 )
@@ -54,6 +58,29 @@ def oracle_timeline_csv(records, path):
         w.writerow(TIMELINE_HEADER)
         for r in records:
             w.writerow(["%.6f" % r.time, r.direction, r.payload, r.kind, r.conn_id])
+
+
+def oracle_read_timeline_csv(path):
+    out = []
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        header = next(rd, None)
+        if header is None:
+            raise ValueError("%s: empty file, no timeline header" % path)
+        if header != TIMELINE_HEADER:
+            raise ValueError("%s: unexpected timeline header: %s" % (path, header))
+        try:
+            for row in rd:
+                t, direction, payload, kind, conn_id = row
+                time, nbytes = float(t), int(payload)
+                if not math.isfinite(time):
+                    raise ValueError("time %r is not finite" % t)
+                if nbytes < 0:
+                    raise ValueError("byte count %r is negative" % payload)
+                out.append(PacketRecord(time, direction, nbytes, kind, int(conn_id)))
+        except ValueError as exc:
+            raise ValueError("%s line %d: %s" % (path, rd.line_num, exc)) from None
+    return out
 
 
 def oracle_radio_csv(segments, path):
@@ -117,6 +144,66 @@ def test_timeline_csv_matches_csv_writer(tmp_path_factory, recs):
     back = read_timeline_csv(out / "got.csv")
     assert [(r.direction, r.payload, r.kind, r.conn_id) for r in back] == [
         (r.direction, r.payload, r.kind, r.conn_id) for r in recs]
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_reads_as_the_row_reader(path):
+    """read_timeline_csv gives the Timeline of the per-row reader's records,
+    or the same error."""
+    want, got = outcome(oracle_read_timeline_csv, path), outcome(read_timeline_csv, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    want = Timeline.of(want)
+    assert type(got) is Timeline and got._rows is None
+    assert list(map(repr, got.time)) == list(map(repr, want.time))
+    assert got.payload == want.payload and list(got.runs()) == list(want.runs())
+
+
+@settings(max_examples=200, deadline=None)
+@given(records, st.data())
+def test_timeline_csv_reads_into_the_row_readers_columns(tmp_path_factory, recs, data):
+    path = tmp_path_factory.mktemp("read") / "t.csv"
+    write_timeline_csv(recs, path)
+    lines = path.read_bytes().split(b"\r\n")
+    # a connection id written with a leading zero, next to rows that spell it
+    # without: both read as one connection, in one run
+    for i in data.draw(st.lists(st.integers(1, max(1, len(lines) - 2)), max_size=4)):
+        if i < len(lines) - 1 and lines[i].endswith((b",1", b",2")):
+            lines[i] = lines[i][:-1] + b"0" + lines[i][-1:]
+    path.write_bytes(b"\r\n".join(lines))
+    assert_reads_as_the_row_reader(path)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "t,dir,n\n0.01,down,1000\n",
+    "time_s,direction,bytes,kind,conn_id\n",
+    "time_s,direction,bytes,kind,conn_id\n0.01,down,10,DATA,1\n0.02,down,20,DATA,x\n",
+    "time_s,direction,bytes,kind,conn_id\n0.01,down,10,DATA,1\n0.02,down,20,DATA\n",
+    "time_s,direction,bytes,kind,conn_id\n0.01,down,10,DATA,1\n0.02,down,20,DATA,1,9\n",
+    "time_s,direction,bytes,kind,conn_id\n0.01,down,10,DATA,1\nnan,down,-5,DATA,x\n",
+    "time_s,direction,bytes,kind,conn_id\n0.01,down,10,DATA,1\n0.02,down,-5,DATA,x\n",
+    "time_s,direction,bytes,kind,conn_id\n0.01,\"a\nb\",10,DATA,1\n-inf,down,0,DATA,1\n",
+], ids=["empty", "foreign-header", "header-only", "bad-conn", "short-row",
+        "long-row", "nan-first", "negative-first", "quoted-line-break"])
+def test_timeline_csv_reader_keeps_the_row_readers_errors(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    assert_reads_as_the_row_reader(path)
+
+
+def test_leading_zero_connection_ids_read_as_one_run(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("time_s,direction,bytes,kind,conn_id\n0.01,down,10,DATA,1\n"
+                    "0.02,down,20,DATA,01\n0.03,down,30,DATA,1\n")
+    assert list(read_timeline_csv(path).runs()) == [(0, 3, DOWN, DATA, 1)]
 
 
 @settings(max_examples=200, deadline=None)
