@@ -13,6 +13,21 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 
+def check_positive(name, value):
+    """`value`; a ValueError that names it unless it is positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError("%s must be positive and finite, not %r" % (name, value))
+    return value
+
+
+def _clip_seconds(duration_s, rate_bps):
+    """The whole seconds of a clip, and its bytes at rate_bps."""
+    if not 1 <= duration_s < math.inf:
+        raise ValueError("duration_s must be at least 1 s and finite, not %r" % (duration_s,))
+    duration_s = int(duration_s)
+    return duration_s, round(duration_s * check_positive("rate_bps", rate_bps) / 8.0)
+
+
 @dataclass(frozen=True)
 class QualityLevel:
     bandwidth_bps: float
@@ -20,8 +35,8 @@ class QualityLevel:
     segment_s: float
 
     def __post_init__(self):
-        if self.bandwidth_bps <= 0 or self.segment_s <= 0:
-            raise ValueError("quality level needs positive bandwidth and segment duration")
+        check_positive("quality level bandwidth_bps", self.bandwidth_bps)
+        check_positive("quality level segment_s", self.segment_s)
 
 
 class VideoSpec:
@@ -47,8 +62,7 @@ class VideoSpec:
 
     @classmethod
     def constant(cls, duration_s, rate_bps, **kw):
-        duration_s = int(duration_s)
-        total = round(duration_s * rate_bps / 8.0)
+        duration_s, total = _clip_seconds(duration_s, rate_bps)
         base = total // duration_s
         schedule = [base] * duration_s
         schedule[-1] += total - base * duration_s
@@ -57,10 +71,10 @@ class VideoSpec:
     @classmethod
     def vbr(cls, duration_s, rate_bps, amplitude, period_s=30.0, **kw):
         """Sinusoidal variable bitrate around rate_bps; amplitude in [0, 1)."""
-        duration_s = int(duration_s)
+        duration_s, total = _clip_seconds(duration_s, rate_bps)
         if not 0.0 <= amplitude < 1.0:
             raise ValueError("vbr amplitude must be in [0, 1)")
-        total = round(duration_s * rate_bps / 8.0)
+        check_positive("period_s", period_s)
         base = total / duration_s
         schedule = [
             max(0, round(base * (1.0 + amplitude * math.sin(2.0 * math.pi * i / period_s))))

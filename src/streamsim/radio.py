@@ -166,6 +166,17 @@ def _packet_times(records):
     return times
 
 
+def _emit(segs, state, a, b):
+    """Add the segment (state, a, b) to segs: nothing if it is empty, else
+    onto the last segment if that has the same state and ends at a."""
+    if b <= a:
+        return
+    if segs and segs[-1].state == state and abs(segs[-1].end - a) < 1e-12:
+        segs[-1].end = b
+    else:
+        segs.append(StateSegment(state, a, b))
+
+
 def rrc_drive(records, params, t_end=None, t_start=None):
     """Replay a packet timeline through the RRC ladder.
 
@@ -183,26 +194,18 @@ def rrc_drive(records, params, t_end=None, t_start=None):
         t_end = times[-1] + params.t1 + params.t2 + params.t3
     segs = []
 
-    def emit(state, a, b):
-        if b <= a:
-            return
-        if segs and segs[-1].state == state and abs(segs[-1].end - a) < 1e-12:
-            segs[-1].end = b
-        else:
-            segs.append(StateSegment(state, a, b))
-
     def ladder(last_packet, a, b):
         """Idle decay segments from a to b given the last packet time."""
         d1 = last_packet + params.t1
         d2 = d1 + params.t2
         d3 = d2 + params.t3
-        emit(DCH, a, min(b, d1))
+        _emit(segs, DCH, a, min(b, d1))
         if b > d1:
-            emit(FACH, max(a, d1), min(b, d2))
+            _emit(segs, FACH, max(a, d1), min(b, d2))
         if b > d2:
-            emit(PCH, max(a, d2), min(b, d3))
+            _emit(segs, PCH, max(a, d2), min(b, d3))
         if b > d3:
-            emit(IDLE, max(a, d3), b)
+            _emit(segs, IDLE, max(a, d3), b)
         # state at instant b
         if b <= d1:
             return DCH
@@ -231,7 +234,7 @@ def rrc_drive(records, params, t_end=None, t_start=None):
             break
         if last_packet is None:
             if t > cursor:
-                emit(IDLE, cursor, t)
+                _emit(segs, IDLE, cursor, t)
             state_now = IDLE
         else:
             state_now = ladder(last_packet, cursor, t)
@@ -244,12 +247,12 @@ def rrc_drive(records, params, t_end=None, t_start=None):
                     segs.pop()
                 if segs and segs[-1].end > ramp_start:
                     segs[-1].end = ramp_start
-            emit(DCH, ramp_start, t)
+            _emit(segs, DCH, ramp_start, t)
         cursor = t
         last_packet = t
         tail = segs[-1] if segs and segs[-1].state == DCH and segs[-1].end == t else None
     if last_packet is None:
-        emit(IDLE, cursor, t_end)
+        _emit(segs, IDLE, cursor, t_end)
     else:
         ladder(last_packet, cursor, t_end)
     return segs
@@ -273,30 +276,22 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
         t_end = times[-1] + params.idle_timeout
     segs = []
 
-    def emit(state, a, b):
-        if b <= a:
-            return
-        if segs and segs[-1].state == state and abs(segs[-1].end - a) < 1e-12:
-            segs[-1].end = b
-        else:
-            segs.append(StateSegment(state, a, b))
-
     append = segs.append
     wake, interval = params.beacon_wake, params.beacon_interval
 
     def sleep_span(a, b):
         if params.cam_mode:
-            emit(PSM_IDLE, a, b)
+            _emit(segs, PSM_IDLE, a, b)
             return
         # Beacon wakes pinned to the start of the sleep period.  A whole
         # beacon (it ends before b) whose wake and sleep both have length and
-        # that follows a SLEEP segment is one emit() would neither skip nor
+        # that follows a SLEEP segment is one _emit() would neither skip nor
         # merge.  A run of them goes into one BeaconTrain, except the last,
         # whose two segments are appended as they are: the beacon after it
         # may merge into its SLEEP.  The first beacon of a span, the last
         # partial one, and any whose wake or sleep rounds to nothing
         # (beacon_wake = 0, or t + beacon_wake == t late in a long trace) go
-        # through emit().
+        # through _emit().
         t = a
         after_sleep = False
         while t < b:
@@ -316,8 +311,8 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
                 append(StateSegment(SLEEP, last_wake_end, t))
                 continue
             wake_end = min(wake_end, b)
-            emit(ACTIVE, t, wake_end)
-            emit(SLEEP, wake_end, min(sleep_end, b))
+            _emit(segs, ACTIVE, t, wake_end)
+            _emit(segs, SLEEP, wake_end, min(sleep_end, b))
             after_sleep = segs[-1].state == SLEEP
             t += interval
 
@@ -338,9 +333,9 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
     for a, b in runs:
         if a > cursor:
             sleep_span(cursor, a)
-        emit(ACTIVE, a, max(b, a))
+        _emit(segs, ACTIVE, a, max(b, a))
         idle_end = min(b + params.idle_timeout, t_end)
-        emit(PSM_IDLE, b, idle_end)
+        _emit(segs, PSM_IDLE, b, idle_end)
         cursor = idle_end
     if cursor < t_end:
         sleep_span(cursor, t_end)

@@ -44,7 +44,10 @@ def _parse_ladder(text):
         parts = chunk.split(":")
         if len(parts) != 3:
             raise ValueError(f"ladder entry {chunk!r} is not bandwidth:label:segment_s")
-        levels.append(QualityLevel(int(parts[0]), parts[1], float(parts[2])))
+        try:
+            levels.append(QualityLevel(int(parts[0]), parts[1], float(parts[2])))
+        except ValueError as exc:
+            raise ValueError(f"ladder entry {chunk!r}: {exc}") from None
     if not levels:
         raise ValueError("empty ladder")
     return tuple(levels)

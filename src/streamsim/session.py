@@ -60,7 +60,7 @@ from itertools import accumulate, compress, repeat
 from operator import add, mul, sub
 
 from .kernel import Kernel, Ticks
-from .media import MediaBuffer, SegmentBuffer, dash_pick_quality
+from .media import MediaBuffer, SegmentBuffer, check_positive, dash_pick_quality
 from .media import QualityLevel, VideoSpec  # noqa: F401  (re-exported: they lived here first)
 from .transport import CLOSE_KINDS, DATA, DOWN, UP, ZERO_WINDOW, Transport
 
@@ -443,8 +443,7 @@ class StreamingSession:
         for name, value in (("tick_s", tick_s), ("recv_capacity", recv_capacity),
                             ("probe_interval", probe_interval),
                             ("sample_interval", sample_interval), ("max_sim_time", max_sim_time)):
-            if not 0 < value < math.inf:
-                raise ValueError("%s must be positive and finite, not %r" % (name, value))
+            check_positive(name, value)
         self.video = video
         self.technique = technique
         self.path = path
@@ -469,7 +468,6 @@ class StreamingSession:
         self.conn = None
         self._ticks = 0             # ticks played, quiet ones included
         self._next_sample = 1       # the tick that takes the next buffer sample
-        self._last_data_t = 0.0
         self.metrics = SessionMetrics(kind=technique.kind)
         self.policy = POLICIES[technique.kind](self)
         self.buffer = self.policy.buffer(video, technique.fast_start_s, technique.buffer_cap)
@@ -510,7 +508,7 @@ class StreamingSession:
             played_t = self.metrics.stalls[-1].start
         else:
             played_t = now  # the playhead moved on the last tick
-        moved_t = max(self._last_data_t, played_t)
+        moved_t = max(self.metrics.delivery_end_t, played_t)
         if now - moved_t <= max(1.0, 4.0 * self.path.rtt_s):
             cause = "too slow for the horizon, still progressing at t=%.2f" % moved_t
         else:
@@ -544,6 +542,7 @@ class StreamingSession:
         limit = buf.limit(buf.pos, buf.consumed, buf.dup)
         for rec in self.conn.advance(dt, limit=limit):
             if rec.kind == DATA:
+                buf.arrive(rec.payload)
                 self._on_data(rec.payload, rec.conn_id, now)
         if self.phase == FAST_START and buf.ready():
             self._steady()
@@ -581,60 +580,47 @@ class StreamingSession:
         return t + self.tick_s
 
     def _flow(self, t):
-        """Play the plans _chunk lays out after the full tick at `t`, the books in locals.
+        """Play and book the plans _chunk lays out after the full tick at `t`.
 
         Returns the time of the last tick played; the span ends where _chunk
-        has no plan.  The DATA records are emitted where the window fills,
-        with its zero-window advertisement, and at the end, where their bytes
-        are booked once: a DASH download completes only on a full tick, and
-        one arrive() of the sum books what one per fill would.
+        has no plan.  A plan's bytes arrive in the buffer, and the playhead,
+        the tick count and the next sample move on, before the next plan is
+        laid out, so the session's books are live between plans.  The DATA
+        records are emitted where the window fills, with its zero-window
+        advertisement, and at the end, where the span's bytes go through
+        _on_data once: a DASH download completes only on a full tick.
         """
-        dt = self.tick_s
         conn, video, buf = self.conn, self.video, self.buffer
-        stop_t = min(self.policy.burst_next, self.max_sim_time)
-        conn_t = conn.next_action(dt, t)
-        rule = self.policy.rule(self)
         moving = self.phase == STEADY and not self.stalled
-        # A tick whose bytes reach to_go ends a progressive fast start.  A
-        # DASH download is the whole send queue, so the queue cuts the tick
-        # that ends it, and below that segments deliver no media.
         progressive = not isinstance(buf, SegmentBuffer)
-        to_go = buf.ready_at - buf.pos if progressive and self.phase == FAST_START else _BIG
-        consumed_at = buf.consumed_at
-        media_pos, dup, consumed = buf.pos, buf.dup, buf.consumed
-        playhead = self.playhead
-        delivered = buf.delivered()
-        ticks, next_sample, every = self._ticks, self._next_sample, self._sample_every
+        every = self._sample_every
         series = self.metrics.buffer_series
         emit_run = self.transport.emit_run
         times, sizes = [], []
         sent = 0  # bytes of the span's DATA records
-        while t + dt < stop_t:
-            plan = self._chunk(t, stop_t, conn_t, rule, media_pos, dup, playhead, consumed,
-                               delivered, to_go)
-            if plan is None:
-                break
+        while plan := self._chunk(t):
             k, ts, phs, ns, upto, records, pacing = plan
-            first = next_sample - ticks
+            first = self._next_sample - self._ticks
             if first <= k:
                 # the plan's samples, as the books would give them; the first
                 # dup bytes repeat held media (MediaBuffer.arrive)
                 stamps = ts[first:k + 1:every]
                 count = len(stamps)
-                ahead = phs[first:k + 1:every] if moving else [playhead] * count
-                held = [media_pos] * count
-                if upto and dup:
-                    held = [media_pos + max(0, u - dup) for u in upto[first - 1:k:every]]
+                ahead = phs[first:k + 1:every] if moving else [self.playhead] * count
+                held = [buf.pos] * count
+                if upto and buf.dup:
+                    held = [buf.pos + max(0, u - buf.dup) for u in upto[first - 1:k:every]]
                 elif upto:
-                    held = list(map(add, upto[first - 1:k:every], repeat(media_pos)))
-                media = repeat(delivered)
+                    held = list(map(add, upto[first - 1:k:every], repeat(buf.pos)))
                 if progressive and upto:
                     # positions never fall: media_time once for each
                     table = {p: video.media_time(p) for p in dict.fromkeys(held)}
                     media = map(table.__getitem__, held)
-                used = buf.consumed_each(ahead, held) if moving else repeat(consumed)
+                else:
+                    media = repeat(buf.delivered())
+                used = buf.consumed_each(ahead, held) if moving else repeat(buf.consumed)
                 series += zip(stamps, map(sub, held, used), map(sub, media, ahead))
-                next_sample = ticks + first + count * every
+                self._next_sample += count * every
             if pacing is not None:
                 if records is None:
                     times += compress(ts[1:k + 1], ns)
@@ -653,58 +639,51 @@ class StreamingSession:
                 if nbytes:
                     sent += nbytes
                     last_t = ts[bisect_left(upto, nbytes, 0, k) + 1]  # its last DATA record
-                    d = min(dup, nbytes)
-                    to_go, media_pos, dup = to_go - nbytes, media_pos + nbytes - d, dup - d
+                    buf.arrive(nbytes)
                     conn.send_queue -= nbytes
-                    if progressive:
-                        delivered = video.media_time(media_pos)
                 conn._rate_frac, conn.recv_occupancy, conn._resume_at, closed, reopened = pacing
                 if closed is not None:
                     conn.close_window(closed)
                 if reopened is not None and (closed is None or reopened >= closed):
                     conn.reopen_window(reopened)
-                conn_t = conn.next_action(dt, ts[k])
-            ticks, t = ticks + k, ts[k]
+            self._ticks, t = self._ticks + k, ts[k]
             if moving:
-                playhead = phs[k]
-                consumed = consumed_at(playhead, media_pos)  # the store limit reads it
+                self.playhead = phs[k]
+                self._sync_consumed()  # the store limit reads it
         if times:
             emit_run(DOWN, DATA, conn.id, times, sizes)
         if sent:
-            # the span's bytes, booked once
+            # the span's bytes, through the metrics and the policy once
             conn.delivered_total += sent
             self._on_data(sent, conn.id, last_t)
-        self.playhead, self._ticks, self._next_sample = playhead, ticks, next_sample
-        if moving:
-            self._sync_consumed()
         return t
 
-    def _chunk(self, t, stop_t, conn_t, rule, media_pos, dup, playhead, consumed, delivered,
-               to_go):
-        """Plan a run of ticks after `t`, ending before `stop_t`, that _flow plays in bulk.
+    def _chunk(self, t):
+        """Plan a run of ticks after `t` that _flow plays in bulk.
 
-        The books come in as _flow holds them, the pacing state on the
-        connection, whose next action is at `conn_t`.  Until then a run whose
-        client reads nothing, or has nothing to read, moves no byte (quiet).
-        Any other run is paced: each tick sends what transport.paced gives
-        for its eligible time.  Where the client drains every tick and no
-        tick can fill the window, the credit is all a comprehension carries;
-        otherwise a loop also carries the window's occupancy, each fill with
-        the read and reopen after it, and the resume time.  Clock and
-        playhead repeat the full tick's float additions: accumulate lists
-        for a paced run, closed form (kernel.Ticks) for a quiet one.
+        The books are the session's, the pacing state the connection's.
+        Until the connection's next action a run whose client reads nothing,
+        or has nothing to read, moves no byte (quiet).  Any other run is
+        paced: each tick sends what transport.paced gives for its eligible
+        time.  Where the client drains every tick and no tick can fill the
+        window, the credit is all a comprehension carries; otherwise a loop
+        also carries the window's occupancy, each fill with the read and
+        reopen after it, and the resume time.  Clock and playhead repeat the
+        full tick's float additions: accumulate lists for a paced run, closed
+        form (kernel.Ticks) for a quiet one.
 
-        The run ends before the first tick the full tick must play: the
-        clock; the bytes reaching the fast start's end or a DASH download's;
-        a fill with an act rule or a store cap, one the client leaves shut,
-        a send into a zero window; the watch end and running dry on the
-        first `delivered` (a lower bound), both monotone in the playhead; the
-        store limit, checked once pos could bring the store within the run's
-        largest tick of its cap; `acts`, tested alone on the first tick, and
-        bisected where it is monotone: over a run that moves no media or
-        whose every later tick adds more media than a tick plays (a high
-        watermark or a full store come true only as the store grows, a low
-        one or a buffer target as the playhead moves), else scanned.
+        The run ends before the first tick the full tick must play: the clock
+        (the server's next burst, or the horizon); the bytes reaching the
+        fast start's end or a DASH download's; a fill with an act rule or a
+        store cap, one the client leaves shut, a send into a zero window; the
+        watch end and running dry on the media delivered when it starts (a
+        lower bound), both monotone in the playhead; the store limit, checked
+        once pos could bring the store within the run's largest tick of its
+        cap; `acts`, tested alone on the first tick, and bisected where it is
+        monotone: over a run that moves no media or whose every later tick
+        adds more media than a tick plays (a high watermark or a full store
+        come true only as the store grows, a low one or a buffer target as
+        the playhead moves), else scanned.
 
         Returns None, or (k, ts, phs, sizes, upto, records, pacing): clock
         and playheads (None if playback stands) of ticks 0..k; for a paced
@@ -713,12 +692,22 @@ class StreamingSession:
         (credit, occupancy, resume time, last fill, last reopen) after tick k.
         """
         dt = self.tick_s
+        stop_t = min(self.policy.burst_next, self.max_sim_time)
+        if t + dt >= stop_t:
+            return None
         conn, buf, video = self.conn, self.buffer, self.video
-        reads, acts = rule
+        conn_t = conn.next_action(dt, t)
+        reads, acts = self.policy.rule(self)
+        media_pos, dup, consumed, playhead = buf.pos, buf.dup, buf.consumed, self.playhead
+        delivered = buf.delivered()
         watched_end = self.watched_end
         done_at = watched_end - 1e-12  # as _watch_done
         moving = self.phase == STEADY and not self.stalled
+        # A tick whose bytes reach to_go ends a progressive fast start.  A
+        # DASH download is the whole send queue, so the queue cuts the tick
+        # that ends it, and below that segments deliver no media.
         progressive = not isinstance(buf, SegmentBuffer)
+        to_go = buf.ready_at - media_pos if progressive and self.phase == FAST_START else _BIG
         capped = buf.cap is not None
         occ = conn.recv_occupancy
         quiet = t + dt < conn_t and (reads is None or not occ)
@@ -885,12 +874,10 @@ class StreamingSession:
         return played, ts, phs, ns, upto, records, pacing
 
     def _on_data(self, nbytes, conn_id, now):
-        """Book nbytes that arrived on conn_id by `now`."""
-        self.metrics.connection_bytes[conn_id] = (
-            self.metrics.connection_bytes.get(conn_id, 0) + nbytes
-        )
-        self._last_data_t = now
-        self.buffer.arrive(nbytes)
+        """Count nbytes that arrived on conn_id by `now`, which the buffer has booked."""
+        m = self.metrics
+        m.connection_bytes[conn_id] = m.connection_bytes.get(conn_id, 0) + nbytes
+        m.delivery_end_t = now
         self.policy.on_data(self, nbytes, now)
 
     def _steady(self):
@@ -982,7 +969,6 @@ class StreamingSession:
         m.received_total = buf.received
         m.consumed_bytes = consumed
         m.wasted_bytes = wasted
-        m.delivery_end_t = self._last_data_t
         m.stall_total_s = sum(
             (s.end if s.end is not None else now) - s.start for s in m.stalls
         )
@@ -993,8 +979,8 @@ class StreamingSession:
     def _sample(self, t):
         """Buffer sample of the full tick that ends at t, read from the books.
 
-        Spans take their samples themselves, with the same arithmetic, from
-        the books they hold in locals (_flow).
+        A plan's samples fall inside it, and _flow takes them with the same
+        arithmetic from the books before the plan and its columns.
         """
         buf = self.buffer
         self.metrics.buffer_series.append(

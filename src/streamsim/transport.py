@@ -205,7 +205,6 @@ class Transport:
         self.records = Timeline()
         self._next_id = 1
         self._rng = random.Random(seed)
-        self._last_emit = 0.0       # last perturbed timestamp on the timeline
         self._last_nominal = 0.0    # last unperturbed timestamp
 
     def open(self, recv_capacity, probe_interval=5.0):
@@ -226,20 +225,21 @@ class Transport:
     def detached(self, time, direction, payload, kind, conn_id):
         """The record emit() would append, with the timeline and the jitter
         state left as they were: its jitter comes from a copy of the state."""
-        state, nominal, last = self._rng.getstate(), self._last_nominal, self._last_emit
+        state, nominal = self._rng.getstate(), self._last_nominal
         record = self.emit(time, direction, payload, kind, conn_id)
         self.records.pop()
         self._rng.setstate(state)
-        self._last_nominal, self._last_emit = nominal, last
+        self._last_nominal = nominal
         return record
 
     def emit_run(self, direction, kind, conn_id, times, payloads, ad=False):
         """emit() each (time, payload) pair in turn, with the same jitter draws;
-        with `ad`, then a zero-window advertisement at the last time."""
-        jitter = self.path.jitter
-        nominal, last = self._last_nominal, self._last_emit
+        with `ad`, then a zero-window advertisement at the last time.  No
+        time falls behind the last one on the timeline (0.0 if it is empty)."""
         if not len(times):
             return
+        jitter, tl = self.path.jitter, self.records
+        nominal, last = self._last_nominal, tl.time[-1] if tl.time else 0.0
         if ad:
             times = [*times, times[-1]]
         if not jitter and times[0] >= last and all(map(le, times, times[1:])):
@@ -265,8 +265,7 @@ class Transport:
                     time = last
                 last = time
                 append(time)
-        self._last_nominal, self._last_emit = nominal, last
-        tl = self.records
+        self._last_nominal = nominal
         tl.time += stamps  # with `ad`, the ad's time too
         tl.payload += payloads
         tl._close_run(direction, kind, conn_id)

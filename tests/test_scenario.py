@@ -1,5 +1,7 @@
 import pytest
 
+from streamsim.cli import main
+from streamsim.media import QualityLevel
 from streamsim.scenario import (
     PSM_WIFI,
     RRC_3G,
@@ -209,3 +211,32 @@ def test_builtin_scenarios_all_load():
 def test_unknown_builtin_name_lists_the_catalog():
     with pytest.raises(ScenarioError, match="no builtin scenario"):
         load_builtin("does_not_exist")
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("duration_s = 30", "duration_s = 0", "duration_s"),
+    ("duration_s = 30", "duration_s = -5", "duration_s"),
+    ("avg_encoding_rate_bps = 400000", "avg_encoding_rate_bps = inf", "rate_bps"),
+    ("avg_encoding_rate_bps = 400000",
+     "avg_encoding_rate_bps = 400000\nvbr_amplitude = 0.3\nvbr_period_s = 0", "period_s"),
+    ("avg_encoding_rate_bps = 400000",
+     "avg_encoding_rate_bps = 400000\nladder = 200000:lo:inf", "segment_s"),
+], ids=["zero_duration", "negative_duration", "infinite_rate", "zero_vbr_period",
+        "infinite_segment"])
+def test_a_bad_clip_value_is_a_named_cli_error(tmp_path, capsys, old, new, field):
+    # each once crashed the clip builder with a ZeroDivisionError, an
+    # IndexError or an OverflowError, or passed
+    path = write(tmp_path, BASE.replace(old, new))
+    with pytest.raises(ScenarioError, match=r"^\[video\] .*%s" % field):
+        load_scenario(path)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [video] ") and field in err
+
+
+@pytest.mark.parametrize("bandwidth, segment", [
+    (float("nan"), 5.0), (float("inf"), 5.0), (400_000, float("nan")), (400_000, float("inf")),
+])
+def test_a_quality_level_needs_a_finite_bandwidth_and_segment(bandwidth, segment):
+    with pytest.raises(ValueError, match="quality level (bandwidth_bps|segment_s) must be"):
+        QualityLevel(bandwidth, "lo", segment)

@@ -631,11 +631,20 @@ def test_buffer_samples_are_a_whole_number_of_ticks_apart(technique, interval):
 def chunk_cuts(session, args, plan):
     """The rules that end a run _flow played in bulk (what stops the tick
     after it), and the window events a paced run carried ("fill" and
-    "reopen").  A quiet run's rules are named "quiet <rule>"."""
-    _, stop_t, conn_t, (reads, acts), media_pos, dup, playhead, consumed, delivered, to_go = args
+    "reopen").  A quiet run's rules are named "quiet <rule>".  The books
+    are the session's, as _chunk read them: _flow books a plan after it."""
+    t, = args
     k, ts, phs, ns, upto, fills, pacing = plan
     conn, buf = session.conn, session.buffer
     dt, end = session.tick_s, session.watched_end
+    stop_t = min(session.policy.burst_next, session.max_sim_time)
+    conn_t = conn.next_action(dt, t)
+    reads, acts = session.policy.rule(session)
+    media_pos, dup, playhead, consumed = buf.pos, buf.dup, session.playhead, buf.consumed
+    delivered = buf.delivered()
+    to_go = math.inf
+    if session.phase == "FAST_START" and session.technique.kind != DASH:
+        to_go = buf.ready_at - media_pos
     cuts = set()
     if fills:
         cuts.add("fill")
@@ -738,8 +747,39 @@ def test_every_tick_is_planned_or_full():
         assert sum(played.values()) + session.kernel.executed == session._ticks, name
 
 
+def test_the_planner_reads_live_books():
+    # _flow books each plan into the session as it plays it: at every call,
+    # _chunk sees the clock, byte books and playhead that a session with one
+    # kernel event per tick holds at the end of the same tick
+    def books(session, t):
+        buf = session.buffer
+        return t, buf.received, buf.pos, buf.dup, buf.consumed, session.playhead
+
+    plan = StreamingSession._chunk
+    calls = 0
+    for name, case in fixed_cases():
+        planned, ticked = [], {}
+
+        def read_books(self, t):
+            planned.append((self._ticks, books(self, t)))
+            return plan(self, t)
+
+        def every_tick_books(session, now):
+            ticked[session._ticks] = books(session, now)
+            return now + session.tick_s
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(StreamingSession, "_chunk", read_books)
+            play(*case)
+            patch.setattr(StreamingSession, "_play_quiet", every_tick_books)
+            play(*case)
+        assert [seen for _, seen in planned] == [ticked[ticks] for ticks, _ in planned], name
+        calls += len(planned)
+    assert calls > 10_000
+
+
 STEADY = TechniqueSpec(THROTTLE, fast_start_s=5.0, throttle_factor=1.25)
-CLIP = VideoSpec.constant(60, 500_000, keyframe_spacing=40_000)
+CLIP =VideoSpec.constant(60, 500_000, keyframe_spacing=40_000)
 ON_OFF_SPEC = dict(fast_start_s=10.0, low_watermark_s=2.0, high_watermark_s=10.0)
 CAPPED = TechniqueSpec(THROTTLE, fast_start_s=2.0, throttle_factor=1.5, buffer_cap=300_000,
                        keyframe_waste=True)
@@ -826,11 +866,11 @@ def test_a_chunk_paces_its_first_tick_from_the_resume_time():
     start = t + dt - dt
     assert start < t
     conn.send_queue = 10**9
+    session.buffer.ready_at = 10**9
 
     def plan(resume):
         conn._resume_at = resume
-        return session._chunk(t, math.inf, resume, session.policy.rule(session),
-                              0, 0, 0.0, 0.0, 0.0, 10**9)
+        return session._chunk(t)
 
     byte_rate = conn._rate_bps() / 8.0
     for resume in (t, start):

@@ -479,7 +479,7 @@ def test_run_emitter_matches_emit_one_by_one(jitter):
     assert sides[0] == sides[1]
     stamps = [r.time for r in sides[1]]
     assert stamps == sorted(stamps)
-    assert any(a == b for a, b in zip(stamps, stamps[1:]))  # clamped to _last_emit
+    assert any(a == b for a, b in zip(stamps, stamps[1:]))  # clamped to the last stamp
 
 
 def test_jittered_run_draws_what_random_uniform_draws():
