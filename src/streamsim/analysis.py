@@ -11,6 +11,7 @@ techniques and are deliberately loose enough to survive ~10% timing jitter.
 
 import math
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
@@ -80,48 +81,47 @@ def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
     Raises ValueError if gap_s is not positive, or if any record, control
     records too, has a time that is not finite or sits more than 1e-12 s
     before the one ahead of it (check_time_order()'s rule).  A Timeline is
-    read by its time column and DATA runs, a list record by record.
+    read from its data_view(): a burst ends where a gap is not below gap_s,
+    and its bytes are a difference of two prefix sums.  A list is read
+    record by record.
     """
     if not gap_s > 0:
         raise ValueError("gap_s must be positive, got %r" % (gap_s,))
+    last = -sys.float_info.max  # below every finite time: a first -inf fails check_step()
+    if isinstance(records, Timeline):
+        try:
+            view = data_view(records)
+        except ValueError:
+            # the record loop's steps, its first one too, for its error text
+            check_time_order([last, *records.time])
+            raise
+        times, cums = view.times, view.cums
+        if not times:
+            return []
+        cuts = [k for k, g in enumerate(map(sub, times[1:], times), 1) if not g < gap_s]
+        starts, ends = [0, *cuts], [*cuts, len(times)]
+        return [Burst(times[i], times[j - 1], cums[j] - cums[i], j - i)
+                for i, j in zip(starts, ends)]
     bursts = []
     start = None
     end = float("-inf")  # no record is within gap_s of -inf
-    last = -sys.float_info.max  # below every finite time: a first -inf fails check_step()
     nbytes = packets = 0
-    if isinstance(records, Timeline):
-        time, payload = records.time, records.payload
-        check_time_order([last, *time])  # the steps the record loop below checks
-        for i, j, _, kind, _ in records.runs():
-            if kind != DATA:
-                continue
-            for t, p in zip(time[i:j], payload[i:j]):
-                if t - end < gap_s:
-                    end = t
-                    nbytes += p
-                    packets += 1
-                else:
-                    if start is not None:
-                        bursts.append(Burst(start, end, nbytes, packets))
-                    start = end = t
-                    nbytes, packets = p, 1
-    else:
-        for r in records:
-            t = r.time
-            if not t >= last:
-                check_step(last, t)
-            last = t
-            if r.kind != DATA:
-                continue
-            if t - end < gap_s:
-                end = t
-                nbytes += r.payload
-                packets += 1
-            else:
-                if start is not None:
-                    bursts.append(Burst(start, end, nbytes, packets))
-                start = end = t
-                nbytes, packets = r.payload, 1
+    for r in records:
+        t = r.time
+        if not t >= last:
+            check_step(last, t)
+        last = t
+        if r.kind != DATA:
+            continue
+        if t - end < gap_s:
+            end = t
+            nbytes += r.payload
+            packets += 1
+        else:
+            if start is not None:
+                bursts.append(Burst(start, end, nbytes, packets))
+            start = end = t
+            nbytes, packets = r.payload, 1
     check_ends(last)
     if start is not None:
         bursts.append(Burst(start, end, nbytes, packets))
@@ -181,6 +181,30 @@ class _DataView:
             self.sorted_cums = list(accumulate((p for _, p in pairs), initial=0))
 
 
+def data_view(records):
+    """The _DataView of `records`.  A Timeline keeps its own: the first
+    reader builds it, and the timeline drops it when its columns change.  A
+    list gets a fresh one each call, as its records can change unseen.
+
+    A kept view packs its prefix sums into 8-byte ints, where they fit: a
+    list of ints takes about 40 bytes an entry, which a run report would
+    hold as long as its timeline.
+    """
+    if not isinstance(records, Timeline):
+        return _DataView(records)
+    view = records._view
+    if view is None:
+        view = records._view = _DataView(records)
+        try:
+            cums = array("q", view.cums)
+        except (TypeError, OverflowError):
+            return view  # a payload that is not an int, or sums past 2**63
+        in_order = view.sorted_cums is view.cums
+        view.sorted_cums = cums if in_order else array("q", view.sorted_cums)
+        view.cums = cums
+    return view
+
+
 def find_rate_knee(records, window_s=None, drop_frac=None):
     """Start time of the first throughput window after the initial burst whose
     rate falls below drop_frac of the session maximum, or None.
@@ -193,7 +217,7 @@ def find_rate_knee(records, window_s=None, drop_frac=None):
         raise ValueError("window_s must be positive, got %r" % (window_s,))
     if drop_frac is not None and not 0 < drop_frac <= 1:
         raise ValueError("drop_frac must be in (0, 1], got %r" % (drop_frac,))
-    return _rate_knee(_DataView(records), window_s, drop_frac)
+    return _rate_knee(data_view(records), window_s, drop_frac)
 
 
 def _rate_knee(view, window_s=None, drop_frac=None):
@@ -259,7 +283,7 @@ def estimate_throttle_factor(records, avg_rate_bps, fast_start_exclusion=None):
     not in time order.
     """
     _check_rate("avg_rate_bps", avg_rate_bps)
-    view = _DataView(records)
+    view = data_view(records)
     if not view.times:
         raise ValueError("no DATA records in trace")
     if fast_start_exclusion is None:
@@ -288,7 +312,7 @@ def estimate_fast_start(records, avg_rate_bps):
     timeline that is not in time order.
     """
     _check_rate("avg_rate_bps", avg_rate_bps)
-    view = _DataView(records)
+    view = data_view(records)
     times, cums = view.times, view.cums
     if len(times) < 2:
         raise ValueError("trace too short to estimate the initial burst")
@@ -341,7 +365,7 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     if not math.isfinite(start_of_playback):
         raise ValueError("start_of_playback must be finite, got %r" % (start_of_playback,))
     video = VideoSpec(encoding_schedule)
-    view = _DataView(records)
+    view = data_view(records)
     times, cums = view.times, view.cums
     n = len(times)
     if not n:
@@ -497,7 +521,7 @@ def classify(records, avg_rate_bps, path_bandwidth_bps):
     _check_rate("avg_rate_bps", avg_rate_bps)
     _check_rate("path_bandwidth_bps", path_bandwidth_bps)
     th = THRESHOLDS
-    view = _DataView(records)
+    view = data_view(records)
     feats = _harvest(records, view)
     if not view.times:
         return ClassificationResult(UNKNOWN, 0.0, feats)

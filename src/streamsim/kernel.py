@@ -4,6 +4,8 @@ the times of a run of ticks."""
 import math
 from bisect import bisect_right
 
+from .binade import even_steps, twice_low_bit
+
 
 class Kernel:
     """Virtual time in seconds from 0, and at most one pending action.
@@ -44,12 +46,11 @@ class Ticks:
     """The values list(accumulate(repeat(dt, n), initial=x0)) holds, read
     without building the list: ticks[j] is x0 with dt added j times.
 
-    Inside one binade every float is a multiple of its ulp, so adding dt
-    there rounds to the same step whatever the value, unless the sum leaves
-    the binade or is a tie (an ulp at most twice dt's lowest set bit, as
-    only under 0.125 s for the usual ticks).  A run of equal steps is one
-    segment, where ticks[j] = base + (j - start) * step is exact; anywhere
-    else a segment is one step, taken as the addition takes it.
+    Inside one binade adding dt rounds to the same step whatever the value,
+    unless the sum leaves the binade or is a tie (binade.even_steps).  A run
+    of equal steps is one segment, where ticks[j] = base + (j - start) * step
+    is exact; anywhere else a segment is one step, taken as the addition
+    takes it.
     """
 
     __slots__ = ("n", "starts", "bases", "steps")
@@ -57,14 +58,11 @@ class Ticks:
     def __init__(self, x0, dt, n):
         self.n = n
         self.starts, self.bases, self.steps = [], [], []
-        low = 2.0 / dt.as_integer_ratio()[1]  # twice dt's lowest set bit
+        ties = (twice_low_bit(dt),)
         j, x = 0, x0
         while j <= n:
             step = (x + dt) - x
-            count = 1
-            if x > 0.0 and step > 0.0 and math.ulp(x) > low:
-                # a step of margin: every sum up to the last stays in the binade
-                count = max(1, int((math.ldexp(1.0, math.frexp(x)[1]) - x - dt) / step) - 1)
+            count = even_steps(x, step, dt, ties)
             self.starts.append(j)
             self.bases.append(x)
             self.steps.append(step)

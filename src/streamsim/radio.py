@@ -21,13 +21,20 @@ the same per-beacon file.  BEACONS has no current in currents(): code that
 prices segments by their state must expand them first or fail.
 
 Charge integrates as dwell x current per state, in mA*s.  integrate() prices
-a train beacon by beacon with the float operations, in the order, that it
-would apply to the expanded segments, so the dwell and charge are the same
-to the last bit.
+a train with the float operations, in the order, that it would apply to the
+expanded segments, so the dwell and charge are the same to the last bit.
+It takes them a binade segment at a time (streamsim.binade): while the
+beacon start, both dwells and the charge each stay in one binade, every
+beacon adds the same step to each, and a run of beacons is one multiple of
+it.  psm_drive() finds a train's end the same way.  Both step beacon by
+beacon near zero, near a binade's top, where adding the wake or the
+interval to a beacon start ties, and over the last few beacons of a run.
 """
 
 from dataclasses import dataclass
 
+from .analysis import data_view
+from .binade import even_steps, settled_steps, twice_low_bit
 from .transport import Timeline, check_time_order, write_rows
 
 DCH = "DCH"
@@ -39,6 +46,7 @@ ACTIVE = "ACTIVE"
 PSM_IDLE = "PSM_IDLE"
 SLEEP = "SLEEP"
 BEACONS = "BEACONS"  # a BeaconTrain's label: ACTIVE and SLEEP by turns
+BULK = 16  # beacons left that are worth a closed-form step's checks
 
 
 @dataclass
@@ -154,16 +162,17 @@ class EnergyReport:
 
 
 def _packet_times(records):
-    """Timestamps of a Timeline (its own time column), of PacketRecords, or of bare times."""
+    """Timestamps of a Timeline (its own time column, whose order its
+    data_view() checks once), of PacketRecords, or of bare times, and
+    check_time_order()'s verdict on them: whether they never step back."""
     if isinstance(records, Timeline):
-        check_time_order(records.time)
-        return records.time
+        view = data_view(records)
+        return records.time, view.sorted_times is view.times
     try:
         times = [r.time for r in records]
     except AttributeError:
         times = [float(r) for r in records]
-    check_time_order(times)
-    return times
+    return times, check_time_order(times)
 
 
 def _emit(segs, state, a, b):
@@ -185,7 +194,7 @@ def rrc_drive(records, params, t_end=None, t_start=None):
     t_end to the last packet plus the full demotion ladder.
     """
     params.validate()
-    times = _packet_times(records)
+    times, _ = _packet_times(records)
     if not times and t_end is None:
         raise ValueError("empty timeline needs an explicit t_end")
     if t_start is None:
@@ -269,7 +278,9 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
     """
     params.validate()
     until = float("inf") if t_end is None else t_end
-    times = [t for t in _packet_times(records) if t_start <= t <= until]
+    times, ordered = _packet_times(records)
+    if not (ordered and times and t_start <= times[0] and times[-1] <= until):
+        times = [t for t in times if t_start <= t <= until]
     if t_end is None:
         if not times:
             raise ValueError("empty timeline needs an explicit t_end")
@@ -278,6 +289,7 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
 
     append = segs.append
     wake, interval = params.beacon_wake, params.beacon_interval
+    ties = (twice_low_bit(interval), twice_low_bit(wake))
 
     def sleep_span(a, b):
         if params.cam_mode:
@@ -291,14 +303,27 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
         # may merge into its SLEEP.  The first beacon of a span, the last
         # partial one, and any whose wake or sleep rounds to nothing
         # (beacon_wake = 0, or t + beacon_wake == t late in a long trace) go
-        # through _emit().
+        # through _emit().  Where the beacon starts step evenly (see
+        # binade.even_steps), every beacon of the step's run meets the train
+        # test while its next start is before b, so the run is counted in
+        # closed form up to two beacons short of either end.
         t = a
         after_sleep = False
         while t < b:
             wake_end, sleep_end = t + wake, t + interval
             if after_sleep and sleep_end < b and t < wake_end < sleep_end:
                 first, count = t, 0
+                retry_at = t if b - t > BULK * interval else b
                 while True:
+                    if t >= retry_at:
+                        step = sleep_end - t
+                        run = even_steps(t, step, interval, ties)
+                        retry_at = t + run * step
+                        skip = min(run - 1, int((b - t) / step) - 2) if run > 1 else 0
+                        if skip > 0:
+                            t += skip * step
+                            count += skip
+                            wake_end, sleep_end = t + wake, t + interval
                     last, last_wake_end = t, wake_end
                     t = sleep_end
                     wake_end, sleep_end = t + wake, t + interval
@@ -310,31 +335,33 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
                 append(StateSegment(ACTIVE, last, last_wake_end))
                 append(StateSegment(SLEEP, last_wake_end, t))
                 continue
-            wake_end = min(wake_end, b)
+            if b < wake_end:  # min(wake_end, b), without the call
+                wake_end = b
             _emit(segs, ACTIVE, t, wake_end)
-            _emit(segs, SLEEP, wake_end, min(sleep_end, b))
+            _emit(segs, SLEEP, wake_end, b if b < sleep_end else sleep_end)
             after_sleep = segs[-1].state == SLEEP
             t += interval
 
     # group packets into active runs: (first, last) packet times
     runs = []
     idle_timeout = params.idle_timeout
-    first = last = None
-    for t in times:
-        if last is None or not t - last <= idle_timeout:
-            if last is not None:
+    if times:
+        first = last = times[0]
+        for t in times:
+            if not t - last <= idle_timeout:
                 runs.append((first, last))
-            first = t
-        last = t
-    if last is not None:
+                first = t
+            last = t
         runs.append((first, last))
 
     cursor = t_start
     for a, b in runs:
         if a > cursor:
             sleep_span(cursor, a)
-        _emit(segs, ACTIVE, a, max(b, a))
-        idle_end = min(b + params.idle_timeout, t_end)
+        _emit(segs, ACTIVE, a, b if b > a else a)  # max(b, a), without the call
+        idle_end = b + idle_timeout
+        if t_end < idle_end:
+            idle_end = t_end
         _emit(segs, PSM_IDLE, b, idle_end)
         cursor = idle_end
     if cursor < t_end:
@@ -380,7 +407,16 @@ def integrate(segments, currents):
 def _price_beacons(train, currents, dwell, charge):
     """integrate()'s loop over a train's expanded segments, with the sums in
     locals: the same float operations in the same order.  Updates `dwell` and
-    returns the charge."""
+    returns the charge.
+
+    While the beacon starts step evenly (binade.even_steps), each beacon
+    adds the same wake and sleep spans to the dwells, and the same two
+    charges in turn to the charge.  Two beacons priced one by one then give
+    each sum's step, binade.settled_steps() says for how many more beacons
+    each sum adds exactly that step, and those beacons are priced as one
+    multiple of it.  Once fewer than BULK beacons are left, and where the
+    closed form does not hold, beacons are priced one by one.
+    """
     for state in (ACTIVE, SLEEP):
         if state not in currents:
             raise ValueError("no current configured for state %r" % state)
@@ -388,7 +424,37 @@ def _price_beacons(train, currents, dwell, charge):
     wake, interval = train.wake, train.interval
     dwell_wake, dwell_sleep = dwell.get(ACTIVE, 0.0), dwell.get(SLEEP, 0.0)
     t = train.start
-    for _ in range(train.count):
+    left = train.count
+    # the closed form needs every addend >= 0 and the wake inside the beacon
+    if left >= BULK and 0.0 <= wake <= interval and current_wake >= 0.0 and current_sleep >= 0.0:
+        ties = (twice_low_bit(interval), twice_low_bit(wake))
+        while left >= BULK:
+            wake_end, nxt = t + wake, t + interval
+            span_wake = wake_end - t
+            span_sleep = nxt - wake_end
+            charge_wake, charge_sleep = span_wake * current_wake, span_sleep * current_sleep
+            wake1, sleep1 = dwell_wake + span_wake, dwell_sleep + span_sleep
+            charge1 = charge + charge_wake + charge_sleep
+            run = even_steps(t, nxt - t, interval, ties)
+            if run < 3:
+                t, dwell_wake, dwell_sleep, charge = nxt, wake1, sleep1, charge1
+                left -= 1
+                continue
+            # the second beacon, then as many more as every sum allows
+            wake2, sleep2 = wake1 + span_wake, sleep1 + span_sleep
+            charge2 = charge1 + charge_wake + charge_sleep
+            more = min(
+                run - 2, left - 2,
+                settled_steps(dwell_wake, wake2, wake2 - wake1, span_wake),
+                settled_steps(dwell_sleep, sleep2, sleep2 - sleep1, span_sleep),
+                settled_steps(charge, charge2, charge2 - charge1, charge_wake + charge_sleep),
+            )
+            t += (2 + more) * (nxt - t)
+            dwell_wake = wake2 + more * (wake2 - wake1)
+            dwell_sleep = sleep2 + more * (sleep2 - sleep1)
+            charge = charge2 + more * (charge2 - charge1)
+            left -= 2 + more
+    for _ in range(left):
         wake_end, nxt = t + wake, t + interval
         span = wake_end - t
         dwell_wake += span

@@ -45,7 +45,7 @@ def _parse_ladder(text):
         if len(parts) != 3:
             raise ValueError(f"ladder entry {chunk!r} is not bandwidth:label:segment_s")
         try:
-            levels.append(QualityLevel(int(parts[0]), parts[1], float(parts[2])))
+            levels.append(QualityLevel(float(parts[0]), parts[1], float(parts[2])))
         except ValueError as exc:
             raise ValueError(f"ladder entry {chunk!r}: {exc}") from None
     if not levels:

@@ -67,16 +67,24 @@ class Timeline:
     and its run.  The records are copies, and changing one changes no
     column.  The constructor takes five sequences, one entry per record,
     and raises ValueError if their lengths differ.
+
+    The columns change only through append(), pop() and Transport.emit_run
+    (and read_timeline_csv while it builds the timeline).  The record list
+    and the trace analysis's view (`_view`, its DATA times and byte prefix
+    sums, built by the first reader that needs it) are kept on that
+    understanding and dropped by each of those changes; a copy() starts
+    with neither.
     """
 
-    __slots__ = ("time", "payload", "_runs", "_rows")
+    __slots__ = ("time", "payload", "_runs", "_rows", "_view")
 
     def __init__(self, time=(), direction=(), payload=(), kind=(), conn=()):
         lengths = tuple(map(len, (time, direction, payload, kind, conn)))
         if min(lengths) != max(lengths):
             raise ValueError("timeline columns differ in length: time %d, direction %d, "
                              "payload %d, kind %d, conn %d" % lengths)
-        self.time, self.payload, self._runs, self._rows = list(time), list(payload), [], None
+        self.time, self.payload, self._runs = list(time), list(payload), []
+        self._rows = self._view = None
         end = 0
         for key, run in groupby(zip(direction, kind, conn)):
             end += len(list(run))
@@ -136,7 +144,7 @@ class Timeline:
         if self._runs and self._runs[-1][1:] == key:
             self._runs.pop()
         self._runs.append((len(self.payload), *key))
-        self._rows = None
+        self._rows = self._view = None
 
     def append(self, r):
         self.time.append(r.time)
@@ -147,7 +155,7 @@ class Timeline:
         end, direction, kind, conn = self._runs.pop()
         if end - 1 > (self._runs[-1][0] if self._runs else 0):
             self._runs.append((end - 1, direction, kind, conn))
-        self._rows = None
+        self._rows = self._view = None
         return PacketRecord(self.time.pop(), direction, self.payload.pop(), kind, conn)
 
     def copy(self):

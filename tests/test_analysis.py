@@ -3,19 +3,34 @@ import re
 
 import pytest
 
+from streamsim import analysis
 from streamsim.analysis import (
     THRESHOLDS,
     UNKNOWN,
+    _DataView,
     burst_cdf,
     classify,
+    data_view,
     estimate_buffer,
     estimate_fast_start,
     estimate_throttle_factor,
     find_rate_knee,
     group_bursts,
 )
+from streamsim.cli import main
 from streamsim.radio import PsmParams, RrcParams, psm_drive, rrc_drive
-from streamsim.transport import DATA, DOWN, REQUEST, UP, PacketRecord
+from streamsim.transport import (
+    DATA,
+    DOWN,
+    REQUEST,
+    UP,
+    PacketRecord,
+    PathSpec,
+    Timeline,
+    Transport,
+    read_timeline_csv,
+    write_timeline_csv,
+)
 
 PSM = PsmParams(current_active=180.0, current_idle=80.0, current_sleep=5.0)
 
@@ -315,3 +330,94 @@ def test_rate_knee_defaults_stand_for_none():
     ) == default
     # a drop fraction of 1 is allowed: any window below the peak is the knee
     assert find_rate_knee(records, drop_frac=1.0) == pytest.approx(2.0)
+
+
+# --- the analysis view a Timeline keeps ---------------------------------------
+
+
+def view_lists(view):
+    return [list(view.times), list(view.cums), list(view.sorted_times), list(view.sorted_cums)]
+
+
+def test_a_timeline_keeps_its_view_until_its_columns_change():
+    records = burst_trace(t_end=20.0)
+    timeline = Timeline.of(records)
+    view = data_view(timeline)
+    assert data_view(timeline) is view and timeline._view is view
+    # a list gets a view of its own each call
+    assert data_view(records) is not data_view(records)
+    extra = rec(records[-1].time + 1.0, 4321)
+    timeline.append(extra)
+    assert timeline._view is None
+    grown = data_view(timeline)
+    assert view_lists(grown) == view_lists(_DataView(records + [extra]))
+    assert timeline.pop() == extra and timeline._view is None
+    assert view_lists(data_view(timeline)) == view_lists(view)
+    assert data_view(timeline) is not grown
+    # a copy starts without one, and builds its own
+    copy = timeline.copy()
+    assert copy._view is None and data_view(copy) is not data_view(timeline)
+    # emit_run drops the view, with or without a zero-window ad
+    transport = Transport(PathSpec(1e6), kernel=None)
+    transport.emit_run(DOWN, DATA, 1, [0.1, 0.2], [100, 200])
+    assert list(data_view(transport.records).cums) == [0, 100, 300]
+    transport.emit_run(DOWN, DATA, 1, [0.3], [300], ad=True)
+    assert transport.records._view is None
+    assert list(data_view(transport.records).cums) == [0, 100, 300, 600]
+
+
+READERS = ESTIMATORS + [
+    lambda records: outcome(estimate_buffer, records, [50_000] * 100, 2.0),
+    lambda records: outcome(group_bursts, records, 0.3),
+]
+
+
+def outcome(fn, *args):
+    """fn's result, or the text of the ValueError it raised, as its repr."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@pytest.mark.parametrize("records", [
+    burst_trace(t_end=30.0),
+    # a step back within the order tolerance: the view sorts its DATA times
+    [rec(0.0, 1000), rec(0.05, 0, REQUEST), rec(0.1, 2000), rec(0.1 - 5e-13, 500),
+     rec(3.0, 700, conn=2), rec(40.0, 300, conn=2)],
+    # out of order: no reader keeps a view, and each names the same fault
+    [rec(0.0, 1000), rec(5.0, 1000), rec(1.0, 1000)],
+    [],
+], ids=["burst", "step-back", "out-of-order", "empty"])
+def test_every_reader_reads_a_timeline_the_same_first_or_last(records):
+    alone = [outcome(read, Timeline.of(records)) for read in READERS]
+    shared = Timeline.of(records)
+    for read in READERS:
+        outcome(read, shared)
+    assert [outcome(read, shared) for read in READERS] == alone
+    assert [outcome(read, list(records)) for read in READERS] == alone
+
+
+def test_analyze_reads_one_view_of_a_csv_timeline(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "trace.csv"
+    write_timeline_csv(burst_trace(), path)
+    built = []
+
+    class Counted(_DataView):
+        __slots__ = ()
+
+        def __init__(self, records):
+            built.append(type(records))
+            super().__init__(records)
+
+    monkeypatch.setattr(analysis, "_DataView", Counted)
+    assert main(["analyze", str(path), "--rate", "500000", "--bandwidth", "6000000"]) == 0
+    assert "rate knee at" in capsys.readouterr().out
+    assert built == [Timeline]
+    # a list is read afresh by each of classify and the three estimators
+    records = list(read_timeline_csv(path))
+    classify(records, 500_000, 6e6)
+    estimate_throttle_factor(records, 500_000)
+    estimate_fast_start(records, 500_000)
+    find_rate_knee(records)
+    assert built == [Timeline] + [list] * 4

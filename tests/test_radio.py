@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsim.radio import (
     ACTIVE,
@@ -21,6 +23,7 @@ from streamsim.radio import (
     streaming_current,
     write_radio_csv,
 )
+from streamsim.scenario import builtin_scenario_names
 
 
 def shape(segs):
@@ -276,3 +279,36 @@ def test_radio_csv_layout(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "state,start_s,end_s"
     assert lines[1] == "DCH,0.000000,8.000000"
+
+
+# A longer timer keeps the radio in a state that draws no less for longer,
+# so on a fixed trace and window the charge does not fall.  For RRC that holds
+# instant by instant.  PSM pins the beacons to the start of each sleep, so an
+# idle timeout a hair longer shifts them and can cost a fraction of one
+# beacon wake; from beacon_wake * (active - sleep) / (idle - sleep) longer
+# on (4.7 ms here) the idle draw outweighs that.  So the timers drawn differ
+# by at least 10 ms.
+TIMERS = {
+    "t1": lambda t: RrcParams(t1=t),
+    "t2": lambda t: RrcParams(t2=t),
+    "idle_timeout": lambda t: PsmParams(180.0, 80.0, 5.0, 0.1, t, 0.002),
+}
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(sorted(builtin_scenario_names())),
+    st.sampled_from(sorted(TIMERS)),
+    st.floats(0.01, 12.0),
+    st.floats(0.01, 12.0),
+)
+def test_charge_does_not_fall_as_a_timer_grows(grid, name, timer, shorter, more):
+    records = grid[name].records
+    t_end = records.time[-1] + 30.0
+    charges = []
+    for value in (shorter, shorter + more):
+        params = TIMERS[timer](value)
+        drive = psm_drive if timer == "idle_timeout" else rrc_drive
+        segments = drive(records, params, t_end=t_end, t_start=0.0)
+        charges.append(integrate(segments, params.currents()).charge_mAs)
+    assert charges[1] >= charges[0], (name, timer, shorter, more, charges)

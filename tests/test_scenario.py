@@ -156,6 +156,35 @@ def test_bad_ladder_entry_is_rejected(tmp_path):
         load_text(tmp_path, text)
 
 
+def test_a_ladder_bandwidth_reads_as_a_rate(tmp_path):
+    # a level's bandwidth is read as avg_encoding_rate_bps is: 2e5 is a rate
+    text = BASE.replace(
+        "avg_encoding_rate_bps = 400000",
+        "avg_encoding_rate_bps = 2e5\nladder = 2e5:240p:10, 350000.0:360p:10, 450000:480p:10",
+    )
+    sc = load_text(tmp_path, text)
+    assert [(q.bandwidth_bps, q.label, q.segment_s) for q in sc.video.ladder] == [
+        (200_000, "240p", 10.0), (350_000, "360p", 10.0), (450_000, "480p", 10.0)]
+    for bad in ("nan", "inf", "0", "-2e5", "2e5x"):
+        with pytest.raises(ScenarioError, match=r"^\[video\] ladder entry '%s:240p:10'" % bad):
+            load_text(tmp_path, BASE.replace(
+                "avg_encoding_rate_bps = 400000",
+                "avg_encoding_rate_bps = 400000\nladder = %s:240p:10" % bad))
+
+
+def test_the_bundled_ladders_parse_to_whole_rates():
+    # the bundled ladders give the levels they gave when bandwidths were ints
+    ladders = {name: load_builtin(name).video.ladder for name in builtin_scenario_names()}
+    ladders = {name: ladder for name, ladder in ladders.items() if ladder}
+    assert sorted(ladders) == ["compare_dash_3g", "iphone_vimeo_dash_wifi"]
+    assert [(q.bandwidth_bps, q.label, q.segment_s) for q in ladders["compare_dash_3g"]] == [
+        (200_000, "240p", 10.0), (350_000, "360p", 10.0), (450_000, "480p", 10.0)]
+    assert [(q.bandwidth_bps, q.label) for q in ladders["iphone_vimeo_dash_wifi"]] == [
+        (859_000, "640x360"), (386_000, "480x270"), (2_654_000, "1280x720")]
+    for ladder in ladders.values():
+        assert all(q.bandwidth_bps == int(q.bandwidth_bps) for q in ladder)
+
+
 def test_watched_fraction_bounds(tmp_path):
     text = BASE.replace(
         "playback_current_ma = 150", "playback_current_ma = 150\nwatched_fraction = 0"

@@ -805,8 +805,45 @@ def psm_currents(draw):
     return currents
 
 
+class Draws:
+    """A stand-in for st.data() in an explicit example: draw() returns the
+    scripted values in turn, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
+def data_records(*times):
+    return [PacketRecord(t, DOWN, 1000, DATA, 1) for t in times]
+
+
+BEACON_CURRENTS = {ACTIVE: 180.0, PSM_IDLE: 80.0, SLEEP: 5.0}
+
+
 @settings(max_examples=300, deadline=None)
 @given(edge_timelines(), psm_params(), psm_currents(), st.data())
+# the draws: offset, t_start, a packet time, whole beacons and a fraction of a
+# wake after it, t_end, and the clip window's two ends
+# beacon starts that cross a binade (64 s), and several below it
+@example(data_records(60.0, 70.0), PsmParams(180.0, 80.0, 5.0, 0.1, 0.1, 0.002),
+         BEACON_CURRENTS, Draws(0.0, 0.0, 60.0, 0, 0.0, 71.0, -1.0, 91.0))
+# a charge that crosses 32, 64, 128 and 256 mAs and dwells that cross powers
+# of two inside one train
+@example(data_records(0.0, 30.0), PsmParams(180.0, 80.0, 5.0, 0.1, 0.1, 0.002),
+         {ACTIVE: 250.0, PSM_IDLE: 80.0, SLEEP: 5.0}, Draws(0.0, 0.0, 30.0, 0, 0.0, 31.0, 5.0, 40.0))
+# powers of two: exact beacon sums, and a wake charge that ties at the
+# charge's ulp, first in the very rounds that cross into a binade
+@example(data_records(0.0, 34.07568145599821), PsmParams(180.0, 80.0, 5.0, 0.125, 0.1, 2.0 ** -9),
+         {ACTIVE: 1.0 + 2.0 ** -39, PSM_IDLE: 80.0, SLEEP: 5.0},
+         Draws(0.0, 0.0, 34.07568145599821, 0, 0.0, 35.07568145599821, 0.0, 36.0))
+# no beacon wake, or a subnormal one: no trains
+@example(data_records(0.0, 10.0), PsmParams(180.0, 80.0, 5.0, 0.1, 0.1, 0.0),
+         BEACON_CURRENTS, Draws(0.0, 0.0, 10.0, 0, 0.0, None, 2.0, 12.0))
+@example(data_records(0.0, 10.0), PsmParams(180.0, 80.0, 5.0, 0.05, 0.1, 2.225073858507203e-309),
+         BEACON_CURRENTS, Draws(0.0, 0.0, 10.0, 0, 0.0, None, 0.0, 11.0))
 def test_psm_drive_matches_the_beacon_loop(tmp_path_factory, records, params, currents, data):
     # near 2**20 s a float step is about 1e-10, so short wakes round away
     offset = data.draw(st.sampled_from([0.0, 0.0, 2.0 ** 20 - 3.0]))
