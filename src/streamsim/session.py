@@ -36,9 +36,10 @@ seconds delivered, the playhead and the bytes consumed; act() is that more
 Time moves in fixed ticks (10 ms by default), and every tick is planned or
 full.  A full tick is one kernel event: the connection advances, the fast
 start may end, playback moves, the client acts or reads, the server serves.
-One planner (_chunk) lays out the ticks after it in runs, played in bulk
-inside the same event (_flow) with the same rules and float operations, so
-the outputs are those of a session that runs every tick as its own event.
+One planner (_chunk) lays out the ticks after it in runs, each a Plan that
+names the rule ending it, played in bulk inside the same event (_flow) with
+the same rules and float operations, so the outputs are those of a session
+that runs every tick as its own event.  A run's pacing is transport.py's.
 
 One session may end several watches of the same clip: its own, which is
 the longest, and shorter ones added with _also_watch (the harness runs a
@@ -56,13 +57,14 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate, compress, repeat
-from operator import add, mul, sub
+from operator import add, sub
 
 from .kernel import Kernel, Ticks
 from .media import MediaBuffer, SegmentBuffer, check_positive, dash_pick_quality
 from .media import QualityLevel, VideoSpec  # noqa: F401  (re-exported: they lived here first)
-from .transport import CLOSE_KINDS, DATA, DOWN, UP, ZERO_WINDOW, Transport
+from .transport import CLOSE_KINDS, DATA, DOWN, UP, Pacing, Transport
 
 ENCODING_RATE = "ENCODING_RATE"
 THROTTLE = "THROTTLE"
@@ -81,6 +83,7 @@ DRAINED = "DRAINED"
 _BIG = 1 << 62
 # most ticks a paced run builds at once; a longer one takes several
 _STRETCH = 512
+QUIET, PACED, WINDOWED = "QUIET", "PACED", "WINDOWED"  # the kinds of run (_run_kind)
 
 
 class DeadlockError(RuntimeError):
@@ -418,6 +421,21 @@ POLICIES = {
 }
 
 
+class Plan:
+    """A run of k ticks after a full tick for _flow to play in bulk (README,
+    "Time model"): ticks 0..k of the clock ts and the playheads phs (None
+    while playback stands); a paced run's sizes ns and running bytes upto
+    of ticks 1.., the ticks that fill the window (fills) where it carries
+    it, and the connection's transport.Pacing after it; and cut, the rule
+    that ends it."""
+
+    __slots__ = ("k", "ts", "phs", "ns", "upto", "fills", "pacing", "cut")
+
+    def __init__(self, k, ts, phs, cut=None):
+        self.k, self.ts, self.phs, self.cut = k, ts, phs, cut
+        self.ns = self.upto = self.fills = self.pacing = None
+
+
 class StreamingSession:
     """Drives one playback session on the kernel's clock, one kernel action per full tick."""
 
@@ -583,12 +601,13 @@ class StreamingSession:
         """Play and book the plans _chunk lays out after the full tick at `t`.
 
         Returns the time of the last tick played; the span ends where _chunk
-        has no plan.  A plan's bytes arrive in the buffer, and the playhead,
-        the tick count and the next sample move on, before the next plan is
-        laid out, so the session's books are live between plans.  The DATA
-        records are emitted where the window fills, with its zero-window
-        advertisement, and at the end, where the span's bytes go through
-        _on_data once: a DASH download completes only on a full tick.
+        has no plan.  A plan's bytes arrive in the buffer, the connection
+        settles, and the playhead, the tick count and the next sample move
+        on, before the next plan is laid out, so the session's books are
+        live between plans.  The DATA records are emitted where the window
+        fills, with its zero-window advertisement, and at the end, where the
+        span's bytes go through _on_data once: a DASH download completes
+        only on a full tick.
         """
         conn, video, buf = self.conn, self.video, self.buffer
         moving = self.phase == STEADY and not self.stalled
@@ -599,7 +618,7 @@ class StreamingSession:
         times, sizes = [], []
         sent = 0  # bytes of the span's DATA records
         while plan := self._chunk(t):
-            k, ts, phs, ns, upto, records, pacing = plan
+            k, ts, phs, upto = plan.k, plan.ts, plan.phs, plan.upto
             first = self._next_sample - self._ticks
             if first <= k:
                 # the plan's samples, as the books would give them; the first
@@ -621,31 +640,22 @@ class StreamingSession:
                 used = buf.consumed_each(ahead, held) if moving else repeat(buf.consumed)
                 series += zip(stamps, map(sub, held, used), map(sub, media, ahead))
                 self._next_sample += count * every
-            if pacing is not None:
-                if records is None:
-                    times += compress(ts[1:k + 1], ns)
-                    sizes += filter(None, ns[:k])
-                else:
-                    filled = 0
-                    for f in records[2]:
-                        # as advance(): the DATA records, then the zero-window ad
-                        times += records[0][filled:f]
-                        sizes += records[1][filled:f]
-                        emit_run(DOWN, DATA, conn.id, times, sizes, True)
-                        times, sizes, filled = [], [], f
-                    times += records[0][filled:]
-                    sizes += records[1][filled:]
+            if plan.pacing is not None:
+                ns, filled = plan.ns, 0
+                for f in plan.fills or ():
+                    # as advance(): the DATA records, then the zero-window ad
+                    times += compress(ts[filled + 1:f + 1], ns[filled:f])
+                    sizes += filter(None, ns[filled:f])
+                    emit_run(DOWN, DATA, conn.id, times, sizes, True)
+                    times, sizes, filled = [], [], f
+                times += compress(ts[filled + 1:k + 1], ns[filled:k])
+                sizes += filter(None, ns[filled:k])
                 nbytes = upto[k - 1]
                 if nbytes:
                     sent += nbytes
                     last_t = ts[bisect_left(upto, nbytes, 0, k) + 1]  # its last DATA record
                     buf.arrive(nbytes)
-                    conn.send_queue -= nbytes
-                conn._rate_frac, conn.recv_occupancy, conn._resume_at, closed, reopened = pacing
-                if closed is not None:
-                    conn.close_window(closed)
-                if reopened is not None and (closed is None or reopened >= closed):
-                    conn.reopen_window(reopened)
+                conn.settle(nbytes, plan.pacing)
             self._ticks, t = self._ticks + k, ts[k]
             if moving:
                 self.playhead = phs[k]
@@ -654,224 +664,212 @@ class StreamingSession:
             emit_run(DOWN, DATA, conn.id, times, sizes)
         if sent:
             # the span's bytes, through the metrics and the policy once
-            conn.delivered_total += sent
             self._on_data(sent, conn.id, last_t)
         return t
 
     def _chunk(self, t):
-        """Plan a run of ticks after `t` that _flow plays in bulk.
-
-        The books are the session's, the pacing state the connection's.
-        Until the connection's next action a run whose client reads nothing,
-        or has nothing to read, moves no byte (quiet).  Any other run is
-        paced: each tick sends what transport.paced gives for its eligible
-        time.  Where the client drains every tick and no tick can fill the
-        window, the credit is all a comprehension carries; otherwise a loop
-        also carries the window's occupancy, each fill with the read and
-        reopen after it, and the resume time.  Clock and playhead repeat the
-        full tick's float additions: accumulate lists for a paced run, closed
-        form (kernel.Ticks) for a quiet one.
-
-        The run ends before the first tick the full tick must play: the clock
-        (the server's next burst, or the horizon); the bytes reaching the
-        fast start's end or a DASH download's; a fill with an act rule or a
-        store cap, one the client leaves shut, a send into a zero window; the
-        watch end and running dry on the media delivered when it starts (a
-        lower bound), both monotone in the playhead; the store limit, checked
-        once pos could bring the store within the run's largest tick of its
-        cap; `acts`, tested alone on the first tick, and bisected where it is
-        monotone: over a run that moves no media or whose every later tick
-        adds more media than a tick plays (a high watermark or a full store
-        come true only as the store grows, a low one or a buffer target as
-        the playhead moves), else scanned.
-
-        Returns None, or (k, ts, phs, sizes, upto, records, pacing): clock
-        and playheads (None if playback stands) of ticks 0..k; for a paced
-        run the sizes and bytes sent by each tick, the (times, sizes, fill
-        counts) of the DATA records where the loop carries the window, and
-        (credit, occupancy, resume time, last fill, last reopen) after tick k.
+        """A Plan of the ticks after the full tick at `t` for _flow to play in
+        bulk, up to the first tick the full tick must play, or None where
+        that is the next.  It reads the session's books and the connection
+        and changes neither: the run's kind (_run_kind), its first tick
+        alone, so that a refused plan costs little, then its clock
+        (_lay_clock), bytes (_lay_bytes) and cuts (_cut_search).
         """
         dt = self.tick_s
         stop_t = min(self.policy.burst_next, self.max_sim_time)
         if t + dt >= stop_t:
             return None
-        conn, buf, video = self.conn, self.buffer, self.video
-        conn_t = conn.next_action(dt, t)
+        conn_t = self.conn.next_action(dt, t)
         reads, acts = self.policy.rule(self)
-        media_pos, dup, consumed, playhead = buf.pos, buf.dup, buf.consumed, self.playhead
-        delivered = buf.delivered()
-        watched_end = self.watched_end
-        done_at = watched_end - 1e-12  # as _watch_done
+        kind = self._run_kind(t + dt, conn_t, reads, acts)
+        if kind is None:
+            return None
+        buf, playhead = self.buffer, self.playhead
         moving = self.phase == STEADY and not self.stalled
-        # A tick whose bytes reach to_go ends a progressive fast start.  A
-        # DASH download is the whole send queue, so the queue cuts the tick
-        # that ends it, and below that segments deliver no media.
+        delivered = buf.delivered()
+        # A tick whose bytes reach to_go ends a progressive fast start; a DASH
+        # download is the whole queue, and below that segments deliver no
+        # media.  A progressive queue's last tick sends what is left, and with
+        # no rule to test the run idles on through the ticks after it.
         progressive = not isinstance(buf, SegmentBuffer)
-        to_go = buf.ready_at - media_pos if progressive and self.phase == FAST_START else _BIG
-        capped = buf.cap is not None
-        occ = conn.recv_occupancy
-        quiet = t + dt < conn_t and (reads is None or not occ)
-        if not quiet and (reads is None or self.stalled and t + dt >= conn_t):
+        to_go = buf.ready_at - buf.pos if progressive and self.phase == FAST_START else _BIG
+        left = min(self.conn.send_queue, to_go)
+        rest = progressive and left < to_go
+        idles = rest and acts is None and buf.cap is None
+        # the first tick alone
+        phs = [playhead, playhead + dt] if moving else None
+        if moving and self._stands(phs, 1, delivered):
+            return None
+        if acts is not None or buf.cap is not None:  # a quiet or paced run
+            plan = Plan(1, [t, t + dt], phs)
+            if kind is QUIET and acts is not None and self._holds(1, plan, acts, delivered):
+                return None
+            if kind is PACED:
+                self._lay_bytes(plan, kind, reads, left, rest, idles)
+                if not plan.k or self._holds(1, plan, acts, delivered, self._reach(plan)):
+                    return None
+        plan = self._lay_clock(t, min(stop_t, conn_t) if kind is QUIET else stop_t, stop_t, kind,
+                               delivered, left, idles)
+        credits = None if kind is QUIET else self._lay_bytes(plan, kind, reads, left, rest, idles)
+        if not plan.k:
+            return None
+        self._cut_search(plan, acts, delivered)
+        if credits is not None:
+            plan.pacing = Pacing(credits[plan.k - 1])
+        return plan
+
+    def _run_kind(self, end, conn_t, reads, acts):
+        """QUIET, PACED or WINDOWED: the kind of the run whose first tick ends
+        at `end`, or None where that tick is the full tick's (README)."""
+        conn, buf = self.conn, self.buffer
+        if end < conn_t and (reads is None or not conn.recv_occupancy):
+            return QUIET
+        if reads is None or self.stalled and end >= conn_t:
             # the sender fills a window the client leaves alone, or its
             # bytes end a stall
             return None
-        capacity, credit, resume = conn.recv_capacity, conn._rate_frac, conn._resume_at
-        byte_rate = conn._rate_bps() / 8.0
-        zero = conn.window_state == ZERO_WINDOW
-        windowed = not quiet and (reads is not _drain or occ or zero
-                                  or byte_rate * dt + 1.0 >= capacity)
-        if windowed and (acts is not None or capped or dup):
-            return None
-        ns = upto = credits = records = pacing = None
-        reach = _BIG  # the first tick the store limit may cut
+        if reads is _drain and conn.drains(self.tick_s):
+            return PACED
+        return WINDOWED if acts is None and buf.cap is None and not buf.dup else None
 
-        def stands(j):  # playback cannot take tick j whole: the watch ends or it runs dry
-            ph = phs[j - 1]
-            return watched_end - ph < dt or delivered - ph + 1e-9 < dt or phs[j] >= done_at
-
-        def pos_at(j):
-            u = upto[j - 1] - dup if j and ns else 0
-            return media_pos + u if u > 0 else media_pos
-
-        def used_at(j):
-            return buf.consumed_at(phs[j], pos_at(j)) if moving and j else consumed
-
-        def holds(j, limit=True):  # the store limit (with `limit`) or acts stops tick j
-            pos = pos_at(j)
-            if limit and j >= reach:
-                before = dup - upto[j - 2] if j > 1 else dup
-                if ns[j - 1] >= buf.limit(pos_at(j - 1), used_at(j - 1), max(0, before)):
-                    return True
-            if acts is None:
-                return False
-            got = video.media_time(pos) if progressive and pos != media_pos else delivered
-            return acts(pos, got, phs[j] if moving else playhead, used_at(j))
-
-        bytes_left = min(conn.send_queue, to_go)
-        # a sender that empties its queue then paces nothing: a run with no
-        # rule to test on the quiet ticks after it goes on through them
-        empties = progressive and bytes_left < to_go and acts is None and not capped
-
-        def pace(size):
-            """Lay out the bytes of ticks 1..size of a paced run; the ticks before the first cut."""
-            nonlocal ns, upto, credits, reach
-            ends = ts[1:size + 1]
-            if empties and byte_rate > 0:
-                ends = ends[:int(bytes_left / (byte_rate * dt)) + 2]  # the ticks the queue lasts
-            eligibles = map(sub, ends, map(sub, ends, repeat(dt)))
-            if resume > ends[0] - dt:
-                # ticks that start before the resume time are eligible from it
-                starts = list(map(sub, ends, repeat(dt)))
-                p = bisect_left(starts, resume)
-                eligibles = [*map(sub, ends[:p], repeat(resume)), *map(sub, ends[p:], starts[p:])]
-            allowances = list(map(mul, repeat(byte_rate), eligibles))
-            c = credit
-            credits = [c := (allowance + c) % 1.0 for allowance in allowances]  # paced()'s split
-            ns = list(map(int, map(add, allowances, [credit, *credits])))
-            upto = list(accumulate(ns))
-            # the full tick plays the tick that ends the fast start or fills
-            # the window, and the one that empties a DASH download's queue
-            last = bisect_left(upto, bytes_left)
-            if progressive and bytes_left < to_go and last < len(ns):
-                # the tick that empties the queue sends what is left, with no
-                # pacing credit kept unless that was its whole allowance
-                rest = bytes_left - (upto[last - 1] if last else 0)
-                if ns[last] > rest:
-                    ns[last], credits[last], upto[last] = rest, 0.0, bytes_left
-                if empties:
-                    # the ticks after it send nothing and keep the credit
-                    tail = size - last - 1
-                    ns[last + 1:], credits[last + 1:] = repeat(0, tail), repeat(credits[last], tail)
-                    upto[last + 1:] = repeat(bytes_left, tail)
-                    last = size - 1
-                last += 1
-            cut = min(size, last)
-            if max(ns) >= capacity:
-                cut = min(cut, next(j for j, n in enumerate(ns) if n >= capacity))
-            if capped and cut:
-                # used only grows, so tick j meets the limit only once pos
-                # before it comes within the run's largest tick of the cap
-                edge = buf.cap + consumed - max(ns[:cut]) - 2
-                reach = 1 if media_pos > edge else bisect_right(upto, edge - media_pos + dup) + 2
-            return cut
-
-        # the first tick alone
-        ts = [t, t + dt]
-        phs = [playhead, playhead + dt] if moving else None
-        if (moving and stands(1) or quiet and acts is not None and holds(1) or not quiet
-                and not windowed and (acts is not None or capped) and (not pace(1) or holds(1))):
-            return None
-        bound = min(stop_t, conn_t) if quiet else stop_t
+    def _lay_clock(self, t, bound, stop_t, kind, delivered, left, idles):
+        """A Plan of the ticks after `t` up to the clock's `bound`, cut where
+        the watch ends or playback runs dry on the media delivered.  Clock
+        and playheads are the full tick's float additions: lists for a paced
+        run, which sends on every tick, and kernel.Ticks for a quiet one."""
         # build no more ticks than the clock, the bytes, the delivered media
         # and the watch leave room for, give or take one
+        dt, playhead, buf = self.tick_s, self.playhead, self.buffer
+        moving = self.phase == STEADY and not self.stalled
         room = (bound - t) / dt
         if moving:
-            room = min(room, (min(watched_end, delivered) - playhead) / dt)
-        if not quiet and not windowed and byte_rate > 0:
+            room = min(room, (min(self.watched_end, delivered) - playhead) / dt)
+        byte_rate = self.conn.byte_rate if kind is PACED else 0
+        if byte_rate > 0:
             per_tick = byte_rate * dt
-            if not empties:
-                room = min(room, bytes_left / per_tick)
-            slack = buf.cap - self.policy.full_at if capped else 0  # a tick of playback, and 2 B
-            if capped and per_tick > slack:
+            if not idles:
+                room = min(room, left / per_tick)
+            # a tick of playback, and 2 B
+            slack = buf.cap - self.policy.full_at if buf.cap is not None else 0
+            if buf.cap is not None and per_tick > slack:
                 # about the ticks until a sender that outpaces playback fills the store
-                room = min(room, (dup + buf.cap - (media_pos - consumed)) / (per_tick - slack))
-        # a paced run's clock and playheads are lists, as it sends on every
-        # tick; a quiet run reads its own at a few ticks, in closed form
+                room = min(room, (buf.dup + buf.cap - (buf.pos - buf.consumed)) / (per_tick - slack))
+        quiet = kind is QUIET
         k = int(room if quiet else min(room, _STRETCH - 2)) + 2
-        ts = Ticks(t, dt, k) if quiet else list(accumulate(repeat(dt, k), initial=t))
+        plan = Plan(k, Ticks(t, dt, k) if quiet else list(accumulate(repeat(dt, k), initial=t)),
+                    None, "stretch")
         if moving:  # one playhead more: an ENCODING_RATE client reads up to a tick past it
-            phs = Ticks(playhead, dt, k + 1) if quiet else list(
+            plan.phs = Ticks(playhead, dt, k + 1) if quiet else list(
                 accumulate(repeat(dt, k + 1), initial=playhead))
-        played = _first(ts, bound, 1, k + 1) - 1
+        played = _first(plan.ts, bound, 1, k + 1) - 1
+        if played < k:
+            plan.k, plan.cut = played, "clock" if plan.ts[played + 1] >= stop_t else "next_action"
         if moving:
-            # near where the float thresholds put it, then onto stands()'s own answer
-            j = _first(phs, min(watched_end - dt - 1e-12, delivered + 1e-9 - dt), 1, played) + 1
-            while j > 2 and stands(j - 1):
+            # near where the float thresholds put it, then onto _stands()'s own answer
+            phs = plan.phs
+            j = _first(phs, min(self.watched_end - dt - 1e-12, delivered + 1e-9 - dt), 1, played) + 1
+            while j > 2 and self._stands(phs, j - 1, delivered):
                 j -= 1
-            while j <= played and not stands(j):
+            while j <= played and not self._stands(phs, j, delivered):
                 j += 1
-            played = j - 1
+            if j <= played:
+                plan.k, plan.cut = j - 1, "dry" if delivered - phs[j - 1] + 1e-9 < dt else "watch"
+        return plan
 
-        if windowed:
+    def _lay_bytes(self, plan, kind, reads, left, rest, idles):
+        """Lay out the bytes of the plan's ticks, up to the first that the full
+        tick must play for them; returns a paced run's credit after each tick."""
+        k, ts, conn = plan.k, plan.ts, self.conn
+        if kind is PACED:
+            plan.ns, plan.upto, credits, played, cut = conn.drain(ts[1:k + 1], self.tick_s, left,
+                                                                  rest, idles)
+        else:
             wants = None
-            if reads is not _drain and moving:
+            if reads is not _drain and plan.phs is not None:
                 # reads() takes cum_bytes at the playhead and a tick on, the next playhead
-                cums = video.cum_bytes_at(phs[1:played + 2])
+                cums = self.video.cum_bytes_at(plan.phs[1:k + 2])
                 wants = list(map(math.ceil, map(sub, cums[1:], cums)))
             elif reads is not _drain:
-                wants = [reads(playhead)] * played
-            ns, times, sizes, fills, pacing = conn.plan(ts[:played + 1], dt, wants, bytes_left,
-                                                        self.stalled)
-            played = len(ns)
-            if not played:
-                return None
-            upto = list(accumulate(ns))
-            records = times, sizes, fills
-        elif not quiet:
-            played = pace(played)
-            if not played:
-                return None
+                wants = [reads(self.playhead)] * k
+            plan.ns, plan.fills, plan.pacing, cut = conn.plan(ts[:k + 1], self.tick_s, wants, left,
+                                                              self.stalled)
+            plan.upto, credits, played = list(accumulate(plan.ns)), None, len(plan.ns)
+        if played < k:
+            # bytes that reach `left` short of the queue's end reach the fast start's
+            fast_start = cut == "queue" and left < conn.send_queue
+            plan.k, plan.cut = played, "fast_start" if fast_start else cut
+        return credits
 
-        scan_from = reach
+    def _cut_search(self, plan, acts, delivered):
+        """Cut the plan before the first tick after its first that the store
+        limit, from _reach on, or `acts` stops.  `acts` is bisected where it
+        is monotone, over a run that moves no media or whose later ticks each
+        add more media than a tick plays, and scanned elsewhere."""
+        played, ns, buf = plan.k, plan.ns, self.buffer
+        reach = scan_from = self._reach(plan)
         if acts is not None and played > 1:
-            monotone = not (moving and ns)
-            if not monotone and progressive:
+            monotone = plan.phs is None or ns is None
+            if not monotone and not isinstance(buf, SegmentBuffer):
                 # ticks that repeat held media, or send nothing, only let the
                 # store shrink: past them, every tick must outpace playback
-                grows = bisect_right(upto, dup, 0, played) + 1
-                monotone = min(ns[grows:played], default=_BIG) > 1 + dt * max(video.schedule[
-                    int(playhead):int(video.media_time(pos_at(played))) + 1], default=0)
+                grows = bisect_right(plan.upto, buf.dup, 0, played) + 1
+                video = self.video
+                pos = buf.pos + max(0, plan.upto[played - 1] - buf.dup)
+                monotone = min(ns[grows:played], default=_BIG) > 1 + self.tick_s * max(
+                    video.schedule[int(self.playhead):int(video.media_time(pos)) + 1], default=0)
             if monotone:
-                played = bisect_left(range(2, played + 1), True, key=lambda j: holds(j, False)) + 1
+                holds = partial(self._holds, plan=plan, acts=acts, delivered=delivered)
+                played = plan.k = bisect_left(range(2, played + 1), True, key=holds) + 1
             else:
                 scan_from = 2
         for j in range(max(2, scan_from), played + 1):
-            if holds(j):
-                played = j - 1
-                break
-        if ns is not None and not windowed:
-            pacing = credits[played - 1], 0, resume, None, None
-        return played, ts, phs, ns, upto, records, pacing
+            if self._holds(j, plan, acts, delivered, reach):
+                plan.k = j - 1
+                return
+
+    def _reach(self, plan):
+        """The first tick of a paced plan that the store limit may cut: used only
+        grows, so only once pos comes within the run's largest tick of the cap."""
+        buf = self.buffer
+        if buf.cap is None or plan.ns is None or not plan.k:
+            return _BIG
+        edge = buf.cap + buf.consumed - max(plan.ns[:plan.k]) - 2
+        return 1 if buf.pos > edge else bisect_right(plan.upto, edge - buf.pos + buf.dup) + 2
+
+    def _holds(self, j, plan, acts, delivered, reach=_BIG):
+        """Whether the store limit, from tick `reach` on, or `acts` stops tick
+        j of the plan; if so plan.cut names the rule."""
+        buf = self.buffer
+        if j >= reach:
+            pos, used = self._books_at(plan, j - 1)
+            before = buf.dup - plan.upto[j - 2] if j > 1 else buf.dup
+            if plan.ns[j - 1] >= buf.limit(pos, used, max(0, before)):
+                plan.cut = "limit"
+                return True
+        if acts is None:
+            return False
+        pos, used = self._books_at(plan, j)
+        if pos != buf.pos and not isinstance(buf, SegmentBuffer):
+            delivered = self.video.media_time(pos)
+        if acts(pos, delivered, self.playhead if plan.phs is None else plan.phs[j], used):
+            plan.cut = acts.__name__
+            return True
+        return False
+
+    def _books_at(self, plan, j):
+        """The buffer's pos and consumed after tick j of the plan: the first
+        dup bytes repeat held media."""
+        buf = self.buffer
+        u = plan.upto[j - 1] - buf.dup if j and plan.ns else 0
+        pos = buf.pos + u if u > 0 else buf.pos
+        if plan.phs is None or not j:
+            return pos, buf.consumed
+        return pos, buf.consumed_at(plan.phs[j], pos)
+
+    def _stands(self, phs, j, delivered):
+        """Whether playback cannot take tick j whole: the watch ends or it runs dry."""
+        dt, ph, end = self.tick_s, phs[j - 1], self.watched_end
+        return end - ph < dt or delivered - ph + 1e-9 < dt or phs[j] >= end - 1e-12
 
     def _on_data(self, nbytes, conn_id, now):
         """Count nbytes that arrived on conn_id by `now`, which the buffer has booked."""

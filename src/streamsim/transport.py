@@ -15,11 +15,12 @@ gap used later for burst grouping.
 import csv
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, groupby, islice, repeat
-from operator import itemgetter, le
+from operator import add, itemgetter, le, mul, sub
 
 DOWN = "down"  # server -> client
 UP = "up"      # client -> server
@@ -188,9 +189,9 @@ def paced(now, dt, resume_at, byte_rate, credit, queue, room):
     plus the sub-byte credit carried from earlier ticks, and never more than
     `room` (the queue, the free receive space and any limit, whichever is
     least).  The credit carries over only when the allowance is what cut the
-    bytes.  Connection.advance paces with it.  The session's planner
-    (StreamingSession._chunk) repeats its float operations over a run of
-    ticks, held to the same bytes by an every-tick test.
+    bytes.  Connection.advance paces with it, and Connection.drain and
+    Connection.plan repeat its float operations over a run of ticks, held to
+    the same bytes by an every-tick test.
     """
     start = now - dt
     eligible = now - (resume_at if resume_at > start else start)  # max(), without the call
@@ -202,6 +203,12 @@ def paced(now, dt, resume_at, byte_rate, credit, queue, room):
         return n, allowance - n
     # blocked by buffer/queue/limit: no pacing credit carries over
     return room, 0.0
+
+
+# a connection's state after a planned run (Connection.settle); None leaves
+# the resume time, and is no window close or reopen
+Pacing = namedtuple("Pacing", "credit occupancy resume closed reopened",
+                    defaults=(0, None, None, None))
 
 
 class Transport:
@@ -290,7 +297,7 @@ class Connection:
         self.id = conn_id
         self.state = STATE_OPEN
         self.send_queue = 0              # bytes waiting at the server
-        self.send_rate_cap = None        # bps, None = path speed
+        self.byte_rate = transport.path.bandwidth_bps / 8.0  # bytes a second: the path's, or a cap
         self.recv_capacity = int(recv_capacity)
         self.recv_occupancy = 0
         self.window_state = OPEN_WINDOW
@@ -314,7 +321,8 @@ class Connection:
     def set_rate_cap(self, rate_cap):
         if rate_cap is not None and rate_cap < 0:
             raise ValueError("rate cap must be >= 0 or None")
-        self.send_rate_cap = rate_cap
+        rate = self.transport.path.bandwidth_bps
+        self.byte_rate = (rate if rate_cap is None else min(rate, rate_cap)) / 8.0
         self._rate_frac = 0.0
 
     # -- client side -------------------------------------------------------
@@ -369,7 +377,7 @@ class Connection:
         if limit is not None:
             room = min(room, int(limit))
         n, self._rate_frac = paced(
-            now, dt, self._resume_at, self._rate_bps() / 8.0, self._rate_frac, self.send_queue, room
+            now, dt, self._resume_at, self.byte_rate, self._rate_frac, self.send_queue, room
         )
         if n > 0:
             self.send_queue -= n
@@ -394,24 +402,73 @@ class Connection:
                 self._next_probe += self.probe_interval
         return out
 
+    def drains(self, dt):
+        """Whether drain() may lay out a run: nothing is held, the window is
+        open, and no tick's allowance comes within a byte of the capacity."""
+        return (not self.recv_occupancy and self.window_state == OPEN_WINDOW
+                and self.byte_rate * dt + 1.0 < self.recv_capacity)
+
+    def drain(self, ends, dt, left, rest=False, idles=False):
+        """What advance(dt) sends on the ticks ending at `ends`, none before the
+        resume time, the client draining each (drains()), leaving the
+        connection as it is: each tick's size, running bytes and credit
+        after, the ticks played and their cut.  The run stops before a tick
+        whose allowance is the whole window ("window") or whose bytes reach
+        `left` ("queue").  With `rest`, `left` is the queue: the tick that
+        empties it sends what is left, keeping no credit unless that was its
+        whole allowance, and ends the run, or with `idles` the ticks after
+        it send nothing and keep the credit."""
+        size, byte_rate = len(ends), self.byte_rate
+        credit, resume = self._rate_frac, self._resume_at
+        if idles and byte_rate > 0:
+            ends = ends[:int(left / (byte_rate * dt)) + 2]  # the ticks the queue lasts
+        eligibles = map(sub, ends, map(sub, ends, repeat(dt)))
+        if resume > ends[0] - dt:
+            # ticks that start before the resume time are eligible from it
+            starts = list(map(sub, ends, repeat(dt)))
+            p = bisect_left(starts, resume)
+            eligibles = [*map(sub, ends[:p], repeat(resume)), *map(sub, ends[p:], starts[p:])]
+        allowances = list(map(mul, repeat(byte_rate), eligibles))
+        c = credit
+        credits = [c := (allowance + c) % 1.0 for allowance in allowances]  # paced()'s split
+        sizes = list(map(int, map(add, allowances, [credit, *credits])))
+        upto = list(accumulate(sizes))
+        last = bisect_left(upto, left)
+        if rest and last < len(sizes):
+            gap = left - (upto[last - 1] if last else 0)
+            if sizes[last] > gap:
+                sizes[last], credits[last], upto[last] = gap, 0.0, left
+            if idles:
+                tail = size - last - 1
+                sizes[last + 1:], credits[last + 1:] = repeat(0, tail), repeat(credits[last], tail)
+                upto[last + 1:] = repeat(left, tail)
+                last = size - 1
+            last += 1
+        played, cut = (last, "queue") if last < size else (size, None)
+        if max(sizes) >= self.recv_capacity:
+            window = next(j for j, n in enumerate(sizes) if n >= self.recv_capacity)
+            if window < played:
+                played, cut = window, "window"
+        return sizes, upto, credits, played, cut
+
     def plan(self, ts, dt, wants, left, stalled=False):
         """What advance(dt), read() and the window's close and reopen do on the
         ticks ending at ts[1:] (ts[0] is now), the client reading wants[i - 1]
         bytes (or, with no wants, all it holds) after tick i, leaving the
         connection as it is.  Stops before a tick that sends into a zero
-        window, sends while `stalled` or sends `left` bytes or more (the
-        queue, or what ends the caller's run), and after a fill the client
-        leaves shut.  Returns, for the ticks played, their sizes, the times
-        and sizes of their DATA records, the record counts at window fills,
-        and (credit, occupancy, resume time, last fill, last reopen) after.
+        window ("zero_window"), sends while `stalled` ("stall") or sends
+        `left` bytes or more ("queue": the queue, or what ends the caller's
+        run), and after a fill the client leaves shut ("shut").  Returns, for
+        the ticks played, their sizes, the ticks that fill the window, the
+        Pacing after them, and the cut.
         """
-        rtt, capacity, byte_rate = self.transport.path.rtt_s, self.recv_capacity, self._rate_bps() / 8.0
+        rtt, capacity, byte_rate = self.transport.path.rtt_s, self.recv_capacity, self.byte_rate
         occ, credit, resume = self.recv_occupancy, self._rate_frac, self._resume_at
         zero = self.window_state == ZERO_WINDOW
         action = self.next_action(dt, ts[0])
         read_by = list(accumulate(wants, initial=0)) if wants else None
-        sizes, stamps, payloads, fills = [], [], [], []
-        closed = reopened = None
+        sizes, fills = [], []
+        closed = reopened = cut = None
         j, last = 1, len(ts) - 1
         while j <= last:
             now = ts[j]
@@ -427,17 +484,16 @@ class Connection:
             fill = False
             if now >= action:
                 if zero or stalled:
+                    cut = "zero_window" if zero else "stall"
                     break
                 n, after = paced(now, dt, resume, byte_rate, credit, left, capacity - occ)
                 if n >= left:
+                    cut = "queue"
                     break
                 credit, left, fill, occ = after, left - n, n == capacity - occ, occ + n
             sizes.append(n)
-            if n:
-                stamps.append(now)
-                payloads.append(n)
             if fill:
-                fills.append(len(stamps))
+                fills.append(j)
                 closed, zero = now, True
             got = min(wants[j - 1], occ) if wants else occ
             if got > 0:
@@ -447,8 +503,21 @@ class Connection:
                     action = resume = max(resume, now + rtt)
             j += 1
             if fill and zero:
-                break  # the window stays shut: probes are advance()'s
-        return sizes, stamps, payloads, fills, (credit, occ, resume, closed, reopened)
+                cut = "shut"  # the window stays shut: probes are advance()'s
+                break
+        return sizes, fills, Pacing(credit, occ, resume, closed, reopened), cut
+
+    def settle(self, sent, pacing):
+        """Take the state a planned run that sent `sent` bytes leaves, as
+        advance(), read() and the window's close and reopen would."""
+        self.send_queue -= sent
+        self.delivered_total += sent
+        self._rate_frac, self.recv_occupancy, resume, closed, reopened = pacing
+        self._resume_at = self._resume_at if resume is None else resume
+        if closed is not None:
+            self.close_window(closed)
+        if reopened is not None and (closed is None or reopened >= closed):
+            self.reopen_window(reopened)
 
     def close_window(self, now):
         """The receive buffer filled on the tick ending at `now`: the window is zero.
@@ -484,17 +553,11 @@ class Connection:
         credit_moves = (
             self._rate_frac != 0.0
             or self._resume_at >= now
-            or self._rate_bps() / 8.0 * dt < 2.0
+            or self.byte_rate * dt < 2.0
         )
         if credit_moves:
             return min(self._next_probe, self._resume_at)
         return self._next_probe
-
-    def _rate_bps(self):
-        rate = self.transport.path.bandwidth_bps
-        if self.send_rate_cap is not None:
-            rate = min(rate, self.send_rate_cap)
-        return rate
 
     def close(self, mode="RST"):
         """Tear down; undelivered server bytes are dropped.  Idempotent it is not."""

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -92,6 +93,17 @@ def test_audit_flags_a_record_that_steps_back(grid):
     assert audit(replace(report, records=records)) == ["packet timeline out of order"]
     timeline = report.records.copy()
     timeline.time[i] = records[i].time
+    assert audit(replace(report, records=timeline)) == ["packet timeline out of order"]
+
+
+@pytest.mark.parametrize("step", [-1.0, math.nan])
+def test_audit_flags_a_timeline_the_analysis_view_rejects(grid, step):
+    # a step back beyond float noise, or a time that is not finite: the
+    # view's order check raises, and audit reports a problem line instead
+    report = grid["compare_onoff_per_burst_3g"]
+    timeline = report.records.copy()
+    i = len(timeline) // 2
+    timeline.time[i] = timeline.time[i - 1] + step
     assert audit(replace(report, records=timeline)) == ["packet timeline out of order"]
 
 

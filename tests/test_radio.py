@@ -295,20 +295,28 @@ TIMERS = {
 }
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(
-    st.sampled_from(sorted(builtin_scenario_names())),
-    st.sampled_from(sorted(TIMERS)),
-    st.floats(0.01, 12.0),
-    st.floats(0.01, 12.0),
-)
-def test_charge_does_not_fall_as_a_timer_grows(grid, name, timer, shorter, more):
-    records = grid[name].records
-    t_end = records.time[-1] + 30.0
+TIMER_DRAWS = (st.sampled_from(sorted(TIMERS)), st.floats(0.01, 12.0), st.floats(0.01, 12.0))
+
+
+def assert_charge_does_not_fall(records, t_end, timer, shorter, more):
     charges = []
     for value in (shorter, shorter + more):
         params = TIMERS[timer](value)
         drive = psm_drive if timer == "idle_timeout" else rrc_drive
         segments = drive(records, params, t_end=t_end, t_start=0.0)
         charges.append(integrate(segments, params.currents()).charge_mAs)
-    assert charges[1] >= charges[0], (name, timer, shorter, more, charges)
+    assert charges[1] >= charges[0], (timer, shorter, more, charges)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(builtin_scenario_names())), *TIMER_DRAWS)
+def test_charge_does_not_fall_as_a_timer_grows(grid, name, timer, shorter, more):
+    records = grid[name].records
+    assert_charge_does_not_fall(records, records.time[-1] + 30.0, timer, shorter, more)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(st.floats(0.0, 60.0), min_size=1, max_size=40).map(sorted), *TIMER_DRAWS)
+def test_charge_does_not_fall_as_a_timer_grows_on_generated_traces(times, timer, shorter, more):
+    # sorted traces of bare times beyond the bundled timelines
+    assert_charge_does_not_fall(times, times[-1] + 30.0, timer, shorter, more)

@@ -342,7 +342,7 @@ def test_dash_pick_quality_takes_highest_affordable_level():
 def test_quiet_ticks_run_inside_one_kernel_event():
     # fast caching has the file after 30 s of a 360 s watch; the rest is quiet
     session = build_session(load_builtin("compare_fast_caching_3g"))
-    with planned() as (played, _):
+    with planned() as (played, _, _):
         session.run()
     assert session.kernel.executed <= len(session.transport.records) + 10
     # the planner lays out nearly all of the 36,088 ticks in bulk, the quiet
@@ -631,10 +631,11 @@ def test_buffer_samples_are_a_whole_number_of_ticks_apart(technique, interval):
 def chunk_cuts(session, args, plan):
     """The rules that end a run _flow played in bulk (what stops the tick
     after it), and the window events a paced run carried ("fill" and
-    "reopen").  A quiet run's rules are named "quiet <rule>".  The books
-    are the session's, as _chunk read them: _flow books a plan after it."""
+    "reopen"), worked out from the plan's columns and not from its cut.  A
+    quiet run's rules are named "quiet <rule>".  The books are the
+    session's, as _chunk read them: _flow books a plan after it."""
     t, = args
-    k, ts, phs, ns, upto, fills, pacing = plan
+    k, ts, phs, ns, upto, pacing = plan.k, plan.ts, plan.phs, plan.ns, plan.upto, plan.pacing
     conn, buf = session.conn, session.buffer
     dt, end = session.tick_s, session.watched_end
     stop_t = min(session.policy.burst_next, session.max_sim_time)
@@ -645,16 +646,21 @@ def chunk_cuts(session, args, plan):
     to_go = math.inf
     if session.phase == "FAST_START" and session.technique.kind != DASH:
         to_go = buf.ready_at - media_pos
+
+    def ends_met(nbytes):  # the ends of the bytes that a run sending nbytes in all meets
+        return {cut for cut, edge in (("queue", conn.send_queue), ("fast_start", to_go))
+                if nbytes >= edge}
+
     cuts = set()
-    if fills:
+    if plan.fills:
         cuts.add("fill")
-    if pacing is not None and pacing[4] is not None:
+    if pacing is not None and pacing.reopened is not None:
         cuts.add("reopen")
     pos = media_pos + max(0, upto[k - 1] - dup) if upto else media_pos
     used = consumed
     if ns is not None and k < len(ns):
-        if ns[k] and upto[k] >= min(conn.send_queue, to_go):
-            cuts.add("fast_start" if session.phase == "FAST_START" else "queue")
+        if ns[k]:
+            cuts |= ends_met(upto[k])
         if ns[k] >= conn.recv_capacity:
             cuts.add("window")
         if phs is not None:
@@ -668,7 +674,7 @@ def chunk_cuts(session, args, plan):
             cuts.add("clock")
         elif ns is None and ts[k + 1] >= conn_t:
             cuts.add("next_action")  # a quiet run also ends at the connection's next action
-        elif pacing is not None and pacing[3] is not None and pacing[3] == ts[k]:
+        elif pacing is not None and pacing.closed is not None and pacing.closed == ts[k]:
             cuts.add("shut")  # the last tick filled a window the client did not reopen
         ahead = playhead
         if phs is not None:
@@ -681,34 +687,54 @@ def chunk_cuts(session, args, plan):
         got = session.video.media_time(pos) if pos != media_pos else delivered
         if acts is not None and acts(pos, got, ahead, used):
             cuts.add(acts.__name__)
+        if plan.fills is not None:
+            # a windowed run lays out no tick past its last: the next one's
+            # bytes, paced as advance() would from the state the run leaves
+            n, _ = paced(ts[k + 1], dt, pacing.resume, conn.byte_rate, pacing.credit,
+                         conn.send_queue - upto[k - 1], conn.recv_capacity - pacing.occupancy)
+            if n:
+                cuts |= ends_met(upto[k - 1] + n)
     return {c if ns is not None else "quiet " + c for c in cuts}
+
+
+# the stops of a plan that chunk_cuts cannot see: the last tick a paced run
+# builds (_STRETCH), and a windowed run's stop before a send into a zero
+# window or a send that ends a stall
+UNSEEN_CUTS = {"stretch", "zero_window", "stall"}
 
 
 @contextmanager
 def planned():
-    """Counters of the ticks the planner's quiet and paced runs play, and of
-    the rules that end them, while the block runs."""
+    """Counters of the ticks the planner's quiet and paced runs play, of
+    the rules that end them (chunk_cuts) and of the cuts the planner names
+    (Plan.cut), while the block runs.  Each plan's cut must be one of the
+    rules that end it, or one they cannot see where they find none."""
     plan = StreamingSession._chunk
-    played, cuts = Counter(), Counter()
+    played, cuts, named = Counter(), Counter(), Counter()
 
     def counted(self, *args):
         chunk = plan(self, *args)
         if chunk is not None:
-            played["quiet" if chunk[3] is None else "paced"] += chunk[0]
-            cuts.update(chunk_cuts(self, args, chunk))
+            quiet = "quiet " if chunk.ns is None else ""
+            played["quiet" if quiet else "paced"] += chunk.k
+            seen = chunk_cuts(self, args, chunk)
+            cuts.update(seen)
+            named[quiet + chunk.cut] += 1
+            rules = {c.removeprefix("quiet ") for c in seen} - {"fill", "reopen"}
+            assert chunk.cut in (rules or UNSEEN_CUTS), (chunk.cut, rules)
         return chunk
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StreamingSession, "_chunk", counted)
-        yield played, cuts
+        yield played, cuts, named
 
 
 def play_chunks(case):
-    """play() of a case, the ticks its quiet and paced runs played, and the
-    rules that ended them."""
-    with planned() as (played, cuts):
+    """play() of a case, the ticks its quiet and paced runs played, the
+    rules that ended them and the cuts the planner named."""
+    with planned() as (played, cuts, named):
         out = play(*case)
-    return out, played, cuts
+    return out, played, cuts, named
 
 
 def play_without_chunks(case):
@@ -730,10 +756,10 @@ def test_chunks_change_no_output(monkeypatch):
     names = builtin_scenario_names()
     chunked = [play_chunks(case) for case in cases]
     bundled = [bundled_outputs(name) for name in names]
-    assert sum(ticks["paced"] for _, ticks, _ in chunked) > 10_000
-    assert sum(ticks["quiet"] for _, ticks, _ in chunked) > 10_000
+    assert sum(ticks["paced"] for _, ticks, _, _ in chunked) > 10_000
+    assert sum(ticks["quiet"] for _, ticks, _, _ in chunked) > 10_000
     monkeypatch.setattr(StreamingSession, "_play_quiet", every_tick)
-    assert [play(*case) for case in cases] == [out for out, _, _ in chunked]
+    assert [play(*case) for case in cases] == [out for out, _, _, _ in chunked]
     assert [bundled_outputs(name) for name in names] == bundled
 
 
@@ -742,7 +768,7 @@ def test_every_tick_is_planned_or_full():
     # full tick (kernel event) of its own
     for name in builtin_scenario_names():
         session = build_session(load_builtin(name))
-        with planned() as (played, _):
+        with planned() as (played, _, _):
             session.run()
         assert sum(played.values()) + session.kernel.executed == session._ticks, name
 
@@ -825,8 +851,10 @@ STILLS = VideoSpec([62_500] * 10 + [0] * 2 + [62_500] * 20)
         "burst_train", "encoding_fill", "encoding_shut", "encoding_reopen", "quiet_low_watermark",
         "quiet_dash_target", "quiet_store_reopens", "quiet_watch", "quiet_next_action"])
 def test_a_chunk_cut_by_each_rule_plays_as_every_tick(case, cut):
-    out, ticks, cuts = play_chunks(case)
+    out, ticks, cuts, named = play_chunks(case)
     assert ticks["quiet" if cut.startswith("quiet") else "paced"] > 100 and cuts[cut] > 0, cuts
+    # the planner names the cut itself; a fill and a reopen are window events, not cuts
+    assert cut in ("fill", "reopen") or named[cut] > 0, named
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StreamingSession, "_play_quiet", every_tick)
         assert play(*case) == out
@@ -843,16 +871,17 @@ def test_a_bursty_server_plays_each_burst_as_one_paced_run():
 
     def counted(self, *args):
         chunk = plan(self, *args)
-        if chunk is not None and chunk[3] is not None and self.phase == "STEADY":
-            runs.append((chunk[0], chunk[4][chunk[0] - 1]))
+        if chunk is not None and chunk.ns is not None and self.phase == "STEADY":
+            runs.append((chunk.upto[chunk.k - 1], chunk.cut))
         return chunk
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StreamingSession, "_chunk", counted)
         session = StreamingSession(*case[:3])
         session.run()
-    whole = sum(nbytes == 65_536 for _, nbytes in runs)  # runs that carry one whole burst
+    whole = sum(nbytes == 65_536 for nbytes, _ in runs)  # runs that carry one whole burst
     assert whole > 50 and len(runs) <= whole + 5
+    assert all(cut == "clock" for nbytes, cut in runs if nbytes == 65_536)
     assert session.kernel.executed <= whole + 10
 
 
@@ -872,13 +901,13 @@ def test_a_chunk_paces_its_first_tick_from_the_resume_time():
         conn._resume_at = resume
         return session._chunk(t)
 
-    byte_rate = conn._rate_bps() / 8.0
     for resume in (t, start):
-        k, ts, _, sizes, _, fills, pacing = plan(resume)
-        assert k == _STRETCH and ts[1] == t + dt and not fills
-        first = paced(ts[1], dt, resume, byte_rate, 0.0, 10**9, 10**9)
-        assert sizes[0] == first[0] and 0.0 <= pacing[0] < 1.0
-    assert plan(t)[3][0] < plan(start)[3][0]
+        run = plan(resume)
+        assert run.k == _STRETCH and run.cut == "stretch"
+        assert run.ts[1] == t + dt and run.fills is None
+        first = paced(run.ts[1], dt, resume, conn.byte_rate, 0.0, 10**9, 10**9)
+        assert run.ns[0] == first[0] and 0.0 <= run.pacing.credit < 1.0
+    assert plan(t).ns[0] < plan(start).ns[0]
 
 
 def test_random_sessions_play_chunks_as_every_tick():
@@ -890,7 +919,7 @@ def test_random_sessions_play_chunks_as_every_tick():
               PATH, {}))
     @example((VideoSpec.constant(20, 500_000), TechniqueSpec(FAST_CACHING), PATH, {}))
     def chunks_change_nothing(case):
-        out, ticks, _ = play_chunks(case)
+        out, ticks, _, _ = play_chunks(case)
         assert play_without_chunks(case) == out
         played[case[1].kind] += ticks["paced"]
         played["quiet"] += ticks["quiet"]

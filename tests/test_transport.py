@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from streamsim.transport import (
     ZERO_WINDOW,
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
+    Pacing,
     PacketRecord,
     PathSpec,
     Timeline,
@@ -534,3 +536,41 @@ def test_window_fill_in_a_span_matches_advance():
     assert pairs > 100
     assert spans.conn.window_state == ZERO_WINDOW and spans.conn._next_probe is not None
     assert _conn_state(spans.conn) == _conn_state(ticks.conn)
+
+
+@pytest.mark.parametrize("queue, left, rest, idles, cut", [
+    # the run stops before the tick whose bytes reach a fast start's end
+    (50_000, 30_000, False, False, "queue"),
+    # the queue empties: its last tick sends what is left, and the run stops
+    (50_000, 50_000, True, False, "queue"),
+    # a bursty server's burst: the ticks after it send nothing, and the run goes on
+    (50_000, 50_000, True, True, None),
+    # the burst's last tick sends its whole allowance, so its credit carries on
+    (39_374, 39_374, True, True, None),
+])
+def test_drain_matches_advance_and_read(queue, left, rest, idles, cut):
+    # the sender resumes at 0.035 s: the run's first tick, from 0.03 s to
+    # 0.04 s, starts before the resume time and is eligible from it
+    def fresh():
+        kernel, _, conn = make_conn(bandwidth_bps=3_000_000, rtt_s=0.035, recv_capacity=65_536)
+        conn.enqueue(queue)
+        kernel.run_until(0.03)
+        return kernel, conn
+
+    ends = list(accumulate(repeat(TICK, 40), initial=0.03))[1:]
+    _, conn = fresh()
+    assert conn.drains(TICK) and conn.next_action(TICK) == 0.035
+    sizes, upto, credits, played, stop = conn.drain(ends, TICK, left, rest, idles)
+    assert stop == cut and 1 < played <= len(ends) and (played == len(ends)) == (cut is None)
+    kernel, ticked = fresh()
+    sent, after = [], []
+    for end in ends[:played]:
+        kernel.run_until(end)
+        sent.append(sum(r.payload for r in ticked.advance(TICK) if r.kind == DATA))
+        after.append(ticked._rate_frac)
+        ticked.read(ticked.recv_occupancy)  # the client drains every tick
+    assert sizes[:played] == sent and credits[:played] == after
+    assert upto[:played] == list(accumulate(sent)) and 0 < sent[0] < sent[1]
+    assert (sent[-1] == 0) == idles and (ticked.send_queue == 0) == rest
+    conn.settle(upto[played - 1], Pacing(credits[played - 1]))
+    assert _conn_state(conn) == _conn_state(ticked)
