@@ -247,8 +247,20 @@ class Policy:
     def steady(self, session):
         """The fast start has ended."""
 
+    def writes(self, ends):
+        """The server's writes on the ticks ending at `ends` after its first:
+        none, as it queues the whole file up front."""
+        return ()
+
+    def book(self, writes, k):
+        """Take the writes (writes()) on the first k ticks as made; returns their bytes."""
+        return 0
+
     def serve(self, session):
-        """The server's step on a full tick: writes a burst due by now."""
+        """The server's step on a full tick, after the client's: the writes due by now."""
+        written = self.book(self.writes((session.kernel.now,)), 1)
+        if written:
+            session.conn.enqueue(written)
 
 
 class EncodingRate(Policy):
@@ -262,6 +274,15 @@ class EncodingRate(Policy):
 
 
 class Throttle(Policy):
+    """A server that paces at throttle_factor times the encoding rate.
+
+    A bursty one (burst_size) writes only the fast start's bytes up front,
+    then from the fast start's end burst_size bytes every interval, the
+    time the throttled rate takes to carry them, until the file is written.
+    The full tick (serve()) and a paced plan (session._lay_paced) make the
+    writes by the one rule of writes().
+    """
+
     server_left = 0  # undelivered bytes for the bursty server
 
     def start(self, session):
@@ -279,12 +300,30 @@ class Throttle(Policy):
             self.burst_next = session.kernel.now
             self.interval = t.burst_size * 8.0 / (t.throttle_factor * self.video.avg_rate_bps)
 
-    def serve(self, session):
-        while self.burst_next <= session.kernel.now:
-            n = min(self.technique.burst_size, self.server_left)
-            session.conn.enqueue(n)
-            self.server_left -= n
-            self.burst_next = self.burst_next + self.interval if self.server_left else math.inf
+    def writes(self, ends):
+        """(i, bytes, next) for each of the bursty server's writes on the ticks
+        ending at `ends`, in order: ends[i] is the first tick time that
+        reaches the write's time, and `next` the time of the write after it
+        (inf after the last).  The times run on as the float sum
+        burst_next + interval, so several writes may fall on one tick."""
+        out = []
+        at, left, i = self.burst_next, self.server_left, 0
+        while (i := bisect_left(ends, at, i)) < len(ends):
+            n = min(self.technique.burst_size, left)
+            left -= n
+            at = at + self.interval if left else math.inf
+            out.append((i, n, at))
+        return out
+
+    def book(self, writes, k):
+        written = 0
+        for i, n, at in writes:
+            if i >= k:
+                break
+            written += n
+            self.burst_next = at
+        self.server_left -= written
+        return written
 
 
 class OnOff(Policy):
@@ -426,14 +465,15 @@ class Plan:
     "Time model"): ticks 0..k of the clock ts and the playheads phs (None
     while playback stands); a paced run's sizes ns and running bytes upto
     of ticks 1.., the ticks that fill the window (fills) where it carries
-    it, and the connection's transport.Pacing after it; and cut, the rule
-    that ends it."""
+    it, the server's writes (Policy.writes) a paced one carries, and the
+    connection's transport.Pacing after it; and cut, the rule that ends it."""
 
-    __slots__ = ("k", "ts", "phs", "ns", "upto", "fills", "pacing", "cut")
+    __slots__ = ("k", "ts", "phs", "ns", "upto", "fills", "writes", "pacing", "cut")
 
     def __init__(self, k, ts, phs, cut=None):
         self.k, self.ts, self.phs, self.cut = k, ts, phs, cut
         self.ns = self.upto = self.fills = self.pacing = None
+        self.writes = ()
 
 
 class StreamingSession:
@@ -602,12 +642,13 @@ class StreamingSession:
 
         Returns the time of the last tick played; the span ends where _chunk
         has no plan.  A plan's bytes arrive in the buffer, the connection
-        settles, and the playhead, the tick count and the next sample move
-        on, before the next plan is laid out, so the session's books are
-        live between plans.  The DATA records are emitted where the window
-        fills, with its zero-window advertisement, and at the end, where the
-        span's bytes go through _on_data once: a DASH download completes
-        only on a full tick.
+        settles with the server's writes in the plan (Policy.book), and the
+        playhead, the tick count and the next sample move on, before the
+        next plan is laid out, so the session's books are live between
+        plans.  A plan that fills the window emits its DATA records and a
+        zero-window advertisement after each fill in one call; the other
+        records are emitted at the end, where the span's bytes go through
+        _on_data once: a DASH download completes only on a full tick.
         """
         conn, video, buf = self.conn, self.video, self.buffer
         moving = self.phase == STEADY and not self.stalled
@@ -641,21 +682,24 @@ class StreamingSession:
                 series += zip(stamps, map(sub, held, used), map(sub, media, ahead))
                 self._next_sample += count * every
             if plan.pacing is not None:
-                ns, filled = plan.ns, 0
+                ns, filled, ads = plan.ns, 0, []
                 for f in plan.fills or ():
                     # as advance(): the DATA records, then the zero-window ad
                     times += compress(ts[filled + 1:f + 1], ns[filled:f])
                     sizes += filter(None, ns[filled:f])
-                    emit_run(DOWN, DATA, conn.id, times, sizes, True)
-                    times, sizes, filled = [], [], f
+                    ads.append(len(times))
+                    filled = f
                 times += compress(ts[filled + 1:k + 1], ns[filled:k])
                 sizes += filter(None, ns[filled:k])
+                if ads:
+                    emit_run(DOWN, DATA, conn.id, times, sizes, ads)
+                    times, sizes = [], []
                 nbytes = upto[k - 1]
                 if nbytes:
                     sent += nbytes
                     last_t = ts[bisect_left(upto, nbytes, 0, k) + 1]  # its last DATA record
                     buf.arrive(nbytes)
-                conn.settle(nbytes, plan.pacing)
+                conn.settle(nbytes, plan.pacing, self.policy.book(plan.writes, k))
             self._ticks, t = self._ticks + k, ts[k]
             if moving:
                 self.playhead = phs[k]
@@ -670,19 +714,22 @@ class StreamingSession:
     def _chunk(self, t):
         """A Plan of the ticks after the full tick at `t` for _flow to play in
         bulk, up to the first tick the full tick must play, or None where
-        that is the next.  It reads the session's books and the connection
-        and changes neither: the run's kind (_run_kind), its first tick
-        alone, so that a refused plan costs little, then its clock
-        (_lay_clock), bytes (_lay_bytes) and cuts (_cut_search).
+        that is the next.  It reads the session's books, the connection and
+        the policy and changes none: the run's kind (_run_kind), its first
+        tick alone, so that a refused plan costs little, then its clock
+        (_lay_clock), bytes (_lay_bytes, which carries the bursty server's
+        writes through a paced run) and cuts (_cut_search).
         """
-        dt = self.tick_s
-        stop_t = min(self.policy.burst_next, self.max_sim_time)
-        if t + dt >= stop_t:
+        dt, horizon, burst_next = self.tick_s, self.max_sim_time, self.policy.burst_next
+        if t + dt >= horizon:
             return None
-        conn_t = self.conn.next_action(dt, t)
+        # the server's next write is the connection's next action: a quiet
+        # run stops before it, a paced run carries it, a windowed one cannot
+        conn_t = min(self.conn.next_action(dt, t), burst_next)
         reads, acts = self.policy.rule(self)
         kind = self._run_kind(t + dt, conn_t, reads, acts)
-        if kind is None:
+        stop_t = min(burst_next, horizon) if kind is WINDOWED else horizon
+        if kind is None or t + dt >= stop_t:
             return None
         buf, playhead = self.buffer, self.playhead
         moving = self.phase == STEADY and not self.stalled
@@ -726,7 +773,7 @@ class StreamingSession:
             return QUIET
         if reads is None or self.stalled and end >= conn_t:
             # the sender fills a window the client leaves alone, or its
-            # bytes end a stall
+            # bytes, or the server's write that brings them, end a stall
             return None
         if reads is _drain and conn.drains(self.tick_s):
             return PACED
@@ -781,8 +828,7 @@ class StreamingSession:
         tick must play for them; returns a paced run's credit after each tick."""
         k, ts, conn = plan.k, plan.ts, self.conn
         if kind is PACED:
-            plan.ns, plan.upto, credits, played, cut = conn.drain(ts[1:k + 1], self.tick_s, left,
-                                                                  rest, idles)
+            credits, played, cut = self._lay_paced(plan, left, rest, idles)
         else:
             wants = None
             if reads is not _drain and plan.phs is not None:
@@ -799,6 +845,35 @@ class StreamingSession:
             fast_start = cut == "queue" and left < conn.send_queue
             plan.k, plan.cut = played, "fast_start" if fast_start else cut
         return credits
+
+    def _lay_paced(self, plan, left, rest, idles):
+        """A paced run's bytes (_lay_bytes): one Connection.drain call for the
+        ticks up to each of the server's writes (Policy.writes) and for those
+        after the last, with the credit carried from each to the next.  A
+        write grows the queue after the tick that serves it, as on a full
+        tick (send, read, serve).  Returns the credit after each tick, the
+        ticks played and the cut, and sets the plan's sizes, running bytes
+        and writes; the sizes reach past a cut to the end of its call."""
+        ends, dt, conn = plan.ts[1:plan.k + 1], self.tick_s, self.conn
+        plan.writes = writes = self.policy.writes(ends)
+        if not writes:
+            plan.ns, plan.upto, credits, played, cut = conn.drain(ends, dt, left, rest, idles)
+            return credits, played, cut
+        ns, credits, played, cut = [], [], len(ends), None
+        credit, start = None, 0
+        for i, n, _ in [*writes, (len(ends) - 1, 0, None)]:
+            if i >= start:  # the ticks up to this write's, or the run's last
+                sizes, upto, cs, took, cut = conn.drain(ends[start:i + 1], dt, left, rest, idles,
+                                                        credit)
+                ns += sizes
+                credits += cs
+                if start + took <= i:
+                    played = start + took
+                    break
+                credit, left, start = cs[-1], left - upto[-1], i + 1
+            left += n
+        plan.ns, plan.upto = ns, list(accumulate(ns))
+        return credits, played, cut
 
     def _cut_search(self, plan, acts, delivered):
         """Cut the plan before the first tick after its first that the store

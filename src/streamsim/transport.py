@@ -58,8 +58,8 @@ class Timeline:
     stretch of records that share all three.  No run is empty, and no two
     neighbouring runs share all three values.
 
-    Transport.emit_run adds a run a call (or extends the last one), and
-    read_timeline_csv one a stretch of rows.  The classifier's views,
+    Transport.emit_run adds a call's runs (the first may extend the last
+    one), and read_timeline_csv one a stretch of rows.  The classifier's views,
     group_bursts, audit and the CSV writer read runs(); the radio drives
     read the time column.  columns() gives all five as lists.  Read
     as a sequence (iteration, slicing, list(), ==), a Timeline is a list of
@@ -142,9 +142,16 @@ class Timeline:
     def _close_run(self, *key):
         """Make the payloads past the last run a run of `key` (direction,
         kind, conn), or join them to the last run if it has that key."""
-        if self._runs and self._runs[-1][1:] == key:
-            self._runs.pop()
-        self._runs.append((len(self.payload), *key))
+        self._close_runs([(len(self.payload), *key)])
+
+    def _close_runs(self, runs):
+        """Append runs, (end, direction, kind, conn) each, in order and with
+        ends past the last run's: a run joins the one before it if it has its key."""
+        own = self._runs
+        for run in runs:
+            if own and own[-1][1:] == run[1:]:
+                own.pop()
+            own.append(run)
         self._rows = self._view = None
 
     def append(self, r):
@@ -247,16 +254,28 @@ class Transport:
         self._last_nominal = nominal
         return record
 
-    def emit_run(self, direction, kind, conn_id, times, payloads, ad=False):
-        """emit() each (time, payload) pair in turn, with the same jitter draws;
-        with `ad`, then a zero-window advertisement at the last time.  No
-        time falls behind the last one on the timeline (0.0 if it is empty)."""
+    def emit_run(self, direction, kind, conn_id, times, payloads, ads=()):
+        """emit() each (time, payload) pair in turn, with the same jitter draws,
+        and after the first c of them, for each c in `ads` (ascending, from
+        1), a zero-window advertisement at the time of the c-th.  No time
+        falls behind the last one on the timeline (0.0 if it is empty)."""
         if not len(times):
             return
         jitter, tl = self.path.jitter, self.records
         nominal, last = self._last_nominal, tl.time[-1] if tl.time else 0.0
-        if ad:
-            times = [*times, times[-1]]
+        first, runs = len(tl.time), []
+        if ads:
+            # each ad goes after its records, at the time of the last of them
+            all_times, all_payloads, done = [], [], 0
+            for c in ads:
+                all_times += times[done:c]
+                all_times.append(times[c - 1])
+                all_payloads += payloads[done:c]
+                all_payloads.append(0)
+                end = first + len(all_times)
+                runs += ((end - 1, direction, kind, conn_id), (end, UP, ZERO_WINDOW_AD, conn_id))
+                done = c
+            times, payloads = all_times + list(times[done:]), all_payloads + list(payloads[done:])
         if not jitter and times[0] >= last and all(map(le, times, times[1:])):
             # no draw moves a time and none falls behind the one before it,
             # so every record keeps its time as it is
@@ -281,12 +300,11 @@ class Transport:
                 last = time
                 append(time)
         self._last_nominal = nominal
-        tl.time += stamps  # with `ad`, the ad's time too
+        tl.time += stamps  # the ads' times too
         tl.payload += payloads
-        tl._close_run(direction, kind, conn_id)
-        if ad:
-            tl.payload.append(0)
-            tl._close_run(UP, ZERO_WINDOW_AD, conn_id)
+        if not runs or runs[-1][0] < len(tl.payload):
+            runs.append((len(tl.payload), direction, kind, conn_id))
+        tl._close_runs(runs)
 
 
 class Connection:
@@ -408,18 +426,22 @@ class Connection:
         return (not self.recv_occupancy and self.window_state == OPEN_WINDOW
                 and self.byte_rate * dt + 1.0 < self.recv_capacity)
 
-    def drain(self, ends, dt, left, rest=False, idles=False):
-        """What advance(dt) sends on the ticks ending at `ends`, none before the
-        resume time, the client draining each (drains()), leaving the
-        connection as it is: each tick's size, running bytes and credit
-        after, the ticks played and their cut.  The run stops before a tick
-        whose allowance is the whole window ("window") or whose bytes reach
-        `left` ("queue").  With `rest`, `left` is the queue: the tick that
-        empties it sends what is left, keeping no credit unless that was its
-        whole allowance, and ends the run, or with `idles` the ticks after
-        it send nothing and keep the credit."""
+    def drain(self, ends, dt, left, rest=False, idles=False, credit=None):
+        """What advance(dt) sends on the ticks ending at `ends`, the client
+        draining each (drains()), from the pacing `credit` (by default the
+        connection's) and none before the resume time, leaving the connection
+        as it is: each tick's size, running bytes and credit after, the ticks
+        played and their cut.  The run stops before a tick whose allowance
+        is the whole window ("window") or whose bytes reach `left` ("queue").
+        With `rest`, `left` is the queue: the tick that empties it sends what
+        is left, keeping no credit unless that was its whole allowance, and
+        ends the run, or with `idles` the ticks after it send nothing and
+        keep the credit, as every tick does from an empty queue.  A run
+        between a bursty server's writes is one call (session._lay_paced)."""
         size, byte_rate = len(ends), self.byte_rate
-        credit, resume = self._rate_frac, self._resume_at
+        credit, resume = self._rate_frac if credit is None else credit, self._resume_at
+        if left <= 0:
+            return [0] * size, [0] * size, [credit] * size, size, None
         if idles and byte_rate > 0:
             ends = ends[:int(left / (byte_rate * dt)) + 2]  # the ticks the queue lasts
         eligibles = map(sub, ends, map(sub, ends, repeat(dt)))
@@ -440,8 +462,8 @@ class Connection:
                 sizes[last], credits[last], upto[last] = gap, 0.0, left
             if idles:
                 tail = size - last - 1
-                sizes[last + 1:], credits[last + 1:] = repeat(0, tail), repeat(credits[last], tail)
-                upto[last + 1:] = repeat(left, tail)
+                sizes[last + 1:], credits[last + 1:] = [0] * tail, [credits[last]] * tail
+                upto[last + 1:] = [left] * tail
                 last = size - 1
             last += 1
         played, cut = (last, "queue") if last < size else (size, None)
@@ -507,10 +529,11 @@ class Connection:
                 break
         return sizes, fills, Pacing(credit, occ, resume, closed, reopened), cut
 
-    def settle(self, sent, pacing):
-        """Take the state a planned run that sent `sent` bytes leaves, as
-        advance(), read() and the window's close and reopen would."""
-        self.send_queue -= sent
+    def settle(self, sent, pacing, written=0):
+        """Take the state a planned run that sent `sent` bytes and in which the
+        server wrote `written` leaves, as advance(), read(), enqueue() and the
+        window's close and reopen would."""
+        self.send_queue += written - sent
         self.delivered_total += sent
         self._rate_frac, self.recv_occupancy, resume, closed, reopened = pacing
         self._resume_at = self._resume_at if resume is None else resume

@@ -361,7 +361,7 @@ def test_a_timeline_keeps_its_view_until_its_columns_change():
     transport = Transport(PathSpec(1e6), kernel=None)
     transport.emit_run(DOWN, DATA, 1, [0.1, 0.2], [100, 200])
     assert list(data_view(transport.records).cums) == [0, 100, 300]
-    transport.emit_run(DOWN, DATA, 1, [0.3], [300], ad=True)
+    transport.emit_run(DOWN, DATA, 1, [0.3], [300], ads=[1])
     assert transport.records._view is None
     assert list(data_view(transport.records).cums) == [0, 100, 300, 600]
 

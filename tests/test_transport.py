@@ -315,7 +315,7 @@ keys = st.tuples(st.sampled_from([DOWN, UP]), st.sampled_from([DATA, REQUEST, ZE
                  st.integers(1, 2))
 timeline_ops = st.lists(st.one_of(
     st.tuples(st.just("emit_run"), keys, st.lists(st.integers(0, 3_000), max_size=4),
-              st.booleans()),
+              st.sets(st.integers(1, 4))),
     st.tuples(st.just("append"), keys),
     st.tuples(st.just("pop")),
     st.tuples(st.just("copy")),
@@ -333,12 +333,13 @@ def test_timeline_runs_stay_canonical(jitter, ops):
         timeline = transport.records
         t += 0.1
         if op == "emit_run":
-            (direction, kind, conn), payloads, ad = args
+            (direction, kind, conn), payloads, counts = args
+            ads = sorted(c for c in counts if c <= len(payloads))
             transport.emit_run(direction, kind, conn, [t + 0.01 * i for i in range(len(payloads))],
-                               payloads, ad)
-            if payloads:
-                expected += [(direction, n, kind, conn) for n in payloads]
-                expected += [(UP, 0, ZERO_WINDOW_AD, conn)] * ad
+                               payloads, ads)
+            for i, n in enumerate(payloads, 1):
+                expected.append((direction, n, kind, conn))
+                expected += [(UP, 0, ZERO_WINDOW_AD, conn)] * (i in ads)
         elif op == "append":
             (direction, kind, conn), = args
             timeline.append(PacketRecord(t, direction, 7, kind, conn))
@@ -460,25 +461,32 @@ def test_run_emitter_matches_emit_one_by_one(jitter):
     # the timeline clamp fires; both sides draw from one seed.  Without
     # jitter, the first two runs keep their times without emit_run's loop; the
     # third starts before the last time emitted and the fourth steps back,
-    # so both need the clamp and take the loop.
+    # so both need the clamp and take the loop.  The last three fill the
+    # window several times: a zero-window ad after each fill's record, at
+    # its time, on two neighbouring records and on the last one too.
     rng = random.Random(8)
     times = [0.01 * (i + 1) + rng.choice([0.0, 0.0, 0.004, 2.0]) * (i > 20) for i in range(80)]
     times.sort()
     sizes = [rng.randrange(1, 9_000) for _ in times]
     parts = [slice(0, 30), slice(30, 60), slice(50, 60), slice(79, 59, -1)]
+    fills = [(), (5, 6, 30), (1, 4, 9), (2, 20)]
     sides = []
     for by_run in (False, True):
         transport = Transport(PathSpec(6_000_000, jitter=jitter), Kernel(), seed=21)
-        for part in parts:
+        for part, ads in zip(parts, fills):
             if by_run:
-                transport.emit_run(DOWN, DATA, 1, times[part], sizes[part])
+                transport.emit_run(DOWN, DATA, 1, times[part], sizes[part], ads)
             else:
-                for t, n in zip(times[part], sizes[part]):
+                for i, (t, n) in enumerate(zip(times[part], sizes[part]), 1):
                     transport.emit(t, DOWN, n, DATA, 1)
+                    if i in ads:
+                        transport.emit(t, UP, 0, ZERO_WINDOW_AD, 1)
             # a control record between the runs shares the jitter stream
             transport.emit(times[part][-1], UP, 0, ZERO_WINDOW_AD, 1)
         sides.append(transport.records)
     assert sides[0] == sides[1]
+    assert len(sides[1]) == 90 + 8 + 4  # records, fill ads, control records
+    assert_runs(sides[1], [(r.direction, r.payload, r.kind, r.conn_id) for r in sides[0]])
     stamps = [r.time for r in sides[1]]
     assert stamps == sorted(stamps)
     assert any(a == b for a, b in zip(stamps, stamps[1:]))  # clamped to the last stamp
