@@ -856,9 +856,6 @@ class StreamingSession:
         and writes; the sizes reach past a cut to the end of its call."""
         ends, dt, conn = plan.ts[1:plan.k + 1], self.tick_s, self.conn
         plan.writes = writes = self.policy.writes(ends)
-        if not writes:
-            plan.ns, plan.upto, credits, played, cut = conn.drain(ends, dt, left, rest, idles)
-            return credits, played, cut
         ns, credits, played, cut = [], [], len(ends), None
         credit, start = None, 0
         for i, n, _ in [*writes, (len(ends) - 1, 0, None)]:
