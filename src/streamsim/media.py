@@ -10,7 +10,8 @@ interval of the clip, DASH whole segments (SegmentBuffer).
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, sub
 
 
 def check_positive(name, value):
@@ -190,9 +191,28 @@ class MediaBuffer:
         consumed = self.video.cum_bytes(playhead)
         return consumed if consumed < pos else float(pos)  # min(), without the call
 
-    def consumed_each(self, playheads, positions):
-        """consumed_at of each playhead and pos, as a list."""
-        return [c if c < p else float(p) for c, p in zip(self.video.cum_bytes_at(playheads), positions)]
+    def samples(self, books):
+        """The columns t, bytes, media_s of the samples StreamingSession._book
+        keeps: ticks `at` of clock ts and playheads phs (a float where they
+        stand), media [0, pos) grown by the bytes of upto past the first dup,
+        and consumed and delivered, None for consumed_at() and delivered()."""
+        stamps, ahead, held, used, media = [], [], [], [], []
+        for ts, phs, at, pos, dup, upto, consumed, delivered in books:
+            stamps += ts[at]
+            n = len(stamps) - len(ahead)
+            ahead += repeat(phs, n) if isinstance(phs, float) else phs[at]
+            grown = upto and map(add, upto, repeat(pos - dup))  # arrive(): pos + max(0, u - dup)
+            held += repeat(pos, n) if upto is None else map(max, repeat(pos), grown)
+            used += consumed if isinstance(consumed, list) else repeat(consumed, n)
+            media += repeat(delivered, n)
+        # playheads never fall: one cum_bytes_at pass over them, read where consumed_at is due
+        cums = self.video.cum_bytes_at(ahead) if None in used else repeat(None)
+        nbytes = [p - c if c is not None else p - (k if k < p else float(p))
+                  for p, c, k in zip(held, used, cums)]
+        if None in media:  # positions never fall either: media_time once for each
+            table = {p: self.video.media_time(p) for p in dict.fromkeys(held)}
+            media = map(table.__getitem__, held)
+        return stamps, nbytes, list(map(sub, media, ahead))
 
     def held(self, consumed):
         """Bytes in the store while `consumed` of them have played."""
@@ -254,9 +274,6 @@ class SegmentBuffer(MediaBuffer):
 
     def ready(self):
         return self.media >= self.ready_at
-
-    def consumed_each(self, playheads, positions):
-        return list(map(self.consumed_at, playheads, positions))
 
     def delivered(self):
         return self.media

@@ -59,7 +59,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import accumulate, compress, repeat
-from operator import add, sub
+from operator import sub
 
 from .kernel import Kernel, Ticks
 from .media import MediaBuffer, SegmentBuffer, check_positive, dash_pick_quality
@@ -151,6 +151,39 @@ class Stall:
     end: float | None = None
 
 
+class Samples:
+    """Buffer samples (t, bytes, media_s) in time order, read as a list; derive()
+    works out their columns on the first read (MediaBuffer.samples), and they are kept."""
+
+    __slots__ = ("derive", "cols")
+
+    def __init__(self, derive):
+        self.derive, self.cols = derive, None
+
+    def _columns(self):
+        if self.cols is None:
+            self.cols, self.derive = self.derive(), None  # and lets go of the books
+        return self.cols
+
+    def __len__(self):
+        return len(self._columns()[0])
+
+    def __getitem__(self, i):
+        return list(self)[i] if isinstance(i, slice) else tuple(c[i] for c in self._columns())
+
+    def __iter__(self):
+        return zip(*self._columns())
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __repr__(self):
+        return repr(list(self))
+
+    def __deepcopy__(self, memo):
+        return list(self)
+
+
 @dataclass
 class SessionMetrics:
     kind: str
@@ -166,7 +199,7 @@ class SessionMetrics:
     stalls: list = field(default_factory=list)
     stall_total_s: float = 0.0
     connection_bytes: dict = field(default_factory=dict)
-    buffer_series: list = field(default_factory=list)  # (t, bytes, media_s)
+    buffer_series: list = field(default_factory=list)  # (t, bytes, media_s), worked out when read
     dash_quality_history: list = field(default_factory=list)
 
     @property
@@ -529,6 +562,8 @@ class StreamingSession:
         self.metrics = SessionMetrics(kind=technique.kind)
         self.policy = POLICIES[technique.kind](self)
         self.buffer = self.policy.buffer(video, technique.fast_start_s, technique.buffer_cap)
+        self._books = []  # the buffer samples so far, as _book keeps them
+        self.metrics.buffer_series = Samples(partial(self.buffer.samples, self._books))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -617,7 +652,7 @@ class StreamingSession:
             self.conn.read(reads(self.playhead))
         self.policy.serve(self)
         if self._ticks >= self._next_sample:
-            self._sample(now)
+            self._book((now,), self.playhead, slice(None))
         buf.check()
         self.kernel.schedule(self._play_quiet(now), self._tick)
 
@@ -650,11 +685,9 @@ class StreamingSession:
         records are emitted at the end, where the span's bytes go through
         _on_data once: a DASH download completes only on a full tick.
         """
-        conn, video, buf = self.conn, self.video, self.buffer
+        conn, buf = self.conn, self.buffer
         moving = self.phase == STEADY and not self.stalled
-        progressive = not isinstance(buf, SegmentBuffer)
         every = self._sample_every
-        series = self.metrics.buffer_series
         emit_run = self.transport.emit_run
         times, sizes = [], []
         sent = 0  # bytes of the span's DATA records
@@ -662,25 +695,8 @@ class StreamingSession:
             k, ts, phs, upto = plan.k, plan.ts, plan.phs, plan.upto
             first = self._next_sample - self._ticks
             if first <= k:
-                # the plan's samples, as the books would give them; the first
-                # dup bytes repeat held media (MediaBuffer.arrive)
-                stamps = ts[first:k + 1:every]
-                count = len(stamps)
-                ahead = phs[first:k + 1:every] if moving else [self.playhead] * count
-                held = [buf.pos] * count
-                if upto and buf.dup:
-                    held = [buf.pos + max(0, u - buf.dup) for u in upto[first - 1:k:every]]
-                elif upto:
-                    held = list(map(add, upto[first - 1:k:every], repeat(buf.pos)))
-                if progressive and upto:
-                    # positions never fall: media_time once for each
-                    table = {p: video.media_time(p) for p in dict.fromkeys(held)}
-                    media = map(table.__getitem__, held)
-                else:
-                    media = repeat(buf.delivered())
-                used = buf.consumed_each(ahead, held) if moving else repeat(buf.consumed)
-                series += zip(stamps, map(sub, held, used), map(sub, media, ahead))
-                self._next_sample += count * every
+                self._book(ts, phs if moving else self.playhead, slice(first, k + 1, every),
+                           upto and upto[first - 1:k:every])
             if plan.pacing is not None:
                 ns, filled, ads = plan.ns, 0, []
                 for f in plan.fills or ():
@@ -1024,7 +1040,6 @@ class StreamingSession:
                 m,
                 stalls=[replace(s) for s in m.stalls],
                 connection_bytes=dict(m.connection_bytes),
-                buffer_series=list(m.buffer_series),
                 dash_quality_history=list(m.dash_quality_history),
             )
             records = self.transport.records.copy()
@@ -1042,18 +1057,23 @@ class StreamingSession:
         m.stall_total_s = sum(
             (s.end if s.end is not None else now) - s.start for s in m.stalls
         )
-        m.buffer_series.append((now, 0.0, 0.0))
+        # the samples so far, shared with the session, then the buffer empties
+        books, n, end = self._books, len(self._books), (now, 0.0, 0.0)
+        m.buffer_series = Samples(lambda: [[*c, x] for c, x in zip(buf.samples(books[:n]), end)])
         self._ended_watches[fraction] = (m, records)
         return done
 
-    def _sample(self, t):
-        """Buffer sample of the full tick that ends at t, read from the books.
-
-        A plan's samples fall inside it, and _flow takes them with the same
-        arithmetic from the books before the plan and its columns.
-        """
-        buf = self.buffer
-        self.metrics.buffer_series.append(
-            (t, buf.held(buf.consumed), buf.delivered() - self.playhead)
-        )
-        self._next_sample = self._ticks + self._sample_every
+    def _book(self, ts, phs, at, upto=None):
+        """Keep the books of the buffer samples at ticks `at` of the clock ts
+        (MediaBuffer.samples), with playheads phs and upto, the bytes run up
+        by those ticks.  Later segments and refetches change what a segment
+        store's consumed and delivered read, so they are taken now."""
+        buf, moving = self.buffer, not isinstance(phs, float)
+        self._next_sample = self._ticks + range(len(ts))[at][-1] + self._sample_every
+        if isinstance(ts, list):
+            ts, phs, at = ts[at], phs[at] if moving else phs, slice(None)
+        consumed, delivered = None if moving else buf.consumed, None
+        if isinstance(buf, SegmentBuffer):  # whose consumed_at reads no pos
+            consumed = list(map(buf.consumed_at, phs[at], repeat(0))) if moving else consumed
+            delivered = buf.delivered()
+        self._books.append((ts, phs, at, buf.pos, buf.dup, upto, consumed, delivered))

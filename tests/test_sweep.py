@@ -1,6 +1,7 @@
 """sweep_watched_fraction runs one session for all its fractions; every
 report must equal that of a fresh run truncated at its fraction."""
 
+import copy
 import random
 from dataclasses import replace
 
@@ -201,3 +202,35 @@ def test_a_watch_that_ends_mid_tick_as_playback_would_run_dry(kind):
     reports = sweep_watched_fraction(sc, fractions)
     assert sum(len(r.metrics.stalls) for r in reports) > 0
     assert_same_reports(reports, oracle(sc, fractions))
+
+
+@pytest.mark.parametrize("replaced_counts_waste", [False, True])
+def test_dash_refetch_sweep_matches_one_session_per_fraction(replaced_counts_waste):
+    # the benchmark's refetch variant on its jittery path.  A DASH sample's
+    # bytes consumed and media delivered are taken when it is: later segments
+    # grow what delivered() reads, and with the replaced copies counted as
+    # waste SegmentBuffer.replace rewrites `spent` after earlier samples
+    sc = load_builtin("compare_dash_3g")
+    technique = replace(sc.technique, dash_refetch_depth=2, fast_start_s=30.0,
+                        dash_replaced_counts_waste=replaced_counts_waste)
+    sc = replace(sc.with_path(jitter=0.1), seed=12345, technique=technique)
+    fractions = (0.1, 0.3, 0.6, 1.0)
+    assert_same_reports(sweep_watched_fraction(sc, fractions), oracle(sc, fractions))
+
+
+def test_buffer_series_read_in_any_order_gives_the_same_lists():
+    # the reports of one sweep share the session's samples, and each works
+    # out its own on its first read
+    sc = load_builtin("sweep_onoff_3g")
+    fractions = (0.2, 0.6, 1.0)
+    want = [list(r.metrics.buffer_series) for r in sweep_watched_fraction(sc, fractions)]
+    reports = sweep_watched_fraction(sc, fractions)
+    copies = [copy.deepcopy(r.metrics) for r in reports[::2]]
+    for _ in range(2):
+        assert [list(r.metrics.buffer_series) for r in reports[::-1]] == want[::-1]
+    assert [list(m.buffer_series) for m in copies] == want[::2]
+    for r, rows in zip(reports, want):
+        m = r.metrics
+        assert repr(m.buffer_series) == repr(list(m.buffer_series)) == repr(rows)
+        assert m.buffer_series == rows and len(m.buffer_series) == len(rows)
+        assert m.buffer_series[-1] == rows[-1] and m.buffer_series[1:4] == rows[1:4]

@@ -13,11 +13,13 @@ per-row reader's record list gives.
 
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamsim.harness import write_artifacts
 from streamsim.radio import (
     ACTIVE,
     DCH,
@@ -213,3 +215,16 @@ def test_radio_csv_matches_csv_writer(tmp_path_factory, segs):
     write_radio_csv(segs, out / "got.csv")
     oracle_radio_csv(segs, out / "want.csv")
     assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("count", [0, 1, 1024, 1025])
+def test_buffer_csv_matches_one_format_per_row(bundled, tmp_path, count):
+    # rows go out 1,024 to a %; a byte count of -1e-9 prints as -0
+    rows = [(0.1 * i, -1e-9 if i % 3 == 0 else 1e3 * i + 0.5, 0.01 * i) for i in range(count)]
+    report = bundled("compare_fast_caching_3g")
+    report = replace(report, metrics=replace(report.metrics, buffer_series=rows))
+    write_artifacts(report, tmp_path)
+    want = "time_s,buffer_bytes,buffer_media_s\r\n" + "".join("%.3f,%.0f,%.3f\r\n" % r for r in rows)
+    got = (tmp_path / "compare_fast_caching_3g.buffer.csv").read_bytes()
+    assert got == want.encode()
+    assert count == 0 or got.split(b"\r\n")[1].split(b",")[1] == b"-0"
