@@ -14,7 +14,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain, compress, count
 from operator import itemgetter, sub
 
 from .media import VideoSpec
@@ -98,7 +98,7 @@ def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
         times, cums = view.times, view.cums
         if not times:
             return []
-        cuts = [k for k, g in enumerate(map(sub, times[1:], times), 1) if not g < gap_s]
+        cuts = _burst_starts(times, gap_s)
         starts, ends = [0, *cuts], [*cuts, len(times)]
         return [Burst(times[i], times[j - 1], cums[j] - cums[i], j - i)
                 for i, j in zip(starts, ends)]
@@ -126,6 +126,12 @@ def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
     if start is not None:
         bursts.append(Burst(start, end, nbytes, packets))
     return bursts
+
+
+def _burst_starts(times, gap_s):
+    """The indices k > 0 at which a burst starts in a _DataView's record-order
+    times, which are finite: those at least gap_s after the time before."""
+    return [k for k, a, b in zip(count(1), times, times[1:]) if b - a >= gap_s]
 
 
 def burst_cdf(bursts):
@@ -410,8 +416,8 @@ def _harvest(records, view):
     and from `view`, their _DataView.
 
     The DATA count, bytes and burst gaps come from the view's record-order
-    times.  Bursts are grouped as group_bursts() does, with
-    THRESHOLDS["burst_gap_s"].
+    times.  Bursts split where group_bursts() splits them (_burst_starts),
+    with THRESHOLDS["burst_gap_s"].
     """
     probes = ads = 0
     data_conns = set()
@@ -468,8 +474,7 @@ def _harvest(records, view):
     }
     if not times:
         return feats
-    burst_gap = THRESHOLDS["burst_gap_s"]
-    gaps = [g for a, b in zip(times, times[1:]) if (g := b - a) >= burst_gap]
+    gaps = [times[k] - times[k - 1] for k in _burst_starts(times, THRESHOLDS["burst_gap_s"])]
     feats["bursts"] = len(gaps) + 1
     feats["max_burst_gap_s"] = max(gaps, default=0.0)
     feats["long_gaps"] = sum(g >= THRESHOLDS["silent_gap_s"] for g in gaps)

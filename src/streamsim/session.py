@@ -40,6 +40,9 @@ One planner (_chunk) lays out the ticks after it in runs, each a Plan that
 names the rule ending it, played in bulk inside the same event (_flow) with
 the same rules and float operations, so the outputs are those of a session
 that runs every tick as its own event.  A run's pacing is transport.py's.
+Only the session reads the kernel's clock: a full tick hands its time,
+`now`, to the connection and the policy, and a plan hands the connection
+the times of its ticks, so neither of them keeps a clock.
 
 One session may end several watches of the same clip: its own, which is
 the longest, and shorter ones added with _also_watch (the harness runs a
@@ -61,7 +64,8 @@ from functools import partial
 from itertools import accumulate, compress, repeat
 from operator import sub
 
-from .kernel import Kernel, Ticks
+from .binade import Ticks
+from .kernel import Kernel
 from .media import MediaBuffer, SegmentBuffer, check_positive, dash_pick_quality
 from .media import QualityLevel, VideoSpec  # noqa: F401  (re-exported: they lived here first)
 from .transport import CLOSE_KINDS, DATA, DOWN, UP, Pacing, Transport
@@ -240,8 +244,8 @@ class Policy:
             self.full_at = t.buffer_cap - slack
             self.reopen_at = t.buffer_cap - headroom
 
-    def start(self, session):
-        session._open(self.video.total_bytes)
+    def start(self, session, now):
+        session._open(now, self.video.total_bytes)
 
     def rule(self, session):
         """(reads, acts) in the session's state: None where the client reads
@@ -266,19 +270,19 @@ class Policy:
         """Capped store: the closed connection reopens once this much has drained."""
         return pos < self.video.total_bytes and pos - used <= self.reopen_at
 
-    def act(self, session):
+    def act(self, session, now):
         if session._conn_open():
-            session.conn.close("RST")
+            session.conn.close(now, "RST")
             return
         buf, kf = session.buffer, self.video.keyframe_spacing
         buf.dup = buf.pos % kf if self.technique.keyframe_waste and kf > 0 else 0
-        session._open(buf.dup + (self.video.total_bytes - buf.pos))
+        session._open(now, buf.dup + (self.video.total_bytes - buf.pos))
 
     def on_data(self, session, nbytes, now):
         """nbytes arrived; the buffer has booked them."""
 
-    def steady(self, session):
-        """The fast start has ended."""
+    def steady(self, session, now):
+        """The fast start has ended at `now`."""
 
     def writes(self, ends):
         """The server's writes on the ticks ending at `ends` after its first:
@@ -289,9 +293,9 @@ class Policy:
         """Take the writes (writes()) on the first k ticks as made; returns their bytes."""
         return 0
 
-    def serve(self, session):
-        """The server's step on a full tick, after the client's: the writes due by now."""
-        written = self.book(self.writes((session.kernel.now,)), 1)
+    def serve(self, session, now):
+        """The server's step after the client's on the full tick at `now`: the writes due by then."""
+        written = self.book(self.writes((now,)), 1)
         if written:
             session.conn.enqueue(written)
 
@@ -318,19 +322,19 @@ class Throttle(Policy):
 
     server_left = 0  # undelivered bytes for the bursty server
 
-    def start(self, session):
+    def start(self, session, now):
         if self.technique.burst_size is None:
-            return super().start(session)
+            return super().start(session, now)
         # bursty server: only the fast-start chunk is written up front
-        session._open(session.buffer.ready_at)
+        session._open(now, session.buffer.ready_at)
         self.server_left = self.video.total_bytes - session.buffer.ready_at
 
-    def steady(self, session):
+    def steady(self, session, now):
         t = self.technique
         if t.burst_size is None:
             session.conn.set_rate_cap(t.throttle_factor * self.video.avg_rate_bps)
         elif self.server_left:
-            self.burst_next = session.kernel.now
+            self.burst_next = now
             self.interval = t.burst_size * 8.0 / (t.throttle_factor * self.video.avg_rate_bps)
 
     def writes(self, ends):
@@ -375,18 +379,18 @@ class OnOff(Policy):
         """The client resumes reading once buffered media falls this low."""
         return pos < self.video.total_bytes and got - ph <= self.technique.low_watermark_s
 
-    def act(self, session):
+    def act(self, session, now):
         self.reading = not self.reading
         if not self.reading:
-            self.steady(session)
+            self.steady(session, now)
         elif not session._conn_open():
-            session._open(self.video.total_bytes - session.buffer.pos)
+            session._open(now, self.video.total_bytes - session.buffer.pos)
 
-    def steady(self, session):
+    def steady(self, session, now):
         # a burst ends; per burst, so does its connection
         self.reading = False
         if self.technique.connection_mode == PER_BURST:
-            session.conn.close("RST")
+            session.conn.close(now, "RST")
 
 
 class Dash(Policy):
@@ -423,8 +427,8 @@ class Dash(Policy):
         self.n_segments = int(math.ceil(v.duration_s / seg))
         self.tputs = deque(maxlen=3)
 
-    def start(self, session):
-        session.conn = session.transport.open(session.recv_capacity, session.probe_interval)
+    def start(self, session, now):
+        session._open(now, 0)  # each segment is requested on its own
 
     def rule(self, session):
         if self.outstanding is not None or self.requested >= self.n_segments:
@@ -435,10 +439,10 @@ class Dash(Policy):
         """The client requests the next segment while this holds."""
         return got - ph < self.target
 
-    def steady(self, session):
+    def steady(self, session, now):
         self.target = self.technique.dash_target_s
 
-    def act(self, session):
+    def act(self, session, now):
         if self.tputs:
             est = len(self.tputs) / sum(1.0 / x for x in self.tputs)
             level = dash_pick_quality(self.video.ladder, est, self.technique.dash_safety)
@@ -446,7 +450,7 @@ class Dash(Policy):
             level = 0  # playlist default entry before any throughput sample
         start = self.requested * self.seg_dur
         length = min(self.seg_dur, self.video.duration_s - start)
-        nbytes = self._fetch(session, level, length)
+        nbytes = self._fetch(session, now, level, length)
         refetched = []
         if self.last_level is not None and level > self.last_level:
             segments = session.buffer.segments
@@ -454,16 +458,16 @@ class Dash(Policy):
             for i in range(len(segments) - 1, max(-1, len(segments) - 1 - depth), -1):
                 if segments[i][0] < session.playhead:
                     break
-                refetched.append((i, self._fetch(session, level, segments[i][1])))
+                refetched.append((i, self._fetch(session, now, level, segments[i][1])))
         self.left = nbytes + sum(n for _, n in refetched)
-        self.outstanding = (session.kernel.now, self.left, level, start, length, nbytes, refetched)
+        self.outstanding = (now, self.left, level, start, length, nbytes, refetched)
         self.requested += 1
         self.last_level = level
 
-    def _fetch(self, session, level, length):
-        """Request `length` media seconds at `level`; returns their bytes."""
+    def _fetch(self, session, now, level, length):
+        """Request `length` media seconds at `level` at `now`; returns their bytes."""
         nbytes = int(round(self.video.ladder[level].bandwidth_bps * length / 8.0))
-        session.conn.request()
+        session.conn.request(now)
         session.conn.enqueue(nbytes)
         return nbytes
 
@@ -539,7 +543,7 @@ class StreamingSession:
         self.technique = technique
         self.path = path
         self.kernel = kernel or Kernel()
-        self.transport = Transport(path, self.kernel, seed=seed)
+        self.transport = Transport(path, seed=seed)
         self.tick_s = tick_s
         self.recv_capacity = recv_capacity
         self.probe_interval = probe_interval
@@ -583,7 +587,7 @@ class StreamingSession:
         self.watched_end = self._pending[-1] * self.video.duration_s
 
     def run(self):
-        self.policy.start(self)
+        self.policy.start(self, self.kernel.now)
         self.kernel.schedule(self.kernel.now + self.tick_s, self._tick)
         self.kernel.run_until(self.max_sim_time)
         if self.phase != DRAINED:
@@ -617,9 +621,9 @@ class StreamingSession:
             "open" if self._conn_open() else "closed",
         )
 
-    def _open(self, nbytes):
-        """Open a connection and ask the server for nbytes on it."""
-        self.conn = self.transport.open(self.recv_capacity, self.probe_interval)
+    def _open(self, now, nbytes):
+        """Open a connection at `now` and ask the server for nbytes on it."""
+        self.conn = self.transport.open(now, self.recv_capacity, self.probe_interval)
         self.metrics.connection_bytes.setdefault(self.conn.id, 0)
         self.conn.enqueue(nbytes)
 
@@ -633,24 +637,24 @@ class StreamingSession:
         dt = self.tick_s
         buf = self.buffer
         limit = buf.limit(buf.pos, buf.consumed, buf.dup)
-        for rec in self.conn.advance(dt, limit=limit):
+        for rec in self.conn.advance(now, dt, limit):
             if rec.kind == DATA:
                 buf.arrive(rec.payload)
                 self._on_data(rec.payload, rec.conn_id, now)
         if self.phase == FAST_START and buf.ready():
-            self._steady()
-        self._playback(dt)
+            self._steady(now)
+        self._playback(now, dt)
         self._ticks += 1
         if self.phase == DRAINED:
             return
         # the client acts where acts() says, then reads by the rule it leaves
         reads, acts = self.policy.rule(self)
         if acts is not None and acts(buf.pos, buf.delivered(), self.playhead, buf.consumed):
-            self.policy.act(self)
+            self.policy.act(self, now)
             reads, _ = self.policy.rule(self)
         if reads is not None:
-            self.conn.read(reads(self.playhead))
-        self.policy.serve(self)
+            self.conn.read(reads(self.playhead), now)
+        self.policy.serve(self, now)
         if self._ticks >= self._next_sample:
             self._book((now,), self.playhead, slice(None))
         buf.check()
@@ -741,7 +745,7 @@ class StreamingSession:
             return None
         # the server's next write is the connection's next action: a quiet
         # run stops before it, a paced run carries it, a windowed one cannot
-        conn_t = min(self.conn.next_action(dt, t), burst_next)
+        conn_t = min(self.conn.next_action(t, dt), burst_next)
         reads, acts = self.policy.rule(self)
         kind = self._run_kind(t + dt, conn_t, reads, acts)
         stop_t = min(burst_next, horizon) if kind is WINDOWED else horizon
@@ -799,7 +803,7 @@ class StreamingSession:
         """A Plan of the ticks after `t` up to the clock's `bound`, cut where
         the watch ends or playback runs dry on the media delivered.  Clock
         and playheads are the full tick's float additions: lists for a paced
-        run, which sends on every tick, and kernel.Ticks for a quiet one."""
+        run, which sends on every tick, and binade.Ticks for a quiet one."""
         # build no more ticks than the clock, the bytes, the delivered media
         # and the watch leave room for, give or take one
         dt, playhead, buf = self.tick_s, self.playhead, self.buffer
@@ -966,16 +970,15 @@ class StreamingSession:
         m.delivery_end_t = now
         self.policy.on_data(self, nbytes, now)
 
-    def _steady(self):
+    def _steady(self, now):
         self.phase = STEADY
-        self.metrics.fast_start_end_t = self.kernel.now
-        self.metrics.startup_s = self.kernel.now
-        self.policy.steady(self)
+        self.metrics.fast_start_end_t = now
+        self.metrics.startup_s = now
+        self.policy.steady(self, now)
 
-    def _playback(self, dt):
+    def _playback(self, now, dt):
         if self.phase != STEADY:
             return
-        now = self.kernel.now
         avail_media = self.buffer.delivered() - self.playhead
         if self.stalled:
             if avail_media <= 1e-9:
@@ -996,7 +999,7 @@ class StreamingSession:
                 return
             if not self._watch_done(self.playhead + step):
                 break
-            if self._finish(step):
+            if self._finish(now, step):
                 return
         self.playhead += step
         self._sync_consumed()
@@ -1010,8 +1013,9 @@ class StreamingSession:
 
     # -- wrap-up -----------------------------------------------------------
 
-    def _finish(self, step):
-        """End the watch at watched_end with a last playback step of `step`.
+    def _finish(self, now, step):
+        """End the watch at watched_end with a last playback step of `step`
+        on the full tick at `now`.
 
         Its metrics and its close are those of a session that watches just
         that far.  The last watch end finishes this session.  An earlier one
@@ -1020,7 +1024,6 @@ class StreamingSession:
         of the transport's state, and the session goes on to the next watch
         end.  Returns whether the session is done.
         """
-        now = self.kernel.now
         buf = self.buffer
         fraction = self._pending.pop()
         done = not self._pending
@@ -1033,7 +1036,7 @@ class StreamingSession:
             self.phase = DRAINED
             self.playhead, buf.consumed, buf.wasted = playhead, consumed, wasted
             if self._conn_open():
-                self.conn.close(mode)
+                self.conn.close(now, mode)
             records = self.transport.records
         else:
             m = replace(

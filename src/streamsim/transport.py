@@ -221,23 +221,23 @@ Pacing = namedtuple("Pacing", "credit occupancy resume closed reopened",
 class Transport:
     """Factory for connections over one path; owns the shared packet timeline (a Timeline)."""
 
-    def __init__(self, path, kernel, seed=0):
+    def __init__(self, path, seed=0):
         self.path = path
-        self.kernel = kernel
         self.records = Timeline()
         self._next_id = 1
         self._rng = random.Random(seed)
         self._last_nominal = 0.0    # last unperturbed timestamp
 
-    def open(self, recv_capacity, probe_interval=5.0):
+    def open(self, now, recv_capacity, probe_interval):
+        """Open a connection at `now`: its OPEN and REQUEST records."""
         if recv_capacity <= 0:
             raise ValueError("recv_capacity must be positive")
         if probe_interval <= 0:
             raise ValueError("probe_interval must be positive")
         conn = Connection(self, self._next_id, recv_capacity, probe_interval)
         self._next_id += 1
-        self.emit(self.kernel.now, UP, 0, OPEN, conn.id)
-        conn.request()
+        self.emit(now, UP, 0, OPEN, conn.id)
+        conn.request(now)
         return conn
 
     def emit(self, time, direction, payload, kind, conn_id):
@@ -345,18 +345,16 @@ class Connection:
 
     # -- client side -------------------------------------------------------
 
-    def request(self):
-        """Client asks for (more) content; server reacts one rtt later."""
-        now = self.transport.kernel.now
+    def request(self, now):
+        """Client asks for (more) content at `now`; server reacts one rtt later."""
         self.transport.emit(now, UP, 0, REQUEST, self.id)
         self._resume_at = max(self._resume_at, now + self.transport.path.rtt_s)
 
-    def read(self, max_bytes, now=None):
+    def read(self, max_bytes, now):
         """Drain up to max_bytes from the receive buffer; returns bytes read.
 
         Freeing space in a zero-window state notifies the sender, which
-        resumes one rtt after `now`, the end of the reading tick (by default
-        the kernel's time).
+        resumes one rtt after `now`, the end of the reading tick.
         """
         n = int(min(max_bytes, self.recv_occupancy))
         if n <= 0:
@@ -366,19 +364,17 @@ class Connection:
             self.reopen_window(now)
         return n
 
-    def reopen_window(self, now=None):
+    def reopen_window(self, now):
         """The client freed space in a zero window by `now`: the sender resumes one rtt later."""
         self.window_state = OPEN_WINDOW
         self._next_probe = None
         if self.state == STATE_OPEN:
-            if now is None:
-                now = self.transport.kernel.now
             self._resume_at = max(self._resume_at, now + self.transport.path.rtt_s)
 
     # -- pipe --------------------------------------------------------------
 
-    def advance(self, dt, limit=None):
-        """Move bytes for the tick ending now; returns records emitted.
+    def advance(self, now, dt, limit=None):
+        """Move bytes for the tick of dt ending at `now`; returns records emitted.
 
         Delivery this tick is min(send_queue, pacing allowance, free buffer
         space, limit), paced by paced().  While the sender is blocked on a
@@ -390,7 +386,6 @@ class Connection:
         if self.state != STATE_OPEN:
             return []
         out = []
-        now = self.transport.kernel.now
         room = min(self.send_queue, self.recv_capacity - self.recv_occupancy)
         if limit is not None:
             room = min(room, int(limit))
@@ -427,7 +422,7 @@ class Connection:
                 and self.byte_rate * dt + 1.0 < self.recv_capacity)
 
     def drain(self, ends, dt, left, rest=False, idles=False, credit=None):
-        """What advance(dt) sends on the ticks ending at `ends`, the client
+        """What advance(end, dt) sends on the ticks ending at `ends`, the client
         draining each (drains()), from the pacing `credit` (by default the
         connection's) and none before the resume time, leaving the connection
         as it is: each tick's size, running bytes and credit after, the ticks
@@ -474,7 +469,7 @@ class Connection:
         return sizes, upto, credits, played, cut
 
     def plan(self, ts, dt, wants, left, stalled=False):
-        """What advance(dt), read() and the window's close and reopen do on the
+        """What advance(end, dt), read() and the window's close and reopen do on the
         ticks ending at ts[1:] (ts[0] is now), the client reading wants[i - 1]
         bytes (or, with no wants, all it holds) after tick i, leaving the
         connection as it is.  Stops before a tick that sends into a zero
@@ -487,7 +482,7 @@ class Connection:
         rtt, capacity, byte_rate = self.transport.path.rtt_s, self.recv_capacity, self.byte_rate
         occ, credit, resume = self.recv_occupancy, self._rate_frac, self._resume_at
         zero = self.window_state == ZERO_WINDOW
-        action = self.next_action(dt, ts[0])
+        action = self.next_action(ts[0], dt)
         read_by = list(accumulate(wants, initial=0)) if wants else None
         sizes, fills = [], []
         closed = reopened = cut = None
@@ -551,15 +546,14 @@ class Connection:
         self.window_state = ZERO_WINDOW
         self._next_probe = now + self.probe_interval
 
-    def next_action(self, dt, now=None):
-        """Earliest tick end after `now` at which advance(dt) may change this connection.
+    def next_action(self, now, dt):
+        """Earliest tick end after `now` at which advance(end, dt) may change this connection.
 
         Until then advance() is a no-op for as long as nobody reads, enqueues
         or requests, so a caller may play the ticks in between without it.
         With bytes queued and room to receive them the sender moves data from
         the first tick ending after the resume time; blocked on a zero window
-        it only probes.  Returns inf when it cannot act on its own.  `now`
-        defaults to the kernel's time.
+        it only probes.  Returns inf when it cannot act on its own.
         """
         if self.state != STATE_OPEN or self.send_queue == 0:
             return math.inf
@@ -567,8 +561,6 @@ class Connection:
         # ending exactly at it paces zero bytes and only keeps the credit
         if self.recv_occupancy < self.recv_capacity:
             return self._resume_at
-        if now is None:
-            now = self.transport.kernel.now
         # blocked on a zero window: a tick zeroes the pacing credit, and is a
         # no-op only once the credit is zero and every tick's allowance is at
         # least one byte (a first tick after the resume time may be partial,
@@ -582,8 +574,9 @@ class Connection:
             return min(self._next_probe, self._resume_at)
         return self._next_probe
 
-    def close(self, mode="RST"):
-        """Tear down; undelivered server bytes are dropped.  Idempotent it is not."""
+    def close(self, now, mode):
+        """Tear down at `now` with an RST or FIN record; undelivered server
+        bytes are dropped.  Idempotent it is not."""
         if self.state == STATE_CLOSED:
             raise ValueError("connection %d closed twice" % self.id)
         if mode not in CLOSE_KINDS:
@@ -591,7 +584,7 @@ class Connection:
         self.state = STATE_CLOSED
         self.send_queue = 0
         self._next_probe = None
-        return self.transport.emit(self.transport.kernel.now, UP, 0, CLOSE_KINDS[mode], self.id)
+        return self.transport.emit(now, UP, 0, CLOSE_KINDS[mode], self.id)
 
 
 OUT_OF_ORDER = "packet timeline must be sorted by time"

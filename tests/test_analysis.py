@@ -358,7 +358,7 @@ def test_a_timeline_keeps_its_view_until_its_columns_change():
     copy = timeline.copy()
     assert copy._view is None and data_view(copy) is not data_view(timeline)
     # emit_run drops the view, with or without a zero-window ad
-    transport = Transport(PathSpec(1e6), kernel=None)
+    transport = Transport(PathSpec(1e6))
     transport.emit_run(DOWN, DATA, 1, [0.1, 0.2], [100, 200])
     assert list(data_view(transport.records).cums) == [0, 100, 300]
     transport.emit_run(DOWN, DATA, 1, [0.3], [300], ads=[1])

@@ -1,11 +1,6 @@
-from bisect import bisect_left
-from itertools import accumulate, repeat
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from streamsim.kernel import Kernel, Ticks
+from streamsim.kernel import Kernel
 
 
 def test_action_may_schedule_the_next_within_the_same_run():
@@ -74,24 +69,3 @@ def test_executed_counts_actions_over_every_run():
     assert k.executed == 1
     k.run_until(3.0)
     assert k.executed == 3
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    x0=st.one_of(st.just(0.0), st.floats(0.0, 2100.0), st.sampled_from([0.99, 255.99, 511.995])),
-    dt=st.one_of(st.sampled_from([0.01, 0.02, 0.025]), st.floats(0.001, 0.1)),
-    n=st.integers(1, 20_000),
-    probes=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
-                    min_size=1, max_size=5),
-    every=st.sampled_from([1, 7, 10]),
-)
-def test_ticks_read_what_accumulate_adds(x0, dt, n, probes, every):
-    # a quiet run reads its clock in closed form: every value, slice and
-    # search must be the accumulated float additions themselves
-    ticks, listed = Ticks(x0, dt, n), list(accumulate(repeat(dt, n), initial=x0))
-    assert len(ticks) == len(listed) and ticks[:] == listed
-    for a, b, shift in probes:
-        lo, hi = sorted((int(a * n), int(b * n) + 1))
-        assert ticks[lo:hi:every] == listed[lo:hi:every]
-        x = listed[lo] + shift * dt
-        assert ticks.index(x, lo, hi) == bisect_left(listed, x, lo, hi)

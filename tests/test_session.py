@@ -652,7 +652,7 @@ def chunk_cuts(session, args, plan):
     stop_t = session.max_sim_time
     if plan.fills is not None:
         stop_t = min(policy.burst_next, stop_t)
-    conn_t = min(conn.next_action(dt, t), policy.burst_next)
+    conn_t = min(conn.next_action(t, dt), policy.burst_next)
     queue, at, left = conn.send_queue, policy.burst_next, getattr(policy, "server_left", 0)
     while at <= ts[k]:
         n = min(session.technique.burst_size, left)
@@ -937,7 +937,7 @@ def test_a_chunk_paces_its_first_tick_from_the_resume_time():
     # (0.02 + 0.01) - 0.01 rounds below 0.02: a sender resuming at 0.02
     # gets less than a whole tick on the tick that ends at 0.03
     session = StreamingSession(CLIP, STEADY, PATH)
-    session.policy.start(session)
+    session.policy.start(session, 0.0)
     conn = session.conn
     t, dt = 0.02, session.tick_s
     start = t + dt - dt

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamsim.kernel import Kernel
 from streamsim.transport import (
     CLOSE_FIN,
     CLOSE_RST,
@@ -32,17 +31,18 @@ TICK = 0.01
 
 
 def make_conn(bandwidth_bps=6_000_000, rtt_s=0.05, jitter=0.0, seed=0,
-              recv_capacity=1 << 30, probe_interval=5.0):
-    kernel = Kernel()
-    transport = Transport(PathSpec(bandwidth_bps, rtt_s, jitter), kernel, seed=seed)
-    conn = transport.open(recv_capacity=recv_capacity, probe_interval=probe_interval)
-    return kernel, transport, conn
+              recv_capacity=1 << 30, probe_interval=5.0, now=0.0):
+    """A transport and a connection it opened at `now`."""
+    transport = Transport(PathSpec(bandwidth_bps, rtt_s, jitter), seed=seed)
+    conn = transport.open(now, recv_capacity, probe_interval)
+    return transport, conn
 
 
-def drive(kernel, conn, ticks, dt=TICK):
-    for i in range(ticks):
-        kernel.run_until((i + 1) * dt)
-        conn.advance(dt)
+def drive(conn, ticks, dt=TICK, first=0):
+    """Advance the connection through ticks first + 1 .. first + ticks, the
+    i-th ending at i * dt."""
+    for i in range(first, first + ticks):
+        conn.advance((i + 1) * dt, dt)
 
 
 def data_records(transport):
@@ -50,7 +50,7 @@ def data_records(transport):
 
 
 def test_open_emits_handshake_and_request():
-    kernel, transport, conn = make_conn()
+    transport, conn = make_conn()
     kinds = [r.kind for r in transport.records]
     assert kinds == [OPEN, REQUEST]
     assert all(r.direction == UP for r in transport.records)
@@ -58,18 +58,18 @@ def test_open_emits_handshake_and_request():
 
 
 def test_no_data_before_one_round_trip():
-    kernel, transport, conn = make_conn(rtt_s=0.05)
+    transport, conn = make_conn(rtt_s=0.05)
     conn.enqueue(100_000)
-    drive(kernel, conn, 5)  # up to t = 0.05
+    drive(conn, 5)  # up to t = 0.05
     assert data_records(transport) == []
 
 
 def test_pacing_matches_path_rate():
     # 6 Mbps is 7500 bytes per 10 ms tick; 1 MiB should take 140 sends,
     # the first one tick after the request round trip completes.
-    kernel, transport, conn = make_conn(bandwidth_bps=6_000_000, rtt_s=0.05)
+    transport, conn = make_conn(bandwidth_bps=6_000_000, rtt_s=0.05)
     conn.enqueue(1 << 20)
-    drive(kernel, conn, 200)
+    drive(conn, 200)
     data = data_records(transport)
     assert len(data) == 140
     assert data[0].time == pytest.approx(0.06, abs=1e-9)
@@ -83,37 +83,36 @@ def test_pacing_matches_path_rate():
 def test_fractional_rate_carry_has_no_long_term_drift():
     # A rate that does not divide into whole bytes per tick must neither
     # lose nor invent bytes over a long window.
-    kernel, transport, conn = make_conn(bandwidth_bps=555_555, rtt_s=0.0)
+    transport, conn = make_conn(bandwidth_bps=555_555, rtt_s=0.0)
     conn.enqueue(10 << 20)
     ticks = 2000
-    drive(kernel, conn, ticks)
+    drive(conn, ticks)
     expected = 555_555 / 8.0 * (ticks * TICK)
     assert abs(conn.delivered_total - expected) <= 1.0
 
 
 def test_rate_cap_limits_below_path_bandwidth():
-    kernel, transport, conn = make_conn(bandwidth_bps=6_000_000, rtt_s=0.0)
+    transport, conn = make_conn(bandwidth_bps=6_000_000, rtt_s=0.0)
     conn.enqueue(1 << 20)
     conn.set_rate_cap(400_000)
-    drive(kernel, conn, 100)
+    drive(conn, 100)
     # 400 kbps for 1 s is 50 kB; allow the one-byte carry rounding.
     assert abs(conn.delivered_total - 50_000) <= 1.0
 
 
 def test_per_tick_delivery_limit_is_respected():
-    kernel, transport, conn = make_conn(bandwidth_bps=6_000_000, rtt_s=0.0)
+    transport, conn = make_conn(bandwidth_bps=6_000_000, rtt_s=0.0)
     conn.enqueue(1 << 20)
     for i in range(50):
-        kernel.run_until((i + 1) * TICK)
-        for rec in conn.advance(TICK, limit=3000):
+        for rec in conn.advance((i + 1) * TICK, TICK, limit=3000):
             assert rec.payload <= 3000
     assert conn.delivered_total == 50 * 3000
 
 
 def test_receive_buffer_fill_advertises_zero_window():
-    kernel, transport, conn = make_conn(recv_capacity=10_000)
+    transport, conn = make_conn(recv_capacity=10_000)
     conn.enqueue(50_000)
-    drive(kernel, conn, 600)  # 6 s, no reads
+    drive(conn, 600)  # 6 s, no reads
     assert conn.delivered_total == 10_000
     ads = [r for r in transport.records if r.kind == ZERO_WINDOW_AD]
     probes = [r for r in transport.records if r.kind == ZERO_WINDOW_PROBE]
@@ -126,23 +125,20 @@ def test_receive_buffer_fill_advertises_zero_window():
 
 
 def test_probe_cadence_continues_while_blocked():
-    kernel, transport, conn = make_conn(recv_capacity=10_000, probe_interval=5.0)
+    transport, conn = make_conn(recv_capacity=10_000, probe_interval=5.0)
     conn.enqueue(50_000)
-    drive(kernel, conn, 1700)  # 17 s
+    drive(conn, 1700)  # 17 s
     probes = [r.time for r in transport.records if r.kind == ZERO_WINDOW_PROBE]
     assert probes == [5.07, 10.07, 15.07]
 
 
 def test_read_reopens_window_after_round_trip():
-    kernel, transport, conn = make_conn(recv_capacity=10_000, rtt_s=0.05)
+    transport, conn = make_conn(recv_capacity=10_000, rtt_s=0.05)
     conn.enqueue(50_000)
-    drive(kernel, conn, 600)
-    assert conn.read(4000) == 4000
+    drive(conn, 600)
+    assert conn.read(4000, 600 * TICK) == 4000
     assert conn.recv_occupancy == 6000
-    drive_from = int(round(kernel.now / TICK))
-    for i in range(drive_from, drive_from + 20):
-        kernel.run_until((i + 1) * TICK)
-        conn.advance(TICK)
+    drive(conn, 20, first=600)
     data = data_records(transport)
     # The refill lands one round trip after the window reopened.
     assert data[-1].time == pytest.approx(6.06, abs=1e-9)
@@ -154,60 +150,88 @@ def test_read_reopens_window_after_round_trip():
 
 
 def test_read_more_than_buffered_returns_what_is_there():
-    kernel, transport, conn = make_conn(recv_capacity=10_000)
+    transport, conn = make_conn(recv_capacity=10_000)
     conn.enqueue(6000)
-    drive(kernel, conn, 10)
-    assert conn.read(99_999) == 6000
+    drive(conn, 10)
+    assert conn.read(99_999, 10 * TICK) == 6000
     assert conn.recv_occupancy == 0
+
+
+def test_records_carry_the_times_the_caller_gives():
+    # no clock stands behind a connection: it stamps each record at the
+    # `now` of the call that makes it, off the tick grid too
+    transport, conn = make_conn(rtt_s=0.05, recv_capacity=5_000, now=0.37)
+    conn.enqueue(50_000)
+    # the sender resumes at 0.42; the tick ending at 1.234 s fills the window
+    conn.advance(1.234, TICK)
+    assert conn.window_state == ZERO_WINDOW
+    assert conn.next_action(1.234, TICK) == 1.234 + 5.0  # its first probe
+    conn.advance(6.3, TICK)
+    # a read between ticks reopens the window: the sender resumes one rtt later
+    assert conn.read(2_000, 6.3071) == 2_000
+    assert conn._resume_at == 6.3071 + 0.05
+    assert conn.next_action(6.3071, TICK) == 6.3071 + 0.05
+    conn.advance(6.3592, TICK)
+    conn.request(6.4)
+    conn.close(6.45, "FIN")
+    assert [(r.time, r.kind) for r in transport.records] == [
+        (0.37, OPEN), (0.37, REQUEST),
+        (1.234, DATA), (1.234, ZERO_WINDOW_AD),
+        (1.234 + 5.0, ZERO_WINDOW_PROBE), (1.234 + 5.0, ZERO_WINDOW_AD),
+        (6.3592, DATA), (6.4, REQUEST), (6.45, CLOSE_FIN),
+    ]
+    # the last tick is eligible from the resume time on, not from its start
+    first, last = data_records(transport)
+    assert first.payload == 5_000
+    assert last.payload == int(6_000_000 / 8.0 * (6.3592 - (6.3071 + 0.05)))
 
 
 def test_close_rst_and_fin_records():
     for mode, kind in (("RST", CLOSE_RST), ("FIN", CLOSE_FIN)):
-        kernel, transport, conn = make_conn()
+        transport, conn = make_conn()
         conn.enqueue(1000)
-        conn.close(mode)
-        assert transport.records[-1].kind == kind
+        conn.close(0.25, mode)
+        assert transport.records[-1].kind == kind and transport.records[-1].time == 0.25
         assert conn.state == STATE_CLOSED
         with pytest.raises(ValueError):
-            conn.close(mode)
+            conn.close(0.25, mode)
 
 
 def test_close_drops_unsent_queue():
-    kernel, transport, conn = make_conn()
+    transport, conn = make_conn()
     conn.enqueue(1 << 20)
-    drive(kernel, conn, 20)
+    drive(conn, 20)
     sent_before = conn.delivered_total
-    conn.close("RST")
-    drive(kernel, conn, 0)
-    assert conn.advance(TICK) == []
+    conn.close(20 * TICK, "RST")
+    assert conn.advance(21 * TICK, TICK) == []
     assert conn.delivered_total == sent_before
 
 
 def test_enqueue_on_closed_connection_rejected():
-    kernel, transport, conn = make_conn()
-    conn.close("FIN")
+    transport, conn = make_conn()
+    conn.close(0.0, "FIN")
     with pytest.raises(ValueError):
         conn.enqueue(1)
 
 
 def test_advance_rejects_nonpositive_dt():
-    kernel, transport, conn = make_conn()
+    transport, conn = make_conn()
     with pytest.raises(ValueError):
-        conn.advance(0.0)
+        conn.advance(TICK, 0.0)
 
 
 def test_second_connection_gets_distinct_id():
-    kernel, transport, conn = make_conn()
-    other = transport.open(recv_capacity=1 << 20)
+    transport, conn = make_conn()
+    other = transport.open(0.0, 1 << 20, 5.0)
     assert other.id == conn.id + 1
     ids = {r.conn_id for r in transport.records}
     assert ids == {conn.id, other.id}
 
 
 def test_jitter_preserves_sorted_timeline():
-    kernel, transport, conn = make_conn(jitter=0.3, seed=11)
+    transport, conn = make_conn(jitter=0.3, seed=11)
     conn.enqueue(2 << 20)
-    drive(kernel, conn, 400)
+    drive(conn, 400)
     times = [r.time for r in transport.records]
     assert times == sorted(times)
 
@@ -215,24 +239,24 @@ def test_jitter_preserves_sorted_timeline():
 def test_jitter_is_deterministic_per_seed():
     traces = []
     for _ in range(2):
-        kernel, transport, conn = make_conn(jitter=0.3, seed=42)
+        transport, conn = make_conn(jitter=0.3, seed=42)
         conn.enqueue(1 << 20)
-        drive(kernel, conn, 300)
+        drive(conn, 300)
         traces.append([(r.time, r.payload, r.kind) for r in transport.records])
     assert traces[0] == traces[1]
 
-    kernel, transport, conn = make_conn(jitter=0.3, seed=43)
+    transport, conn = make_conn(jitter=0.3, seed=43)
     conn.enqueue(1 << 20)
-    drive(kernel, conn, 300)
+    drive(conn, 300)
     other = [(r.time, r.payload, r.kind) for r in transport.records]
     assert other != traces[0]
 
 
 def test_timeline_csv_round_trip(tmp_path):
-    kernel, transport, conn = make_conn()
+    transport, conn = make_conn()
     conn.enqueue(300_000)
-    drive(kernel, conn, 100)
-    conn.close("FIN")
+    drive(conn, 100)
+    conn.close(100 * TICK, "FIN")
     path = tmp_path / "trace.csv"
     write_timeline_csv(transport.records, path)
     back = read_timeline_csv(path)
@@ -326,7 +350,7 @@ timeline_ops = st.lists(st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([0.0, 0.5]), timeline_ops)
 def test_timeline_runs_stay_canonical(jitter, ops):
-    transport = Transport(PathSpec(6_000_000, jitter=jitter), Kernel(), seed=3)
+    transport = Transport(PathSpec(6_000_000, jitter=jitter), seed=3)
     expected = []
     t = 0.0
     for op, *args in ops:
@@ -362,7 +386,7 @@ def test_timeline_runs_stay_canonical(jitter, ops):
 
 
 def test_emit_drops_the_records_built_before_it():
-    kernel, transport, conn = make_conn()
+    transport, conn = make_conn()
     before = list(transport.records)
     assert transport.records.rows() == before
     record = transport.emit(0.5, DOWN, 1_000, DATA, conn.id)
@@ -392,15 +416,15 @@ def test_random_workloads_conserve_bytes():
     for trial in range(10):
         bw = rng.choice([250_000, 1_000_000, 6_000_000])
         cap = rng.choice([8192, 65_536, 1 << 20])
-        kernel, transport, conn = make_conn(bandwidth_bps=bw, recv_capacity=cap)
+        transport, conn = make_conn(bandwidth_bps=bw, recv_capacity=cap)
         total = rng.randrange(10_000, 500_000)
         conn.enqueue(total)
         read_back = 0
         for i in range(600):
-            kernel.run_until((i + 1) * TICK)
-            conn.advance(TICK)
+            now = (i + 1) * TICK
+            conn.advance(now, TICK)
             if rng.random() < 0.5:
-                read_back += conn.read(rng.randrange(1, 20_000))
+                read_back += conn.read(rng.randrange(1, 20_000), now)
         assert conn.delivered_total == read_back + conn.recv_occupancy, f"trial {trial}"
         assert conn.delivered_total == sum(
             r.payload for r in transport.records if r.kind == DATA
@@ -416,19 +440,19 @@ def _conn_state(conn):
 
 
 def test_blocked_connection_next_acts_at_its_probe():
-    kernel, transport, conn = make_conn(recv_capacity=10_000)
+    transport, conn = make_conn(recv_capacity=10_000)
     conn.enqueue(50_000)
-    drive(kernel, conn, 100)  # full since t = 0.07
-    assert conn.next_action(TICK) == pytest.approx(5.07)
-    conn.close("RST")
-    assert conn.next_action(TICK) == float("inf")
+    drive(conn, 100)  # full since t = 0.07
+    assert conn.next_action(100 * TICK, TICK) == pytest.approx(5.07)
+    conn.close(100 * TICK, "RST")
+    assert conn.next_action(100 * TICK, TICK) == float("inf")
 
 
 def test_advance_is_a_no_op_before_next_action():
     rng = random.Random(5)
     quiet = 0
     for trial in range(30):
-        kernel, transport, conn = make_conn(
+        transport, conn = make_conn(
             bandwidth_bps=rng.choice([6_000_000, 600_000, 1_000]),
             rtt_s=rng.choice([0.0, 0.05, 0.3]),
             recv_capacity=rng.choice([100, 10_000, 65_536]),
@@ -436,22 +460,21 @@ def test_advance_is_a_no_op_before_next_action():
         )
         conn.enqueue(rng.choice([0, 30_000, 500_000]))
         conn.set_rate_cap(rng.choice([None, 0, 600, 400_000]))
-        wake = conn.next_action(TICK)
+        wake = conn.next_action(0.0, TICK)
         for i in range(800):
             now = (i + 1) * TICK
-            kernel.run_until(now)
             before = _conn_state(conn)
-            out = conn.advance(TICK)
+            out = conn.advance(now, TICK)
             if now < wake:
                 assert out == [] and _conn_state(conn) == before, f"trial {trial} t={now}"
                 quiet += 1
             if rng.random() < 0.02:
-                conn.read(rng.choice([1_000, 1 << 30]))
+                conn.read(rng.choice([1_000, 1 << 30]), now)
             if rng.random() < 0.005:
                 conn.enqueue(rng.choice([1_000, 100_000]))
             if rng.random() < 0.005:
-                conn.request()
-            wake = conn.next_action(TICK)
+                conn.request(now)
+            wake = conn.next_action(now, TICK)
     assert quiet > 5_000
 
 
@@ -472,7 +495,7 @@ def test_run_emitter_matches_emit_one_by_one(jitter):
     fills = [(), (5, 6, 30), (1, 4, 9), (2, 20)]
     sides = []
     for by_run in (False, True):
-        transport = Transport(PathSpec(6_000_000, jitter=jitter), Kernel(), seed=21)
+        transport = Transport(PathSpec(6_000_000, jitter=jitter), seed=21)
         for part, ads in zip(parts, fills):
             if by_run:
                 transport.emit_run(DOWN, DATA, 1, times[part], sizes[part], ads)
@@ -498,7 +521,7 @@ def test_jittered_run_draws_what_random_uniform_draws():
     # records after the jump to 2.0 s may land behind the one before, so
     # the clamp to the last stamp fires too.
     times = [0.01 * (i + 1) for i in range(40)] + [2.0 + 0.01 * i for i in range(40)]
-    transport = Transport(PathSpec(6_000_000, jitter=0.99), Kernel(), seed=5)
+    transport = Transport(PathSpec(6_000_000, jitter=0.99), seed=5)
     transport.emit_run(DOWN, DATA, 1, times, [1_000] * len(times))
     rng = random.Random(5)
     nominal = last = 0.0
@@ -560,23 +583,21 @@ def test_drain_matches_advance_and_read(queue, left, rest, idles, cut):
     # the sender resumes at 0.035 s: the run's first tick, from 0.03 s to
     # 0.04 s, starts before the resume time and is eligible from it
     def fresh():
-        kernel, _, conn = make_conn(bandwidth_bps=3_000_000, rtt_s=0.035, recv_capacity=65_536)
+        _, conn = make_conn(bandwidth_bps=3_000_000, rtt_s=0.035, recv_capacity=65_536)
         conn.enqueue(queue)
-        kernel.run_until(0.03)
-        return kernel, conn
+        return conn
 
     ends = list(accumulate(repeat(TICK, 40), initial=0.03))[1:]
-    _, conn = fresh()
-    assert conn.drains(TICK) and conn.next_action(TICK) == 0.035
+    conn = fresh()
+    assert conn.drains(TICK) and conn.next_action(0.03, TICK) == 0.035
     sizes, upto, credits, played, stop = conn.drain(ends, TICK, left, rest, idles)
     assert stop == cut and 1 < played <= len(ends) and (played == len(ends)) == (cut is None)
-    kernel, ticked = fresh()
+    ticked = fresh()
     sent, after = [], []
     for end in ends[:played]:
-        kernel.run_until(end)
-        sent.append(sum(r.payload for r in ticked.advance(TICK) if r.kind == DATA))
+        sent.append(sum(r.payload for r in ticked.advance(end, TICK) if r.kind == DATA))
         after.append(ticked._rate_frac)
-        ticked.read(ticked.recv_occupancy)  # the client drains every tick
+        ticked.read(ticked.recv_occupancy, end)  # the client drains every tick
     assert sizes[:played] == sent and credits[:played] == after
     assert upto[:played] == list(accumulate(sent)) and 0 < sent[0] < sent[1]
     assert (sent[-1] == 0) == idles and (ticked.send_queue == 0) == rest
