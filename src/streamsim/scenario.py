@@ -80,6 +80,15 @@ class _Section:
             raise ScenarioError(f"[{self.name}] unknown keys: {unknown}")
 
 
+def _checked(sect, build, *args, **kw):
+    """build(*args, **kw), its ValueError reported as a ScenarioError naming
+    the section.  Take keys before the call: take() names its own errors."""
+    try:
+        return build(*args, **kw)
+    except ValueError as exc:
+        raise ScenarioError(f"[{sect.name}] {exc}") from None
+
+
 @dataclass
 class Scenario:
     name: str
@@ -112,14 +121,11 @@ def _build_video(sect):
     keyframe = sect.take("keyframe_spacing_bytes", int, 0)
     ladder_text = sect.take("ladder", str, None)
     sect.finish()
-    try:
-        ladder = _parse_ladder(ladder_text) if ladder_text else None
-        kw = {"keyframe_spacing": keyframe, "ladder": ladder}
-        if amplitude:
-            return VideoSpec.vbr(duration, rate, amplitude, period, **kw)
-        return VideoSpec.constant(duration, rate, **kw)
-    except ValueError as exc:
-        raise ScenarioError(f"[video] {exc}") from None
+    ladder = _checked(sect, _parse_ladder, ladder_text) if ladder_text else None
+    kw = {"keyframe_spacing": keyframe, "ladder": ladder}
+    if amplitude:
+        return _checked(sect, VideoSpec.vbr, duration, rate, amplitude, period, **kw)
+    return _checked(sect, VideoSpec.constant, duration, rate, **kw)
 
 
 def _build_technique(sect):
@@ -142,10 +148,7 @@ def _build_technique(sect):
         ),
     )
     sect.finish()
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise ScenarioError(f"[technique] {exc}") from None
+    _checked(sect, spec.validate)
     return spec
 
 
@@ -162,13 +165,7 @@ def _build_radio(sect):
             current_idle=sect.take("current_idle_ma", float, 0.0),
             promotion_delay=sect.take("promotion_delay_s", float, 0.0),
         )
-        sect.finish()
-        try:
-            params.validate()
-        except ValueError as exc:
-            raise ScenarioError(f"[radio] {exc}") from None
-        return RRC_3G, params, None
-    if kind == PSM_WIFI:
+    elif kind == PSM_WIFI:
         # Wi-Fi draw varies wildly between chipsets, so no defaults: every
         # scenario must state its own active/idle/sleep currents.
         params = PsmParams(
@@ -180,13 +177,11 @@ def _build_radio(sect):
             beacon_wake=sect.take("beacon_wake_s", float, 0.002),
             cam_mode=sect.take("cam_mode", _parse_bool, False),
         )
-        sect.finish()
-        try:
-            params.validate()
-        except ValueError as exc:
-            raise ScenarioError(f"[radio] {exc}") from None
-        return PSM_WIFI, None, params
-    raise ScenarioError(f"[radio] unknown kind '{kind}' (RRC_3G or PSM_WIFI)")
+    else:
+        raise ScenarioError(f"[radio] unknown kind '{kind}' (RRC_3G or PSM_WIFI)")
+    sect.finish()
+    _checked(sect, params.validate)
+    return (kind, params, None) if kind == RRC_3G else (kind, None, params)
 
 
 def load_scenario(path):
@@ -226,14 +221,13 @@ def _from_parser(parser, origin):
     technique = _build_technique(_Section("technique", parser["technique"]))
 
     psect = _Section("path", parser["path"])
-    try:
-        path_cfg = PathSpec(
-            bandwidth_bps=psect.take("bandwidth_bps", float),
-            rtt_s=psect.take("rtt_s", float, 0.05),
-            jitter=psect.take("jitter", float, 0.0),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"[path] {exc}") from None
+    path_cfg = _checked(
+        psect,
+        PathSpec,
+        bandwidth_bps=psect.take("bandwidth_bps", float),
+        rtt_s=psect.take("rtt_s", float, 0.05),
+        jitter=psect.take("jitter", float, 0.0),
+    )
     psect.finish()
 
     tsect = _Section(

@@ -67,7 +67,6 @@ from operator import sub
 from .binade import Ticks
 from .kernel import Kernel
 from .media import MediaBuffer, SegmentBuffer, check_positive, dash_pick_quality
-from .media import QualityLevel, VideoSpec  # noqa: F401  (re-exported: they lived here first)
 from .transport import CLOSE_KINDS, DATA, DOWN, UP, Pacing, Transport
 
 ENCODING_RATE = "ENCODING_RATE"
@@ -278,8 +277,8 @@ class Policy:
         buf.dup = buf.pos % kf if self.technique.keyframe_waste and kf > 0 else 0
         session._open(now, buf.dup + (self.video.total_bytes - buf.pos))
 
-    def on_data(self, session, nbytes, now):
-        """nbytes arrived; the buffer has booked them."""
+    def on_data(self, session, now):
+        """Bytes arrived by `now`; the buffer has booked them."""
 
     def steady(self, session, now):
         """The fast start has ended at `now`."""
@@ -399,10 +398,10 @@ class Dash(Policy):
     After an upward quality switch the client also re-fetches up to
     dash_refetch_depth of the newest held segments that have not begun to
     play, at the new level, on the same connection and after the new
-    segment.  The download ends once all of it is in.  A re-fetched copy
-    then replaces a held segment that has still not begun to play, whose
-    old copy is wasted, when dash_replaced_counts_waste is set; otherwise
-    the re-fetched copy is wasted.
+    segment.  The download ends once the connection's send queue is empty.
+    A re-fetched copy then replaces a held segment that has still not begun
+    to play, whose old copy is wasted, when dash_replaced_counts_waste is
+    set; otherwise the re-fetched copy is wasted.
     """
 
     buffer = SegmentBuffer
@@ -410,7 +409,6 @@ class Dash(Policy):
     # bytes, level, start, length, segment bytes, [(held segment, bytes
     # re-fetched)])
     outstanding = None
-    left = 0  # its bytes still to arrive
     requested = 0  # segments so far
     last_level = None
     target = math.inf  # media seconds to keep buffered: all of it in the fast start
@@ -459,8 +457,7 @@ class Dash(Policy):
                 if segments[i][0] < session.playhead:
                     break
                 refetched.append((i, self._fetch(session, now, level, segments[i][1])))
-        self.left = nbytes + sum(n for _, n in refetched)
-        self.outstanding = (now, self.left, level, start, length, nbytes, refetched)
+        self.outstanding = (now, session.conn.send_queue, level, start, length, nbytes, refetched)
         self.requested += 1
         self.last_level = level
 
@@ -471,9 +468,8 @@ class Dash(Policy):
         session.conn.enqueue(nbytes)
         return nbytes
 
-    def on_data(self, session, nbytes, now):
-        self.left -= nbytes
-        if self.outstanding is None or self.left > 0:
+    def on_data(self, session, now):
+        if self.outstanding is None or session.conn.send_queue:
             return
         t_request, total, level, start, length, seg_bytes, refetched = self.outstanding
         self.outstanding = None
@@ -791,9 +787,9 @@ class StreamingSession:
         conn, buf = self.conn, self.buffer
         if end < conn_t and (reads is None or not conn.recv_occupancy):
             return QUIET
-        if reads is None or self.stalled and end >= conn_t:
-            # the sender fills a window the client leaves alone, or its
-            # bytes, or the server's write that brings them, end a stall
+        if reads is None or self.stalled:
+            # the sender fills a window the client leaves alone, or the
+            # bytes that end a stall arrive on a full tick
             return None
         if reads is _drain and conn.drains(self.tick_s):
             return PACED
@@ -857,8 +853,7 @@ class StreamingSession:
                 wants = list(map(math.ceil, map(sub, cums[1:], cums)))
             elif reads is not _drain:
                 wants = [reads(self.playhead)] * k
-            plan.ns, plan.fills, plan.pacing, cut = conn.plan(ts[:k + 1], self.tick_s, wants, left,
-                                                              self.stalled)
+            plan.ns, plan.fills, plan.pacing, cut = conn.plan(ts[:k + 1], self.tick_s, wants, left)
             plan.upto, credits, played = list(accumulate(plan.ns)), None, len(plan.ns)
         if played < k:
             # bytes that reach `left` short of the queue's end reach the fast start's
@@ -968,7 +963,7 @@ class StreamingSession:
         m = self.metrics
         m.connection_bytes[conn_id] = m.connection_bytes.get(conn_id, 0) + nbytes
         m.delivery_end_t = now
-        self.policy.on_data(self, nbytes, now)
+        self.policy.on_data(self, now)
 
     def _steady(self, now):
         self.phase = STEADY
@@ -1019,10 +1014,10 @@ class StreamingSession:
 
         Its metrics and its close are those of a session that watches just
         that far.  The last watch end finishes this session.  An earlier one
-        leaves the session as it is: it keeps copies of the metrics and of
-        the timeline, with a close record whose jitter is drawn from a copy
-        of the transport's state, and the session goes on to the next watch
-        end.  Returns whether the session is done.
+        leaves the session as it is: it keeps a copy of the metrics, and the
+        timeline of a copy of the transport (Transport.copy) that emits the
+        close record, and the session goes on to the next watch end.
+        Returns whether the session is done.
         """
         buf = self.buffer
         fraction = self._pending.pop()
@@ -1045,11 +1040,10 @@ class StreamingSession:
                 connection_bytes=dict(m.connection_bytes),
                 dash_quality_history=list(m.dash_quality_history),
             )
-            records = self.transport.records.copy()
+            transport = self.transport.copy()
             if self._conn_open():
-                records.append(
-                    self.transport.detached(now, UP, 0, CLOSE_KINDS[mode], self.conn.id)
-                )
+                transport.emit(now, UP, 0, CLOSE_KINDS[mode], self.conn.id)
+            records = transport.records
             self.watched_end = self._pending[-1] * self.video.duration_s
         m.duration_s = now
         m.end_t = now

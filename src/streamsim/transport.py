@@ -12,6 +12,7 @@ by default), which keeps traces compact while staying well under the 50 ms
 gap used later for burst grouping.
 """
 
+import copy
 import csv
 import math
 import random
@@ -63,14 +64,14 @@ class Timeline:
     group_bursts, audit and the CSV writer read runs(); the radio drives
     read the time column.  columns() gives all five as lists.  Read
     as a sequence (iteration, slicing, list(), ==), a Timeline is a list of
-    PacketRecord built on the first read and kept until the next append()
-    or pop(); indexing with an int builds that one record from the columns
-    and its run.  The records are copies, and changing one changes no
-    column.  The constructor takes five sequences, one entry per record,
-    and raises ValueError if their lengths differ.
+    PacketRecord built on the first read and kept until the next append();
+    indexing with an int builds that one record from the columns and its
+    run.  The records are copies, and changing one changes no column.  The
+    constructor takes five sequences, one entry per record, and raises
+    ValueError if their lengths differ.
 
-    The columns change only through append(), pop() and Transport.emit_run
-    (and read_timeline_csv while it builds the timeline).  The record list
+    The columns change only through append() and Transport.emit_run (and
+    read_timeline_csv while it builds the timeline).  The record list
     and the trace analysis's view (`_view`, its DATA times and byte prefix
     sums, built by the first reader that needs it) are kept on that
     understanding and dropped by each of those changes; a copy() starts
@@ -159,13 +160,6 @@ class Timeline:
         self.payload.append(r.payload)
         self._close_run(r.direction, r.kind, r.conn_id)
 
-    def pop(self):
-        end, direction, kind, conn = self._runs.pop()
-        if end - 1 > (self._runs[-1][0] if self._runs else 0):
-            self._runs.append((end - 1, direction, kind, conn))
-        self._rows = self._view = None
-        return PacketRecord(self.time.pop(), direction, self.payload.pop(), kind, conn)
-
     def copy(self):
         new = Timeline()
         new.time, new.payload, new._runs = self.time[:], self.payload[:], self._runs[:]
@@ -244,15 +238,13 @@ class Transport:
         self.emit_run(direction, kind, conn_id, (time,), (payload,))
         return PacketRecord(self.records.time[-1], direction, payload, kind, conn_id)
 
-    def detached(self, time, direction, payload, kind, conn_id):
-        """The record emit() would append, with the timeline and the jitter
-        state left as they were: its jitter comes from a copy of the state."""
-        state, nominal = self._rng.getstate(), self._last_nominal
-        record = self.emit(time, direction, payload, kind, conn_id)
-        self.records.pop()
-        self._rng.setstate(state)
-        self._last_nominal = nominal
-        return record
+    def copy(self):
+        """A transport that goes on from this one's state with its own
+        timeline and jitter draws: what it emits leaves this one as it is."""
+        new = copy.copy(self)
+        new.records = self.records.copy()
+        new._rng = copy.copy(self._rng)
+        return new
 
     def emit_run(self, direction, kind, conn_id, times, payloads, ads=()):
         """emit() each (time, payload) pair in turn, with the same jitter draws,
@@ -468,14 +460,14 @@ class Connection:
                 played, cut = window, "window"
         return sizes, upto, credits, played, cut
 
-    def plan(self, ts, dt, wants, left, stalled=False):
+    def plan(self, ts, dt, wants, left):
         """What advance(end, dt), read() and the window's close and reopen do on the
         ticks ending at ts[1:] (ts[0] is now), the client reading wants[i - 1]
         bytes (or, with no wants, all it holds) after tick i, leaving the
         connection as it is.  Stops before a tick that sends into a zero
-        window ("zero_window"), sends while `stalled` ("stall") or sends
-        `left` bytes or more ("queue": the queue, or what ends the caller's
-        run), and after a fill the client leaves shut ("shut").  Returns, for
+        window ("zero_window") or sends `left` bytes or more ("queue": the
+        queue, or what ends the caller's run), and after a fill the client
+        leaves shut ("shut").  Returns, for
         the ticks played, their sizes, the ticks that fill the window, the
         Pacing after them, and the cut.
         """
@@ -500,8 +492,8 @@ class Connection:
             n = 0
             fill = False
             if now >= action:
-                if zero or stalled:
-                    cut = "zero_window" if zero else "stall"
+                if zero:
+                    cut = "zero_window"
                     break
                 n, after = paced(now, dt, resume, byte_rate, credit, left, capacity - occ)
                 if n >= left:

@@ -18,9 +18,9 @@ from streamsim.analysis import (
     group_bursts,
 )
 from streamsim.harness import build_session, run_scenario, sweep_watched_fraction
+from streamsim.media import VideoSpec
 from streamsim.radio import RrcParams, clip_segments, rrc_drive
 from streamsim.scenario import builtin_scenario_names, load_builtin
-from streamsim.session import VideoSpec
 
 IPHONE_HD_CAP = 33 * 1024 * 1024
 

@@ -351,9 +351,7 @@ def test_a_timeline_keeps_its_view_until_its_columns_change():
     assert timeline._view is None
     grown = data_view(timeline)
     assert view_lists(grown) == view_lists(_DataView(records + [extra]))
-    assert timeline.pop() == extra and timeline._view is None
-    assert view_lists(data_view(timeline)) == view_lists(view)
-    assert data_view(timeline) is not grown
+    assert data_view(timeline) is grown
     # a copy starts without one, and builds its own
     copy = timeline.copy()
     assert copy._view is None and data_view(copy) is not data_view(timeline)

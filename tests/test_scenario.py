@@ -263,6 +263,21 @@ def test_a_bad_clip_value_is_a_named_cli_error(tmp_path, capsys, old, new, field
     assert err.startswith("error: [video] ") and field in err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("bandwidth_bps = fast",
+     "[path] bandwidth_bps = 'fast': could not convert string to float: 'fast'"),
+    ("bandwidth_bps = 0", "[path] bandwidth_bps must be positive and finite, not 0.0"),
+], ids=["unreadable", "invalid"])
+def test_a_bad_path_value_names_its_section_once(tmp_path, capsys, line, message):
+    # a key that does not convert once came out as "[path] [path] bandwidth_bps ..."
+    path = write(tmp_path, BASE.replace("bandwidth_bps = 6000000", line))
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(path)
+    assert str(caught.value) == message
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("bandwidth, segment", [
     (float("nan"), 5.0), (float("inf"), 5.0), (400_000, float("nan")), (400_000, float("inf")),
 ])

@@ -17,6 +17,7 @@ from streamsim.session import _STRETCH
 
 from streamsim.analysis import group_bursts
 from streamsim.harness import _report, audit, build_session
+from streamsim.media import QualityLevel, VideoSpec, dash_pick_quality
 from streamsim.scenario import builtin_scenario_names, load_builtin
 from streamsim.session import (
     DASH,
@@ -27,11 +28,8 @@ from streamsim.session import (
     PERSISTENT,
     THROTTLE,
     DeadlockError,
-    QualityLevel,
     StreamingSession,
     TechniqueSpec,
-    VideoSpec,
-    dash_pick_quality,
 )
 from streamsim.transport import (
     CLOSE_FIN,
@@ -720,9 +718,8 @@ def chunk_cuts(session, args, plan):
 
 
 # the stops of a plan that chunk_cuts cannot see: the last tick a paced run
-# builds (_STRETCH), and a windowed run's stop before a send into a zero
-# window or a send that ends a stall
-UNSEEN_CUTS = {"stretch", "zero_window", "stall"}
+# builds (_STRETCH), and a windowed run's stop before a send into a zero window
+UNSEEN_CUTS = {"stretch", "zero_window"}
 
 
 @contextmanager
@@ -793,6 +790,35 @@ def test_every_tick_is_planned_or_full():
         with planned() as (played, _, _):
             session.run()
         assert sum(played.values()) + session.kernel.executed == session._ticks, name
+
+
+def test_no_sending_run_is_planned_while_playback_stalls():
+    # the transport takes no playback state: a stalled session plans only
+    # quiet runs, and the bytes that end its stall arrive on a full tick.
+    # Over the fixed cases on the too-slow path, and a bundled scenario on
+    # a path at 0.8 of its clip's rate, which flaps between play and stall
+    chunk = StreamingSession._chunk
+    plans = Counter()
+
+    def counted(self, *args):
+        plan = chunk(self, *args)
+        if plan is not None:
+            plans["stalled " * self.stalled + ("quiet" if plan.ns is None else "sending")] += 1
+        return plan
+
+    scenario = load_builtin("compare_encoding_3g")
+    scenario = scenario.with_path(bandwidth_bps=0.8 * scenario.video.avg_rate_bps)
+    cases = [case for name, case in fixed_cases() if name.endswith("@slow")]
+    cases.append((scenario.video, scenario.technique, scenario.path,
+                  dict(tick_s=scenario.tick_s, recv_capacity=scenario.recv_capacity,
+                       probe_interval=scenario.probe_interval_s, seed=scenario.seed)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamingSession, "_chunk", counted)
+        chunked = [play(*case) for case in cases]
+    assert plans["stalled sending"] == 0
+    assert plans["stalled quiet"] > 0 and plans["sending"] > 0
+    assert len(chunked[-1][1].stalls) > 1_000
+    assert [play_without_chunks(case) for case in cases] == chunked
 
 
 def test_the_planner_reads_live_books():

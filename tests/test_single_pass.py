@@ -49,6 +49,7 @@ from streamsim.analysis import (
     group_bursts,
 )
 from streamsim.harness import audit, expected_label
+from streamsim.media import VideoSpec
 from streamsim.radio import (
     ACTIVE,
     DCH,
@@ -68,7 +69,6 @@ from streamsim.radio import (
     rrc_drive,
     write_radio_csv,
 )
-from streamsim.session import VideoSpec
 from streamsim.transport import (
     CLOSE_FIN,
     DATA,

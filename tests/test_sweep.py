@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from streamsim.harness import run_scenario, sweep_watched_fraction
+from streamsim.media import QualityLevel, VideoSpec
 from streamsim.scenario import builtin_scenario_names, load_builtin
 from streamsim.session import (
     DASH,
@@ -21,9 +22,7 @@ from streamsim.session import (
     PERSISTENT,
     THROTTLE,
     DeadlockError,
-    QualityLevel,
     TechniqueSpec,
-    VideoSpec,
 )
 from streamsim.transport import PathSpec
 

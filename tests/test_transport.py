@@ -302,15 +302,13 @@ def test_timeline_reads_as_a_list_of_records():
     copy.time[0] = 5.0
     copy.append(PacketRecord(1.0, UP, 0, CLOSE_FIN, 3))
     assert len(timeline) == 10 and timeline[0].time == 0.0 and len(copy) == 11
-    # the records are built once, and again after an append or a pop
+    # the records are built once, and again after an append
     rows = timeline.rows()
     assert timeline.rows() is rows and timeline[:] == rows
     extra = PacketRecord(0.5, UP, 0, CLOSE_RST, 3)
     timeline.append(extra)
     assert timeline.rows() is not rows and timeline[-1] == extra and len(timeline) == 11
-    rows = timeline.rows()
-    assert timeline.pop() == extra
-    assert timeline.rows() is not rows and timeline == records
+    assert timeline == records + [extra]
 
 
 def test_timeline_columns_of_unequal_length_are_rejected():
@@ -341,9 +339,8 @@ timeline_ops = st.lists(st.one_of(
     st.tuples(st.just("emit_run"), keys, st.lists(st.integers(0, 3_000), max_size=4),
               st.sets(st.integers(1, 4))),
     st.tuples(st.just("append"), keys),
-    st.tuples(st.just("pop")),
     st.tuples(st.just("copy")),
-    st.tuples(st.just("detached"), keys),
+    st.tuples(st.just("transport_copy"), keys),
 ), max_size=25)
 
 
@@ -368,20 +365,19 @@ def test_timeline_runs_stay_canonical(jitter, ops):
             (direction, kind, conn), = args
             timeline.append(PacketRecord(t, direction, 7, kind, conn))
             expected.append((direction, 7, kind, conn))
-        elif op == "pop" and expected:
-            last = timeline[-1]
-            assert timeline.pop() == last
-            assert (last.direction, last.payload, last.kind, last.conn_id) == expected.pop()
         elif op == "copy":
             transport.records = timeline.copy()
             assert transport.records == timeline
-        elif op == "detached":
+        elif op == "transport_copy":
             (direction, kind, conn), = args
-            before = timeline.copy()
-            record = transport.detached(t, direction, 5, kind, conn)
+            before, other = timeline.copy(), transport.copy()
+            record = other.emit(t, direction, 5, kind, conn)
             assert (record.direction, record.payload, record.kind, record.conn_id) == (
                 direction, 5, kind, conn)
-            assert timeline == before
+            assert other.records == [*before, record] and timeline == before
+            # the copy's jitter draw left the original's next one as it was
+            assert transport.emit(t, direction, 5, kind, conn) == record
+            expected.append((direction, 5, kind, conn))
         assert_runs(transport.records, expected)
 
 
@@ -542,9 +538,8 @@ def test_window_fill_in_a_span_matches_advance():
     # seconds the client reads nothing, so the window stays shut and its
     # probe pending.  Spans play the fills; every-tick playback runs each
     # through advance().
-    from streamsim.session import (
-        ENCODING_RATE, DeadlockError, StreamingSession, TechniqueSpec, VideoSpec,
-    )
+    from streamsim.media import VideoSpec
+    from streamsim.session import ENCODING_RATE, DeadlockError, StreamingSession, TechniqueSpec
 
     def at_horizon(every_tick):
         video = VideoSpec([62_500] * 3 + [0] * 2 + [62_500] * 5)
