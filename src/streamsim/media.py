@@ -4,13 +4,16 @@ VideoSpec is a clip as a per-second byte schedule, with an optional quality
 ladder for DASH.  A MediaBuffer books the bytes a session receives: every
 one that arrived (received, as billed on the wire) is held (pos - consumed),
 played (consumed) or wasted.  Progressive delivery holds one growing
-interval of the clip, DASH whole segments (SegmentBuffer).
+interval of the clip, DASH whole segments (SegmentBuffer).  The session's
+planner asks a buffer, never its kind, how a run's bytes become media
+(run_bytes, pos_after, consumed_at, delivered, limit) and books samples in
+it (book, samples).
 """
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import add, sub
 
 
@@ -56,10 +59,7 @@ class VideoSpec:
         self.keyframe_spacing = int(keyframe_spacing)
         self.ladder = list(ladder) if ladder else []
         # cumulative bytes at whole-second boundaries, C[i] = bytes of media [0, i)
-        cum = [0]
-        for b in schedule:
-            cum.append(cum[-1] + b)
-        self._cum = cum
+        self._cum = list(accumulate(schedule, initial=0))
 
     @classmethod
     def constant(cls, duration_s, rate_bps, **kw):
@@ -133,18 +133,10 @@ def dash_pick_quality(ladder, bw_estimate_bps, safety):
     if not ladder:
         raise ValueError("empty quality ladder")
     budget = safety * bw_estimate_bps
-    best = None
-    for i, level in enumerate(ladder):
-        if level.bandwidth_bps <= budget:
-            if best is None or level.bandwidth_bps > ladder[best].bandwidth_bps:
-                best = i
-    if best is not None:
-        return best
-    lowest = 0
-    for i, level in enumerate(ladder):
-        if level.bandwidth_bps < ladder[lowest].bandwidth_bps:
-            lowest = i
-    return lowest
+    rate = {i: level.bandwidth_bps for i, level in enumerate(ladder)}
+    affordable = [i for i in rate if rate[i] <= budget]
+    # max() and min() keep the first of equal levels
+    return max(affordable, key=rate.get) if affordable else min(rate, key=rate.get)
 
 
 class MediaBuffer:
@@ -162,6 +154,7 @@ class MediaBuffer:
         self.dup = 0
         self.consumed = 0.0
         self.wasted = 0.0
+        self.books = []  # the samples so far (book())
         self.ready_at = min(int(round(video.cum_bytes(fast_start_s))), video.total_bytes)
         if cap is not None and self.ready_at > cap:
             raise ValueError(
@@ -170,38 +163,62 @@ class MediaBuffer:
             )
 
     def arrive(self, nbytes):
-        """Book nbytes that arrived: the first dup of them repeat held media."""
+        """Book nbytes that arrived."""
         dup = min(self.dup, nbytes)
         self.received += nbytes
-        self.pos += nbytes - dup
+        self.pos = self.pos_after(nbytes)
         if dup:
             self.dup -= dup
             self.wasted += dup
+
+    def pos_after(self, nbytes):
+        """pos once nbytes more have arrived: the first dup of them repeat held media."""
+        return self.pos + max(0, nbytes - self.dup)
+
+    def run_bytes(self, queue, fast_start):
+        """(left, rest) of a run with `queue` bytes to send: it stops before the
+        tick whose bytes reach `left` (in a fast start, those up to ready_at),
+        unless `rest`, where they are the queue's last and that tick plays too."""
+        if fast_start and self.ready_at - self.pos <= queue:
+            return self.ready_at - self.pos, False
+        return queue, True
 
     def ready(self):
         """Whether playback may begin."""
         return self.pos >= self.ready_at
 
-    def delivered(self):
-        """Media seconds from the start of the clip that have arrived."""
-        return self.video.media_time(self.pos)
+    def delivered(self, pos=None):
+        """Media seconds from the start of the clip that have arrived, or would at `pos`."""
+        return self.video.media_time(self.pos if pos is None else pos)
 
     def consumed_at(self, playhead, pos):
         """Bytes behind `playhead` while media [0, pos) is held."""
         consumed = self.video.cum_bytes(playhead)
         return consumed if consumed < pos else float(pos)  # min(), without the call
 
-    def samples(self, books):
-        """The columns t, bytes, media_s of the samples StreamingSession._book
-        keeps: ticks `at` of clock ts and playheads phs (a float where they
-        stand), media [0, pos) grown by the bytes of upto past the first dup,
-        and consumed and delivered, None for consumed_at() and delivered()."""
+    def book(self, ts, phs, at, upto=None):
+        """Keep the books of the samples at ticks `at` of the clock ts, with
+        playheads phs (a float where they stand) and upto, the bytes run up by
+        those ticks."""
+        if isinstance(ts, list):
+            ts, phs, at = ts[at], phs if isinstance(phs, float) else phs[at], slice(None)
+        self.books.append((ts, phs, at, self.pos, self.dup, upto, *self._fixed(phs, at)))
+
+    def _fixed(self, phs, at):
+        """consumed and delivered of samples at playheads phs[at], or None where
+        samples() works them out later from pos: a progressive store only grows."""
+        return self.consumed if isinstance(phs, float) else None, None
+
+    def samples(self, count=None):
+        """The columns t, bytes, media_s of the first count samples booked:
+        media [0, pos) grown by the bytes of upto, consumed and delivered as
+        _fixed() took them."""
         stamps, ahead, held, used, media = [], [], [], [], []
-        for ts, phs, at, pos, dup, upto, consumed, delivered in books:
+        for ts, phs, at, pos, dup, upto, consumed, delivered in islice(self.books, count):
             stamps += ts[at]
             n = len(stamps) - len(ahead)
             ahead += repeat(phs, n) if isinstance(phs, float) else phs[at]
-            grown = upto and map(add, upto, repeat(pos - dup))  # arrive(): pos + max(0, u - dup)
+            grown = upto and map(add, upto, repeat(pos - dup))  # pos_after(u), as max() below
             held += repeat(pos, n) if upto is None else map(max, repeat(pos), grown)
             used += consumed if isinstance(consumed, list) else repeat(consumed, n)
             media += repeat(delivered, n)
@@ -272,10 +289,21 @@ class SegmentBuffer(MediaBuffer):
         self.segments[i] = (start, length, nbytes)
         self.spent[i:] = accumulate((n for _, _, n in self.segments[i:]), initial=self.spent[i])
 
+    def run_bytes(self, queue, fast_start):
+        # a download is the whole queue; its last tick, a full tick's, books the segment
+        return queue, False
+
+    def _fixed(self, phs, at):
+        # later segments and refetches change what these read, so they are taken now
+        if isinstance(phs, float):
+            return self.consumed, self.media
+        return list(map(self.consumed_at, phs[at], repeat(0))), self.media
+
     def ready(self):
         return self.media >= self.ready_at
 
-    def delivered(self):
+    def delivered(self, pos=None):
+        # a run's bytes complete no segment: Dash.on_data adds it on a full tick
         return self.media
 
     def consumed_at(self, playhead, pos):

@@ -31,6 +31,7 @@ beacon near zero, near a binade's top, where adding the wake or the
 interval to a beacon start ties, and over the last few beacons of a run.
 """
 
+import math
 from dataclasses import dataclass
 
 from .analysis import data_view
@@ -49,6 +50,19 @@ BEACONS = "BEACONS"  # a BeaconTrain's label: ACTIVE and SLEEP by turns
 BULK = 16  # beacons left that are worth a closed-form step's checks
 
 
+def _check_timer(name, value):
+    """A ValueError that names the timer or interval unless it is positive (inf included)."""
+    if not value > 0:
+        raise ValueError("%s must be positive, not %r" % (name, value))
+
+
+def _check_window(t_start, t_end):
+    """A ValueError that names the window unless its bounds are finite and in order."""
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_start <= t_end):
+        raise ValueError("radio window [%r, %r] must have finite bounds and "
+                         "t_start <= t_end" % (t_start, t_end))
+
+
 @dataclass
 class RrcParams:
     # inactivity timers, seconds (DCH->FACH, FACH->PCH, PCH->IDLE)
@@ -63,12 +77,13 @@ class RrcParams:
     promotion_delay: float = 0.0  # DCH-priced ramp ahead of a promoting packet
 
     def validate(self):
-        if min(self.t1, self.t2, self.t3) <= 0:
-            raise ValueError("RRC timers must be positive")
+        # an infinite timer never fires; NaN compares false and is rejected
+        for name in ("t1", "t2", "t3"):
+            _check_timer(name, getattr(self, name))
         if not self.current_dch > self.current_fach > self.current_pch >= self.current_idle >= 0:
             raise ValueError("RRC currents must satisfy dch > fach > pch >= idle >= 0")
-        if self.promotion_delay < 0:
-            raise ValueError("promotion_delay must be >= 0")
+        if not self.promotion_delay >= 0:
+            raise ValueError("promotion_delay must be >= 0, not %r" % (self.promotion_delay,))
         return self
 
     def currents(self):
@@ -91,8 +106,8 @@ class PsmParams:
     cam_mode: bool = False
 
     def validate(self):
-        if self.beacon_interval <= 0 or self.idle_timeout <= 0:
-            raise ValueError("PSM intervals must be positive")
+        _check_timer("beacon_interval", self.beacon_interval)
+        _check_timer("idle_timeout", self.idle_timeout)
         if not 0 <= self.beacon_wake < self.beacon_interval:
             raise ValueError("beacon_wake must be in [0, beacon_interval)")
         if not self.current_active > self.current_idle > self.current_sleep >= 0:
@@ -191,7 +206,8 @@ def rrc_drive(records, params, t_end=None, t_start=None):
 
     Returns contiguous StateSegments over [t_start, t_end].  t_start defaults
     to the first packet (the radio is IDLE before it if t_start is earlier),
-    t_end to the last packet plus the full demotion ladder.
+    t_end to the last packet plus the full demotion ladder.  The window must
+    be finite and in order: with an infinite timer, pass t_end.
     """
     params.validate()
     times, _ = _packet_times(records)
@@ -201,6 +217,7 @@ def rrc_drive(records, params, t_end=None, t_start=None):
         t_start = times[0] if times else 0.0
     if t_end is None:
         t_end = times[-1] + params.t1 + params.t2 + params.t3
+    _check_window(t_start, t_end)
     segs = []
 
     def ladder(last_packet, a, b):
@@ -274,7 +291,8 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
     each span is followed by idle_timeout of awake-idle, then sleep with a
     short ACTIVE beacon wake at every beacon interval.  With cam_mode the
     radio never sleeps (idle instead).  Runs of whole beacons come back as
-    BeaconTrain segments; expand_segments() gives the per-beacon list.
+    BeaconTrain segments; expand_segments() gives the per-beacon list.  The
+    window must be finite and in order: with an infinite idle_timeout, pass t_end.
     """
     params.validate()
     until = float("inf") if t_end is None else t_end
@@ -285,6 +303,7 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
         if not times:
             raise ValueError("empty timeline needs an explicit t_end")
         t_end = times[-1] + params.idle_timeout
+    _check_window(t_start, t_end)
     segs = []
 
     append = segs.append

@@ -8,6 +8,7 @@ the prefix is stripped on load and has no behavioral effect.
 """
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -248,8 +249,9 @@ def _from_parser(parser, origin):
     playback_ma = play.take("playback_current_ma", float)
     watched = play.take("watched_fraction", float, 1.0)
     play.finish()
-    if playback_ma < 0:
-        raise ScenarioError("[playback] playback_current_ma must be >= 0")
+    if not 0 <= playback_ma < math.inf:
+        raise ScenarioError(
+            "[playback] playback_current_ma must be >= 0 and finite, not %r" % (playback_ma,))
     if not 0.0 < watched <= 1.0:
         raise ScenarioError("[playback] watched_fraction must be in (0, 1]")
 

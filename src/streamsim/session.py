@@ -28,10 +28,13 @@ configured amount of media is buffered, at which point playback begins.
 A session is a transport (transport.py) that moves bytes, a MediaBuffer
 (media.py) that books them, and a policy, which is the technique.  A policy
 writes each client rule once: rule() gives, for the session's state, what
-the client reads once a tick's playback is done, reads(playhead), and when
-it does more, acts(pos, got, ph, used) of the buffer's pos, the media
-seconds delivered, the playhead and the bytes consumed; act() is that more
-(reset or reopen a connection, end or start a burst, request a segment).
+the client reads once a tick's playback is done, reads(phs), the bytes
+it reads on each tick that leaves the playhead at phs[i] (the full tick
+asks it for one tick, a planned run for a column), and when it does more,
+acts(pos, got, ph, used) of the buffer's pos, the media seconds delivered,
+the playhead and the bytes consumed; act() is that more (reset or reopen a
+connection, end or start a burst, request a segment).  The planner asks
+the buffer how a run's bytes become media, and never which kind it is.
 
 Time moves in fixed ticks (10 ms by default), and every tick is planned or
 full.  A full tick is one kernel event: the connection advances, the fast
@@ -93,8 +96,8 @@ class DeadlockError(RuntimeError):
     """Raised when playback does not finish by the horizon (diagnostic, not a crash)."""
 
 
-def _drain(playhead):
-    return _BIG
+def _drain(phs):
+    return repeat(_BIG, len(phs) - 1)
 
 
 def _first(column, x, lo, hi):
@@ -303,10 +306,11 @@ class EncodingRate(Policy):
     def steady_rule(self, session):
         return self.reads, None
 
-    def reads(self, playhead):
-        """The client reads the bytes of the next tick of media."""
-        v = self.video
-        return math.ceil(v.cum_bytes(playhead + self.tick_s) - v.cum_bytes(playhead))
+    def reads(self, phs):
+        """The client reads the bytes of the next tick of media: on the tick
+        that leaves playback at phs[i], those up to phs[i + 1]."""
+        cums = self.video.cum_bytes_at(phs)
+        return list(map(math.ceil, map(sub, cums[1:], cums)))
 
 
 class Throttle(Policy):
@@ -429,9 +433,8 @@ class Dash(Policy):
         session._open(now, 0)  # each segment is requested on its own
 
     def rule(self, session):
-        if self.outstanding is not None or self.requested >= self.n_segments:
-            return _drain, None
-        return _drain, self.buffer_short
+        may_request = self.outstanding is None and self.requested < self.n_segments
+        return _drain, self.buffer_short if may_request else None
 
     def buffer_short(self, pos, got, ph, used):
         """The client requests the next segment while this holds."""
@@ -562,8 +565,7 @@ class StreamingSession:
         self.metrics = SessionMetrics(kind=technique.kind)
         self.policy = POLICIES[technique.kind](self)
         self.buffer = self.policy.buffer(video, technique.fast_start_s, technique.buffer_cap)
-        self._books = []  # the buffer samples so far, as _book keeps them
-        self.metrics.buffer_series = Samples(partial(self.buffer.samples, self._books))
+        self.metrics.buffer_series = Samples(self.buffer.samples)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -632,13 +634,14 @@ class StreamingSession:
         now = self.kernel.now
         dt = self.tick_s
         buf = self.buffer
-        limit = buf.limit(buf.pos, buf.consumed, buf.dup)
-        for rec in self.conn.advance(now, dt, limit):
+        for rec in self.conn.advance(now, dt, buf.limit(buf.pos, buf.consumed, buf.dup)):
             if rec.kind == DATA:
                 buf.arrive(rec.payload)
                 self._on_data(rec.payload, rec.conn_id, now)
         if self.phase == FAST_START and buf.ready():
-            self._steady(now)
+            self.phase = STEADY
+            self.metrics.fast_start_end_t = self.metrics.startup_s = now
+            self.policy.steady(self, now)
         self._playback(now, dt)
         self._ticks += 1
         if self.phase == DRAINED:
@@ -649,7 +652,8 @@ class StreamingSession:
             self.policy.act(self, now)
             reads, _ = self.policy.rule(self)
         if reads is not None:
-            self.conn.read(reads(self.playhead), now)
+            want, = reads((self.playhead, self.playhead + dt))
+            self.conn.read(want, now)
         self.policy.serve(self, now)
         if self._ticks >= self._next_sample:
             self._book((now,), self.playhead, slice(None))
@@ -750,14 +754,8 @@ class StreamingSession:
         buf, playhead = self.buffer, self.playhead
         moving = self.phase == STEADY and not self.stalled
         delivered = buf.delivered()
-        # A tick whose bytes reach to_go ends a progressive fast start; a DASH
-        # download is the whole queue, and below that segments deliver no
-        # media.  A progressive queue's last tick sends what is left, and with
-        # no rule to test the run idles on through the ticks after it.
-        progressive = not isinstance(buf, SegmentBuffer)
-        to_go = buf.ready_at - buf.pos if progressive and self.phase == FAST_START else _BIG
-        left = min(self.conn.send_queue, to_go)
-        rest = progressive and left < to_go
+        # after the queue's last tick, with no rule to test, the run idles on
+        left, rest = buf.run_bytes(self.conn.send_queue, self.phase == FAST_START)
         idles = rest and acts is None and buf.cap is None
         # the first tick alone
         phs = [playhead, playhead + dt] if moving else None
@@ -813,8 +811,7 @@ class StreamingSession:
             if not idles:
                 room = min(room, left / per_tick)
             # a tick of playback, and 2 B
-            slack = buf.cap - self.policy.full_at if buf.cap is not None else 0
-            if buf.cap is not None and per_tick > slack:
+            if buf.cap is not None and per_tick > (slack := buf.cap - self.policy.full_at):
                 # about the ticks until a sender that outpaces playback fills the store
                 room = min(room, (buf.dup + buf.cap - (buf.pos - buf.consumed)) / (per_tick - slack))
         quiet = kind is QUIET
@@ -846,13 +843,8 @@ class StreamingSession:
         if kind is PACED:
             credits, played, cut = self._lay_paced(plan, left, rest, idles)
         else:
-            wants = None
-            if reads is not _drain and plan.phs is not None:
-                # reads() takes cum_bytes at the playhead and a tick on, the next playhead
-                cums = self.video.cum_bytes_at(plan.phs[1:k + 2])
-                wants = list(map(math.ceil, map(sub, cums[1:], cums)))
-            elif reads is not _drain:
-                wants = [reads(self.playhead)] * k
+            # only a client whose playback moves reads less than all it holds
+            wants = None if reads is _drain else reads(plan.phs[1:k + 2])
             plan.ns, plan.fills, plan.pacing, cut = conn.plan(ts[:k + 1], self.tick_s, wants, left)
             plan.upto, credits, played = list(accumulate(plan.ns)), None, len(plan.ns)
         if played < k:
@@ -896,14 +888,13 @@ class StreamingSession:
         reach = scan_from = self._reach(plan)
         if acts is not None and played > 1:
             monotone = plan.phs is None or ns is None
-            if not monotone and not isinstance(buf, SegmentBuffer):
+            if not monotone:
                 # ticks that repeat held media, or send nothing, only let the
                 # store shrink: past them, every tick must outpace playback
                 grows = bisect_right(plan.upto, buf.dup, 0, played) + 1
-                video = self.video
-                pos = buf.pos + max(0, plan.upto[played - 1] - buf.dup)
+                got = buf.delivered(buf.pos_after(plan.upto[played - 1]))
                 monotone = min(ns[grows:played], default=_BIG) > 1 + self.tick_s * max(
-                    video.schedule[int(self.playhead):int(video.media_time(pos)) + 1], default=0)
+                    self.video.schedule[int(self.playhead):int(got) + 1], default=0)
             if monotone:
                 holds = partial(self._holds, plan=plan, acts=acts, delivered=delivered)
                 played = plan.k = bisect_left(range(2, played + 1), True, key=holds) + 1
@@ -936,19 +927,17 @@ class StreamingSession:
         if acts is None:
             return False
         pos, used = self._books_at(plan, j)
-        if pos != buf.pos and not isinstance(buf, SegmentBuffer):
-            delivered = self.video.media_time(pos)
+        if pos != buf.pos:
+            delivered = buf.delivered(pos)
         if acts(pos, delivered, self.playhead if plan.phs is None else plan.phs[j], used):
             plan.cut = acts.__name__
             return True
         return False
 
     def _books_at(self, plan, j):
-        """The buffer's pos and consumed after tick j of the plan: the first
-        dup bytes repeat held media."""
+        """The buffer's pos and consumed after tick j of the plan."""
         buf = self.buffer
-        u = plan.upto[j - 1] - buf.dup if j and plan.ns else 0
-        pos = buf.pos + u if u > 0 else buf.pos
+        pos = buf.pos_after(plan.upto[j - 1]) if j and plan.ns else buf.pos
         if plan.phs is None or not j:
             return pos, buf.consumed
         return pos, buf.consumed_at(plan.phs[j], pos)
@@ -964,12 +953,6 @@ class StreamingSession:
         m.connection_bytes[conn_id] = m.connection_bytes.get(conn_id, 0) + nbytes
         m.delivery_end_t = now
         self.policy.on_data(self, now)
-
-    def _steady(self, now):
-        self.phase = STEADY
-        self.metrics.fast_start_end_t = now
-        self.metrics.startup_s = now
-        self.policy.steady(self, now)
 
     def _playback(self, now, dt):
         if self.phase != STEADY:
@@ -992,15 +975,12 @@ class StreamingSession:
                 self.stalled = True
                 self.metrics.stalls.append(Stall(start=now))
                 return
-            if not self._watch_done(self.playhead + step):
-                break
+            if self.playhead + step < self.watched_end - 1e-12:
+                break  # the watch goes on
             if self._finish(now, step):
                 return
         self.playhead += step
         self._sync_consumed()
-
-    def _watch_done(self, playhead):
-        return playhead >= self.watched_end - 1e-12
 
     def _sync_consumed(self):
         buf = self.buffer
@@ -1045,8 +1025,7 @@ class StreamingSession:
                 transport.emit(now, UP, 0, CLOSE_KINDS[mode], self.conn.id)
             records = transport.records
             self.watched_end = self._pending[-1] * self.video.duration_s
-        m.duration_s = now
-        m.end_t = now
+        m.duration_s = m.end_t = now
         m.watched_s = playhead
         m.received_total = buf.received
         m.consumed_bytes = consumed
@@ -1055,22 +1034,12 @@ class StreamingSession:
             (s.end if s.end is not None else now) - s.start for s in m.stalls
         )
         # the samples so far, shared with the session, then the buffer empties
-        books, n, end = self._books, len(self._books), (now, 0.0, 0.0)
-        m.buffer_series = Samples(lambda: [[*c, x] for c, x in zip(buf.samples(books[:n]), end)])
+        n, end = len(buf.books), (now, 0.0, 0.0)
+        m.buffer_series = Samples(lambda: [[*c, x] for c, x in zip(buf.samples(n), end)])
         self._ended_watches[fraction] = (m, records)
         return done
 
     def _book(self, ts, phs, at, upto=None):
-        """Keep the books of the buffer samples at ticks `at` of the clock ts
-        (MediaBuffer.samples), with playheads phs and upto, the bytes run up
-        by those ticks.  Later segments and refetches change what a segment
-        store's consumed and delivered read, so they are taken now."""
-        buf, moving = self.buffer, not isinstance(phs, float)
+        """Book the buffer samples at ticks `at` of the clock ts (MediaBuffer.book)."""
         self._next_sample = self._ticks + range(len(ts))[at][-1] + self._sample_every
-        if isinstance(ts, list):
-            ts, phs, at = ts[at], phs[at] if moving else phs, slice(None)
-        consumed, delivered = None if moving else buf.consumed, None
-        if isinstance(buf, SegmentBuffer):  # whose consumed_at reads no pos
-            consumed = list(map(buf.consumed_at, phs[at], repeat(0))) if moving else consumed
-            delivered = buf.delivered()
-        self._books.append((ts, phs, at, buf.pos, buf.dup, upto, consumed, delivered))
+        self.buffer.book(ts, phs, at, upto)

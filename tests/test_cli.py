@@ -253,3 +253,18 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "compare_encoding_3g" in proc.stdout
+
+
+def test_a_nan_playback_current_is_a_named_error_with_no_traceback(tmp_path):
+    path = mini_scenario(tmp_path)
+    path.write_text(path.read_text().replace("playback_current_ma = 150",
+                                             "playback_current_ma = nan"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "streamsim", "run", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: [playback] playback_current_ma must be")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""

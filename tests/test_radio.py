@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,6 +136,47 @@ def test_rrc_params_validation():
         RrcParams(current_fach=250.0).validate()
     with pytest.raises(ValueError):
         RrcParams(promotion_delay=-1.0).validate()
+
+
+# NaN compares false, so each of these once passed validate(): rrc_drive with
+# t1 = nan held DCH to the end of the window
+@pytest.mark.parametrize("key, params", [
+    ("t1", lambda: RrcParams(t1=math.nan)),
+    ("t2", lambda: RrcParams(t2=math.nan)),
+    ("t3", lambda: RrcParams(t3=math.nan)),
+    ("promotion_delay", lambda: RrcParams(promotion_delay=math.nan)),
+    ("idle_timeout", lambda: PsmParams(180.0, 80.0, 5.0, idle_timeout=math.nan)),
+])
+def test_a_nan_radio_parameter_is_rejected_by_name(key, params):
+    with pytest.raises(ValueError, match=r"^%s must be .*, not nan$" % key):
+        params().validate()
+
+
+# each once gave [] (no charge), a segment ending at nan or inf, or an
+# OverflowError from inside the beacon loop
+@pytest.mark.parametrize("t_start, t_end", [
+    (10.0, 5.0), (0.0, math.nan), (math.nan, 5.0), (0.0, math.inf), (-math.inf, 5.0),
+])
+@pytest.mark.parametrize("drive, params", [(rrc_drive, RrcParams()), (psm_drive, psm())],
+                         ids=["rrc", "psm"])
+def test_a_drive_window_must_be_finite_and_in_order(drive, params, t_start, t_end):
+    with pytest.raises(ValueError, match=r"^radio window \[%r, %r\] must have finite bounds"
+                       % (t_start, t_end)):
+        drive([1.0, 2.0], params, t_end=t_end, t_start=t_start)
+
+
+def test_an_infinite_timer_never_fires():
+    # valid, but the default window would end at inf: the drive needs a t_end
+    rrc = RrcParams(t3=math.inf)
+    assert shape(rrc_drive([0.0], rrc, t_end=100.0)) == [
+        (DCH, 0.0, 8.0), (FACH, 8.0, 11.0), (PCH, 11.0, 100.0)]
+    with pytest.raises(ValueError, match=r"^radio window \[0.0, inf\]"):
+        rrc_drive([0.0], rrc)
+    wifi = PsmParams(180.0, 80.0, 5.0, idle_timeout=math.inf)
+    assert shape(psm_drive([0.0, 1.0], wifi, t_end=5.0)) == [
+        (ACTIVE, 0.0, 1.0), (PSM_IDLE, 1.0, 5.0)]
+    with pytest.raises(ValueError, match=r"^radio window \[0.0, inf\]"):
+        psm_drive([0.0, 1.0], wifi)
 
 
 # -- Wi-Fi PSM ------------------------------------------------------------

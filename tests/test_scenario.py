@@ -284,3 +284,33 @@ def test_a_bad_path_value_names_its_section_once(tmp_path, capsys, line, message
 def test_a_quality_level_needs_a_finite_bandwidth_and_segment(bandwidth, segment):
     with pytest.raises(ValueError, match="quality level (bandwidth_bps|segment_s) must be"):
         QualityLevel(bandwidth, "lo", segment)
+
+
+PSM_RADIO = "[radio]\nkind = PSM_WIFI\ncurrent_active_ma = 180\ncurrent_idle_ma = 80\n" \
+    "current_sleep_ma = 5\n"
+
+
+@pytest.mark.parametrize("radio, line, message", [
+    ("[radio]\nkind = RRC_3G\n", "t1_s = nan", "[radio] t1 must be positive, not nan"),
+    ("[radio]\nkind = RRC_3G\n", "t2_s = nan", "[radio] t2 must be positive, not nan"),
+    ("[radio]\nkind = RRC_3G\n", "t3_s = nan", "[radio] t3 must be positive, not nan"),
+    ("[radio]\nkind = RRC_3G\n", "promotion_delay_s = nan",
+     "[radio] promotion_delay must be >= 0, not nan"),
+    (PSM_RADIO, "idle_timeout_s = nan", "[radio] idle_timeout must be positive, not nan"),
+], ids=["t1_s", "t2_s", "t3_s", "promotion_delay_s", "idle_timeout_s"])
+def test_a_nan_radio_timer_names_its_key_and_section(tmp_path, radio, line, message):
+    path = write(tmp_path, BASE.replace("[radio]\nkind = RRC_3G\n", radio + line + "\n"))
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(path)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_playback_current_must_be_finite_and_not_negative(tmp_path, value):
+    # a NaN once ran to exit 0 and printed nan for the charge
+    path = write(tmp_path, BASE.replace("playback_current_ma = 150",
+                                        "playback_current_ma = %s" % value))
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(path)
+    assert str(caught.value) == (
+        "[playback] playback_current_ma must be >= 0 and finite, not %r" % float(value))

@@ -404,7 +404,8 @@ READ_VIDEOS = {
     frac=st.floats(-1.0, 1.0),
 )
 def test_encoding_rate_reads_the_next_tick_of_media(name, tick_s, where, second, frac):
-    # reads() spells out cum_bytes; it must give the bytes the call would
+    # reads() works over a column of playheads; over one tick it must give
+    # the bytes cum_bytes gives
     video = READ_VIDEOS[name]
     end = video.duration_s
     if where == "ticks":
@@ -421,7 +422,7 @@ def test_encoding_rate_reads_the_next_tick_of_media(name, tick_s, where, second,
         }[where]
     session = StreamingSession(video, TechniqueSpec(ENCODING_RATE), PATH, tick_s=tick_s)
     expected = int(math.ceil(video.cum_bytes(playhead + tick_s) - video.cum_bytes(playhead)))
-    assert session.policy.reads(playhead) == expected
+    assert session.policy.reads((playhead, playhead + tick_s)) == [expected]
 
 
 def every_tick(session, now):
@@ -819,6 +820,41 @@ def test_no_sending_run_is_planned_while_playback_stalls():
     assert plans["stalled quiet"] > 0 and plans["sending"] > 0
     assert len(chunked[-1][1].stalls) > 1_000
     assert [play_without_chunks(case) for case in cases] == chunked
+
+
+def test_dash_plans_only_quiet_runs_while_it_may_request():
+    # Dash.rule has an act rule only while no download is outstanding, and
+    # then the send queue is empty: every run planned under it is quiet.  So
+    # the planner needs no segment-store case in _cut_search or _holds: a
+    # quiet run moves no byte, its pos stands and its act rule is monotone.
+    # Over every DASH session: the bundled ones, the fixed cases, and the
+    # refetch variant whose replaced copies are or are not the waste
+    chunk = StreamingSession._chunk
+    plans = Counter()
+
+    def counted(self, t):
+        _, acts = self.policy.rule(self)
+        plan = chunk(self, t)
+        if plan is not None and acts is not None:
+            plans["quiet" if plan.ns is None else "sending"] += 1
+        return plan
+
+    sessions = [build_session(load_builtin(name))
+                for name in ("compare_dash_3g", "iphone_vimeo_dash_wifi")]
+    dash = load_builtin("compare_dash_3g")
+    for waste in (False, True):
+        technique = replace(dash.technique, dash_refetch_depth=2, dash_replaced_counts_waste=waste)
+        sessions.append(build_session(replace(dash, technique=technique)))
+    cases = [case for name, case in fixed_cases() if name.startswith("dash")]
+    assert len(cases) == 5
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamingSession, "_chunk", counted)
+        for session in sessions:
+            session.run()
+        for case in cases:
+            play(*case)
+    assert plans["sending"] == 0
+    assert plans["quiet"] > 50
 
 
 def test_the_planner_reads_live_books():

@@ -197,6 +197,12 @@ def oracle_packet_times(records):
     return times
 
 
+def oracle_window(t_start, t_end):
+    if not (math.isfinite(t_start) and math.isfinite(t_end) and t_start <= t_end):
+        raise ValueError("radio window [%r, %r] must have finite bounds and "
+                         "t_start <= t_end" % (t_start, t_end))
+
+
 def oracle_rrc_drive(records, params, t_end=None, t_start=None):
     params.validate()
     times = oracle_packet_times(records)
@@ -206,6 +212,7 @@ def oracle_rrc_drive(records, params, t_end=None, t_start=None):
         t_start = times[0] if times else 0.0
     if t_end is None:
         t_end = times[-1] + params.t1 + params.t2 + params.t3
+    oracle_window(t_start, t_end)
     segs = []
 
     def emit(state, a, b):
@@ -347,6 +354,7 @@ def oracle_psm_drive(records, params, t_end=None, t_start=0.0):
         if not times:
             raise ValueError("empty timeline needs an explicit t_end")
         t_end = times[-1] + params.idle_timeout
+    oracle_window(t_start, t_end)
     segs = []
 
     def emit(state, a, b):
