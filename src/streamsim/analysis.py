@@ -15,7 +15,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count
-from operator import itemgetter, sub
+from operator import itemgetter, le, sub
 
 from .media import VideoSpec
 from .transport import (
@@ -98,7 +98,8 @@ def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
         times, cums = view.times, view.cums
         if not times:
             return []
-        cuts = _burst_starts(times, gap_s)
+        default = gap_s == THRESHOLDS["burst_gap_s"]
+        cuts = view.burst_starts() if default else _burst_starts(times, gap_s)
         starts, ends = [0, *cuts], [*cuts, len(times)]
         return [Burst(times[i], times[j - 1], cums[j] - cums[i], j - i)
                 for i, j in zip(starts, ends)]
@@ -160,10 +161,10 @@ class _DataView:
     `sorted_times` and `sorted_cums` are the same for the records
     stable-sorted by time, which bisection needs; they are the very same
     lists unless the timeline steps back within check_time_order()'s
-    tolerance.  Raises ValueError if it steps back further.
+    tolerance; a step back past it is a ValueError.  burst_starts() is kept.
     """
 
-    __slots__ = ("times", "cums", "sorted_times", "sorted_cums")
+    __slots__ = ("times", "cums", "sorted_times", "sorted_cums", "_cuts")
 
     def __init__(self, records):
         timeline = isinstance(records, Timeline)
@@ -185,12 +186,21 @@ class _DataView:
             pairs = sorted(zip(times, payloads), key=itemgetter(0))
             self.sorted_times = [t for t, _ in pairs]
             self.sorted_cums = list(accumulate((p for _, p in pairs), initial=0))
+        self._cuts = None
+
+    def burst_starts(self):
+        """_burst_starts() of the times at THRESHOLDS["burst_gap_s"], kept."""
+        if self._cuts is None:
+            self._cuts = _burst_starts(self.times, THRESHOLDS["burst_gap_s"])
+        return self._cuts
 
 
 def data_view(records):
-    """The _DataView of `records`.  A Timeline keeps its own: the first
-    reader builds it, and the timeline drops it when its columns change.  A
-    list gets a fresh one each call, as its records can change unseen.
+    """The _DataView of `records`.  A Timeline keeps its own, with the
+    burst split points once a reader works them out: the first reader
+    builds it, or share_view() slices it from a longer timeline's, and the
+    timeline drops it when its columns change.  A list gets a fresh one
+    each call, as its records can change unseen.
 
     A kept view packs its prefix sums into 8-byte ints, where they fit: a
     list of ints takes about 40 bytes an entry, which a run report would
@@ -209,6 +219,27 @@ def data_view(records):
         view.sorted_cums = cums if in_order else array("q", view.sorted_cums)
         view.cums = cums
     return view
+
+
+def share_view(records, view, m):
+    """Keep on `records`, a Timeline whose first m records are the first m of
+    `view`'s timeline, a slice of `view`: the view data_view() would build,
+    when `view` is in time order and the records past m are finite, in order
+    from record m - 1 and not DATA.  Else data_view() builds its own."""
+    tail, d = records.time[m - 1:], 0
+    if records._view is not None or not (m and view.sorted_times is view.times and all(
+            map(le, tail, tail[1:])) and math.isfinite(tail[-1])):
+        return
+    for start, end, _, kind, _ in records.runs():
+        if kind == DATA:
+            if end > m:
+                return
+            d += end - start
+    cuts = view.burst_starts()
+    records._view = shared = object.__new__(type(view))
+    shared.times = shared.sorted_times = view.times[:d]
+    shared.cums = shared.sorted_cums = view.cums[:d + 1]
+    shared._cuts = cuts[:bisect_left(cuts, d)]
 
 
 def find_rate_knee(records, window_s=None, drop_frac=None):
@@ -416,8 +447,8 @@ def _harvest(records, view):
     and from `view`, their _DataView.
 
     The DATA count, bytes and burst gaps come from the view's record-order
-    times.  Bursts split where group_bursts() splits them (_burst_starts),
-    with THRESHOLDS["burst_gap_s"].
+    times.  Bursts split where group_bursts() splits them, at the view's
+    kept split points.
     """
     probes = ads = 0
     data_conns = set()
@@ -474,7 +505,7 @@ def _harvest(records, view):
     }
     if not times:
         return feats
-    gaps = [times[k] - times[k - 1] for k in _burst_starts(times, THRESHOLDS["burst_gap_s"])]
+    gaps = [times[k] - times[k - 1] for k in view.burst_starts()]
     feats["bursts"] = len(gaps) + 1
     feats["max_burst_gap_s"] = max(gaps, default=0.0)
     feats["long_gaps"] = sum(g >= THRESHOLDS["silent_gap_s"] for g in gaps)

@@ -13,7 +13,7 @@ from copy import deepcopy
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .analysis import ClassificationResult, classify, data_view
+from .analysis import ClassificationResult, classify, data_view, share_view
 from .radio import (
     integrate,
     make_energy_report,
@@ -97,7 +97,9 @@ def sweep_watched_fraction(scenario, fractions):
     run_scenario at f, identical seed throughout, so the runs are directly
     comparable.  Each report has a timeline of its own (a Timeline.copy()),
     and reading it as records builds its own PacketRecord objects: no two
-    reports share a record.
+    reports share a record.  The analysis view of the longest watch's
+    timeline is built once, and each shorter watch's timeline, its first
+    records and a close, is handed a slice of it (analysis.share_view).
     """
     fractions = list(fractions)
     for f in fractions:
@@ -108,13 +110,15 @@ def sweep_watched_fraction(scenario, fractions):
     session = build_session(scenario, watched_fraction=max(fractions))
     session._also_watch(fractions)
     session.run()
+    view = data_view(session.transport.records)
     reports, seen = [], set()
     for f in fractions:
-        metrics, records = session._ended_watches[f]
+        metrics, records, prefix = session._ended_watches[f]
         if f in seen:
             # a repeated fraction gets outputs of its own, as a fresh run would
             metrics, records = deepcopy(metrics), records.copy()
         seen.add(f)
+        share_view(records, view, prefix)
         reports.append(_report(scenario.with_watched_fraction(f), metrics, records))
     return reports
 

@@ -240,8 +240,10 @@ def _from_parser(parser, origin):
     tsect.finish()
     if recv_capacity <= 0:
         raise ScenarioError("[transport] recv_capacity_bytes must be positive")
-    if probe_interval <= 0 or tick <= 0:
-        raise ScenarioError("[transport] intervals must be positive")
+    for key, value in (("probe_interval_s", probe_interval), ("tick_s", tick)):
+        if not 0 < value < math.inf:
+            raise ScenarioError(
+                "[transport] %s must be positive and finite, not %r" % (key, value))
 
     radio_kind, rrc, psm = _build_radio(_Section("radio", parser["radio"]))
 

@@ -125,11 +125,12 @@ class TechniqueSpec:
     def validate(self):
         if self.kind not in KINDS:
             raise ValueError("unknown technique kind %r" % self.kind)
-        if self.fast_start_s < 0:
-            raise ValueError("fast_start_s must be >= 0")
+        if not self.fast_start_s >= 0:
+            raise ValueError("fast_start_s must be >= 0, not %r" % (self.fast_start_s,))
         if self.kind == THROTTLE:
-            if self.throttle_factor is None or self.throttle_factor <= 1.0:
-                raise ValueError("throttle_factor must be > 1")
+            if self.throttle_factor is None or not 1.0 < self.throttle_factor < math.inf:
+                raise ValueError("throttle_factor must be > 1 and finite, not %r"
+                                 % (self.throttle_factor,))
             if self.burst_size is not None and self.burst_size <= 0:
                 raise ValueError("burst_size must be positive")
             if self.buffer_cap is not None:
@@ -144,8 +145,8 @@ class TechniqueSpec:
             if self.connection_mode not in (PERSISTENT, PER_BURST):
                 raise ValueError("connection_mode must be PERSISTENT or PER_BURST")
         if self.kind == DASH:
-            if self.dash_target_s is None or self.dash_target_s <= 0:
-                raise ValueError("dash_target_s must be > 0")
+            if self.dash_target_s is None or not self.dash_target_s > 0:
+                raise ValueError("dash_target_s must be > 0, not %r" % (self.dash_target_s,))
             if not 0.0 < self.dash_safety <= 1.0:
                 raise ValueError("dash_safety must be in (0, 1]")
         return self
@@ -552,7 +553,7 @@ class StreamingSession:
         # session's own is the largest and ends the run (_also_watch)
         self._pending = [watched_fraction]
         self.watched_end = watched_fraction * video.duration_s
-        # fraction -> (SessionMetrics, records) of every watch that has ended
+        # fraction -> (metrics, records, how many of them open this timeline) of each ended watch
         self._ended_watches = {}
         self.max_sim_time = max_sim_time
 
@@ -1006,7 +1007,7 @@ class StreamingSession:
         consumed = buf.consumed_at(playhead, buf.pos)
         wasted = buf.wasted + max(0.0, buf.held(consumed))
         mode = "FIN" if self.watched_end >= self.video.duration_s - 1e-9 else "RST"
-        m = self.metrics
+        m, prefix = self.metrics, len(self.transport.records.time)
         if done:
             self.phase = DRAINED
             self.playhead, buf.consumed, buf.wasted = playhead, consumed, wasted
@@ -1036,7 +1037,7 @@ class StreamingSession:
         # the samples so far, shared with the session, then the buffer empties
         n, end = len(buf.books), (now, 0.0, 0.0)
         m.buffer_series = Samples(lambda: [[*c, x] for c, x in zip(buf.samples(n), end)])
-        self._ended_watches[fraction] = (m, records)
+        self._ended_watches[fraction] = (m, records, prefix)
         return done
 
     def _book(self, ts, phs, at, upto=None):

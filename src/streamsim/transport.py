@@ -75,7 +75,8 @@ class Timeline:
     and the trace analysis's view (`_view`, its DATA times and byte prefix
     sums, built by the first reader that needs it) are kept on that
     understanding and dropped by each of those changes; a copy() starts
-    with neither.
+    with neither.  A sweep hands a shorter watch's copy a view sliced from
+    the longest watch's (analysis.share_view).
     """
 
     __slots__ = ("time", "payload", "_runs", "_rows", "_view")

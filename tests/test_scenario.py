@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from streamsim.cli import main
@@ -314,3 +316,54 @@ def test_playback_current_must_be_finite_and_not_negative(tmp_path, value):
         load_scenario(path)
     assert str(caught.value) == (
         "[playback] playback_current_ma must be >= 0 and finite, not %r" % float(value))
+
+
+LADDER = "ladder = 200000:240p:10, 400000:360p:10"
+
+
+@pytest.mark.parametrize("technique, message", [
+    ("kind = THROTTLE\nfast_start_s = 2\nmeasured:throttle_factor = nan",
+     "[technique] throttle_factor must be > 1 and finite, not nan"),
+    ("kind = THROTTLE\nfast_start_s = 2\nthrottle_factor = inf",
+     "[technique] throttle_factor must be > 1 and finite, not inf"),
+    ("kind = FAST_CACHING\nfitted:fast_start_s = nan",
+     "[technique] fast_start_s must be >= 0, not nan"),
+    ("kind = DASH\nfast_start_s = 2\ndash_target_buffer_s = nan",
+     "[technique] dash_target_s must be > 0, not nan"),
+], ids=["throttle_factor", "throttle_factor-inf", "fast_start_s", "dash_target_buffer_s"])
+def test_a_nan_technique_value_names_its_key_and_section(tmp_path, capsys, technique, message):
+    # a NaN throttle factor once ran unthrottled to exit 0, a NaN fast start
+    # failed in int(), and a NaN DASH target stalled until the horizon
+    text = BASE.replace("kind = FAST_CACHING\nfast_start_s = 2", technique)
+    path = write(tmp_path, text.replace("avg_encoding_rate_bps = 400000",
+                                        "avg_encoding_rate_bps = 400000\n" + LADDER))
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(path)
+    assert str(caught.value) == message
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("technique", [
+    "kind = FAST_CACHING\nfast_start_s = inf",
+    "kind = DASH\nfast_start_s = 2\ndash_target_buffer_s = inf",
+], ids=["fast_start_s", "dash_target_buffer_s"])
+def test_an_infinite_fast_start_or_dash_target_stays_valid(tmp_path, technique):
+    # the whole clip goes in the fast start; the client fetches back to back
+    text = BASE.replace("kind = FAST_CACHING\nfast_start_s = 2", technique)
+    sc = load_text(tmp_path, text.replace("avg_encoding_rate_bps = 400000",
+                                          "avg_encoding_rate_bps = 400000\n" + LADDER))
+    assert math.inf in (sc.technique.fast_start_s, sc.technique.dash_target_s)
+
+
+@pytest.mark.parametrize("key", ["tick_s", "probe_interval_s"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_a_transport_interval_must_be_positive_and_finite(tmp_path, capsys, key, value):
+    # a NaN once passed the load and failed in the session, naming no section
+    path = write(tmp_path, BASE + "\n[transport]\n%s = %s\n" % (key, value))
+    message = "[transport] %s must be positive and finite, not %r" % (key, float(value))
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(path)
+    assert str(caught.value) == message
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message

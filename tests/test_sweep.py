@@ -9,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from streamsim import analysis
+from streamsim.analysis import data_view
 from streamsim.harness import run_scenario, sweep_watched_fraction
 from streamsim.media import QualityLevel, VideoSpec
 from streamsim.scenario import builtin_scenario_names, load_builtin
@@ -24,7 +26,7 @@ from streamsim.session import (
     DeadlockError,
     TechniqueSpec,
 )
-from streamsim.transport import PathSpec
+from streamsim.transport import PathSpec, Transport
 
 LADDER = (
     QualityLevel(200_000, "lo", 5.0),
@@ -233,3 +235,78 @@ def test_buffer_series_read_in_any_order_gives_the_same_lists():
         assert repr(m.buffer_series) == repr(list(m.buffer_series)) == repr(rows)
         assert m.buffer_series == rows and len(m.buffer_series) == len(rows)
         assert m.buffer_series[-1] == rows[-1] and m.buffer_series[1:4] == rows[1:4]
+
+
+# --- the analysis view each report reads ---------------------------------------
+
+
+def view_columns(view):
+    """A view's columns, their types, its in-order flag and its burst split points."""
+    columns = [view.times, view.cums, view.sorted_times, view.sorted_cums]
+    return ([list(c) for c in columns], [type(c) for c in columns],
+            view.sorted_times is view.times, view.sorted_cums is view.cums,
+            list(view.burst_starts()))
+
+
+def same(got, want):
+    """Whether two lists hold the very same objects, in order."""
+    return list(map(id, got)) == list(map(id, want))
+
+
+def assert_fresh_views(reports):
+    """Each report reads the view its own timeline would build afresh."""
+    for r in reports:
+        assert view_columns(data_view(r.records)) == view_columns(data_view(r.records.copy()))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The timelines a _DataView is built from, in order."""
+    timelines = []
+
+    class Counted(analysis._DataView):
+        __slots__ = ()
+
+        def __init__(self, records):
+            timelines.append(records)
+            super().__init__(records)
+
+    monkeypatch.setattr(analysis, "_DataView", Counted)
+    return timelines
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.1])
+def test_every_report_reads_the_view_its_timeline_would_build(jitter, built):
+    # the shorter watches, and a repeat of the longest, read slices of the
+    # longest watch's view, its burst split points too, and the one view is
+    # all the sweep builds
+    rng = random.Random(29)
+    for name in builtin_scenario_names():
+        sc = load_builtin(name)
+        sc = replace(sc.with_path(jitter=jitter), seed=rng.randrange(1, 2**31))
+        built.clear()
+        reports = sweep_watched_fraction(sc, (0.1, 0.3, 0.6, 0.3, 0.6))
+        assert same(built, [reports[2].records]), name
+        assert_fresh_views(reports)
+
+
+def test_a_timeline_that_steps_back_gives_each_report_its_own_view(monkeypatch, built):
+    # a step back within check_time_order()'s tolerance: a view sorts its
+    # DATA times, so a slice of the longest watch's would not be in order
+    emit_run = Transport.emit_run
+
+    def stepping_back(self, *args, **kwargs):
+        emit_run(self, *args, **kwargs)
+        time = self.records.time
+        if len(time) > 6 and time[5] < time[6]:
+            time[5] = time[6] + 5e-13
+
+    monkeypatch.setattr(Transport, "emit_run", stepping_back)
+    sc, fractions = load_builtin("sweep_onoff_3g"), (0.1, 0.3, 0.6, 0.3)
+    reports = sweep_watched_fraction(sc, fractions)
+    views = [data_view(r.records) for r in reports]
+    assert all(v.sorted_times is not v.times and v.sorted_cums != v.cums for v in views)
+    # the longest watch's, then one for each shorter watch
+    assert same(built, [reports[2].records] + [r.records for r in reports if r is not reports[2]])
+    assert_fresh_views(reports)
+    assert_same_reports(reports, oracle(sc, fractions))
