@@ -15,7 +15,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count
-from operator import itemgetter, le, sub
+from operator import le, sub
 
 from .media import VideoSpec
 from .transport import (
@@ -79,8 +79,8 @@ def group_bursts(records, gap_s=THRESHOLDS["burst_gap_s"]):
     """Maximal runs of DATA records with inter-packet gaps below gap_s.
 
     Raises ValueError if gap_s is not positive, or if any record, control
-    records too, has a time that is not finite or sits more than 1e-12 s
-    before the one ahead of it (check_time_order()'s rule).  A Timeline is
+    records too, has a time that is not finite or steps back from the one
+    ahead of it (check_time_order()'s rule).  A Timeline is
     read from its data_view(): a burst ends where a gap is not below gap_s,
     and its bytes are a difference of two prefix sums.  A list is read
     record by record.
@@ -156,20 +156,19 @@ def burst_cdf(bursts):
 class _DataView:
     """A timeline's DATA records as times and byte prefix sums.
 
-    `times` and `cums` follow record order: cums[k] is the payload of the
-    first k DATA records, so cums[0] == 0 and cums[-1] is the total.
-    `sorted_times` and `sorted_cums` are the same for the records
-    stable-sorted by time, which bisection needs; they are the very same
-    lists unless the timeline steps back within check_time_order()'s
-    tolerance; a step back past it is a ValueError.  burst_starts() is kept.
+    `times` and `cums` follow record order, which is time order, as
+    bisection needs: building a view of a timeline that steps back or has a
+    time that is not finite is a ValueError (check_time_order()).  cums[k]
+    is the payload of the first k DATA records, so cums[0] == 0 and
+    cums[-1] is the total.  burst_starts() is kept.
     """
 
-    __slots__ = ("times", "cums", "sorted_times", "sorted_cums", "_cuts")
+    __slots__ = ("times", "cums", "_cuts")
 
     def __init__(self, records):
         timeline = isinstance(records, Timeline)
         all_times = records.time if timeline else [r.time for r in records]
-        in_order = check_time_order(all_times)
+        check_time_order(all_times)
         if timeline:
             data = [(start, end) for start, end, _, kind, _ in records.runs() if kind == DATA]
             times = list(chain.from_iterable(all_times[start:end] for start, end in data))
@@ -180,12 +179,6 @@ class _DataView:
             payloads = [r.payload for r in compress(records, is_data)]
         self.times = times
         self.cums = list(accumulate(payloads, initial=0))
-        if in_order:
-            self.sorted_times, self.sorted_cums = times, self.cums
-        else:
-            pairs = sorted(zip(times, payloads), key=itemgetter(0))
-            self.sorted_times = [t for t, _ in pairs]
-            self.sorted_cums = list(accumulate((p for _, p in pairs), initial=0))
         self._cuts = None
 
     def burst_starts(self):
@@ -212,23 +205,20 @@ def data_view(records):
     if view is None:
         view = records._view = _DataView(records)
         try:
-            cums = array("q", view.cums)
+            view.cums = array("q", view.cums)
         except (TypeError, OverflowError):
-            return view  # a payload that is not an int, or sums past 2**63
-        in_order = view.sorted_cums is view.cums
-        view.sorted_cums = cums if in_order else array("q", view.sorted_cums)
-        view.cums = cums
+            pass  # a payload that is not an int, or sums past 2**63
     return view
 
 
 def share_view(records, view, m):
     """Keep on `records`, a Timeline whose first m records are the first m of
     `view`'s timeline, a slice of `view`: the view data_view() would build,
-    when `view` is in time order and the records past m are finite, in order
-    from record m - 1 and not DATA.  Else data_view() builds its own."""
+    when the records past m are finite, in order from record m - 1 and not
+    DATA.  Else data_view() builds its own."""
     tail, d = records.time[m - 1:], 0
-    if records._view is not None or not (m and view.sorted_times is view.times and all(
-            map(le, tail, tail[1:])) and math.isfinite(tail[-1])):
+    if records._view is not None or not (m and all(map(le, tail, tail[1:]))
+                                         and math.isfinite(tail[-1])):
         return
     for start, end, _, kind, _ in records.runs():
         if kind == DATA:
@@ -237,8 +227,7 @@ def share_view(records, view, m):
             d += end - start
     cuts = view.burst_starts()
     records._view = shared = object.__new__(type(view))
-    shared.times = shared.sorted_times = view.times[:d]
-    shared.cums = shared.sorted_cums = view.cums[:d + 1]
+    shared.times, shared.cums = view.times[:d], view.cums[:d + 1]
     shared._cuts = cuts[:bisect_left(cuts, d)]
 
 
@@ -263,7 +252,7 @@ def _rate_knee(view, window_s=None, drop_frac=None):
     A record lands in window int((t - t0) / window_s); records past the last
     whole window are left out, as the trailing partial window is not
     comparable to full ones.  That index never falls as t grows, so the
-    records of each window are a run of the sorted times, and its bytes are a
+    records of each window are a run of the times, and its bytes are a
     difference of two prefix sums.  The run ends near t0 + (i + 1) * window_s;
     bisection finds that time, and the index expression itself settles the
     records within rounding of it.  Payloads are ints, so while a window
@@ -274,27 +263,26 @@ def _rate_knee(view, window_s=None, drop_frac=None):
         window_s = THRESHOLDS["knee_window_s"]
     if drop_frac is None:
         drop_frac = THRESHOLDS["knee_drop_frac"]
-    times = view.times
+    times, cums = view.times, view.cums
     if len(times) < 2:
         return None
     t0, t_last = times[0], times[-1]
     if t_last - t0 < window_s:
         return None
     n_windows = int((t_last - t0) / window_s)
-    sorted_times, cums = view.sorted_times, view.sorted_cums
 
     def window(t):
         return int((t - t0) / window_s)
 
-    n = len(sorted_times)
+    n = len(times)
     sums = [0] * n_windows
     lo = 0
     for i in range(n_windows):
         # hi: the first record past window i
-        hi = bisect_right(sorted_times, t0 + (i + 1) * window_s, lo)
-        while hi > lo and window(sorted_times[hi - 1]) > i:
+        hi = bisect_right(times, t0 + (i + 1) * window_s, lo)
+        while hi > lo and window(times[hi - 1]) > i:
             hi -= 1
-        while hi < n and window(sorted_times[hi]) <= i:
+        while hi < n and window(times[hi]) <= i:
             hi += 1
         sums[i] = cums[hi] - cums[lo]
         lo = hi
@@ -332,9 +320,9 @@ def _steady_ratio(view, avg_rate_bps, fast_start_exclusion):
     span = view.times[-1] - fast_start_exclusion
     if span <= 0:
         raise ValueError("no steady phase after the fast-start exclusion")
-    # bytes of the records later than the exclusion: a suffix of the sorted view
-    cums = view.sorted_cums
-    nbytes = cums[-1] - cums[bisect_right(view.sorted_times, fast_start_exclusion)]
+    # bytes of the records later than the exclusion: a suffix of the view
+    cums = view.cums
+    nbytes = cums[-1] - cums[bisect_right(view.times, fast_start_exclusion)]
     return (nbytes * 8.0 / span) / avg_rate_bps
 
 
@@ -396,8 +384,8 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     ahead of the playhead).  Payloads are non-negative.
 
     Raises ValueError for a start_of_playback that is not finite, and if any
-    record, control records too, has a time that is not finite or sits more
-    than 1e-12 s before the one ahead of it (check_time_order()'s rule).
+    record, control records too, has a time that is not finite or steps back
+    from the one ahead of it (check_time_order()'s rule).
     """
     if not math.isfinite(start_of_playback):
         raise ValueError("start_of_playback must be finite, got %r" % (start_of_playback,))
@@ -411,17 +399,14 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
     picks = sorted({0, n - 1}.union(
         bisect_left(cums, c, 1) - 1 for c in video._cum[1:] if c <= cums[-1]
     ))
-    # the wall clock after each arrival: a step back within the order
-    # tolerance moves the playhead by nothing, as a step of zero does
-    walls = times if view.sorted_times is times else list(accumulate(times, max))
     duration = float(video.duration_s)
     playhead, wall = 0.0, start_of_playback
-    k = bisect_right(walls, wall)  # arrivals at or before the start move nothing
+    k = bisect_right(times, wall)  # arrivals at or before the start move nothing
     heads = [playhead] * bisect_left(picks, k)  # the playhead at each pick
     while k < n and playhead < duration:
         media = video.media_time(cums[k])  # held before arrival k, and never less later
-        hi = bisect_right(walls, wall + (media - playhead), k)
-        steps = map(sub, walls[k:hi], chain((wall,), walls[k:hi - 1]))
+        hi = bisect_right(times, wall + (media - playhead), k)
+        steps = map(sub, times[k:hi], chain((wall,), times[k:hi - 1]))
         run = list(accumulate(steps, initial=playhead))
         # where p + step <= media, the per-arrival p + min(step, media - p)
         # rounds to the same float (Sterbenz's lemma, or a tie to even)
@@ -429,10 +414,10 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
         # the arrival's own step, at most the media ahead; it may round one ulp
         # past the media held, but never past the clip's end, a whole second
         if hi == k:
-            step, avail = walls[k] - wall, media - playhead
+            step, avail = times[k] - wall, media - playhead
             run, hi = [playhead, playhead + min(step, avail) if avail > 0 else playhead], k + 1
         heads += [run[p - k + 1] for p in picks[len(heads):bisect_left(picks, hi)]]
-        playhead, wall, k = run[hi - k], walls[hi - 1], hi
+        playhead, wall, k = run[hi - k], times[hi - 1], hi
     heads += [playhead] * (len(picks) - len(heads))  # at the clip's end it moves no more
     received = [cums[p + 1] for p in picks]
     return list(zip(
@@ -444,11 +429,11 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
 
 def _harvest(records, view):
     """The features the classifier rules read, from one pass over the records
-    and from `view`, their _DataView.
+    and from `view`, their _DataView, whose build checked their time order.
 
-    The DATA count, bytes and burst gaps come from the view's record-order
-    times.  Bursts split where group_bursts() splits them, at the view's
-    kept split points.
+    The DATA count, bytes and burst gaps come from the view's times.  Bursts
+    split where group_bursts() splits them, at the view's kept split points.
+    A connection spans its first record's time to its last's.
     """
     probes = ads = 0
     data_conns = set()
@@ -456,9 +441,8 @@ def _harvest(records, view):
     spans = {}  # conn_id -> [first, last] record time, any record kind
     conn = span = data_conn = None
     timeline = isinstance(records, Timeline)
-    if timeline and view.sorted_times is view.times:
-        # the record loop below, run by run, in time order (see _DataView):
-        # a connection spans its first run's start to its last run's end
+    if timeline:
+        # the record loop below, run by run
         time = records.time
         for start, end, _, kind, c in records.runs():
             spans.setdefault(c, [time[start], 0.0])[1] = time[end - 1]
@@ -475,13 +459,8 @@ def _harvest(records, view):
             t = r.time
             if r.conn_id != conn:
                 conn = r.conn_id
-                span = spans.get(conn)
-                if span is None:
-                    span = spans[conn] = [t, t]
-            if t < span[0]:
-                span[0] = t
-            elif t > span[1]:
-                span[1] = t
+                span = spans.setdefault(conn, [t, t])
+            span[1] = t
             kind = r.kind
             if kind == DATA:
                 if conn != data_conn:

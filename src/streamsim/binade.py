@@ -114,14 +114,3 @@ class Ticks:
             return out
         i = bisect_right(self.starts, key) - 1
         return self.bases[i] + (key - self.starts[i]) * self.steps[i]
-
-    def index(self, x, lo, hi):
-        """bisect_left(self, x, lo, hi), counting a segment's steps in place of searching them."""
-        i = bisect_right(self.bases, x) - 1
-        j = lo if i < 0 else self.starts[i] + math.ceil((x - self.bases[i]) / self.steps[i])
-        j = min(max(j, lo), hi)
-        while j > lo and self[j - 1] >= x:
-            j -= 1
-        while j < hi and self[j] < x:
-            j += 1
-        return j

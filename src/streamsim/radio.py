@@ -178,16 +178,17 @@ class EnergyReport:
 
 def _packet_times(records):
     """Timestamps of a Timeline (its own time column, whose order its
-    data_view() checks once), of PacketRecords, or of bare times, and
-    check_time_order()'s verdict on them: whether they never step back."""
+    data_view() checks once), of PacketRecords, or of bare times: ValueError
+    unless they are finite and never step back (check_time_order())."""
     if isinstance(records, Timeline):
-        view = data_view(records)
-        return records.time, view.sorted_times is view.times
+        data_view(records)
+        return records.time
     try:
         times = [r.time for r in records]
     except AttributeError:
         times = [float(r) for r in records]
-    return times, check_time_order(times)
+    check_time_order(times)
+    return times
 
 
 def _emit(segs, state, a, b):
@@ -210,7 +211,7 @@ def rrc_drive(records, params, t_end=None, t_start=None):
     be finite and in order: with an infinite timer, pass t_end.
     """
     params.validate()
-    times, _ = _packet_times(records)
+    times = _packet_times(records)
     if not times and t_end is None:
         raise ValueError("empty timeline needs an explicit t_end")
     if t_start is None:
@@ -296,8 +297,8 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
     """
     params.validate()
     until = float("inf") if t_end is None else t_end
-    times, ordered = _packet_times(records)
-    if not (ordered and times and t_start <= times[0] and times[-1] <= until):
+    times = _packet_times(records)
+    if not (times and t_start <= times[0] and times[-1] <= until):
         times = [t for t in times if t_start <= t <= until]
     if t_end is None:
         if not times:

@@ -9,6 +9,7 @@ the prefix is stripped on load and has no behavioral effect.
 
 import configparser
 import math
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -129,6 +130,11 @@ def _build_video(sect):
     return _checked(sect, VideoSpec.constant, duration, rate, **kw)
 
 
+# the TechniqueSpec fields whose scenario key has another name
+_TECHNIQUE_KEYS = {"burst_size": "burst_size_bytes", "buffer_cap": "buffer_cap_bytes",
+                   "dash_target_s": "dash_target_buffer_s"}
+
+
 def _build_technique(sect):
     spec = TechniqueSpec(
         kind=sect.take("kind", str).upper(),
@@ -149,8 +155,12 @@ def _build_technique(sect):
         ),
     )
     sect.finish()
-    _checked(sect, spec.validate)
-    return spec
+    try:
+        return spec.validate()
+    except ValueError as exc:
+        # the error names fields; a scenario's reader knows its keys
+        text = re.sub(r"\w+", lambda m: _TECHNIQUE_KEYS.get(m[0], m[0]), str(exc))
+        raise ScenarioError(f"[{sect.name}] {text}") from None
 
 
 def _build_radio(sect):

@@ -100,11 +100,6 @@ def _drain(phs):
     return repeat(_BIG, len(phs) - 1)
 
 
-def _first(column, x, lo, hi):
-    """bisect_left over a list of tick times, or over Ticks."""
-    return column.index(x, lo, hi) if isinstance(column, Ticks) else bisect_left(column, x, lo, hi)
-
-
 @dataclass
 class TechniqueSpec:
     kind: str
@@ -822,13 +817,14 @@ class StreamingSession:
         if moving:  # one playhead more: an ENCODING_RATE client reads up to a tick past it
             plan.phs = Ticks(playhead, dt, k + 1) if quiet else list(
                 accumulate(repeat(dt, k + 1), initial=playhead))
-        played = _first(plan.ts, bound, 1, k + 1) - 1
+        played = bisect_left(plan.ts, bound, 1, k + 1) - 1
         if played < k:
             plan.k, plan.cut = played, "clock" if plan.ts[played + 1] >= stop_t else "next_action"
         if moving:
             # near where the float thresholds put it, then onto _stands()'s own answer
             phs = plan.phs
-            j = _first(phs, min(self.watched_end - dt - 1e-12, delivered + 1e-9 - dt), 1, played) + 1
+            x = min(self.watched_end - dt - 1e-12, delivered + 1e-9 - dt)
+            j = bisect_left(phs, x, 1, played) + 1
             while j > 2 and self._stands(phs, j - 1, delivered):
                 j -= 1
             while j <= played and not self._stands(phs, j, delivered):

@@ -62,13 +62,12 @@ class Timeline:
     Transport.emit_run adds a call's runs (the first may extend the last
     one), and read_timeline_csv one a stretch of rows.  The classifier's views,
     group_bursts, audit and the CSV writer read runs(); the radio drives
-    read the time column.  columns() gives all five as lists.  Read
-    as a sequence (iteration, slicing, list(), ==), a Timeline is a list of
-    PacketRecord built on the first read and kept until the next append();
-    indexing with an int builds that one record from the columns and its
-    run.  The records are copies, and changing one changes no column.  The
-    constructor takes five sequences, one entry per record, and raises
-    ValueError if their lengths differ.
+    read the time column.  Read as a sequence (iteration, slicing, list(),
+    ==), a Timeline is a list of PacketRecord built on the first read and
+    kept until the next append(); indexing with an int builds that one
+    record from the columns and its run.  The records are copies, and
+    changing one changes no column.  The constructor takes five sequences,
+    one entry per record, and raises ValueError if their lengths differ.
 
     The columns change only through append() and Transport.emit_run (and
     read_timeline_csv while it builds the timeline).  The record list
@@ -107,12 +106,6 @@ class Timeline:
         for end, direction, kind, conn in self._runs:
             yield start, end, direction, kind, conn
             start = end
-
-    def columns(self):
-        """time, direction, payload, kind and conn, as five lists."""
-        keys = chain.from_iterable(repeat(run[2:], run[1] - run[0]) for run in self.runs())
-        direction, kind, conn = map(list, zip(*keys)) if self._runs else ([], [], [])
-        return self.time, direction, self.payload, kind, conn
 
     def rows(self):
         """The records, as a list built once and kept until the timeline changes."""
@@ -584,39 +577,33 @@ OUT_OF_ORDER = "packet timeline must be sorted by time"
 
 
 def check_step(before, t):
-    """The time-order rule for a record at `t` after one at `before`, for a
-    step that is not `t >= before` (a NaN fails that too): ValueError if
-    either time is not finite, `t` first, or `t` steps back by more than
-    1e-12.  A smaller step back is float noise and passes."""
+    """The ValueError for a record at `t` after one at `before`, a step that
+    is not `t >= before` (a NaN fails that too): for the first of `t` and
+    `before` that is not finite, else for the step back."""
     check_ends(t, before)
-    if t < before - 1e-12:
-        raise ValueError(OUT_OF_ORDER)
+    raise ValueError(OUT_OF_ORDER)
 
 
 def check_ends(*times):
     """ValueError for the first of `times` that is not finite.  Of a timeline
-    whose every step kept check_step()'s rule, in time order with no NaN,
-    the first and last time bound every other."""
+    in time order with no NaN, the first and last time bound every other."""
     for t in times:
         if not math.isfinite(t):
             raise ValueError("packet timeline time %r is not finite" % t)
 
 
 def check_time_order(times):
-    """Whether a timeline's times never step back; ValueError for a time that
-    is not finite or steps back by more than 1e-12 (check_step).  Smaller
-    steps back are float noise and pass (the result is then False).  The
+    """ValueError unless a timeline's times are finite and never step back:
+    for the first step back (check_step), or a time that is not finite.  The
     radio drives and the trace estimators share this rule, so both reject
     the same timelines."""
-    ordered = times == sorted(times)
     # sorting and list equality pass a NaN by; a sum does not, nor an inf
-    if ordered and math.isfinite(sum(times)):
-        return True
+    if times == sorted(times) and math.isfinite(sum(times)):
+        return
     for before, t in zip(times, islice(times, 1, None)):
         if not t >= before:
             check_step(before, t)
     check_ends(times[0], times[-1])
-    return ordered
 
 
 @lru_cache(maxsize=64)

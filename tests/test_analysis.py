@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from streamsim.analysis import (
     group_bursts,
 )
 from streamsim.cli import main
+from streamsim.harness import audit
 from streamsim.radio import PsmParams, RrcParams, psm_drive, rrc_drive
 from streamsim.transport import (
     DATA,
@@ -286,27 +288,27 @@ def test_a_control_record_out_of_order_is_rejected_too():
             estimator(records)
 
 
-def test_bursts_and_buffer_pass_a_1e12_step_back_and_reject_a_larger_one():
-    # each record within 1e-12 of the one ahead of it, as check_time_order()
-    # asks, though the last of them is 1.8e-12 before the latest time
-    steps = (1.0, 1.0 - 1e-12, 1.0 - 9e-13 - 9e-13)
-    records = [rec(0.0, 1000)] + [rec(t, 1000) for t in steps] + [rec(2.0, 1000)]
-    assert [b.packets for b in group_bursts(records)] == [1, 3, 1]
-    assert len(estimate_buffer(records, [1000] * 20, 0.0)) == 5
-    records[2] = rec(1.0 - 3e-12, 1000)
-    for estimator in (group_bursts, lambda r: estimate_buffer(r, [1000] * 20, 0.0)):
-        with pytest.raises(ValueError, match="packet timeline must be sorted by time"):
-            estimator(records)
-
-
-def test_steps_back_within_the_tolerance_are_kept():
-    # a record 5e-13 s before the first one still lands in the first window,
-    # as the window loop put it
-    records = burst_trace()
-    records.insert(1, rec(records[0].time - 5e-13, 125_000))
-    assert find_rate_knee(records) == pytest.approx(2.0)
-    assert estimate_throttle_factor(records, 500_000) > 0
-    assert classify(records, 500_000, 6_000_000).label != UNKNOWN
+@pytest.mark.parametrize("kind", [DATA, REQUEST])
+@pytest.mark.parametrize("form", [list, Timeline.of], ids=["list", "Timeline"])
+@pytest.mark.parametrize("reader", ESTIMATORS + [None], ids=[
+    "classify", "throttle_factor", "fast_start", "rate_knee", "rrc_drive", "psm_drive",
+    "group_bursts", "estimate_buffer", "audit",
+])
+def test_every_reader_rejects_a_1e13_step_back(bundled, reader, form, kind):
+    # one order rule: a record 1e-13 s before the one ahead of it, a DATA
+    # record or a control record, is out of order for the estimators and
+    # the radio drives, and audit reports it
+    report = bundled("compare_onoff_per_burst_3g")
+    records = list(report.records)
+    i = next(k for k, r in enumerate(records) if k > 10 and r.kind == kind)
+    records[i] = replace(records[i], time=records[i - 1].time - 1e-13)
+    assert records[i].time < records[i - 1].time
+    records = form(records)
+    if reader is None:
+        assert audit(replace(report, records=records)) == ["packet timeline out of order"]
+        return
+    with pytest.raises(ValueError, match="packet timeline must be sorted by time"):
+        reader(records)
 
 
 @pytest.mark.parametrize("window_s", [0, 0.0, -1.0, float("nan")])
@@ -336,7 +338,7 @@ def test_rate_knee_defaults_stand_for_none():
 
 
 def view_lists(view):
-    return [list(view.times), list(view.cums), list(view.sorted_times), list(view.sorted_cums)]
+    return [list(view.times), list(view.cums)]
 
 
 def test_a_timeline_keeps_its_view_until_its_columns_change():
@@ -380,10 +382,10 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize("records", [
     burst_trace(t_end=30.0),
-    # a step back within the order tolerance: the view sorts its DATA times
+    # out of order, by 5e-13 s or by 4 s: no reader keeps a view, and each
+    # names the same fault
     [rec(0.0, 1000), rec(0.05, 0, REQUEST), rec(0.1, 2000), rec(0.1 - 5e-13, 500),
      rec(3.0, 700, conn=2), rec(40.0, 300, conn=2)],
-    # out of order: no reader keeps a view, and each names the same fault
     [rec(0.0, 1000), rec(5.0, 1000), rec(1.0, 1000)],
     [],
 ], ids=["burst", "step-back", "out-of-order", "empty"])

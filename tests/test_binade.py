@@ -87,4 +87,4 @@ def test_ticks_read_what_accumulate_adds(x0, dt, n, probes, every):
         lo, hi = sorted((int(a * n), int(b * n) + 1))
         assert ticks[lo:hi:every] == listed[lo:hi:every]
         x = listed[lo] + shift * dt
-        assert ticks.index(x, lo, hi) == bisect_left(listed, x, lo, hi)
+        assert bisect_left(ticks, x, lo, hi) == bisect_left(listed, x, lo, hi)

@@ -129,6 +129,19 @@ def test_analyze_reports_an_out_of_order_trace(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_analyze_rejects_a_step_back_of_1e13_s(tmp_path, capsys):
+    # a CSV may carry more than the six decimals the writer gives: a record
+    # 1e-13 s before the one ahead of it is out of order, as any step back is
+    trace = tmp_path / "step_back.timeline.csv"
+    rows = ["%s,down,1000,DATA,1\n" % t for t in ("0.0", "1.0", "0.9999999999999", "2.0")]
+    trace.write_text("time_s,direction,bytes,kind,conn_id\n" + "".join(rows))
+    code = main(["analyze", str(trace), "--rate", "500000", "--bandwidth", "6000000"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: packet timeline must be sorted by time\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("row, cause", [
     ("0.020000,down,1000", "not enough values to unpack (expected 5, got 3)"),
     ("0.02x,down,1000,DATA,1", "could not convert string to float: '0.02x'"),

@@ -83,13 +83,14 @@ def test_audit_flags_bytes_billed_off_the_wire(grid):
 
 
 def test_audit_flags_a_record_that_steps_back(grid):
-    # audit's order rule is strict: a step back of 1e-13 s is flagged, though
-    # check_time_order lets it pass as float noise
+    # audit's order rule is check_time_order's: a step back of 1e-13 s is
+    # flagged, as the view rejects it
     report = grid["compare_onoff_per_burst_3g"]
     records = list(report.records)
     i = len(records) // 2
     records[i] = replace(records[i], time=records[i - 1].time - 1e-13)
-    assert check_time_order([r.time for r in records]) is False
+    with pytest.raises(ValueError, match="packet timeline must be sorted by time"):
+        check_time_order([r.time for r in records])
     assert audit(replace(report, records=records)) == ["packet timeline out of order"]
     timeline = report.records.copy()
     timeline.time[i] = records[i].time
@@ -98,8 +99,8 @@ def test_audit_flags_a_record_that_steps_back(grid):
 
 @pytest.mark.parametrize("step", [-1.0, math.nan])
 def test_audit_flags_a_timeline_the_analysis_view_rejects(grid, step):
-    # a step back beyond float noise, or a time that is not finite: the
-    # view's order check raises, and audit reports a problem line instead
+    # a step back of a second, or a time that is not finite: the view's
+    # order check raises, and audit reports a problem line instead
     report = grid["compare_onoff_per_burst_3g"]
     timeline = report.records.copy()
     i = len(timeline) // 2

@@ -13,6 +13,7 @@ from streamsim.scenario import (
     load_builtin,
     load_scenario,
 )
+from streamsim.session import TechniqueSpec
 
 BASE = """\
 [scenario]
@@ -329,7 +330,7 @@ LADDER = "ladder = 200000:240p:10, 400000:360p:10"
     ("kind = FAST_CACHING\nfitted:fast_start_s = nan",
      "[technique] fast_start_s must be >= 0, not nan"),
     ("kind = DASH\nfast_start_s = 2\ndash_target_buffer_s = nan",
-     "[technique] dash_target_s must be > 0, not nan"),
+     "[technique] dash_target_buffer_s must be > 0, not nan"),
 ], ids=["throttle_factor", "throttle_factor-inf", "fast_start_s", "dash_target_buffer_s"])
 def test_a_nan_technique_value_names_its_key_and_section(tmp_path, capsys, technique, message):
     # a NaN throttle factor once ran unthrottled to exit 0, a NaN fast start
@@ -342,6 +343,38 @@ def test_a_nan_technique_value_names_its_key_and_section(tmp_path, capsys, techn
     assert str(caught.value) == message
     assert main(["run", str(path)]) == 1
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("technique, message", [
+    ("kind = THROTTLE\nfast_start_s = 2\nthrottle_factor = 2\nburst_size_bytes = 0",
+     "[technique] burst_size_bytes must be positive"),
+    ("kind = THROTTLE\nfast_start_s = 2\nthrottle_factor = 2\nmeasured:buffer_cap_bytes = -1",
+     "[technique] buffer_cap_bytes must be positive"),
+    ("kind = THROTTLE\nfast_start_s = 2\nthrottle_factor = 2\n"
+     "burst_size_bytes = 64000\nbuffer_cap_bytes = 64000",
+     "[technique] buffer_cap_bytes and burst_size_bytes do not combine"),
+    ("kind = DASH\nfast_start_s = 2\ndash_target_buffer_s = 0",
+     "[technique] dash_target_buffer_s must be > 0, not 0.0"),
+], ids=["burst_size_bytes", "buffer_cap_bytes", "do-not-combine", "dash_target_buffer_s"])
+def test_a_technique_error_names_the_scenario_key(tmp_path, capsys, technique, message):
+    # the spec's fields are burst_size, buffer_cap and dash_target_s; a
+    # scenario's reader sees the keys the file holds
+    text = BASE.replace("kind = FAST_CACHING\nfast_start_s = 2", technique)
+    path = write(tmp_path, text.replace("avg_encoding_rate_bps = 400000",
+                                        "avg_encoding_rate_bps = 400000\n" + LADDER))
+    with pytest.raises(ScenarioError) as caught:
+        load_scenario(path)
+    assert str(caught.value) == message
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_technique_spec_errors_keep_the_field_names():
+    # Python callers build the spec from its fields, so its own errors name them
+    with pytest.raises(ValueError, match="^dash_target_s must be > 0, not 0$"):
+        TechniqueSpec("DASH", dash_target_s=0).validate()
+    with pytest.raises(ValueError, match="^buffer_cap and burst_size do not combine$"):
+        TechniqueSpec("THROTTLE", throttle_factor=2.0, burst_size=1, buffer_cap=1).validate()
 
 
 @pytest.mark.parametrize("technique", [

@@ -13,8 +13,8 @@ returns runs of whole beacons as beacon trains, which `integrate` prices in
 bulk.  The functions below are their earlier versions, kept as oracles: every
 output must match them exactly, float for float, over random timelines that
 include zero-byte schedule seconds, control records between DATA records,
-equal timestamps, records on window edges, steps back within the 1e-12
-ordering tolerance, tiny RRC timers, promotion ramps, beacon wakes that round
+equal timestamps, records on window edges, records a little before the
+one ahead of them (out of order, however little), tiny RRC timers, promotion ramps, beacon wakes that round
 away and observation windows that open after the first packet.  Beacon
 trains are compared expanded into per-beacon segments, and by the charge,
 clip and radio CSV they give.  The harvest is also tied to the public
@@ -190,7 +190,7 @@ def oracle_packet_times(records):
     last = None
     for r in records:
         t = r.time if hasattr(r, "time") else float(r)
-        if last is not None and t < last - 1e-12:
+        if last is not None and t < last:
             raise ValueError("packet timeline must be sorted by time")
         times.append(t)
         last = t
@@ -397,8 +397,8 @@ def oracle_psm_drive(records, params, t_end=None, t_start=0.0):
 
 
 def in_order_or_error(fn, records, *args):
-    """fn's result, or the ordering error when the timeline steps back by
-    more than 1e-12: the old estimators had no ordering rule."""
+    """fn's result, or the ordering error when the timeline steps back: the
+    old estimators had no ordering rule."""
     try:
         oracle_packet_times(records)
     except ValueError as exc:
@@ -464,8 +464,8 @@ edge_gap = st.one_of(
     st.sampled_from([0.25, 0.5, 1.0, 2.0]),
     st.floats(0.0, 3.0, allow_nan=False),
 )
-# how far a record sits before its nominal time: mostly not at all, else
-# within the 1e-12 ordering tolerance, or past it
+# how far a record sits before its nominal time: mostly not at all, else a
+# little, which after an equal time is a step back, out of order however small
 back_step = st.sampled_from([0.0] * 6 + [1e-13, 5e-13, 9e-13, 1e-12, 3e-12])
 windows = st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.05, 10.0))
 drop_fracs = st.one_of(st.sampled_from([0.5, 0.8, 1.0]), st.floats(0.01, 1.0))
@@ -556,8 +556,10 @@ def data_at(times, payload):
 @example(data_at([0.0, 0.5, 1.0, 3.0], 150), [100, 100], 0.0)
 # playback starts after 21 arrivals
 @example(data_at([i / 10 for i in range(30)], 100), [500] * 10, 2.05)
-# steps back within 1e-12, one ahead of a window's end
-@example(data_at([0.0, 0.5, 1.0, 1.0 - 5e-13, 1.5, 2.0, 2.0 - 9e-13, 2.5], 100), [100] * 10, 0.0)
+# a step back of 5e-13 s, one ahead of a window's end: out of order
+@example(data_at([0.0, 0.5, 1.0, 1.0 - 5e-13, 1.5, 2.0, 2.5], 100), [100] * 10, 0.0)
+# equal times, one on a window's end
+@example(data_at([0.0, 0.5, 1.0, 1.0, 1.5, 2.0, 2.0, 2.5], 100), [100] * 10, 0.0)
 # the playhead catches up with the media held 1e-10 s before an arrival
 @example(data_at([0.0, 1.0 + 1e-10, 1.5], 100), [100] * 10, 0.0)
 # steps whose running sum rounds past the media held (to 1.0000000000000002)
@@ -601,7 +603,8 @@ broken_times = st.sampled_from([math.nan, math.inf, -math.inf, None])
     st.one_of(st.just(THRESHOLDS["burst_gap_s"]), st.sampled_from([0.001, 0.3, 2.0, 10.0])),
     st.lists(st.tuples(st.integers(0, 50), broken_times), max_size=2),
 )
-# a control record inside a burst, and a step back within the tolerance
+# a control record inside a burst, and a record 1e-12 s before its nominal
+# time, still after the one ahead of it
 @example([PacketRecord(t, DOWN, 100, k, 1) for t, k in (
     (0.0, DATA), (0.01, REQUEST), (0.02 - 1e-12, DATA), (0.03, ZERO_WINDOW_AD), (0.04, DATA),
 )], 0.05, [])
@@ -664,13 +667,14 @@ def test_rrc_drive_matches_the_ladder_walk(records, t1, t2, t3, delay, data):
     assert segments(outcome(rrc_drive, times, params, t_end, t_start)) == expected
 
 
-def test_rrc_drive_sorted_check_on_records_and_small_back_steps():
+def test_rrc_drive_rejects_any_step_back():
     records = [PacketRecord(1.0, DOWN, 10, DATA, 1), PacketRecord(0.5, DOWN, 10, DATA, 1)]
     with pytest.raises(ValueError, match="sorted"):
         rrc_drive(records, RrcParams())
-    # steps back inside the 1e-12 tolerance are not an error, and two of them
-    # move the cursor far enough back that the next DCH span is not merged
-    times = [0.0, 1.0, 1.0 - 9e-13, 1.0 - 18e-13, 5.0]
+    # a step back of 1e-13 s is out of order too, and equal times are not
+    with pytest.raises(ValueError, match="sorted"):
+        rrc_drive([0.0, 1.0, 1.0 - 1e-13, 5.0], RrcParams())
+    times = [0.0, 1.0, 1.0, 1.0, 5.0]
     assert segments(rrc_drive(times, RrcParams())) == segments(
         oracle_rrc_drive(times, RrcParams())
     )
@@ -688,9 +692,9 @@ def test_one_pass_harvest_matches_the_multi_pass_features(records):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(timelines(), edge_timelines()))
-# a connection that comes back after another, with a record that steps back
+# a connection that comes back after another, at the time of its last record
 @example([PacketRecord(t, DOWN, 100, k, c) for t, k, c in (
-    (0.0, OPEN, 1), (1.0, DATA, 1), (2.0, DATA, 2), (1.5 - 5e-13, DATA, 1), (3.0, REQUEST, 1),
+    (0.0, OPEN, 1), (1.0, DATA, 1), (2.0, DATA, 2), (2.0, DATA, 1), (3.0, REQUEST, 1),
 )])
 def test_column_readers_match_the_record_loops(tmp_path_factory, records):
     # a Timeline's readers take its runs; a list of records keeps the loops
@@ -725,7 +729,7 @@ def test_column_readers_match_the_record_loops(tmp_path_factory, records):
         assert audit(SimpleNamespace(**{**vars(report), "records": records})) == problems
 
     def view(v):
-        return [v.times, v.cums, v.sorted_times, v.sorted_cums]
+        return [v.times, v.cums]
 
     got, want = outcome(_DataView, timeline), outcome(_DataView, records)
     if isinstance(want, tuple):
@@ -744,12 +748,9 @@ def test_column_readers_match_the_record_loops(tmp_path_factory, records):
 @given(edge_timelines(), windows, drop_fracs)
 # a trace that ends on a window edge, with a record on each edge before it
 @example([PacketRecord(t, DOWN, 1000, DATA, 1) for t in (0.0, 2.0, 4.0, 6.0)], 2.0, 0.8)
-# a step back within the tolerance onto the far side of an edge, and one to
-# before the first DATA record
-@example(
-    [PacketRecord(t, DOWN, 1000, DATA, 1) for t in (1.0, 1.0 - 5e-13, 3.0, 3.0 - 9e-13, 9.0)],
-    2.0, 0.8,
-)
+# two records on each of two edges, and a step back of 5e-13 s across one
+@example([PacketRecord(t, DOWN, 1000, DATA, 1) for t in (1.0, 1.0, 3.0, 3.0, 9.0)], 2.0, 0.8)
+@example([PacketRecord(t, DOWN, 1000, DATA, 1) for t in (1.0, 3.0, 3.0 - 5e-13, 9.0)], 2.0, 0.8)
 # records that float rounding puts on the other side of the edge time
 # t0 + (i + 1) * window_s from the window the loop bins them in
 @example(
@@ -790,9 +791,9 @@ def test_steady_ratio_matches_the_filtered_sum(records, rate, data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(edge_timelines(), timelines()), st.floats(1.0, 1e7))
-# the burst ends on a step back: the estimate keeps the record order
+# the burst ends on a record at the time of the one before it
 @example(
-    [PacketRecord(t, DOWN, 50_000, DATA, 1) for t in (0.0, 0.5, 1.0, 1.0 - 5e-13)]
+    [PacketRecord(t, DOWN, 50_000, DATA, 1) for t in (0.0, 0.5, 1.0, 1.0)]
     + [PacketRecord(2.0 + k, DOWN, 1000, DATA, 1) for k in range(20)],
     500_000.0,
 )

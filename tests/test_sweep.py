@@ -241,11 +241,9 @@ def test_buffer_series_read_in_any_order_gives_the_same_lists():
 
 
 def view_columns(view):
-    """A view's columns, their types, its in-order flag and its burst split points."""
-    columns = [view.times, view.cums, view.sorted_times, view.sorted_cums]
-    return ([list(c) for c in columns], [type(c) for c in columns],
-            view.sorted_times is view.times, view.sorted_cums is view.cums,
-            list(view.burst_starts()))
+    """A view's columns, their types and its burst split points."""
+    columns = [view.times, view.cums]
+    return [list(c) for c in columns], [type(c) for c in columns], list(view.burst_starts())
 
 
 def same(got, want):
@@ -290,9 +288,10 @@ def test_every_report_reads_the_view_its_timeline_would_build(jitter, built):
         assert_fresh_views(reports)
 
 
-def test_a_timeline_that_steps_back_gives_each_report_its_own_view(monkeypatch, built):
-    # a step back within check_time_order()'s tolerance: a view sorts its
-    # DATA times, so a slice of the longest watch's would not be in order
+def test_a_timeline_that_steps_back_fails_the_sweep_as_it_fails_a_run(monkeypatch, built):
+    # a step back of 5e-13 s is out of order, as any step back is: the view
+    # of the longest watch, the one view a sweep builds, rejects it, and so
+    # does a single run's
     emit_run = Transport.emit_run
 
     def stepping_back(self, *args, **kwargs):
@@ -302,11 +301,9 @@ def test_a_timeline_that_steps_back_gives_each_report_its_own_view(monkeypatch, 
             time[5] = time[6] + 5e-13
 
     monkeypatch.setattr(Transport, "emit_run", stepping_back)
-    sc, fractions = load_builtin("sweep_onoff_3g"), (0.1, 0.3, 0.6, 0.3)
-    reports = sweep_watched_fraction(sc, fractions)
-    views = [data_view(r.records) for r in reports]
-    assert all(v.sorted_times is not v.times and v.sorted_cums != v.cums for v in views)
-    # the longest watch's, then one for each shorter watch
-    assert same(built, [reports[2].records] + [r.records for r in reports if r is not reports[2]])
-    assert_fresh_views(reports)
-    assert_same_reports(reports, oracle(sc, fractions))
+    sc = load_builtin("sweep_onoff_3g")
+    with pytest.raises(ValueError, match="packet timeline must be sorted by time"):
+        sweep_watched_fraction(sc, (0.1, 0.3, 0.6, 0.3))
+    assert len(built) == 1
+    with pytest.raises(ValueError, match="packet timeline must be sorted by time"):
+        run_scenario(sc.with_watched_fraction(0.3))

@@ -327,10 +327,11 @@ def assert_runs(timeline, expected):
     assert all(start < end for start, end, *_ in runs)
     assert all(a[2:] != b[2:] for a, b in zip(runs, runs[1:]))
     assert (ends or [0])[-1] == len(timeline) == len(timeline.payload)
-    time, direction, payload, kind, conn = timeline.columns()
-    assert list(zip(direction, payload, kind, conn)) == expected
-    assert Timeline(*timeline.columns()) == timeline
-    assert timeline == list(map(PacketRecord, time, direction, payload, kind, conn))
+    records = [PacketRecord(t, d, p, k, c) for start, end, d, k, c in runs
+               for t, p in zip(timeline.time[start:end], timeline.payload[start:end])]
+    assert [(r.direction, r.payload, r.kind, r.conn_id) for r in records] == expected
+    assert Timeline.of(records) == timeline
+    assert timeline == records
 
 
 keys = st.tuples(st.sampled_from([DOWN, UP]), st.sampled_from([DATA, REQUEST, ZERO_WINDOW_AD]),
