@@ -70,7 +70,7 @@ from operator import sub
 from .binade import Ticks
 from .kernel import Kernel
 from .media import MediaBuffer, SegmentBuffer, check_positive, dash_pick_quality
-from .transport import CLOSE_KINDS, DATA, DOWN, UP, Pacing, Transport
+from .transport import CLOSE_KINDS, DATA, DOWN, UP, Transport
 
 ENCODING_RATE = "ENCODING_RATE"
 THROTTLE = "THROTTLE"
@@ -315,7 +315,7 @@ class Throttle(Policy):
     A bursty one (burst_size) writes only the fast start's bytes up front,
     then from the fast start's end burst_size bytes every interval, the
     time the throttled rate takes to carry them, until the file is written.
-    The full tick (serve()) and a paced plan (session._lay_paced) make the
+    The full tick (serve()) and a paced plan (session._lay_bytes) make the
     writes by the one rule of writes().
     """
 
@@ -495,10 +495,11 @@ POLICIES = {
 class Plan:
     """A run of k ticks after a full tick for _flow to play in bulk (README,
     "Time model"): ticks 0..k of the clock ts and the playheads phs (None
-    while playback stands); a paced run's sizes ns and running bytes upto
-    of ticks 1.., the ticks that fill the window (fills) where it carries
-    it, the server's writes (Policy.writes) a paced one carries, and the
-    connection's transport.Pacing after it; and cut, the rule that ends it."""
+    while playback stands); for a paced or windowed run, what
+    Connection.plan lays out: the sizes ns and running bytes upto of ticks
+    1.., the ticks that fill the window (fills), and the connection's
+    transport.Pacing after tick k, with the server's writes (Policy.writes)
+    that a paced run carries; and cut, the rule that ends it."""
 
     __slots__ = ("k", "ts", "phs", "ns", "upto", "fills", "writes", "pacing", "cut")
 
@@ -699,7 +700,7 @@ class StreamingSession:
                            upto and upto[first - 1:k:every])
             if plan.pacing is not None:
                 ns, filled, ads = plan.ns, 0, []
-                for f in plan.fills or ():
+                for f in plan.fills:
                     # as advance(): the DATA records, then the zero-window ad
                     times += compress(ts[filled + 1:f + 1], ns[filled:f])
                     sizes += filter(None, ns[filled:f])
@@ -750,8 +751,10 @@ class StreamingSession:
         buf, playhead = self.buffer, self.playhead
         moving = self.phase == STEADY and not self.stalled
         delivered = buf.delivered()
-        # after the queue's last tick, with no rule to test, the run idles on
+        # a paced run plays the tick that empties the queue, and after it, with
+        # no rule to test, idles on; a windowed run leaves that tick to the full tick
         left, rest = buf.run_bytes(self.conn.send_queue, self.phase == FAST_START)
+        rest = rest and kind is PACED
         idles = rest and acts is None and buf.cap is None
         # the first tick alone
         phs = [playhead, playhead + dt] if moving else None
@@ -762,17 +765,18 @@ class StreamingSession:
             if kind is QUIET and acts is not None and self._holds(1, plan, acts, delivered):
                 return None
             if kind is PACED:
-                self._lay_bytes(plan, kind, reads, left, rest, idles)
+                self._lay_bytes(plan, reads, left, rest, idles)
                 if not plan.k or self._holds(1, plan, acts, delivered, self._reach(plan)):
                     return None
         plan = self._lay_clock(t, min(stop_t, conn_t) if kind is QUIET else stop_t, stop_t, kind,
                                delivered, left, idles)
-        credits = None if kind is QUIET else self._lay_bytes(plan, kind, reads, left, rest, idles)
+        credits = None if kind is QUIET else self._lay_bytes(plan, reads, left, rest, idles)
         if not plan.k:
             return None
         self._cut_search(plan, acts, delivered)
-        if credits is not None:
-            plan.pacing = Pacing(credits[plan.k - 1])
+        if credits is not None and plan.k < len(credits):
+            # the cut search ended a paced run early: the credit after its last tick
+            plan.pacing = plan.pacing._replace(credit=credits[plan.k - 1])
         return plan
 
     def _run_kind(self, end, conn_t, reads, acts):
@@ -833,48 +837,44 @@ class StreamingSession:
                 plan.k, plan.cut = j - 1, "dry" if delivered - phs[j - 1] + 1e-9 < dt else "watch"
         return plan
 
-    def _lay_bytes(self, plan, kind, reads, left, rest, idles):
+    def _lay_bytes(self, plan, reads, left, rest, idles):
         """Lay out the bytes of the plan's ticks, up to the first that the full
-        tick must play for them; returns a paced run's credit after each tick."""
-        k, ts, conn = plan.k, plan.ts, self.conn
-        if kind is PACED:
-            credits, played, cut = self._lay_paced(plan, left, rest, idles)
-        else:
-            # only a client whose playback moves reads less than all it holds
-            wants = None if reads is _drain else reads(plan.phs[1:k + 2])
-            plan.ns, plan.fills, plan.pacing, cut = conn.plan(ts[:k + 1], self.tick_s, wants, left)
-            plan.upto, credits, played = list(accumulate(plan.ns)), None, len(plan.ns)
-        if played < k:
-            # bytes that reach `left` short of the queue's end reach the fast start's
-            fast_start = cut == "queue" and left < conn.send_queue
-            plan.k, plan.cut = played, "fast_start" if fast_start else cut
-        return credits
-
-    def _lay_paced(self, plan, left, rest, idles):
-        """A paced run's bytes (_lay_bytes): one Connection.drain call for the
-        ticks up to each of the server's writes (Policy.writes) and for those
-        after the last, with the credit carried from each to the next.  A
-        write grows the queue after the tick that serves it, as on a full
-        tick (send, read, serve).  Returns the credit after each tick, the
-        ticks played and the cut, and sets the plan's sizes, running bytes
-        and writes; the sizes reach past a cut to the end of its call."""
-        ends, dt, conn = plan.ts[1:plan.k + 1], self.tick_s, self.conn
-        plan.writes = writes = self.policy.writes(ends)
-        ns, credits, played, cut = [], [], len(ends), None
-        credit, start = None, 0
-        for i, n, _ in [*writes, (len(ends) - 1, 0, None)]:
+        tick must play for them: one Connection.plan call for the ticks up to
+        each of the server's writes (Policy.writes; a windowed run has none)
+        and for those after the last, with the credit carried from each to
+        the next.  A write grows the queue after the tick that serves it, as
+        on a full tick (send, read, serve).  With `rest` the run plays the
+        tick that empties the queue, and with `idles` goes on past it, sending
+        nothing and keeping the credit, as from an empty queue.  A run that
+        Connection.plan cuts, on its last tick too, takes the cut's name.
+        Returns the credit after each tick."""
+        k, ts, dt, conn = plan.k, plan.ts, self.tick_s, self.conn
+        # only a client whose playback moves reads less than all it holds
+        wants = None if reads is _drain else reads(plan.phs[1:k + 2])
+        plan.writes = writes = self.policy.writes(ts[1:k + 1])
+        ns, credits, credit, start, to_send, cut, sizes = [], [], None, 0, left, None, ()
+        for i, n, _ in [*writes, (k - 1, 0, None)]:
             if i >= start:  # the ticks up to this write's, or the run's last
-                sizes, upto, cs, took, cut = conn.drain(ends[start:i + 1], dt, left, rest, idles,
-                                                        credit)
+                to_send -= sum(sizes)  # what the last call sent
+                sizes, cs, plan.fills, plan.pacing, cut = conn.plan(ts[start:i + 2], dt, wants,
+                                                                    to_send, rest, credit)
                 ns += sizes
                 credits += cs
-                if start + took <= i:
-                    played = start + took
+                start, credit = start + len(sizes), plan.pacing.credit
+                if idles and cut == "queue":
+                    ns += repeat(0, i + 1 - start)
+                    credits += repeat(credit, i + 1 - start)
+                    start, cut = i + 1, None
+                if start <= i:
                     break
-                credit, left, start = cs[-1], left - upto[-1], i + 1
-            left += n
+            if n:  # a write refills the queue: a queue cut before it is no cut
+                to_send, cut = to_send + n, None
         plan.ns, plan.upto = ns, list(accumulate(ns))
-        return credits, played, cut
+        if cut:
+            # bytes that reach `left` short of the queue's end reach the fast start's
+            fast_start = cut == "queue" and left < conn.send_queue
+            plan.k, plan.cut = start, "fast_start" if fast_start else cut
+        return credits
 
     def _cut_search(self, plan, acts, delivered):
         """Cut the plan before the first tick after its first that the store

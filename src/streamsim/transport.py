@@ -184,9 +184,9 @@ def paced(now, dt, resume_at, byte_rate, credit, queue, room):
     plus the sub-byte credit carried from earlier ticks, and never more than
     `room` (the queue, the free receive space and any limit, whichever is
     least).  The credit carries over only when the allowance is what cut the
-    bytes.  Connection.advance paces with it, and Connection.drain and
-    Connection.plan repeat its float operations over a run of ticks, held to
-    the same bytes by an every-tick test.
+    bytes.  Connection.advance paces a tick with it, and Connection.plan
+    prices a run's edge ticks with it and repeats its float operations over
+    the rest, held to the same bytes by an every-tick test.
     """
     start = now - dt
     eligible = now - (resume_at if resume_at > start else start)  # max(), without the call
@@ -200,10 +200,9 @@ def paced(now, dt, resume_at, byte_rate, credit, queue, room):
     return room, 0.0
 
 
-# a connection's state after a planned run (Connection.settle); None leaves
-# the resume time, and is no window close or reopen
-Pacing = namedtuple("Pacing", "credit occupancy resume closed reopened",
-                    defaults=(0, None, None, None))
+# a connection's state after a planned run (Connection.plan, for
+# Connection.settle); a None time is no window close or reopen
+Pacing = namedtuple("Pacing", "credit occupancy resume closed reopened")
 
 
 class Transport:
@@ -218,10 +217,11 @@ class Transport:
 
     def open(self, now, recv_capacity, probe_interval):
         """Open a connection at `now`: its OPEN and REQUEST records."""
-        if recv_capacity <= 0:
-            raise ValueError("recv_capacity must be positive")
-        if probe_interval <= 0:
-            raise ValueError("probe_interval must be positive")
+        if not 1 <= recv_capacity < math.inf:
+            raise ValueError("recv_capacity must be at least 1 byte and finite, not %r"
+                             % recv_capacity)
+        if not 0 < probe_interval < math.inf:
+            raise ValueError("probe_interval must be positive and finite, not %r" % probe_interval)
         conn = Connection(self, self._next_id, recv_capacity, probe_interval)
         self._next_id += 1
         self.emit(now, UP, 0, OPEN, conn.id)
@@ -402,75 +402,38 @@ class Connection:
         return out
 
     def drains(self, dt):
-        """Whether drain() may lay out a run: nothing is held, the window is
-        open, and no tick's allowance comes within a byte of the capacity."""
+        """Whether a run may be laid out with the client draining every tick:
+        nothing is held, the window is open, and no tick's allowance comes
+        within a byte of the capacity."""
         return (not self.recv_occupancy and self.window_state == OPEN_WINDOW
                 and self.byte_rate * dt + 1.0 < self.recv_capacity)
 
-    def drain(self, ends, dt, left, rest=False, idles=False, credit=None):
-        """What advance(end, dt) sends on the ticks ending at `ends`, the client
-        draining each (drains()), from the pacing `credit` (by default the
-        connection's) and none before the resume time, leaving the connection
-        as it is: each tick's size, running bytes and credit after, the ticks
-        played and their cut.  The run stops before a tick whose allowance
-        is the whole window ("window") or whose bytes reach `left` ("queue").
-        With `rest`, `left` is the queue: the tick that empties it sends what
-        is left, keeping no credit unless that was its whole allowance, and
-        ends the run, or with `idles` the ticks after it send nothing and
-        keep the credit, as every tick does from an empty queue.  A run
-        between a bursty server's writes is one call (session._lay_paced)."""
-        size, byte_rate = len(ends), self.byte_rate
-        credit, resume = self._rate_frac if credit is None else credit, self._resume_at
-        if left <= 0:
-            return [0] * size, [0] * size, [credit] * size, size, None
-        if idles and byte_rate > 0:
-            ends = ends[:int(left / (byte_rate * dt)) + 2]  # the ticks the queue lasts
-        eligibles = map(sub, ends, map(sub, ends, repeat(dt)))
-        if resume > ends[0] - dt:
-            # ticks that start before the resume time are eligible from it
-            starts = list(map(sub, ends, repeat(dt)))
-            p = bisect_left(starts, resume)
-            eligibles = [*map(sub, ends[:p], repeat(resume)), *map(sub, ends[p:], starts[p:])]
-        allowances = list(map(mul, repeat(byte_rate), eligibles))
-        c = credit
-        credits = [c := (allowance + c) % 1.0 for allowance in allowances]  # paced()'s split
-        sizes = list(map(int, map(add, allowances, [credit, *credits])))
-        upto = list(accumulate(sizes))
-        last = bisect_left(upto, left)
-        if rest and last < len(sizes):
-            gap = left - (upto[last - 1] if last else 0)
-            if sizes[last] > gap:
-                sizes[last], credits[last], upto[last] = gap, 0.0, left
-            if idles:
-                tail = size - last - 1
-                sizes[last + 1:], credits[last + 1:] = [0] * tail, [credits[last]] * tail
-                upto[last + 1:] = [left] * tail
-                last = size - 1
-            last += 1
-        played, cut = (last, "queue") if last < size else (size, None)
-        if max(sizes) >= self.recv_capacity:
-            window = next(j for j, n in enumerate(sizes) if n >= self.recv_capacity)
-            if window < played:
-                played, cut = window, "window"
-        return sizes, upto, credits, played, cut
+    def plan(self, ts, dt, wants, left, rest=False, credit=None):
+        """What advance(end, dt), read() and the window's close and reopen do on
+        the ticks ending at ts[1:] (ts[0] is now), from the pacing `credit` (by
+        default the connection's), the client reading wants[i - 1] bytes (or,
+        with no wants, all it holds) after tick i, leaving the connection as it
+        is.  Stops before a tick that sends into a zero window ("zero_window")
+        or whose bytes reach `left` ("queue": what ends the caller's run), and
+        after a fill the client leaves shut ("shut").  With `rest`, `left` is
+        the queue: the tick that empties it plays, and the run stops after it
+        ("queue").  Returns, for the ticks played, their sizes and the credit
+        after each, the ticks that fill the window, the Pacing after them, and
+        the cut.
 
-    def plan(self, ts, dt, wants, left):
-        """What advance(end, dt), read() and the window's close and reopen do on the
-        ticks ending at ts[1:] (ts[0] is now), the client reading wants[i - 1]
-        bytes (or, with no wants, all it holds) after tick i, leaving the
-        connection as it is.  Stops before a tick that sends into a zero
-        window ("zero_window") or sends `left` bytes or more ("queue": the
-        queue, or what ends the caller's run), and after a fill the client
-        leaves shut ("shut").  Returns, for
-        the ticks played, their sizes, the ticks that fill the window, the
-        Pacing after them, and the cut.
+        Ticks before the sender's resume time are laid out at once.  Where the
+        client drains a window no tick can fill, the ticks are columns: one
+        comprehension carries the credit as paced() splits it.  paced()
+        prices every other tick, and the one whose bytes reach `left`.
         """
         rtt, capacity, byte_rate = self.transport.path.rtt_s, self.recv_capacity, self.byte_rate
-        occ, credit, resume = self.recv_occupancy, self._rate_frac, self._resume_at
-        zero = self.window_state == ZERO_WINDOW
-        action = self.next_action(ts[0], dt)
+        occ, resume, zero = self.recv_occupancy, self._resume_at, self.window_state == ZERO_WINDOW
+        credit = self._rate_frac if credit is None else credit
+        action = math.inf if left <= 0 else self.next_action(ts[0], dt) if zero else resume
+        # a byte of slack over drains() for float error in a tick's length
+        columns = wants is None and 0 < byte_rate * dt < capacity - 2.0
         read_by = list(accumulate(wants, initial=0)) if wants else None
-        sizes, fills = [], []
+        sizes, credits, fills = [], [], []
         closed = reopened = cut = None
         j, last = 1, len(ts) - 1
         while j <= last:
@@ -479,12 +442,27 @@ class Connection:
                 # the sender waits for its resume time and the client reads
                 end = bisect_left(ts, action, j, last + 1)
                 sizes += repeat(0, end - j)
-                if occ:
-                    occ = max(0, occ - (read_by[end - 1] - read_by[j - 1])) if wants else 0
+                credits += repeat(credit, end - j)
+                occ = max(0, occ - (read_by[end - 1] - read_by[j - 1])) if wants else 0
                 j = end
                 continue
+            if columns and not occ and not zero and now - dt >= resume:
+                # the ticks, whole and after the resume time, that the bytes
+                # to `left` take, and two more
+                ends = ts[j:j + 2 + int(min(last, left / (byte_rate * dt)))]
+                starts = map(sub, ends, repeat(dt))
+                allowances = list(map(mul, repeat(byte_rate), map(sub, ends, starts)))
+                # the credit before the first tick and after each, split as paced() splits it
+                c = credit
+                cs = [c, *[c := (allowance + c) % 1.0 for allowance in allowances]]
+                ns = list(map(int, map(add, allowances, cs)))
+                upto = list(accumulate(ns, initial=0))
+                m = bisect_left(upto, left) - 1  # paced() prices the tick that reaches it
+                sizes += ns[:m]
+                credits += cs[1:m + 1]
+                credit, left, j, columns = cs[m], left - upto[m], j + m, m == len(ns)
+                continue
             n = 0
-            fill = False
             if now >= action:
                 if zero:
                     cut = "zero_window"
@@ -492,13 +470,19 @@ class Connection:
                 n, after = paced(now, dt, resume, byte_rate, credit, left, capacity - occ)
                 if n >= left:
                     cut = "queue"
-                    break
-                credit, left, fill, occ = after, left - n, n == capacity - occ, occ + n
+                    if not rest:
+                        break
+                    # the tick empties the queue, and plays
+                    n, after = paced(now, dt, resume, byte_rate, credit, left, left)
+                credit, left, occ = after, left - n, occ + n
+            fill = occ == capacity and not zero
             sizes.append(n)
+            credits.append(credit)
             if fill:
                 fills.append(j)
                 closed, zero = now, True
-            got = min(wants[j - 1], occ) if wants else occ
+            # min(wants[j - 1], occ), without the call
+            got = occ if not wants or wants[j - 1] > occ else wants[j - 1]
             if got > 0:
                 occ -= got
                 if zero:
@@ -507,8 +491,9 @@ class Connection:
             j += 1
             if fill and zero:
                 cut = "shut"  # the window stays shut: probes are advance()'s
+            if cut:
                 break
-        return sizes, fills, Pacing(credit, occ, resume, closed, reopened), cut
+        return sizes, credits, fills, Pacing(credit, occ, resume, closed, reopened), cut
 
     def settle(self, sent, pacing, written=0):
         """Take the state a planned run that sent `sent` bytes and in which the
@@ -516,8 +501,7 @@ class Connection:
         window's close and reopen would."""
         self.send_queue += written - sent
         self.delivered_total += sent
-        self._rate_frac, self.recv_occupancy, resume, closed, reopened = pacing
-        self._resume_at = self._resume_at if resume is None else resume
+        self._rate_frac, self.recv_occupancy, self._resume_at, closed, reopened = pacing
         if closed is not None:
             self.close_window(closed)
         if reopened is not None and (closed is None or reopened >= closed):

@@ -27,6 +27,7 @@ from streamsim.session import (
     PER_BURST,
     PERSISTENT,
     THROTTLE,
+    WINDOWED,
     DeadlockError,
     StreamingSession,
     TechniqueSpec,
@@ -645,27 +646,28 @@ def chunk_cuts(session, args, plan):
     k, ts, phs, ns, upto, pacing = plan.k, plan.ts, plan.phs, plan.ns, plan.upto, plan.pacing
     conn, buf, policy = session.conn, session.buffer, session.policy
     dt, end = session.tick_s, session.watched_end
+    conn_t = min(conn.next_action(t, dt), policy.burst_next)
+    reads, acts = policy.rule(session)
+    windowed = session._run_kind(t + dt, conn_t, reads, acts) == WINDOWED
     # a windowed run stops before the bursty server's next write; a quiet
     # run stops before it too, as the connection's next action; a paced run
     # carries the writes on its ticks, which the queue grows by (serve())
     stop_t = session.max_sim_time
-    if plan.fills is not None:
+    if windowed:
         stop_t = min(policy.burst_next, stop_t)
-    conn_t = min(conn.next_action(t, dt), policy.burst_next)
     queue, at, left = conn.send_queue, policy.burst_next, getattr(policy, "server_left", 0)
     while at <= ts[k]:
         n = min(session.technique.burst_size, left)
         queue, left = queue + n, left - n
         at = at + policy.interval if left else math.inf
-    reads, acts = policy.rule(session)
     media_pos, dup, playhead, consumed = buf.pos, buf.dup, session.playhead, buf.consumed
     delivered = buf.delivered()
     to_go = math.inf
     if session.phase == "FAST_START" and session.technique.kind != DASH:
         to_go = buf.ready_at - media_pos
-    # a drained progressive run that sends the last of the queue idles on
-    # after it where no rule acts on the store (Connection.drain)
-    idles = (plan.fills is None and session.technique.kind != DASH and conn.send_queue < to_go
+    # a paced progressive run that sends the last of the queue idles on
+    # after it where no rule acts on the store (session._lay_bytes)
+    idles = (not windowed and session.technique.kind != DASH and conn.send_queue < to_go
              and acts is None and buf.cap is None)
 
     def ends_met(nbytes):  # the ends of the bytes that a run sending nbytes in all meets
@@ -679,11 +681,12 @@ def chunk_cuts(session, args, plan):
         cuts.add("reopen")
     pos = media_pos + max(0, upto[k - 1] - dup) if upto else media_pos
     used = consumed
+    if queue and upto and upto[k - 1] >= queue and not idles:
+        cuts.add("queue")  # a paced run's last tick emptied the queue
     if ns is not None and k < len(ns):
+        # the tick after a run that the act rule or the store limit cut
         if ns[k]:
             cuts |= ends_met(upto[k])
-        if ns[k] >= conn.recv_capacity:
-            cuts.add("window")
         if phs is not None:
             used = buf.consumed_at(phs[k], pos)
         limit = buf.limit(pos, used, max(0, dup - upto[k - 1]))
@@ -708,11 +711,11 @@ def chunk_cuts(session, args, plan):
         got = session.video.media_time(pos) if pos != media_pos else delivered
         if acts is not None and acts(pos, got, ahead, used):
             cuts.add(acts.__name__)
-        if plan.fills is not None:
-            # a windowed run lays out no tick past its last: the next one's
+        if ns is not None and k == len(ns):
+            # Connection.plan lays out no tick past its cut: the next one's
             # bytes, paced as advance() would from the state the run leaves
             n, _ = paced(ts[k + 1], dt, pacing.resume, conn.byte_rate, pacing.credit,
-                         conn.send_queue - upto[k - 1], conn.recv_capacity - pacing.occupancy)
+                         queue - upto[k - 1], conn.recv_capacity - pacing.occupancy)
             if n:
                 cuts |= ends_met(upto[k - 1] + n)
     return {c if ns is not None else "quiet " + c for c in cuts}
@@ -977,19 +980,19 @@ def test_a_plan_from_an_empty_queue_keeps_the_credit():
     # empties the queue sends its whole allowance and keeps its credit, and
     # an empty queue sends nothing and keeps it too (paced()).  A plan that
     # starts on a write's tick with the queue empty carries that credit
-    # into the burst (Connection.drain from an empty queue).
+    # into the burst (Connection.plan from an empty queue).
     case = (VideoSpec.constant(30, 250_000),
             TechniqueSpec(THROTTLE, fast_start_s=2.0, throttle_factor=1.25, burst_size=15_625),
             PathSpec(1_000_000, rtt_s=0.05), dict(tick_s=0.025))
-    drain, credits = Connection.drain, []
+    plan, credits = Connection.plan, []
 
-    def from_empty(self, ends, dt, left, rest=False, idles=False, credit=None):
+    def from_empty(self, ts, dt, wants, left, rest=False, credit=None):
         if left <= 0:
             credits.append(self._rate_frac if credit is None else credit)
-        return drain(self, ends, dt, left, rest, idles, credit)
+        return plan(self, ts, dt, wants, left, rest, credit)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Connection, "drain", from_empty)
+        patch.setattr(Connection, "plan", from_empty)
         out = play(*case)
     assert any(credits)
     assert play_without_chunks(case) == out
@@ -1014,7 +1017,7 @@ def test_a_chunk_paces_its_first_tick_from_the_resume_time():
     for resume in (t, start):
         run = plan(resume)
         assert run.k == _STRETCH and run.cut == "stretch"
-        assert run.ts[1] == t + dt and run.fills is None
+        assert run.ts[1] == t + dt and not run.fills
         first = paced(run.ts[1], dt, resume, conn.byte_rate, 0.0, 10**9, 10**9)
         assert run.ns[0] == first[0] and 0.0 <= run.pacing.credit < 1.0
     assert plan(t).ns[0] < plan(start).ns[0]

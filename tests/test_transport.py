@@ -3,7 +3,7 @@ import random
 from itertools import accumulate, repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamsim.transport import (
@@ -18,7 +18,6 @@ from streamsim.transport import (
     ZERO_WINDOW,
     ZERO_WINDOW_AD,
     ZERO_WINDOW_PROBE,
-    Pacing,
     PacketRecord,
     PathSpec,
     Timeline,
@@ -565,37 +564,121 @@ def test_window_fill_in_a_span_matches_advance():
     assert _conn_state(spans.conn) == _conn_state(ticks.conn)
 
 
-@pytest.mark.parametrize("queue, left, rest, idles, cut", [
-    # the run stops before the tick whose bytes reach a fast start's end
-    (50_000, 30_000, False, False, "queue"),
-    # the queue empties: its last tick sends what is left, and the run stops
-    (50_000, 50_000, True, False, "queue"),
-    # a bursty server's burst: the ticks after it send nothing, and the run goes on
-    (50_000, 50_000, True, True, None),
-    # the burst's last tick sends its whole allowance, so its credit carries on
-    (39_374, 39_374, True, True, None),
-])
-def test_drain_matches_advance_and_read(queue, left, rest, idles, cut):
+@st.composite
+def planned_runs(draw):
+    """A connection's state and a run of ticks for Connection.plan, as a dict
+    (planned_conn builds the connection): the sender resumes before the
+    first tick, inside it, at its end or later, with a carried credit; the
+    client holds nothing, some bytes or a full (zero) window, and drains
+    every tick or reads a column that may hold zero reads, which leave a
+    fill shut; the bytes to `left` are short of the queue or all of it."""
+    capacity = draw(st.sampled_from([4_000, 10_000, 65_536]))
+    queue = draw(st.one_of(st.integers(1, 150_000), st.integers(20_000, 150_000)))
+    left = queue if draw(st.booleans()) else draw(st.integers(1, queue))
+    ticks = draw(st.integers(1, 60))
+    reads = st.lists(st.sampled_from([0, 0, 800, 2_000, 5_000, 10**6]),
+                     min_size=ticks, max_size=ticks)
+    return dict(
+        bandwidth_bps=draw(st.sampled_from([300_000, 3_000_000, 6_000_000])),
+        rtt_s=draw(st.sampled_from([0.0, 0.035, 0.05])),
+        recv_capacity=capacity,
+        probe_interval=draw(st.sampled_from([0.1, 5.0])),
+        queue=queue,
+        left=left,
+        rest=left == queue and draw(st.booleans()),
+        resume=draw(st.sampled_from([0.0, 0.03, 0.035, 0.04, 0.1])),
+        credit=draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))),
+        held=draw(st.sampled_from([0, 1_000, capacity])),
+        wants=draw(st.one_of(st.none(), reads)),
+        ticks=ticks,
+    )
+
+
+def planned_conn(case):
+    """The connection of a planned_runs() case at 0.03 s, the time of the
+    full tick before the run; a full window closed on that tick."""
+    _, conn = make_conn(bandwidth_bps=case["bandwidth_bps"], rtt_s=case["rtt_s"],
+                        recv_capacity=case["recv_capacity"], probe_interval=case["probe_interval"])
+    conn.enqueue(case["queue"])
+    conn._resume_at, conn._rate_frac = case["resume"], case["credit"]
+    conn.recv_occupancy = case["held"]
+    if case["held"] == case["recv_capacity"]:
+        conn.close_window(0.03)
+    return conn
+
+
+def _steady_run(queue, left, rest, ticks=40):
     # the sender resumes at 0.035 s: the run's first tick, from 0.03 s to
     # 0.04 s, starts before the resume time and is eligible from it
-    def fresh():
-        _, conn = make_conn(bandwidth_bps=3_000_000, rtt_s=0.035, recv_capacity=65_536)
-        conn.enqueue(queue)
-        return conn
+    return dict(bandwidth_bps=3_000_000, rtt_s=0.035, recv_capacity=65_536, probe_interval=5.0,
+                queue=queue, left=left, rest=rest, resume=0.035, credit=0.0, held=0, wants=None,
+                ticks=ticks)
 
-    ends = list(accumulate(repeat(TICK, 40), initial=0.03))[1:]
-    conn = fresh()
-    assert conn.drains(TICK) and conn.next_action(0.03, TICK) == 0.035
-    sizes, upto, credits, played, stop = conn.drain(ends, TICK, left, rest, idles)
-    assert stop == cut and 1 < played <= len(ends) and (played == len(ends)) == (cut is None)
-    ticked = fresh()
-    sent, after = [], []
-    for end in ends[:played]:
-        sent.append(sum(r.payload for r in ticked.advance(end, TICK) if r.kind == DATA))
+
+@settings(max_examples=300, deadline=None)
+@given(planned_runs())
+# the run stops before the tick whose bytes reach a fast start's end
+@example(_steady_run(50_000, 30_000, False))
+# the queue empties: its last tick sends what is left, and the run stops
+@example(_steady_run(50_000, 50_000, True))
+# ... on the run's last tick: 1,875 B, then 3,750 B a tick
+@example(_steady_run(50_000, 50_000, True, ticks=14))
+# the queue's last tick sends its whole allowance, so its credit carries on
+@example(_steady_run(39_374, 39_374, True))
+def test_plan_matches_advance_and_read(case):
+    # Connection.plan lays out what advance() and read() do tick by tick,
+    # leaving the connection as it is; settle() then takes the state they
+    # leave.  The cut names what stops the tick after the run
+    dt, wants, left = TICK, case["wants"], case["left"]
+    ts = list(accumulate(repeat(dt, case["ticks"]), initial=0.03))
+    conn, ticked = planned_conn(case), planned_conn(case)
+    state = _conn_state(conn)
+    sizes, credits, fills, pacing, cut = conn.plan(ts, dt, wants, left, case["rest"])
+    assert _conn_state(conn) == state
+    played = len(sizes)
+    assert played == case["ticks"] or cut is not None
+    sent, after, filled = [], [], []
+    for j, end in enumerate(ts[1:played + 1], 1):
+        shut = ticked.window_state == ZERO_WINDOW
+        records = ticked.advance(end, dt)
+        assert ZERO_WINDOW_PROBE not in [r.kind for r in records]
+        sent.append(sum(r.payload for r in records if r.kind == DATA))
         after.append(ticked._rate_frac)
-        ticked.read(ticked.recv_occupancy, end)  # the client drains every tick
-    assert sizes[:played] == sent and credits[:played] == after
-    assert upto[:played] == list(accumulate(sent)) and 0 < sent[0] < sent[1]
-    assert (sent[-1] == 0) == idles and (ticked.send_queue == 0) == rest
-    conn.settle(upto[played - 1], Pacing(credits[played - 1]))
+        if not shut and ticked.window_state == ZERO_WINDOW:
+            filled.append(j)
+        ticked.read(wants[j - 1] if wants else ticked.recv_occupancy, end)
+    assert (sizes, credits, fills) == (sent, after, filled)
+    conn.settle(sum(sizes), pacing)
     assert _conn_state(conn) == _conn_state(ticked)
+    if cut == "queue" and case["rest"]:
+        assert ticked.send_queue == 0 < sent[-1]
+    elif cut == "queue":
+        # the next tick's bytes reach `left`
+        ticked.transport = ticked.transport.copy()
+        records = ticked.advance(ts[played + 1], dt)
+        assert sum(r.payload for r in records if r.kind == DATA) >= left - sum(sizes)
+    elif cut == "shut":
+        assert fills[-1] == played and ticked.window_state == ZERO_WINDOW
+    elif cut == "zero_window":
+        assert ticked.window_state == ZERO_WINDOW
+        assert ticked.next_action(ts[played], dt) <= ts[played + 1]
+    else:
+        assert cut is None
+
+
+@pytest.mark.parametrize("capacity, interval, name", [
+    # 0.5 B became a window of 0, which never sends
+    (0.5, 5.0, "recv_capacity"),
+    (0, 5.0, "recv_capacity"),
+    (math.nan, 5.0, "recv_capacity"),
+    (math.inf, 5.0, "recv_capacity"),
+    # a blocked connection never probed
+    (65_536, math.nan, "probe_interval"),
+    (65_536, math.inf, "probe_interval"),
+    (65_536, 0.0, "probe_interval"),
+])
+def test_open_rejects_a_capacity_or_probe_interval_it_cannot_keep(capacity, interval, name):
+    transport = Transport(PathSpec(6_000_000))
+    with pytest.raises(ValueError, match=name):
+        transport.open(0.0, capacity, interval)
+    assert len(transport.records) == 0
