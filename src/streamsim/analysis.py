@@ -15,7 +15,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count
-from operator import le, sub
+from operator import itemgetter, le, sub
 
 from .media import VideoSpec
 from .transport import (
@@ -161,31 +161,82 @@ class _DataView:
     time that is not finite is a ValueError (check_time_order()).  cums[k]
     is the payload of the first k DATA records, so cums[0] == 0 and
     cums[-1] is the total.  burst_starts() is kept.
+
+    A Timeline's view also keeps, from the same walk over its runs, the
+    tallies _harvest() and audit() read (a list's keeps None for each):
+    - `marks`: the record indices of the REQUEST, ZERO_WINDOW_AD and
+      ZERO_WINDOW_PROBE records, a list per kind;
+    - `data_at`: the first record of each DATA run, and `data_before`: the
+      DATA records ahead of each, then their total;
+    - `stretches`: (conn, first record, end record, DATA records before the
+      first, DATA records before the end) of each maximal stretch of
+      records on one connection.
+    Each is in record order, so the tallies of the first m records are a
+    slice of them (share_view()).
     """
 
-    __slots__ = ("times", "cums", "_cuts")
+    __slots__ = ("times", "cums", "_cuts", "marks", "data_at", "data_before", "stretches")
 
     def __init__(self, records):
         timeline = isinstance(records, Timeline)
         all_times = records.time if timeline else [r.time for r in records]
         check_time_order(all_times)
         if timeline:
-            data = [(start, end) for start, end, _, kind, _ in records.runs() if kind == DATA]
-            times = list(chain.from_iterable(all_times[start:end] for start, end in data))
-            payloads = list(chain.from_iterable(records.payload[start:end] for start, end in data))
-        else:
-            is_data = [r.kind == DATA for r in records]
-            times = list(compress(all_times, is_data))
-            payloads = [r.payload for r in compress(records, is_data)]
-        self.times = times
+            self._read(records)
+            return
+        is_data = [r.kind == DATA for r in records]
+        self.times = list(compress(all_times, is_data))
+        payloads = [r.payload for r in compress(records, is_data)]
         self.cums = list(accumulate(payloads, initial=0))
+        self._cuts = self.marks = self.data_at = self.data_before = self.stretches = None
+
+    def _read(self, timeline):
+        """Build the view of a Timeline, whatever the order of its times."""
+        self.marks = {REQUEST: [], ZERO_WINDOW_AD: [], ZERO_WINDOW_PROBE: []}
+        self.data_at, self.data_before, self.stretches = [], [0], []
+        self._tally(timeline.runs())
+        time, payload, before = timeline.time, timeline.payload, self.data_before
+        data = [(a, a + n1 - n0) for a, n0, n1 in zip(self.data_at, before, before[1:])]
+        self.times = list(chain.from_iterable(time[a:b] for a, b in data))
+        self.cums = list(accumulate(chain.from_iterable(payload[a:b] for a, b in data),
+                                    initial=0))
         self._cuts = None
+
+    def _tally(self, runs):
+        """Add runs, (start, end, direction, kind, conn) each and following
+        the records tallied so far, to the tallies."""
+        marks, data_at, stretches = self.marks, self.data_at, self.stretches
+        before = self.data_before
+        conn, first, end, d0, _ = stretches.pop() if stretches else (_NO_CONN, 0, 0, 0, 0)
+        for start, end, _, kind, c in runs:
+            if c != conn:
+                if conn is not _NO_CONN:
+                    stretches.append((conn, first, start, d0, before[-1]))
+                conn, first, d0 = c, start, before[-1]
+            if kind == DATA:
+                data_at.append(start)
+                before.append(before[-1] + end - start)
+            elif kind in marks:
+                marks[kind] += range(start, end)
+        if conn is not _NO_CONN:
+            stretches.append((conn, first, end, d0, before[-1]))
 
     def burst_starts(self):
         """_burst_starts() of the times at THRESHOLDS["burst_gap_s"], kept."""
         if self._cuts is None:
             self._cuts = _burst_starts(self.times, THRESHOLDS["burst_gap_s"])
         return self._cuts
+
+
+_NO_CONN = object()  # before the first run tallied: no connection is this one
+
+
+def _unchecked_view(timeline):
+    """A Timeline's _DataView without the time-order check: its tallies for
+    audit(), which reports the order on its own."""
+    view = object.__new__(_DataView)
+    view._read(timeline)
+    return view
 
 
 def data_view(records):
@@ -215,20 +266,35 @@ def share_view(records, view, m):
     """Keep on `records`, a Timeline whose first m records are the first m of
     `view`'s timeline, a slice of `view`: the view data_view() would build,
     when the records past m are finite, in order from record m - 1 and not
-    DATA.  Else data_view() builds its own."""
-    tail, d = records.time[m - 1:], 0
+    DATA.  Else data_view() builds its own.
+
+    The DATA records among the first m are found by bisection in `data_at`,
+    the other tallies are sliced at m, and the runs past m are tallied onto
+    them."""
+    tail = records.time[m - 1:]
     if records._view is not None or not (m and all(map(le, tail, tail[1:]))
                                          and math.isfinite(tail[-1])):
         return
-    for start, end, _, kind, _ in records.runs():
-        if kind == DATA:
-            if end > m:
-                return
-            d += end - start
+    # the runs past m; the first may have started before it
+    runs = records._runs
+    i = bisect_right(runs, m, key=itemgetter(0))
+    rest = [(start, end, direction, kind, conn) for start, (end, direction, kind, conn)
+            in zip([m, *map(itemgetter(0), runs[i:-1])], runs[i:])]
+    if any(kind == DATA for _, _, _, kind, _ in rest):
+        return
+    at, before = view.data_at, view.data_before
+    j = bisect_left(at, m)  # the DATA runs that start before record m
+    d = min(before[j - 1] + m - at[j - 1], before[j]) if j else 0
     cuts = view.burst_starts()
     records._view = shared = object.__new__(type(view))
     shared.times, shared.cums = view.times[:d], view.cums[:d + 1]
     shared._cuts = cuts[:bisect_left(cuts, d)]
+    shared.marks = {kind: ids[:bisect_left(ids, m)] for kind, ids in view.marks.items()}
+    shared.data_at, shared.data_before = at[:j], [*before[:j], d]
+    k = bisect_left(view.stretches, m, key=itemgetter(1))  # those that start before m
+    conn, first, end, d0, d1 = view.stretches[k - 1]
+    shared.stretches = [*view.stretches[:k - 1], (conn, first, min(end, m), d0, min(d1, d))]
+    shared._tally(rest)
 
 
 def find_rate_knee(records, window_s=None, drop_frac=None):
@@ -428,12 +494,15 @@ def estimate_buffer(records, encoding_schedule, start_of_playback):
 
 
 def _harvest(records, view):
-    """The features the classifier rules read, from one pass over the records
-    and from `view`, their _DataView, whose build checked their time order.
+    """The features the classifier rules read, from `view`, the records'
+    _DataView, whose build checked their time order.
 
     The DATA count, bytes and burst gaps come from the view's times.  Bursts
     split where group_bursts() splits them, at the view's kept split points.
-    A connection spans its first record's time to its last's.
+    A connection spans its first record's time to its last's.  A Timeline's
+    control records are counted from the view's tallies, and its
+    connections' spans taken from its stretches; a list is read record by
+    record.
     """
     probes = ads = 0
     data_conns = set()
@@ -442,18 +511,13 @@ def _harvest(records, view):
     conn = span = data_conn = None
     timeline = isinstance(records, Timeline)
     if timeline:
-        # the record loop below, run by run
-        time = records.time
-        for start, end, _, kind, c in records.runs():
-            spans.setdefault(c, [time[start], 0.0])[1] = time[end - 1]
-            if kind == DATA:
+        time, marks = records.time, view.marks
+        for c, first, end, d0, d1 in view.stretches:
+            spans.setdefault(c, [time[first], 0.0])[1] = time[end - 1]
+            if d1 > d0:
                 data_conns.add(c)
-            elif kind == REQUEST:
-                req_times += time[start:end]
-            elif kind == ZERO_WINDOW_AD:
-                ads += end - start
-            elif kind == ZERO_WINDOW_PROBE:
-                probes += end - start
+        req_times = [time[i] for i in marks[REQUEST]]
+        ads, probes = len(marks[ZERO_WINDOW_AD]), len(marks[ZERO_WINDOW_PROBE])
     else:
         for r in records:
             t = r.time

@@ -13,17 +13,18 @@ from copy import deepcopy
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .analysis import ClassificationResult, classify, data_view, share_view
+from .analysis import ClassificationResult, _unchecked_view, classify, data_view, share_view
 from .radio import (
     integrate,
     make_energy_report,
     psm_drive,
     rrc_drive,
+    share_walks,
     write_radio_csv,
 )
 from .scenario import PSM_WIFI, RRC_3G, Scenario
 from .session import ON_OFF, PER_BURST, SessionMetrics, StreamingSession
-from .transport import DATA, Timeline, write_timeline_csv
+from .transport import Timeline, write_timeline_csv
 
 
 @dataclass
@@ -71,18 +72,22 @@ def run_scenario(scenario, out_dir=None):
 
 def _report(scenario, metrics, records):
     """The radio drive, energy and classification of one finished watch."""
-    if scenario.radio_kind == RRC_3G:
-        segments = rrc_drive(records, scenario.rrc, t_end=metrics.end_t, t_start=0.0)
-        currents = scenario.rrc.currents()
-    elif scenario.radio_kind == PSM_WIFI:
-        segments = psm_drive(records, scenario.psm, t_end=metrics.end_t, t_start=0.0)
-        currents = scenario.psm.currents()
-    else:
-        raise ValueError(f"scenario {scenario.name}: unknown radio {scenario.radio_kind}")
-    energy = make_energy_report(integrate(segments, currents), scenario.playback_current_ma)
+    drive, params = _radio(scenario)
+    segments = drive(records, params, t_end=metrics.end_t, t_start=0.0)
+    energy = make_energy_report(integrate(segments, params.currents()),
+                                scenario.playback_current_ma)
 
     label = classify(records, scenario.video.avg_rate_bps, scenario.path.bandwidth_bps)
     return RunReport(scenario, metrics, records, segments, energy, label)
+
+
+def _radio(scenario):
+    """The scenario's radio drive and its parameters."""
+    if scenario.radio_kind == RRC_3G:
+        return rrc_drive, scenario.rrc
+    if scenario.radio_kind == PSM_WIFI:
+        return psm_drive, scenario.psm
+    raise ValueError(f"scenario {scenario.name}: unknown radio {scenario.radio_kind}")
 
 
 def sweep_watched_fraction(scenario, fractions):
@@ -97,9 +102,14 @@ def sweep_watched_fraction(scenario, fractions):
     run_scenario at f, identical seed throughout, so the runs are directly
     comparable.  Each report has a timeline of its own (a Timeline.copy()),
     and reading it as records builds its own PacketRecord objects: no two
-    reports share a record.  The analysis view of the longest watch's
-    timeline is built once, and each shorter watch's timeline, its first
-    records and a close, is handed a slice of it (analysis.share_view).
+    reports share a record, nor a radio segment.
+
+    The longest watch's timeline is walked once for all of them.  Its
+    analysis view, the DATA columns and the run tallies, is built once, and
+    each shorter watch's timeline, its first records and a close, is handed
+    a slice of it (analysis.share_view).  Its packet times are walked once
+    through the radio, and each watch's drive goes on from that walk at its
+    prefix (radio.share_walks): each takes only its own tail.
     """
     fractions = list(fractions)
     for f in fractions:
@@ -110,15 +120,24 @@ def sweep_watched_fraction(scenario, fractions):
     session = build_session(scenario, watched_fraction=max(fractions))
     session._also_watch(fractions)
     session.run()
-    view = data_view(session.transport.records)
+    timeline = session.transport.records
+    view = data_view(timeline)
+    ended = session._ended_watches
+    order = sorted(ended)  # shortest first: neither prefix nor end falls
+    watches = []
+    for f in order:
+        metrics, records, prefix = ended[f]
+        share_view(records, view, prefix)
+        watches.append((records, prefix, metrics.end_t))
+    share_walks(_radio(scenario)[1], timeline.time, watches)
     reports, seen = [], set()
     for f in fractions:
-        metrics, records, prefix = session._ended_watches[f]
+        metrics, records, prefix = ended[f]
         if f in seen:
             # a repeated fraction gets outputs of its own, as a fresh run would
             metrics, records = deepcopy(metrics), records.copy()
+            share_view(records, view, prefix)
         seen.add(f)
-        share_view(records, view, prefix)
         reports.append(_report(scenario.with_watched_fraction(f), metrics, records))
     return reports
 
@@ -130,11 +149,15 @@ def audit(report):
     drift = m.received_total - m.consumed_bytes - m.wasted_bytes
     if abs(drift) > 1e-6:
         problems.append(f"byte conservation off by {drift!r}")
-    wire = Counter()
     records = Timeline.of(report.records)
-    for start, end, _, kind, conn_id in records.runs():
-        if kind == DATA:
-            wire[conn_id] += sum(records.payload[start:end])
+    try:
+        view, ordered = data_view(records), True  # classify's, which checked the order
+    except ValueError:  # a step back, or a time that is not finite
+        view, ordered = _unchecked_view(records), False
+    wire, cums = Counter(), view.cums
+    for conn_id, _, _, d0, d1 in view.stretches:
+        if d1 > d0:
+            wire[conn_id] += cums[d1] - cums[d0]
     if m.received_total != wire.total():
         problems.append("billed bytes differ from the DATA payloads on the wire")
     if Counter(m.connection_bytes) != wire:
@@ -149,9 +172,7 @@ def audit(report):
     span = sum(s.end - s.start for s in segs)
     if abs(span - report.energy.duration_s) > 1e-6:
         problems.append("energy duration disagrees with the radio timeline")
-    try:
-        data_view(records)  # classify's, which checked the order
-    except ValueError:  # a step back, or a time that is not finite
+    if not ordered:
         problems.append("packet timeline out of order")
     return problems
 

@@ -29,9 +29,17 @@ beacon adds the same step to each, and a run of beacons is one multiple of
 it.  psm_drive() finds a train's end the same way.  Both step beacon by
 beacon near zero, near a binade's top, where adding the wake or the
 interval to a beacon start ties, and over the last few beacons of a run.
+
+Each drive is one walk over the packet times, in order, that can be copied
+and go on (_Walk).  A sweep's watches share the first packets of one
+session, so it walks that session's times once and leaves on each watch's
+timeline a copy of the walk at its prefix (share_walks()): the watch's
+drive goes on from it and takes only its own last packets.
 """
 
+import copy
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .analysis import data_view
@@ -219,70 +227,135 @@ def rrc_drive(records, params, t_end=None, t_start=None):
     if t_end is None:
         t_end = times[-1] + params.t1 + params.t2 + params.t3
     _check_window(t_start, t_end)
-    segs = []
+    return _RrcWalk(params, t_start).drive(records, times, t_end)
 
-    def ladder(last_packet, a, b):
-        """Idle decay segments from a to b given the last packet time."""
-        d1 = last_packet + params.t1
-        d2 = d1 + params.t2
-        d3 = d2 + params.t3
-        _emit(segs, DCH, a, min(b, d1))
-        if b > d1:
-            _emit(segs, FACH, max(a, d1), min(b, d2))
-        if b > d2:
-            _emit(segs, PCH, max(a, d2), min(b, d3))
-        if b > d3:
-            _emit(segs, IDLE, max(a, d3), b)
-        # state at instant b
-        if b <= d1:
-            return DCH
-        if b <= d2:
-            return FACH
-        if b <= d3:
-            return PCH
-        return IDLE
 
-    t1 = params.t1
-    cursor = t_start
-    last_packet = None
-    tail = None  # segs[-1] while it is a DCH segment ending exactly at the cursor
-    for t in times:
-        if tail is not None and cursor <= t <= last_packet + t1 and t <= t_end:
-            # within t1 of the last packet the radio is still in DCH: the
-            # packet only stretches the DCH segment, as ladder() would
-            tail.end = t
+def _ladder(segs, params, last_packet, a, b):
+    """Idle decay segments from a to b given the last packet time; the state at instant b."""
+    d1 = last_packet + params.t1
+    d2 = d1 + params.t2
+    d3 = d2 + params.t3
+    _emit(segs, DCH, a, min(b, d1))
+    if b > d1:
+        _emit(segs, FACH, max(a, d1), min(b, d2))
+    if b > d2:
+        _emit(segs, PCH, max(a, d2), min(b, d3))
+    if b > d3:
+        _emit(segs, IDLE, max(a, d3), b)
+    if b <= d1:
+        return DCH
+    if b <= d2:
+        return FACH
+    if b <= d3:
+        return PCH
+    return IDLE
+
+
+def _own(segs):
+    """Copies of the segments: a walk that goes on from them changes none of these."""
+    return [StateSegment(s.state, s.start, s.end) if type(s) is StateSegment
+            else BeaconTrain(s.start, s.end, s.count, s.interval, s.wake) for s in segs]
+
+
+class _Walk:
+    """A radio drive's walk over a timeline's packet times, resumable.
+
+    take() folds the next of the times, up to an index, that fall in the
+    window from t_start (fold() takes them one by one); `done` counts the
+    times taken, those before the window too.  finish(t_end) closes the
+    walk at t_end and returns its segments, and copy() is a walk that goes
+    on from this one's state with segments of its own.  rrc_drive() and
+    psm_drive() are each one drive(): take the times up to t_end, then finish.
+    """
+
+    def __init__(self, params, t_start):
+        self.params, self.t_start, self.segs = params, t_start, []
+        self.cursor, self.done = t_start, 0
+
+    def take(self, times, stop):
+        start = max(self.done, self.window_start(times))
+        self.fold(times if start == 0 and stop == len(times) else times[start:stop])
+        self.done = stop
+
+    def drive(self, records, times, t_end):
+        """The segments of the walk of `times`, the packet times of
+        `records`, to t_end.  Where a sweep left on the Timeline a walk of
+        the same drive (share_walks()), with no packet taken past t_end,
+        that walk goes on, and it is taken off the timeline."""
+        hi = bisect_right(times, t_end)
+        walk, kept = self, getattr(records, "_walk", None)
+        if (type(kept) is type(self) and kept.params == self.params
+                and kept.t_start == self.t_start and kept.done <= hi):
+            walk, records._walk = kept, None
+        walk.take(times, hi)
+        return walk.finish(t_end)
+
+    def copy(self):
+        new = copy.copy(self)
+        new.segs = _own(self.segs)
+        return new
+
+
+class _RrcWalk(_Walk):
+    """rrc_drive()'s walk: `last_packet` is the last packet folded, and
+    `tail` the last segment while it is a DCH segment ending at the cursor,
+    which a packet within t1 of the last only stretches."""
+
+    def __init__(self, params, t_start):
+        super().__init__(params, t_start)
+        self.last_packet = self.tail = None
+
+    def window_start(self, times):
+        """0: a packet before t_start still warms the radio."""
+        return 0
+
+    def fold(self, times):
+        params, segs, t_start = self.params, self.segs, self.t_start
+        t1 = params.t1
+        cursor, last_packet, tail = self.cursor, self.last_packet, self.tail
+        for t in times:
+            if tail is not None and cursor <= t <= last_packet + t1:
+                # within t1 of the last packet the radio is still in DCH: the
+                # packet only stretches the DCH segment, as _ladder() would
+                tail.end = t
+                cursor = last_packet = t
+                continue
+            if t < t_start:
+                # packet before the observation window still warms the radio
+                last_packet = t
+                continue
+            if last_packet is None:
+                if t > cursor:
+                    _emit(segs, IDLE, cursor, t)
+                state_now = IDLE
+            else:
+                state_now = _ladder(segs, params, last_packet, cursor, t)
+            if state_now != DCH and params.promotion_delay > 0:
+                ramp_start = max(cursor, t - params.promotion_delay)
+                if segs:
+                    # promotion ramp replaces the tail of the preceding segment
+                    while segs and segs[-1].start >= ramp_start:
+                        ramp_start = min(ramp_start, segs[-1].start)
+                        segs.pop()
+                    if segs and segs[-1].end > ramp_start:
+                        segs[-1].end = ramp_start
+                _emit(segs, DCH, ramp_start, t)
             cursor = last_packet = t
-            continue
-        if t < t_start:
-            # packet before the observation window still warms the radio
-            last_packet = t
-            continue
-        if t > t_end:
-            break
-        if last_packet is None:
-            if t > cursor:
-                _emit(segs, IDLE, cursor, t)
-            state_now = IDLE
+            tail = segs[-1] if segs and segs[-1].state == DCH and segs[-1].end == t else None
+        self.cursor, self.last_packet, self.tail = cursor, last_packet, tail
+
+    def finish(self, t_end):
+        if self.last_packet is None:
+            _emit(self.segs, IDLE, self.cursor, t_end)
         else:
-            state_now = ladder(last_packet, cursor, t)
-        if state_now != DCH and params.promotion_delay > 0:
-            ramp_start = max(cursor, t - params.promotion_delay)
-            if segs:
-                # promotion ramp replaces the tail of the preceding segment
-                while segs and segs[-1].start >= ramp_start:
-                    ramp_start = min(ramp_start, segs[-1].start)
-                    segs.pop()
-                if segs and segs[-1].end > ramp_start:
-                    segs[-1].end = ramp_start
-            _emit(segs, DCH, ramp_start, t)
-        cursor = t
-        last_packet = t
-        tail = segs[-1] if segs and segs[-1].state == DCH and segs[-1].end == t else None
-    if last_packet is None:
-        _emit(segs, IDLE, cursor, t_end)
-    else:
-        ladder(last_packet, cursor, t_end)
-    return segs
+            _ladder(self.segs, self.params, self.last_packet, self.cursor, t_end)
+        return self.segs
+
+    def copy(self):
+        new = super().copy()
+        if self.tail is not None:
+            new.tail = new.segs[-1]
+        return new
 
 
 def psm_drive(records, params, t_end=None, t_start=0.0):
@@ -296,22 +369,88 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
     window must be finite and in order: with an infinite idle_timeout, pass t_end.
     """
     params.validate()
-    until = float("inf") if t_end is None else t_end
     times = _packet_times(records)
-    if not (times and t_start <= times[0] and times[-1] <= until):
-        times = [t for t in times if t_start <= t <= until]
+    walk = _PsmWalk(params, t_start)
     if t_end is None:
-        if not times:
+        if walk.window_start(times) == len(times):
             raise ValueError("empty timeline needs an explicit t_end")
         t_end = times[-1] + params.idle_timeout
     _check_window(t_start, t_end)
-    segs = []
+    return walk.drive(records, times, t_end)
 
+
+class _PsmWalk(_Walk):
+    """psm_drive()'s walk: packets closer together than idle_timeout make
+    one ACTIVE run, and `first` and `last` are the packets of the run still
+    open (None and NaN before the first packet).  A run closes when a packet
+    comes later than idle_timeout after its last, with its idle tail in
+    full: the tail ends by that packet, which is inside the window.  Only
+    the last run's tail can reach t_end, and finish() cuts it there.
+    `sleep` adds the sleeps to this walk's segments."""
+
+    def __init__(self, params, t_start):
+        super().__init__(params, t_start)
+        self.first, self.last = None, math.nan
+        self.sleep = _sleeper(self.segs, params)
+
+    def copy(self):
+        new = super().copy()
+        new.sleep = _sleeper(new.segs, new.params)
+        return new
+
+    def window_start(self, times):
+        """The index of the first of the times from t_start on: packets
+        before the window are left out (and all of them, from a NaN t_start)."""
+        t_start = self.t_start
+        return len(times) if math.isnan(t_start) else bisect_left(times, t_start)
+
+    def fold(self, times):
+        idle_timeout = self.params.idle_timeout
+        first, last = self.first, self.last
+        closed = []
+        for t in times:
+            if not t - last <= idle_timeout:  # a NaN last (no packet yet) too
+                if first is not None:
+                    closed.append((first, last))
+                first = t
+            last = t
+        self.first, self.last = first, last
+        if closed:
+            self._runs(closed, math.inf)
+
+    def finish(self, t_end):
+        if self.first is not None:
+            self._runs([(self.first, self.last)], t_end)
+        if self.cursor < t_end:
+            self.sleep(self.cursor, t_end)
+        return self.segs
+
+    def _runs(self, runs, t_end):
+        """For each ACTIVE run of packets a to b, the sleep up to it, the
+        run, and its idle tail, cut at t_end."""
+        segs, cursor, sleep = self.segs, self.cursor, self.sleep
+        idle_timeout = self.params.idle_timeout
+        for a, b in runs:
+            if a > cursor:
+                sleep(cursor, a)
+            _emit(segs, ACTIVE, a, b if b > a else a)  # max(b, a), without the call
+            idle_end = b + idle_timeout
+            if t_end < idle_end:
+                idle_end = t_end
+            _emit(segs, PSM_IDLE, b, idle_end)
+            cursor = idle_end
+        self.cursor = cursor
+
+
+def _sleeper(segs, params):
+    """The sleep from a to b, added to segs: beacon wakes, or with cam_mode
+    awake-idle.  A closure: a trace makes thousands of short sleeps, and a
+    closure reads the beacons and the segment list fastest."""
     append = segs.append
     wake, interval = params.beacon_wake, params.beacon_interval
     ties = (twice_low_bit(interval), twice_low_bit(wake))
 
-    def sleep_span(a, b):
+    def sleep(a, b):
         if params.cam_mode:
             _emit(segs, PSM_IDLE, a, b)
             return
@@ -362,31 +501,27 @@ def psm_drive(records, params, t_end=None, t_start=0.0):
             after_sleep = segs[-1].state == SLEEP
             t += interval
 
-    # group packets into active runs: (first, last) packet times
-    runs = []
-    idle_timeout = params.idle_timeout
-    if times:
-        first = last = times[0]
-        for t in times:
-            if not t - last <= idle_timeout:
-                runs.append((first, last))
-                first = t
-            last = t
-        runs.append((first, last))
+    return sleep
 
-    cursor = t_start
-    for a, b in runs:
-        if a > cursor:
-            sleep_span(cursor, a)
-        _emit(segs, ACTIVE, a, b if b > a else a)  # max(b, a), without the call
-        idle_end = b + idle_timeout
-        if t_end < idle_end:
-            idle_end = t_end
-        _emit(segs, PSM_IDLE, b, idle_end)
-        cursor = idle_end
-    if cursor < t_end:
-        sleep_span(cursor, t_end)
-    return segs
+
+def share_walks(params, times, watches):
+    """Walk `times` once, and leave on each watch's timeline the walk of
+    its first packets, which rrc_drive() or psm_drive() (by the type of
+    params) of that timeline from t_start 0 goes on from.
+
+    A watch is (records, prefix, t_end): a Timeline whose first `prefix`
+    times are the first of `times`, to be driven to t_end.  Neither prefix
+    nor t_end falls from one watch to the next.  The walk left on a watch
+    has taken its first prefix times, or those up to t_end if fewer, so a
+    drive to t_end takes only the rest of its own.
+    """
+    walk = _WALKS[type(params)](params.validate(), 0.0)
+    for i, (records, prefix, t_end) in enumerate(watches):
+        walk.take(times, min(prefix, bisect_right(times, t_end)))
+        records._walk = walk.copy() if i < len(watches) - 1 else walk
+
+
+_WALKS = {RrcParams: _RrcWalk, PsmParams: _PsmWalk}
 
 
 def clip_segments(segments, t_start, t_end):

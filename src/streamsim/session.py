@@ -70,7 +70,7 @@ from operator import sub
 from .binade import Ticks
 from .kernel import Kernel
 from .media import MediaBuffer, SegmentBuffer, check_positive, dash_pick_quality
-from .transport import CLOSE_KINDS, DATA, DOWN, UP, Transport
+from .transport import CLOSE_KINDS, DATA, DOWN, UP, Transport, check_connection
 
 ENCODING_RATE = "ENCODING_RATE"
 THROTTLE = "THROTTLE"
@@ -531,10 +531,10 @@ class StreamingSession:
         if not 0.0 < watched_fraction <= 1.0:
             raise ValueError("watched_fraction must be in (0, 1]")
         max_sim_time = max_sim_time or (3.0 * video.duration_s + 900.0)
-        for name, value in (("tick_s", tick_s), ("recv_capacity", recv_capacity),
-                            ("probe_interval", probe_interval),
-                            ("sample_interval", sample_interval), ("max_sim_time", max_sim_time)):
-            check_positive(name, value)
+        check_positive("tick_s", tick_s)
+        check_connection(recv_capacity, probe_interval)  # Transport.open's check, up front
+        check_positive("sample_interval", sample_interval)
+        check_positive("max_sim_time", max_sim_time)
         self.video = video
         self.technique = technique
         self.path = path

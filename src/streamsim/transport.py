@@ -71,14 +71,17 @@ class Timeline:
 
     The columns change only through append() and Transport.emit_run (and
     read_timeline_csv while it builds the timeline).  The record list
-    and the trace analysis's view (`_view`, its DATA times and byte prefix
-    sums, built by the first reader that needs it) are kept on that
-    understanding and dropped by each of those changes; a copy() starts
-    with neither.  A sweep hands a shorter watch's copy a view sliced from
-    the longest watch's (analysis.share_view).
+    and the trace analysis's view (`_view`, its DATA times, byte prefix
+    sums and run tallies, built by the first reader that needs it) are
+    kept on that understanding and dropped by each of those changes, and
+    so is a radio walk a sweep leaves (`_walk`); a copy() starts with none
+    of them.  A sweep hands a shorter watch's copy a view sliced from the
+    longest watch's (analysis.share_view), and the walk of the longest
+    watch's packets up to its prefix (radio.share_walks), which its radio
+    drive goes on from.
     """
 
-    __slots__ = ("time", "payload", "_runs", "_rows", "_view")
+    __slots__ = ("time", "payload", "_runs", "_rows", "_view", "_walk")
 
     def __init__(self, time=(), direction=(), payload=(), kind=(), conn=()):
         lengths = tuple(map(len, (time, direction, payload, kind, conn)))
@@ -86,7 +89,7 @@ class Timeline:
             raise ValueError("timeline columns differ in length: time %d, direction %d, "
                              "payload %d, kind %d, conn %d" % lengths)
         self.time, self.payload, self._runs = list(time), list(payload), []
-        self._rows = self._view = None
+        self._rows = self._view = self._walk = None
         end = 0
         for key, run in groupby(zip(direction, kind, conn)):
             end += len(list(run))
@@ -147,7 +150,7 @@ class Timeline:
             if own and own[-1][1:] == run[1:]:
                 own.pop()
             own.append(run)
-        self._rows = self._view = None
+        self._rows = self._view = self._walk = None
 
     def append(self, r):
         self.time.append(r.time)
@@ -200,6 +203,17 @@ def paced(now, dt, resume_at, byte_rate, credit, queue, room):
     return room, 0.0
 
 
+def check_connection(recv_capacity, probe_interval):
+    """A ValueError that names the value unless a connection can keep both:
+    a receive capacity of at least 1 byte, and a probe interval, each
+    finite, the interval positive."""
+    if not 1 <= recv_capacity < math.inf:
+        raise ValueError("recv_capacity must be at least 1 byte and finite, not %r"
+                         % recv_capacity)
+    if not 0 < probe_interval < math.inf:
+        raise ValueError("probe_interval must be positive and finite, not %r" % probe_interval)
+
+
 # a connection's state after a planned run (Connection.plan, for
 # Connection.settle); a None time is no window close or reopen
 Pacing = namedtuple("Pacing", "credit occupancy resume closed reopened")
@@ -217,11 +231,7 @@ class Transport:
 
     def open(self, now, recv_capacity, probe_interval):
         """Open a connection at `now`: its OPEN and REQUEST records."""
-        if not 1 <= recv_capacity < math.inf:
-            raise ValueError("recv_capacity must be at least 1 byte and finite, not %r"
-                             % recv_capacity)
-        if not 0 < probe_interval < math.inf:
-            raise ValueError("probe_interval must be positive and finite, not %r" % probe_interval)
+        check_connection(recv_capacity, probe_interval)
         conn = Connection(self, self._next_id, recv_capacity, probe_interval)
         self._next_id += 1
         self.emit(now, UP, 0, OPEN, conn.id)

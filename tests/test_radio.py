@@ -1,4 +1,6 @@
 import math
+from bisect import bisect_right
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,16 +18,20 @@ from streamsim.radio import (
     PsmParams,
     RrcParams,
     StateSegment,
+    _PsmWalk,
+    _RrcWalk,
     clip_segments,
     expand_segments,
     integrate,
     make_energy_report,
     psm_drive,
     rrc_drive,
+    share_walks,
     streaming_current,
     write_radio_csv,
 )
 from streamsim.scenario import builtin_scenario_names
+from streamsim.transport import DATA, DOWN, PacketRecord, Timeline
 
 
 def shape(segs):
@@ -363,3 +369,85 @@ def test_charge_does_not_fall_as_a_timer_grows(grid, name, timer, shorter, more)
 def test_charge_does_not_fall_as_a_timer_grows_on_generated_traces(times, timer, shorter, more):
     # sorted traces of bare times beyond the bundled timelines
     assert_charge_does_not_fall(times, times[-1] + 30.0, timer, shorter, more)
+
+
+# -- one walk for several watches (share_walks) --------------------------
+
+# timers short enough that packets 0-60 s apart meet every RRC state, with
+# promotion ramps that pop segments and none; PSM with and without beacon
+# wakes, and in CAM
+RADIOS = st.one_of(
+    st.builds(RrcParams, t1=st.sampled_from([1.0, 8.0]), t2=st.sampled_from([0.5, 3.0]),
+              t3=st.sampled_from([2.0, 1740.0]),
+              promotion_delay=st.sampled_from([0.0, 0.5, 2.0, 12.0])),
+    st.builds(PsmParams, st.just(180.0), st.just(80.0), st.just(5.0),
+              beacon_interval=st.sampled_from([0.1, 0.3]),
+              idle_timeout=st.sampled_from([0.1, 0.25, 2.0]),
+              beacon_wake=st.sampled_from([0.0, 0.002]), cam_mode=st.booleans()),
+)
+# ties with each other and with the timers, and times anywhere
+INSTANTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 8.0, 9.0, 20.0]), st.floats(0.0, 60.0))
+
+
+def timeline(times):
+    return Timeline.of([PacketRecord(t, DOWN, 100, DATA, 1) for t in times])
+
+
+@settings(max_examples=300, deadline=None)
+@given(RADIOS, st.lists(INSTANTS, max_size=30).map(sorted), st.data())
+def test_a_walk_left_at_a_prefix_finishes_as_the_drive_of_prefix_and_tail(params, times, data):
+    # each shorter watch's drive goes on from a copy of the walk at its
+    # prefix and takes its own tail; the walk itself goes on to the whole
+    # timeline.  share_walks() walks from t_start 0, the sweep's; from a
+    # later t_start the walks are made here as it makes them, and packets
+    # before it warm the 3G radio and are left out on Wi-Fi.  An end before
+    # some of a prefix's packets leaves them out
+    rrc = isinstance(params, RrcParams)
+    drive = rrc_drive if rrc else psm_drive
+    t_start = data.draw(st.one_of(st.just(0.0), INSTANTS), label="t_start")
+    prefixes = sorted(data.draw(st.lists(st.integers(0, len(times)), max_size=3), label="prefixes"))
+    ends = sorted(max(t_start, t) for t in data.draw(
+        st.lists(INSTANTS, min_size=len(prefixes) + 1, max_size=len(prefixes) + 1), label="ends"))
+    watches = []
+    for prefix, t_end in zip(prefixes, ends):
+        after = times[prefix - 1] if prefix else 0.0
+        steps = data.draw(st.lists(st.sampled_from([0.0, 0.01, 1.0, 10.0]), max_size=2))
+        tail = [after + s for s in sorted(steps)]
+        watches.append((timeline(times[:prefix] + tail), prefix, t_end))
+    watches.append((timeline(times), len(times), ends[-1]))
+    walk, left = (_RrcWalk if rrc else _PsmWalk)(params, t_start), []
+    for records, prefix, t_end in watches:
+        walk.take(times, min(prefix, bisect_right(times, t_end)))
+        left.append(walk.copy() if len(left) < len(prefixes) else walk)
+    got = [w.drive(records, records.time, t_end) for w, (records, _, t_end) in zip(left, watches)]
+    for (records, _, t_end), segs in zip(watches, got):
+        want = drive(records.time, params, t_end=t_end, t_start=t_start)
+        assert list(map(repr, segs)) == list(map(repr, want))
+    # every watch has segment objects of its own
+    assert len({id(s) for segs in got for s in segs}) == sum(map(len, got))
+    if t_start == 0.0:
+        share_walks(params, times, watches)
+        for (records, _, t_end), segs in zip(watches, got):
+            assert records._walk is not None
+            assert list(map(repr, drive(records, params, t_end=t_end, t_start=0.0))) \
+                == list(map(repr, segs))
+            # the drive took the walk left for it, and walks afresh the next time
+            assert records._walk is None
+
+
+def test_a_drive_walks_afresh_where_the_walk_left_is_not_its_own():
+    # other radio parameters, another window start, or a left walk that
+    # took a packet past the drive's end
+    times = [0.0, 1.0, 20.0, 21.0]
+    for params, drive, t_start, t_end in [
+        (RrcParams(t1=2.0), rrc_drive, 0.0, 30.0),
+        (RrcParams(), rrc_drive, 0.5, 30.0),
+        (RrcParams(), rrc_drive, 0.0, 10.0),
+        (psm(), psm_drive, 0.5, 30.0),
+    ]:
+        records = timeline(times)
+        left = RrcParams() if drive is rrc_drive else replace(psm(), idle_timeout=0.2)
+        share_walks(left, times, [(records, 3, 30.0)])
+        want = drive(times, params, t_end=t_end, t_start=t_start)
+        assert drive(records, params, t_end=t_end, t_start=t_start) == want
+        assert records._walk is not None

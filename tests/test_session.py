@@ -1237,9 +1237,23 @@ def test_session_argument_validation():
                                   "sample_interval", "recv_capacity"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
 def test_session_rejects_a_parameter_that_is_not_positive_and_finite(name, value):
-    with pytest.raises(ValueError, match="%s must be positive and finite" % name):
+    # the receive capacity is Transport.open's, which asks for a whole byte
+    rule = "at least 1 byte" if name == "recv_capacity" else "positive"
+    with pytest.raises(ValueError, match="%s must be %s and finite" % (name, rule)):
         StreamingSession(VideoSpec.constant(10, 100_000), TechniqueSpec(ENCODING_RATE), PATH,
                          **{name: value})
+
+
+@pytest.mark.parametrize("capacity, interval", [(0.5, 5.0), (0, 5.0), (65_536, 0.0)])
+def test_session_rejects_at_construction_what_transport_open_rejects(capacity, interval):
+    # recv_capacity=0.5 passed construction and failed only in run(), when
+    # the first connection opened
+    with pytest.raises(ValueError) as opened:
+        Transport(PATH).open(0.0, capacity, interval)
+    with pytest.raises(ValueError) as built:
+        StreamingSession(VideoSpec.constant(10, 100_000), TechniqueSpec(ENCODING_RATE), PATH,
+                         recv_capacity=capacity, probe_interval=interval)
+    assert str(built.value) == str(opened.value)
 
 
 @settings(max_examples=200, deadline=None)

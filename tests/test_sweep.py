@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from streamsim import analysis
-from streamsim.analysis import data_view
+from streamsim.analysis import data_view, share_view
 from streamsim.harness import run_scenario, sweep_watched_fraction
 from streamsim.media import QualityLevel, VideoSpec
 from streamsim.scenario import builtin_scenario_names, load_builtin
@@ -26,7 +26,19 @@ from streamsim.session import (
     DeadlockError,
     TechniqueSpec,
 )
-from streamsim.transport import PathSpec, Transport
+from streamsim.transport import (
+    CLOSE_RST,
+    DATA,
+    DOWN,
+    OPEN,
+    REQUEST,
+    ZERO_WINDOW_AD,
+    ZERO_WINDOW_PROBE,
+    PacketRecord,
+    PathSpec,
+    Timeline,
+    Transport,
+)
 
 LADDER = (
     QualityLevel(200_000, "lo", 5.0),
@@ -63,9 +75,13 @@ def assert_same_reports(got, want):
         assert a.radio_segments == b.radio_segments
         assert a.energy == b.energy
         assert a.classification == b.classification
-    # a report's timeline is its own list, even for a repeated fraction
+    # a report's timeline is its own list, even for a repeated fraction, and
+    # so are its radio segments, each one of them
     assert len({id(r.records) for r in got}) == len(got)
     assert len({id(r.metrics) for r in got}) == len(got)
+    assert len({id(r.radio_segments) for r in got}) == len(got)
+    assert len({id(s) for r in got for s in r.radio_segments}) == sum(
+        len(r.radio_segments) for r in got)
 
 
 @st.composite
@@ -105,8 +121,17 @@ def scenarios(draw):
     if technique.buffer_cap is not None:
         assume(video.cum_bytes(fast_start_s) <= technique.buffer_cap)
     base = load_builtin(draw(st.sampled_from(BASES)))
+    if base.rrc is not None:
+        # a promotion ramp, shorter or longer than t1, pops the segments it
+        # covers, at a shorter watch's prefix too
+        radio = {"rrc": replace(base.rrc, promotion_delay=draw(
+            st.sampled_from([0.0, base.rrc.t1 / 4, base.rrc.t1 * 1.5])))}
+    else:
+        radio = {"psm": replace(base.psm, cam_mode=draw(st.booleans()),
+                                beacon_wake=draw(st.sampled_from([base.psm.beacon_wake, 0.0])))}
     return replace(
         base,
+        **radio,
         name="random",
         seed=draw(st.integers(0, 99)),
         video=video,
@@ -178,7 +203,11 @@ def test_sweep_matches_one_session_per_fraction_on_every_bundled_scenario():
         sc = load_builtin(name)
         sc = replace(sc.with_path(jitter=0.1), seed=rng.randrange(1, 2**31))
         fractions = (0.1, 0.3, 0.6)
-        assert_same_reports(sweep_watched_fraction(sc, fractions), oracle(sc, fractions))
+        reports = sweep_watched_fraction(sc, fractions)
+        assert_same_reports(reports, oracle(sc, fractions))
+        # each watch's radio drive went on from the walk the sweep left on
+        # its timeline, and took it off
+        assert [r.records._walk for r in reports] == [None] * 3
 
 
 def test_sweep_keeps_the_callers_order_and_repeats():
@@ -241,9 +270,11 @@ def test_buffer_series_read_in_any_order_gives_the_same_lists():
 
 
 def view_columns(view):
-    """A view's columns, their types and its burst split points."""
+    """A view's columns, their types, its burst split points and its run tallies."""
     columns = [view.times, view.cums]
-    return [list(c) for c in columns], [type(c) for c in columns], list(view.burst_starts())
+    tallies = [view.marks, view.data_at, view.data_before, view.stretches]
+    return ([list(c) for c in columns], [type(c) for c in columns], list(view.burst_starts()),
+            tallies)
 
 
 def same(got, want):
@@ -276,8 +307,8 @@ def built(monkeypatch):
 @pytest.mark.parametrize("jitter", [0.0, 0.1])
 def test_every_report_reads_the_view_its_timeline_would_build(jitter, built):
     # the shorter watches, and a repeat of the longest, read slices of the
-    # longest watch's view, its burst split points too, and the one view is
-    # all the sweep builds
+    # longest watch's view, its burst split points and run tallies too, and
+    # the one view is all the sweep builds
     rng = random.Random(29)
     for name in builtin_scenario_names():
         sc = load_builtin(name)
@@ -286,6 +317,40 @@ def test_every_report_reads_the_view_its_timeline_would_build(jitter, built):
         reports = sweep_watched_fraction(sc, (0.1, 0.3, 0.6, 0.3, 0.6))
         assert same(built, [reports[2].records]), name
         assert_fresh_views(reports)
+
+
+RECORDS = st.tuples(
+    st.sampled_from([0.0, 0.01, 1.0]),  # the step from the record before
+    st.sampled_from([DATA, DATA, DATA, REQUEST, ZERO_WINDOW_AD, ZERO_WINDOW_PROBE, OPEN]),
+    st.integers(1, 3),  # the connection
+)
+
+
+def timeline_of(rows, t=0.0):
+    """PacketRecords from (step, kind, conn) rows, from time t on."""
+    records = []
+    for step, kind, conn in rows:
+        t += step
+        records.append(PacketRecord(t, DOWN, 100 * (kind == DATA), kind, conn))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RECORDS, min_size=1, max_size=30), st.data())
+def test_a_shared_view_is_the_view_its_timeline_would_build(rows, data):
+    # a watch's timeline is the longest's first m records and a tail: a
+    # close, or any records but DATA, on any connection.  Cut inside a run
+    # or a connection's stretch, its view's DATA columns and run tallies are
+    # those of a fresh build.  A tail with DATA in it gets no shared view
+    longest = timeline_of(rows)
+    m = data.draw(st.integers(1, len(longest)), label="m")
+    tail = timeline_of(data.draw(st.lists(st.one_of(RECORDS, st.tuples(
+        st.just(0.0), st.just(CLOSE_RST), st.integers(1, 3))), max_size=3), label="tail"),
+        longest[m - 1].time)
+    watch = Timeline.of(longest[:m] + tail)
+    share_view(watch, data_view(Timeline.of(longest)), m)
+    assert (watch._view is None) == any(r.kind == DATA for r in tail)
+    assert view_columns(data_view(watch)) == view_columns(data_view(watch.copy()))
 
 
 def test_a_timeline_that_steps_back_fails_the_sweep_as_it_fails_a_run(monkeypatch, built):
